@@ -25,20 +25,15 @@ from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 from . import curves2d, fixtures
-from .detect import UNKNOWN, split_link_check, unknot_via_pushoff
+from .detect import UNKNOWN, Verdict, split_link_check, unknot_via_pushoff
 from .errors import NormSurfError, ResourceLimitExceeded
 from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
 from .homology import cycle_chain, h1
-from .matching import (
-    build_matching_system,
-    restrict_to_link,
-    tet_block,
-    variable_name,
-)
+from .matching import restrict_to_link, variable_name
 from .surface import analyze
 from .triangulation import (
+    Gluing,
     Triangulation,
-    compute_skeleton,
     parse_cycle,
     parse_link,
     parse_link_component,
@@ -224,26 +219,22 @@ def _load_triangulation(path: str) -> Triangulation:
     return parse_triangulation(Path(path).read_text())
 
 
-def _blocks_doc(tri: Triangulation, v: Sequence[int]) -> dict:
-    return {tri.name(t): list(tet_block(v, t)) for t in range(tri.tet_count)}
+def _blocks_doc(g: Gluing, v: Sequence[int]) -> dict:
+    """A vector's per-simplex blocks (7 wide in 3D, 3 wide in 2D),
+    keyed by simplex name."""
+    w = len(v) // g.size
+    return {g.name(i): list(v[w * i:w * i + w]) for i in range(g.size)}
 
 
-def _blocks_line(tri: Triangulation, v: Sequence[int]) -> str:
-    return " ".join(
-        f"{tri.name(t)}[{','.join(map(str, tet_block(v, t)))}]"
-        for t in range(tri.tet_count))
+def _blocks_line(g: Gluing, v: Sequence[int]) -> str:
+    return " ".join(f"{name}[{','.join(map(str, block))}]"
+                    for name, block in _blocks_doc(g, v).items())
 
 
-def _witness_doc(tri: Triangulation, v: Optional[Sequence[int]]):
+def _witness_doc(g: Gluing, v: Optional[Sequence[int]]):
     if v is None:
         return None
-    return {"vector": list(v), "blocks": _blocks_doc(tri, v)}
-
-
-def _curve_blocks_line(surf, v: Sequence[int]) -> str:
-    return " ".join(
-        f"{surf.name(i)}[{','.join(map(str, v[3 * i:3 * i + 3]))}]"
-        for i in range(surf.triangle_count))
+    return {"vector": list(v), "blocks": _blocks_doc(g, v)}
 
 
 def _h1_text(summary) -> str:
@@ -284,7 +275,7 @@ def _cmd_validate(config: RunConfig, out: TextIO, err: TextIO) -> int:
 
 def _cmd_skeleton(config: RunConfig, out: TextIO, err: TextIO) -> int:
     tri = _load_triangulation(config.triangulation_path)
-    skel = compute_skeleton(tri)
+    skel = tri.skeleton
     faces = len(tri.interior_face_pairs()) + len(tri.boundary_faces())
     euler = (len(skel.vertex_classes) - len(skel.edge_classes)
              + faces - tri.tet_count)
@@ -321,7 +312,7 @@ def _cmd_skeleton(config: RunConfig, out: TextIO, err: TextIO) -> int:
 
 def _cmd_fundamental(config: RunConfig, out: TextIO, err: TextIO) -> int:
     tri = _load_triangulation(config.triangulation_path)
-    system = build_matching_system(tri)
+    system = tri.matching_system
     if config.link_path:
         link = parse_link(Path(config.link_path).read_text())
         system = restrict_to_link(system, tri, link)
@@ -377,12 +368,8 @@ def _cmd_fundamental(config: RunConfig, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_split_check(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    tri = _load_triangulation(config.triangulation_path)
-    link = parse_link(Path(config.link_path).read_text())
-    verdict = split_link_check(
-        tri, link, max_candidates=config.max_candidates,
-        time_budget=config.time_budget)
+def _report_verdict(config: RunConfig, out: TextIO, tri: Triangulation,
+                    verdict: Verdict, witness_label: str) -> int:
     if config.output == "json":
         _emit_json({
             "answer": verdict.answer,
@@ -395,10 +382,20 @@ def _cmd_split_check(config: RunConfig, out: TextIO, err: TextIO) -> int:
         print(f"searched: {verdict.searched_count} admissible fundamental "
               f"surfaces", file=out)
         if verdict.witness is not None:
-            print(f"witness: {_blocks_line(tri, verdict.witness)}", file=out)
+            print(f"{witness_label}: {_blocks_line(tri, verdict.witness)}",
+                  file=out)
         if verdict.diagnostics:
             print(f"diagnostics: {verdict.diagnostics}", file=out)
     return 3 if verdict.answer == UNKNOWN else 0
+
+
+def _cmd_split_check(config: RunConfig, out: TextIO, err: TextIO) -> int:
+    tri = _load_triangulation(config.triangulation_path)
+    link = parse_link(Path(config.link_path).read_text())
+    verdict = split_link_check(
+        tri, link, max_candidates=config.max_candidates,
+        time_budget=config.time_budget)
+    return _report_verdict(config, out, tri, verdict, "witness")
 
 
 def _cmd_unknot(config: RunConfig, out: TextIO, err: TextIO) -> int:
@@ -414,23 +411,7 @@ def _cmd_unknot(config: RunConfig, out: TextIO, err: TextIO) -> int:
         homology_tri=homology_tri,
         max_candidates=config.max_candidates,
         time_budget=config.time_budget)
-    if config.output == "json":
-        _emit_json({
-            "answer": verdict.answer,
-            "searchedCount": verdict.searched_count,
-            "witness": _witness_doc(tri, verdict.witness),
-            "diagnostics": verdict.diagnostics,
-        }, out)
-    else:
-        print(f"verdict: {verdict.answer}", file=out)
-        print(f"searched: {verdict.searched_count} admissible fundamental "
-              f"surfaces", file=out)
-        if verdict.witness is not None:
-            print(f"splitting sphere: {_blocks_line(tri, verdict.witness)}",
-                  file=out)
-        if verdict.diagnostics:
-            print(f"diagnostics: {verdict.diagnostics}", file=out)
-    return 3 if verdict.answer == UNKNOWN else 0
+    return _report_verdict(config, out, tri, verdict, "splitting sphere")
 
 
 def _cmd_homology(config: RunConfig, out: TextIO, err: TextIO) -> int:
@@ -449,7 +430,7 @@ def _cmd_homology(config: RunConfig, out: TextIO, err: TextIO) -> int:
             f"{list(summary.complex.nonmaterial_vertex_classes)} distort H1")
     if config.cycle_path:
         cycle = parse_cycle(Path(config.cycle_path).read_text())
-        chain = cycle_chain(tri, cycle, summary.complex.skeleton)
+        chain = cycle_chain(tri, cycle)
         cls = summary.class_of(chain)
         doc["cycle"] = {
             "chain": {str(k): c for k, c in sorted(chain.items())},
@@ -494,15 +475,8 @@ def _cmd_curve2d_connect(config: RunConfig, out: TextIO, err: TextIO) -> int:
         max_candidates=config.max_candidates,
         time_budget=config.time_budget)
     if config.output == "json":
-        _emit_json({
-            "connected": witness is not None,
-            "witness": None if witness is None else {
-                "vector": list(witness),
-                "blocks": {
-                    surf.name(i): list(witness[3 * i:3 * i + 3])
-                    for i in range(surf.triangle_count)},
-            },
-        }, out)
+        _emit_json({"connected": witness is not None,
+                    "witness": _witness_doc(surf, witness)}, out)
     elif witness is None:
         print("not connected: the boundary points lie on different "
               "components", file=out)
@@ -510,7 +484,7 @@ def _cmd_curve2d_connect(config: RunConfig, out: TextIO, err: TextIO) -> int:
         print("connected along the shared boundary edge (empty curve)",
               file=out)
     else:
-        print(f"connected: {_curve_blocks_line(surf, witness)}", file=out)
+        print(f"connected: {_blocks_line(surf, witness)}", file=out)
     return 0
 
 

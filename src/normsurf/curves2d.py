@@ -16,17 +16,23 @@ one, because a minimal-weight solution cannot split. (Endpoint totals
 are even for every solution, so a decomposition must send both marked
 endpoints to the same summand, contradicting minimality.) That makes
 connectivity checkable by fundamental enumeration alone.
+
+A surface is a `SurfaceTriangulation`, the 2D case of the gluing class
+in `triangulation`, which supplies its constructor, validation and
+JSON codec. Each surface validates itself and builds its matching
+system once, on first use, and keeps both.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .errors import TriangulationError, VectorError
 from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
 from .matching import MatchingSystem, is_solution
+from .triangulation import Gluing, validate
 from .union_find import UnionFind
 
 CURVE_BLOCK = 3
@@ -37,162 +43,32 @@ EdgeSpot2D = tuple[int, tuple[int, int]]
 EdgeRef = tuple[str, tuple[int, int]]
 
 
-def _check_pair(p: Sequence[int], what: str) -> tuple[int, int]:
-    p = tuple(p)
-    if len(p) != 2 or len(set(p)) != 2 or not all(v in (0, 1, 2) for v in p):
-        raise TriangulationError(
-            f"{what} must be two distinct vertex labels in 0..2, got {p!r}")
-    return p  # type: ignore[return-value]
+class SurfaceTriangulation(Gluing):
+    """Triangles glued in pairs along edges.
 
-
-class SurfaceTriangulation:
-    """Immutable edge-gluing data for a set of triangles.
-
-    Mirrors Triangulation one dimension down: records are
-    (triangle, edge pair, to triangle, image pair), stored one direction
-    each; `infer_reciprocals=True` completes them. `validate_surface`
-    reports inconsistencies instead of the constructor raising.
+    The 2D case of `triangulation.Gluing`: records are (triangle, edge
+    pair, to triangle, image pair). Besides the shared gluing data it
+    keeps its matching system (`build_matching_system_2d`), computed on
+    first use.
     """
 
-    def __init__(
-        self,
-        triangles: Sequence[str],
-        gluings: Iterable[tuple] = (),
-        *,
-        infer_reciprocals: bool = False,
-        metadata: Optional[Mapping] = None,
-    ):
-        names = tuple(triangles)
-        if len(set(names)) != len(names):
-            raise TriangulationError("triangle names must be unique")
-        if not all(isinstance(n, str) and n for n in names):
-            raise TriangulationError("triangle names must be nonempty strings")
-        self.triangles = names
-        self._index = {n: i for i, n in enumerate(names)}
-        self.metadata = dict(metadata) if metadata else {}
-        # Directed map: (triangle, sorted edge) -> (triangle, image pair
-        # aligned with the sorted source edge).
-        self._glue: dict[EdgeSpot2D, tuple[int, tuple[int, int]]] = {}
-        for tri, edge, to_tri, verts in gluings:
-            self._add_record(tri, edge, to_tri, verts)
-        if infer_reciprocals:
-            for (i, edge), (j, image) in list(self._glue.items()):
-                back_edge = tuple(sorted(image))
-                back_image = tuple(edge[image.index(v)] for v in back_edge)
-                self._add_record(
-                    self.triangles[j], back_edge,
-                    self.triangles[i], back_image)
+    DIM = 2
+    FACETS = EDGES_2D
+    NOUN, FACET, KIND = "triangle", "edge", "surface triangulation"
+    JSON_KEYS = ("triangles", "tri", "edge")
 
-    def _add_record(self, tri: str, edge, to_tri: str, verts) -> None:
-        if tri not in self._index:
-            raise TriangulationError(f"unknown triangle name {tri!r}")
-        if to_tri not in self._index:
-            raise TriangulationError(f"unknown triangle name {to_tri!r}")
-        edge = _check_pair(edge, "edge")
-        verts = _check_pair(verts, "glued vertex pair")
-        if edge[0] > edge[1]:
-            edge = (edge[1], edge[0])
-            verts = (verts[1], verts[0])
-        key: EdgeSpot2D = (self._index[tri], edge)
-        value = (self._index[to_tri], verts)
-        existing = self._glue.get(key)
-        if existing is not None and existing != value:
-            raise TriangulationError(
-                f"duplicate gluing for edge {self.format_edge(*key)}: "
-                f"{self.format_edge(*existing)} conflicts with "
-                f"{self.format_edge(*value)}")
-        self._glue[key] = value
+    triangles = property(lambda self: self.names)
+    triangle_count = Gluing.size
+    boundary_edges = Gluing.boundary_facets
+    interior_edge_pairs = Gluing.interior_pairs
+    format_edge = Gluing.format_spot
 
-    @property
-    def triangle_count(self) -> int:
-        return len(self.triangles)
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise TriangulationError(f"unknown triangle name {name!r}") from None
-
-    def name(self, i: int) -> str:
-        return self.triangles[i]
-
-    def glued_to(self, tri: int, edge: Sequence[int]
-                 ) -> Optional[tuple[int, tuple[int, int]]]:
-        """Target of an edge, as (triangle index, image pair aligned with
-        the sorted edge), or None for a boundary edge."""
-        a, b = sorted(edge)
-        return self._glue.get((tri, (a, b)))
-
-    def edge_spots(self) -> list[EdgeSpot2D]:
-        return [(i, e) for i in range(self.triangle_count) for e in EDGES_2D]
-
-    def boundary_edges(self) -> list[EdgeSpot2D]:
-        return [spot for spot in self.edge_spots() if spot not in self._glue]
-
-    def interior_edge_pairs(self
-                            ) -> list[tuple[EdgeSpot2D, EdgeSpot2D, dict[int, int]]]:
-        """One entry per interior edge class, in first-seen file order,
-        as (source spot, target spot, vertex bijection on the source)."""
-        seen: set[EdgeSpot2D] = set()
-        pairs = []
-        for spot in self.edge_spots():
-            if spot in seen or spot not in self._glue:
-                continue
-            j, image = self._glue[spot]
-            target: EdgeSpot2D = (j, tuple(sorted(image)))
-            seen.add(spot)
-            seen.add(target)
-            pairs.append((spot, target, dict(zip(spot[1], image))))
-        return pairs
-
-    def is_connected(self) -> bool:
-        uf = UnionFind(range(self.triangle_count))
-        for (i, _), (j, _), _ in self.interior_edge_pairs():
-            uf.union(i, j)
-        return len({uf.find(i) for i in range(self.triangle_count)}) <= 1
-
-    def format_edge(self, tri: int, verts: Sequence[int]) -> str:
-        return f"{self.triangles[tri]}({''.join(map(str, verts))})"
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SurfaceTriangulation)
-                and self.triangles == other.triangles
-                and self._glue == other._glue)
-
-    def __repr__(self) -> str:
-        return (f"SurfaceTriangulation({len(self.triangles)} triangles, "
-                f"{len(self._glue)} directed gluings)")
+    @cached_property
+    def matching_system(self) -> MatchingSystem:
+        return build_matching_system_2d(self)
 
 
-def validate_surface(surf: SurfaceTriangulation) -> list[str]:
-    """Check gluing consistency; return a list of violations (empty = OK)."""
-    problems = []
-    for (i, edge), (j, image) in surf._glue.items():
-        if (j, tuple(sorted(image))) == (i, edge):
-            problems.append(
-                f"self-gluing: edge {surf.format_edge(i, edge)} is glued to itself")
-            continue
-        back = surf._glue.get((j, tuple(sorted(image))))
-        if back is None:
-            problems.append(
-                f"involution violation: {surf.format_edge(i, edge)} -> "
-                f"{surf.format_edge(j, image)} has no reciprocal gluing")
-            continue
-        back_edge = tuple(sorted(image))
-        expected = tuple(edge[image.index(v)] for v in back_edge)
-        if back != (i, expected):
-            problems.append(
-                f"involution violation: {surf.format_edge(j, back_edge)} -> "
-                f"{surf.format_edge(*back)} is not the inverse of "
-                f"{surf.format_edge(i, edge)} -> {surf.format_edge(j, image)}")
-    return problems
-
-
-def require_valid_surface(surf: SurfaceTriangulation) -> None:
-    problems = validate_surface(surf)
-    if problems:
-        raise TriangulationError(
-            "invalid surface triangulation: " + "; ".join(problems))
+validate_surface = validate
 
 
 def build_matching_system_2d(surf: SurfaceTriangulation) -> MatchingSystem:
@@ -205,8 +81,9 @@ def build_matching_system_2d(surf: SurfaceTriangulation) -> MatchingSystem:
 
     The result reuses MatchingSystem with no quad triples, so the
     fundamental enumerator and solution predicates apply unchanged.
+    Each SurfaceTriangulation keeps the result as its `matching_system`.
     """
-    require_valid_surface(surf)
+    surf.require_valid()
     equations = []
     labels = []
     for (i, (u, v)), (j, image), vmap in surf.interior_edge_pairs():
@@ -253,17 +130,16 @@ def _arc_at(v: Sequence[int], tri: int, edge: tuple[int, int],
     return (tri, w, au + aw + 1 - pos)
 
 
-def analyze_curve(surf: SurfaceTriangulation, v: Sequence[int],
-                  system: Optional[MatchingSystem] = None) -> CurveReport:
+def analyze_curve(surf: SurfaceTriangulation, v: Sequence[int]
+                  ) -> CurveReport:
     """Weight and component count of a solution vector.
 
     Weight counts crossings per edge class (each interior gluing once).
     Components come from union-find on arcs, glued position-to-position
     across each interior edge.
     """
-    sys_ = system if system is not None else build_matching_system_2d(surf)
     v = tuple(int(x) for x in v)
-    if not is_solution(sys_, v):
+    if not is_solution(surf.matching_system, v):
         raise VectorError("vector is not a solution of the 2D system")
 
     weight = 0
@@ -293,10 +169,8 @@ def analyze_curve(surf: SurfaceTriangulation, v: Sequence[int],
 def _resolve_boundary_edge(surf: SurfaceTriangulation, ref: EdgeRef,
                            what: str) -> EdgeSpot2D:
     name, pair = ref
-    spot: EdgeSpot2D = (surf.index(name), _check_pair(pair, f"{what} edge"))
-    a, b = spot[1]
-    if a > b:
-        spot = (spot[0], (b, a))
+    spot: EdgeSpot2D = (surf.index(name), tuple(sorted(
+        surf._check_labels(pair, f"{what} edge"))))
     if spot not in set(surf.boundary_edges()):
         raise TriangulationError(
             f"{what} edge {surf.format_edge(*spot)} is not a boundary edge")
@@ -325,7 +199,7 @@ def connect_boundary_points(
     """
     p = _resolve_boundary_edge(surf, edge_p, "first")
     q = _resolve_boundary_edge(surf, edge_q, "second")
-    sys_ = build_matching_system_2d(surf)
+    sys_ = surf.matching_system
     if p == q:
         return tuple([0] * sys_.variable_count)
     zeros = set()
@@ -356,50 +230,9 @@ def parse_surface(text: str) -> SurfaceTriangulation:
     "to": {"tri": "B", "verts": [2,0]}}, ...]}. Missing reciprocals are
     inferred, conflicting ones rejected.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TriangulationError(
-            f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise TriangulationError("top-level value must be an object")
-    tris = doc.get("triangles")
-    if not isinstance(tris, list) or not tris:
-        raise TriangulationError('"triangles" must be a nonempty list of names')
-    gluings_doc = doc.get("gluings", [])
-    if not isinstance(gluings_doc, list):
-        raise TriangulationError('"gluings" must be a list')
-    records = []
-    for k, rec in enumerate(gluings_doc):
-        try:
-            to = rec["to"]
-            records.append((rec["tri"], rec["edge"], to["tri"], to["verts"]))
-        except (TypeError, KeyError):
-            raise TriangulationError(
-                f"gluing record {k} is malformed; expected "
-                '{"tri", "edge", "to": {"tri", "verts"}}') from None
-    metadata = doc.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
-        raise TriangulationError('"metadata" must be an object')
-    return SurfaceTriangulation(
-        tris, records, infer_reciprocals=True, metadata=metadata)
+    return SurfaceTriangulation.from_json(text)
 
 
 def serialize_surface(surf: SurfaceTriangulation) -> str:
     """Write the JSON format; both directions of each gluing are listed."""
-    gluings = []
-    for i in range(surf.triangle_count):
-        for edge in EDGES_2D:
-            target = surf.glued_to(i, edge)
-            if target is None:
-                continue
-            gluings.append({
-                "tri": surf.name(i),
-                "edge": list(edge),
-                "to": {"tri": surf.name(target[0]), "verts": list(target[1])},
-            })
-    doc: dict = {"triangles": list(surf.triangles), "gluings": gluings}
-    if surf.metadata:
-        doc["metadata"] = surf.metadata
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return surf.to_json()

@@ -27,17 +27,9 @@ from typing import Iterable, Optional
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
 from .hilbert import DEFAULT_MAX_CANDIDATES, FundamentalSet, enumerate_fundamental
 from .homology import verify_zero_pushoff
-from .matching import BLOCK, NormalVector, build_matching_system, restrict_to_link
+from .matching import BLOCK, NormalVector, restrict_to_link
 from .surface import analyze, separates
-from .triangulation import (
-    EdgeCycle,
-    LinkComponent,
-    LinkSpec,
-    Triangulation,
-    compute_skeleton,
-    require_valid,
-    resolve_link,
-)
+from .triangulation import EdgeCycle, LinkComponent, LinkSpec, Triangulation
 
 SPLIT = "SPLIT"
 NOT_SPLIT = "NOT_SPLIT"
@@ -100,11 +92,7 @@ def split_link_check(
     Raises TriangulationError when the triangulation is invalid or the
     link does not resolve to exactly two disjoint components.
     """
-    require_valid(tri)
-    skel = compute_skeleton(tri)
-    resolve_link(tri, link, skel)
-    sys = build_matching_system(tri)
-    restricted = restrict_to_link(sys, tri, link, skel)
+    restricted = restrict_to_link(tri.matching_system, tri, link)
     try:
         fs = enumerate_fundamental(
             restricted, max_candidates=max_candidates,
@@ -214,7 +202,7 @@ def filter_unknotting_disks(
     boundary curve. Raises TriangulationError when the triangulation is
     closed, since then no properly embedded disk with boundary exists.
     """
-    require_valid(tri)
+    tri.require_valid()
     if not tri.boundary_faces():
         raise TriangulationError(
             "triangulation is closed: no boundary for a disk to end on")

@@ -11,7 +11,7 @@ edge b1*(13), a closed loop parallel to the knot.
 from __future__ import annotations
 
 from .curves2d import SurfaceTriangulation
-from .triangulation import EdgeCycle, IdealVertex, LinkSpec, Triangulation
+from .triangulation import FACES, EdgeCycle, IdealVertex, LinkSpec, Triangulation
 
 COORDINATE_NOTE = (
     "per-tetrahedron solution blocks are [t0,t1,t2,t3,q01,q02,q03]; "
@@ -45,13 +45,11 @@ CLOSING_ROWS: dict[str, tuple] = {
     "h2": (("h1", (0, 1, 2)), ("h1", (0, 3, 2)), ("h1", (0, 3, 1)), ("b2*", (1, 2, 3))),
 }
 
-_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-
 
 def _records(rows: dict[str, tuple]) -> list[tuple]:
     records = []
     for tet, targets in rows.items():
-        for face, target in zip(_FACES, targets):
+        for face, target in zip(FACES, targets):
             if target is not None:
                 records.append((tet, face, target[0], target[1]))
     return records
@@ -162,7 +160,3 @@ def square_surface() -> SurfaceTriangulation:
     return SurfaceTriangulation(
         ("A", "B"), [("A", (0, 2), "B", (0, 1))], infer_reciprocals=True)
 
-
-def triangle_pair_2d() -> SurfaceTriangulation:
-    """Two triangles with no gluings: a disconnected 2D control."""
-    return SurfaceTriangulation(("A", "B"))

@@ -818,50 +818,3 @@ def brute_force_solutions(
                 f"{max_states}",
                 candidates=len(states), elapsed=0.0)
     return {tuple(int(x) for x in row) for row in states}
-
-
-def minimal_nonzero(vectors: Iterable[Sequence[int]]) -> set[NormalVector]:
-    """Coordinatewise-minimal nonzero members of a finite set.
-
-    Graded by coordinate sum: a vector can only be dominated by one of
-    strictly smaller sum, so each grade is checked against the minimal
-    vectors found so far.
-    """
-    vecs = {tuple(int(x) for x in v) for v in vectors if any(v)}
-    if not vecs:
-        return set()
-    arr = np.array(sorted(vecs), dtype=np.int64)
-    sums = arr.sum(axis=1)
-    kept: list[np.ndarray] = []
-    for s in np.unique(sums):
-        grade = arr[sums == s]
-        if kept:
-            kmat = np.array(kept)
-            dom = (grade[:, None, :] >= kmat[None, :, :]).all(2).any(1)
-            grade = grade[~dom]
-        kept.extend(grade)
-    return {tuple(int(x) for x in row) for row in kept}
-
-
-def decomposes(v: Sequence[int], vectors: Sequence[Sequence[int]]) -> bool:
-    """Is v a nonnegative integer combination of the given vectors?"""
-    target = tuple(int(x) for x in v)
-    if any(x < 0 for x in target):
-        return False
-    basis = [tuple(b) for b in vectors if any(b)]
-
-    def rec(i: int, rem: tuple[int, ...]) -> bool:
-        if not any(rem):
-            return True
-        if i == len(basis):
-            return False
-        b = basis[i]
-        caps = [r // c for r, c in zip(rem, b) if c > 0]
-        top = min(caps) if caps else 0
-        for k in range(top, -1, -1):
-            nxt = tuple(r - k * c for r, c in zip(rem, b))
-            if all(x >= 0 for x in nxt) and rec(i + 1, nxt):
-                return True
-        return False
-
-    return rec(0, target)

@@ -28,7 +28,6 @@ from .triangulation import (
     LinkSpec,
     Skeleton,
     Triangulation,
-    compute_skeleton,
     resolve_link,
 )
 
@@ -203,7 +202,7 @@ def _nonmaterial_vertex_classes(tri: Triangulation,
     from .surface import analyze
     bad = []
     for vc in skel.vertex_classes:
-        rep = analyze(tri, vertex_link_vector(tri, skel, vc.index))
+        rep = analyze(tri, vertex_link_vector(tri, vc.index))
         sphere = rep.closed and rep.euler == 2 and rep.components == 1
         disk = (not rep.closed and rep.euler == 1
                 and rep.components == 1)
@@ -212,15 +211,14 @@ def _nonmaterial_vertex_classes(tri: Triangulation,
     return tuple(bad)
 
 
-def chain_complex(tri: Triangulation,
-                  skeleton: Optional[Skeleton] = None) -> ChainComplex:
+def chain_complex(tri: Triangulation) -> ChainComplex:
     """Boundary matrices of the quotient complex.
 
     Raises HomologyError when an edge class is glued to itself
     reversed; such a class cannot be oriented and the quotient is not
     a complex of the kind handled here.
     """
-    skel = skeleton if skeleton is not None else compute_skeleton(tri)
+    skel = tri.skeleton
     for ec in skel.edge_classes:
         if ec.inverted:
             raise HomologyError(
@@ -332,8 +330,7 @@ def _as_vector(chain: Chain, cc: ChainComplex) -> list[int]:
     return [int(x) for x in chain]
 
 
-def h1(tri: Triangulation, *, strict: bool = True,
-       skeleton: Optional[Skeleton] = None) -> H1Summary:
+def h1(tri: Triangulation, *, strict: bool = True) -> H1Summary:
     """First integer homology of the quotient complex.
 
     In strict mode (the default) the computation refuses complexes
@@ -342,7 +339,7 @@ def h1(tri: Triangulation, *, strict: bool = True,
     manifold. Pass strict=False to compute the complex's own H1
     anyway.
     """
-    cc = chain_complex(tri, skeleton)
+    cc = chain_complex(tri)
     if strict and cc.nonmaterial_vertex_classes:
         raise HomologyError(
             "vertex class(es) "
@@ -382,16 +379,15 @@ def edge_cycle_class(tri: Triangulation, chain: Chain, *,
     return s.class_of(chain)
 
 
-def cycle_chain(tri: Triangulation, cycle: EdgeCycle,
-                skeleton: Optional[Skeleton] = None) -> dict[int, int]:
+def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
     """Edge-class coefficients of a closed edge walk.
 
     Each step traversing an edge class along its orientation counts
     +1, against it -1; steps may cancel.
     """
-    skel = skeleton if skeleton is not None else compute_skeleton(tri)
-    resolve_link(tri, LinkSpec(components=(cycle,)), skel,
+    resolve_link(tri, LinkSpec(components=(cycle,)),
                  require_two_components=False)
+    skel = tri.skeleton
     coeffs: dict[int, int] = {}
     for tet_name, (u, v) in cycle.edges:
         t = tri.index(tet_name)
@@ -411,5 +407,5 @@ def verify_zero_pushoff(tri: Triangulation, cycle: EdgeCycle, *,
                         strict: bool = True) -> bool:
     """True iff the closed edge walk is null-homologous."""
     s = summary if summary is not None else h1(tri, strict=strict)
-    chain = cycle_chain(tri, cycle, s.complex.skeleton)
+    chain = cycle_chain(tri, cycle)
     return s.class_of(chain).is_null

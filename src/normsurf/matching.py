@@ -13,18 +13,10 @@ per gluing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
-from .errors import TriangulationError, VectorError
-from .triangulation import (
-    LinkSpec,
-    Skeleton,
-    Triangulation,
-    compute_skeleton,
-    omitted_vertex,
-    require_valid,
-    resolve_link,
-)
+from .errors import VectorError
+from .triangulation import LinkSpec, Triangulation, omitted_vertex, resolve_link
 
 BLOCK = 7
 KIND_NAMES = ("t0", "t1", "t2", "t3", "q01", "q02", "q03")
@@ -84,8 +76,9 @@ def build_matching_system(tri: Triangulation) -> MatchingSystem:
 
     since on that face the arcs cutting off corner x come from the
     triangles at x plus the quads separating x from the omitted vertex.
+    Each Triangulation keeps the result as its `matching_system`.
     """
-    require_valid(tri)
+    tri.require_valid()
     equations = []
     labels = []
     for (i, face), (j, jface), vmap in tri.interior_face_pairs():
@@ -136,7 +129,6 @@ def restrict_to_link(
     sys: MatchingSystem,
     tri: Triangulation,
     link: LinkSpec,
-    skeleton: Optional[Skeleton] = None,
 ) -> MatchingSystem:
     """Forbid the surface from touching the link's edge cycles.
 
@@ -146,12 +138,11 @@ def restrict_to_link(
     types not separating {a, b}. Vertex components add nothing, since
     normal surfaces are disjoint from vertices anyway.
     """
-    skel = skeleton if skeleton is not None else compute_skeleton(tri)
-    resolved = resolve_link(tri, link, skel)
+    resolved = resolve_link(tri, link)
     zeros = set(sys.forced_zeros)
     for cycle in resolved.edge_cycles:
         for class_index in cycle:
-            for (t, (a, b)) in skel.edge_classes[class_index].members:
+            for (t, (a, b)) in tri.skeleton.edge_classes[class_index].members:
                 zeros.add(BLOCK * t + a)
                 zeros.add(BLOCK * t + b)
                 for q in quad_offsets_crossing(a, b):
@@ -193,9 +184,9 @@ def all_triangles_vector(tri: Triangulation) -> NormalVector:
     return block * tri.tet_count
 
 
-def vertex_link_vector(tri: Triangulation, skeleton: Skeleton, vertex_class: int) -> NormalVector:
+def vertex_link_vector(tri: Triangulation, vertex_class: int) -> NormalVector:
     """One triangle at each corner of the given vertex class."""
     v = [0] * (BLOCK * tri.tet_count)
-    for (t, corner) in skeleton.vertex_classes[vertex_class].members:
+    for (t, corner) in tri.skeleton.vertex_classes[vertex_class].members:
         v[BLOCK * t + corner] = 1
     return tuple(v)

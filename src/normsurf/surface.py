@@ -21,13 +21,11 @@ Conventions (shared with the matching equations):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import NormSurfError, TriangulationError, VectorError
 from .matching import (
     BLOCK,
-    MatchingSystem,
-    build_matching_system,
     is_admissible,
     is_solution,
     quad_offset,
@@ -38,7 +36,6 @@ from .triangulation import (
     LinkSpec,
     Skeleton,
     Triangulation,
-    compute_skeleton,
     omitted_vertex,
     resolve_link,
 )
@@ -215,11 +212,9 @@ class _TetPattern:
         return side0, side1
 
 
-def _patterns(tri: Triangulation, v: Sequence[int],
-              sys: Optional[MatchingSystem] = None) -> list[_TetPattern]:
+def _patterns(tri: Triangulation, v: Sequence[int]) -> list[_TetPattern]:
     """Validate the vector as an admissible solution; split by tet."""
-    if sys is None:
-        sys = build_matching_system(tri)
+    sys = tri.matching_system
     sys.check_length(v)
     if any(x < 0 for x in v):
         raise VectorError("vector has negative entries")
@@ -271,7 +266,7 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
     endpoints on boundary edges.
     """
     pats = _patterns(tri, v)
-    skel = compute_skeleton(tri)
+    skel = tri.skeleton
     edge_weights = _edge_class_weights(tri, skel, pats)
     for ec in skel.edge_classes:
         if ec.inverted and edge_weights[ec.index]:
@@ -337,7 +332,7 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     the connectivity of the surface complement.
     """
     pats = _patterns(tri, v)
-    skel = compute_skeleton(tri)
+    skel = tri.skeleton
 
     cells = UnionFind(r for p in pats for r in p.regions())
     for (ta, fa), (tb, fb), vmap in tri.interior_face_pairs():
@@ -397,8 +392,7 @@ def separates(tri: Triangulation, v: Sequence[int], link: LinkSpec) -> bool:
     The vector must have zero weight on every edge class an EdgeCycle
     component traverses (the surface may not touch the link).
     """
-    skel = compute_skeleton(tri)
-    resolved = resolve_link(tri, link, skel)
+    resolved = resolve_link(tri, link)
     graph = complement_regions(tri, v)
 
     cycles = iter(resolved.edge_cycles)

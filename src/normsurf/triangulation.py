@@ -1,10 +1,20 @@
-"""Triangulated 3-manifolds given as tetrahedra glued along faces.
+"""Simplices glued along facets: 3D triangulations and their skeletons.
 
-A triangulation is a list of named tetrahedra together with a partial
-gluing map on faces. A face is named by its tetrahedron and the ordered
-triple of vertex labels it spans; a gluing record `A(abc) -> B(xyz)`
-identifies the two faces by the vertex bijection a->x, b->y, c->z.
-Unglued faces form the boundary.
+`Gluing` holds what a triangulated 3-manifold and a triangulated
+surface share: a list of named simplices together with a partial
+gluing map on facets. A facet is named by its simplex and the ordered
+tuple of vertex labels it spans; a gluing record `A(abc) -> B(xyz)`
+identifies the two facets by the vertex bijection a->x, b->y, c->z.
+Unglued facets form the boundary. The base class does the record
+checks, accessors, interior pairs, connectivity, validation, equality
+and the JSON codec for any dimension; `Triangulation` (tetrahedra glued
+along faces) and `curves2d.SurfaceTriangulation` (triangles glued along
+edges) set only the dimension, the nouns in messages and the JSON keys,
+and keep the dimension-specific accessor names as aliases.
+
+A gluing never changes after construction, so the data derived from it
+is computed at most once per object and kept: its validation result,
+and for a `Triangulation` its skeleton and its matching system.
 
 The skeleton computation closes vertices and edges under the gluing
 orbits, producing the vertex classes and edge classes of the underlying
@@ -15,19 +25,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import TriangulationError
 from .union_find import UnionFind
 
+if TYPE_CHECKING:
+    from .matching import MatchingSystem
+
 Face = tuple[int, int, int]
 Edge = tuple[int, int]
-FaceSpot = tuple[int, Face]
+Spot = tuple[int, tuple[int, ...]]
 
 FACES: tuple[Face, ...] = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-EDGES: tuple[Edge, ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 GluingRecord = tuple[str, Sequence[int], str, Sequence[int]]
+
+# Per facet size: the count and the tuple word used in label messages.
+_LABEL_WORDS = {2: ("two", "pair"), 3: ("three", "triple")}
 
 
 def face_omitting(d: int) -> Face:
@@ -39,190 +55,304 @@ def omitted_vertex(face: Face) -> int:
     return 6 - sum(face)
 
 
-def _check_triple(t: Sequence[int], what: str) -> tuple[int, int, int]:
-    t = tuple(t)
-    if len(t) != 3 or len(set(t)) != 3 or not all(v in (0, 1, 2, 3) for v in t):
+def _is_label(x) -> bool:
+    """A vertex label is a plain int; floats, strings and bools are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise TriangulationError(
-            f"{what} must be three distinct vertex labels in 0..3, got {t!r}")
-    return t  # type: ignore[return-value]
+            f"syntax error at line {exc.lineno} column {exc.colno}: "
+            f"{exc.msg}") from None
 
 
-class Triangulation:
-    """Immutable gluing data for a set of tetrahedra.
+def _dump_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class Gluing:
+    """Immutable gluing data for a set of simplices of one dimension.
 
     The gluing map is stored one direction per record as given; use
-    `infer_reciprocals=True` (the parser does) to complete each record
+    `infer_reciprocals=True` (the parsers do) to complete each record
     with its inverse. Directly constructed objects may be incomplete or
     inconsistent; `validate` reports that instead of the constructor
     raising, so that broken inputs can be examined.
+
+    Subclasses set DIM (vertex labels run 0..DIM, a facet has DIM of
+    them), FACETS (the sorted facets of one simplex), the nouns used in
+    messages and the JSON keys.
     """
+
+    DIM: int
+    FACETS: tuple[tuple[int, ...], ...]
+    NOUN: str        # one simplex, e.g. "tetrahedron"
+    FACET: str       # one facet, e.g. "face"
+    KIND: str        # the whole object, e.g. "triangulation"
+    JSON_KEYS: tuple[str, str, str]  # simplex list, simplex, facet
 
     def __init__(
         self,
-        tetrahedra: Sequence[str],
+        names: Sequence[str],
         gluings: Iterable[GluingRecord] = (),
         *,
         infer_reciprocals: bool = False,
         metadata: Optional[Mapping] = None,
     ):
-        names = tuple(tetrahedra)
+        names = tuple(names)
         if len(set(names)) != len(names):
-            raise TriangulationError("tetrahedron names must be unique")
+            raise TriangulationError(f"{self.NOUN} names must be unique")
         if not all(isinstance(n, str) and n for n in names):
-            raise TriangulationError("tetrahedron names must be nonempty strings")
-        self.tetrahedra = names
+            raise TriangulationError(
+                f"{self.NOUN} names must be nonempty strings")
+        self.names = names
         self._index = {n: i for i, n in enumerate(names)}
         self.metadata = dict(metadata) if metadata else {}
-        # Directed map: (tet, sorted face) -> (tet, image triple aligned
-        # with the sorted source face).
-        self._glue: dict[FaceSpot, tuple[int, tuple[int, int, int]]] = {}
-        for tet, face, to_tet, verts in gluings:
-            self._add_record(tet, face, to_tet, verts)
+        # Directed map: (simplex, sorted facet) -> (simplex, image labels
+        # aligned with the sorted source facet).
+        self._glue: dict[Spot, tuple[int, tuple[int, ...]]] = {}
+        for simplex, facet, to_simplex, verts in gluings:
+            self._add_record(simplex, facet, to_simplex, verts)
         if infer_reciprocals:
-            for (i, face), (j, image) in list(self._glue.items()):
-                back_face = tuple(sorted(image))
-                back_image = tuple(
-                    face[image.index(v)] for v in back_face)
+            for (i, facet), (j, image) in list(self._glue.items()):
+                back_facet = tuple(sorted(image))
+                back_image = tuple(facet[image.index(v)] for v in back_facet)
                 self._add_record(
-                    self.tetrahedra[j], back_face,
-                    self.tetrahedra[i], back_image)
+                    self.names[j], back_facet, self.names[i], back_image)
 
-    def _add_record(self, tet: str, face, to_tet: str, verts) -> None:
-        if tet not in self._index:
-            raise TriangulationError(f"unknown tetrahedron name {tet!r}")
-        if to_tet not in self._index:
-            raise TriangulationError(f"unknown tetrahedron name {to_tet!r}")
-        face = _check_triple(face, "face")
-        verts = _check_triple(verts, "glued vertex triple")
-        order = sorted(range(3), key=lambda k: face[k])
-        key: FaceSpot = (self._index[tet], tuple(face[k] for k in order))
-        value = (self._index[to_tet], tuple(verts[k] for k in order))
+    def _check_labels(self, labels: Sequence[int], what: str
+                      ) -> tuple[int, ...]:
+        t = tuple(labels)
+        if (len(t) != self.DIM or len(set(t)) != self.DIM
+                or not all(_is_label(v) and 0 <= v <= self.DIM for v in t)):
+            count = _LABEL_WORDS[self.DIM][0]
+            raise TriangulationError(
+                f"{what} must be {count} distinct vertex labels in "
+                f"0..{self.DIM}, got {t!r}")
+        return t
+
+    def _add_record(self, simplex: str, facet, to_simplex: str,
+                    verts) -> None:
+        for name in (simplex, to_simplex):
+            if name not in self._index:
+                raise TriangulationError(
+                    f"unknown {self.NOUN} name {name!r}")
+        facet = self._check_labels(facet, self.FACET)
+        verts = self._check_labels(
+            verts, f"glued vertex {_LABEL_WORDS[self.DIM][1]}")
+        order = sorted(range(self.DIM), key=lambda k: facet[k])
+        key: Spot = (self._index[simplex], tuple(facet[k] for k in order))
+        value = (self._index[to_simplex], tuple(verts[k] for k in order))
         existing = self._glue.get(key)
         if existing is not None and existing != value:
             raise TriangulationError(
-                f"duplicate gluing for face {self.format_face(*key)}: "
-                f"{self.format_face(*existing)} conflicts with "
-                f"{self.format_face(value[0], value[1])}")
+                f"duplicate gluing for {self.FACET} {self.format_spot(*key)}: "
+                f"{self.format_spot(*existing)} conflicts with "
+                f"{self.format_spot(*value)}")
         self._glue[key] = value
 
     # -- basic accessors ------------------------------------------------
 
     @property
-    def tet_count(self) -> int:
-        return len(self.tetrahedra)
+    def size(self) -> int:
+        """Number of simplices."""
+        return len(self.names)
 
     def index(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
-            raise TriangulationError(f"unknown tetrahedron name {name!r}") from None
+            raise TriangulationError(
+                f"unknown {self.NOUN} name {name!r}") from None
 
     def name(self, i: int) -> str:
-        return self.tetrahedra[i]
+        return self.names[i]
 
-    def glued_to(self, tet: int, face: Face) -> Optional[tuple[int, tuple[int, int, int]]]:
-        """Target of a face, as (tet index, image triple aligned with the
-        sorted face), or None for a boundary face."""
-        return self._glue.get((tet, tuple(sorted(face))))
+    def glued_to(self, simplex: int, facet: Sequence[int]
+                 ) -> Optional[tuple[int, tuple[int, ...]]]:
+        """Target of a facet, as (simplex index, image labels aligned
+        with the sorted facet), or None for a boundary facet."""
+        return self._glue.get((simplex, tuple(sorted(facet))))
 
-    def vertex_map(self, tet: int, face: Face) -> Optional[dict[int, int]]:
-        """The gluing bijection on the three face vertices, or None."""
-        target = self.glued_to(tet, face)
-        if target is None:
-            return None
-        src = tuple(sorted(face))
-        return dict(zip(src, target[1]))
+    def facet_spots(self) -> list[Spot]:
+        return [(i, f) for i in range(self.size) for f in self.FACETS]
 
-    def face_spots(self) -> list[FaceSpot]:
-        return [(i, f) for i in range(self.tet_count) for f in FACES]
+    def boundary_facets(self) -> list[Spot]:
+        return [spot for spot in self.facet_spots() if spot not in self._glue]
 
-    def boundary_faces(self) -> list[FaceSpot]:
-        return [spot for spot in self.face_spots() if spot not in self._glue]
-
-    def interior_face_pairs(self) -> list[tuple[FaceSpot, FaceSpot, dict[int, int]]]:
-        """One entry per interior face class, in first-seen file order.
+    def interior_pairs(self) -> list[tuple[Spot, Spot, dict[int, int]]]:
+        """One entry per interior facet class, in first-seen file order.
 
         Each entry is (source spot, target spot, vertex bijection on the
-        source face). The source is the earlier (tet, face) in tet/file
-        order, so generated equation order is reproducible.
+        source facet). The source is the earlier (simplex, facet) in
+        simplex/file order, so generated equation order is reproducible.
         """
-        seen: set[FaceSpot] = set()
+        seen: set[Spot] = set()
         pairs = []
-        for spot in self.face_spots():
+        for spot in self.facet_spots():
             if spot in seen or spot not in self._glue:
                 continue
             j, image = self._glue[spot]
-            target: FaceSpot = (j, tuple(sorted(image)))
+            target: Spot = (j, tuple(sorted(image)))
             seen.add(spot)
             seen.add(target)
             pairs.append((spot, target, dict(zip(spot[1], image))))
         return pairs
 
     def is_connected(self) -> bool:
-        uf = UnionFind(range(self.tet_count))
-        for (i, _), (j, _), _ in self.interior_face_pairs():
+        uf = UnionFind(range(self.size))
+        for (i, _), (j, _), _ in self.interior_pairs():
             uf.union(i, j)
-        return len({uf.find(i) for i in range(self.tet_count)}) <= 1
+        return len({uf.find(i) for i in range(self.size)}) <= 1
 
-    # -- display --------------------------------------------------------
+    # -- validity ---------------------------------------------------------
 
-    def format_face(self, tet: int, verts: Sequence[int]) -> str:
-        return f"{self.tetrahedra[tet]}({''.join(map(str, verts))})"
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(validate(self))
 
-    def format_edge(self, tet: int, edge: Sequence[int]) -> str:
-        return f"{self.tetrahedra[tet]}({''.join(map(str, edge))})"
+    def require_valid(self) -> None:
+        """Raise TriangulationError listing the gluing violations, if
+        any. They are looked for once per object."""
+        if self._problems:
+            raise TriangulationError(
+                f"invalid {self.KIND}: " + "; ".join(self._problems))
+
+    # -- display and JSON -----------------------------------------------
+
+    def format_spot(self, simplex: int, verts: Sequence[int]) -> str:
+        return f"{self.names[simplex]}({''.join(map(str, verts))})"
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Triangulation)
-                and self.tetrahedra == other.tetrahedra
+        return (type(other) is type(self)
+                and self.names == other.names
                 and self._glue == other._glue)
 
     def __repr__(self) -> str:
-        return (f"Triangulation({len(self.tetrahedra)} tetrahedra, "
-                f"{len(self._glue)} directed gluings)")
+        return (f"{type(self).__name__}({len(self.names)} "
+                f"{self.JSON_KEYS[0]}, {len(self._glue)} directed gluings)")
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Read the JSON format. A gluing may be listed from either or
+        both sides; missing reciprocals are inferred, conflicting ones
+        rejected."""
+        doc = _load_json(text)
+        if not isinstance(doc, dict):
+            raise TriangulationError("top-level value must be an object")
+        plural, simplex, facet = cls.JSON_KEYS
+        names = doc.get(plural)
+        if not isinstance(names, list) or not names:
+            raise TriangulationError(
+                f'"{plural}" must be a nonempty list of names')
+        gluings_doc = doc.get("gluings", [])
+        if not isinstance(gluings_doc, list):
+            raise TriangulationError('"gluings" must be a list')
+        records = []
+        for k, rec in enumerate(gluings_doc):
+            try:
+                to = rec["to"]
+                records.append(
+                    (rec[simplex], rec[facet], to[simplex], to["verts"]))
+            except (TypeError, KeyError):
+                raise TriangulationError(
+                    f"gluing record {k} is malformed; expected "
+                    f'{{"{simplex}", "{facet}", '
+                    f'"to": {{"{simplex}", "verts"}}}}') from None
+        metadata = doc.get("metadata")
+        if metadata is not None and not isinstance(metadata, dict):
+            raise TriangulationError('"metadata" must be an object')
+        return cls(names, records, infer_reciprocals=True, metadata=metadata)
+
+    def to_json(self) -> str:
+        """Write the JSON format; both directions of each gluing are
+        listed."""
+        plural, simplex, facet = self.JSON_KEYS
+        gluings = []
+        for i, f in self.facet_spots():
+            target = self._glue.get((i, f))
+            if target is not None:
+                gluings.append({
+                    simplex: self.names[i],
+                    facet: list(f),
+                    "to": {simplex: self.names[target[0]],
+                           "verts": list(target[1])},
+                })
+        doc: dict = {plural: list(self.names), "gluings": gluings}
+        if self.metadata:
+            doc["metadata"] = self.metadata
+        return _dump_json(doc)
 
 
-def validate(tri: Triangulation) -> list[str]:
+def validate(gluing: Gluing) -> list[str]:
     """Check gluing consistency; return a list of violations (empty = OK).
 
-    Violations checked: a face glued to itself, a gluing whose reciprocal
-    is missing, and a gluing whose reciprocal is not the inverse
-    bijection. Malformed records (unknown names, bad triples, two targets
-    for one face) cannot be represented and are constructor errors.
+    Violations checked: a facet glued to itself, a gluing whose
+    reciprocal is missing, and a gluing whose reciprocal is not the
+    inverse bijection. Malformed records (unknown names, bad label
+    tuples, two targets for one facet) cannot be represented and are
+    constructor errors.
     """
+    fmt = gluing.format_spot
     problems = []
-    for (i, face), (j, image) in tri._glue.items():
-        if (j, tuple(sorted(image))) == (i, face):
-            problems.append(
-                f"self-gluing: face {tri.format_face(i, face)} is glued to itself")
+    for (i, facet), (j, image) in gluing._glue.items():
+        back_facet = tuple(sorted(image))
+        if (j, back_facet) == (i, facet):
+            problems.append(f"self-gluing: {gluing.FACET} {fmt(i, facet)} "
+                            "is glued to itself")
             continue
-        back = tri._glue.get((j, tuple(sorted(image))))
+        back = gluing._glue.get((j, back_facet))
         if back is None:
             problems.append(
-                f"involution violation: {tri.format_face(i, face)} -> "
-                f"{tri.format_face(j, image)} has no reciprocal gluing")
+                f"involution violation: {fmt(i, facet)} -> "
+                f"{fmt(j, image)} has no reciprocal gluing")
             continue
-        back_face = tuple(sorted(image))
-        expected = tuple(face[image.index(v)] for v in back_face)
+        expected = tuple(facet[image.index(v)] for v in back_facet)
         if back != (i, expected):
             problems.append(
-                f"involution violation: {tri.format_face(j, back_face)} -> "
-                f"{tri.format_face(*back)} is not the inverse of "
-                f"{tri.format_face(i, face)} -> {tri.format_face(j, image)}")
+                f"involution violation: {fmt(j, back_facet)} -> "
+                f"{fmt(*back)} is not the inverse of "
+                f"{fmt(i, facet)} -> {fmt(j, image)}")
     return problems
 
 
-def require_valid(tri: Triangulation) -> None:
-    problems = validate(tri)
-    if problems:
-        raise TriangulationError(
-            "invalid triangulation: " + "; ".join(problems))
+class Triangulation(Gluing):
+    """Tetrahedra glued in pairs along faces.
+
+    Besides the shared gluing data it keeps, each computed on first use,
+    its skeleton (`compute_skeleton`) and its matching system
+    (`matching.build_matching_system`).
+    """
+
+    DIM = 3
+    FACETS = FACES
+    NOUN, FACET, KIND = "tetrahedron", "face", "triangulation"
+    JSON_KEYS = ("tetrahedra", "tet", "face")
+
+    tetrahedra = property(lambda self: self.names)
+    tet_count = Gluing.size
+    face_spots = Gluing.facet_spots
+    boundary_faces = Gluing.boundary_facets
+    interior_face_pairs = Gluing.interior_pairs
+    format_face = format_edge = Gluing.format_spot
+
+    @cached_property
+    def skeleton(self) -> Skeleton:
+        return compute_skeleton(self)
+
+    @cached_property
+    def matching_system(self) -> MatchingSystem:
+        from . import matching  # matching imports this module
+        return matching.build_matching_system(self)
 
 
 # -- skeleton ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexClass:
     index: int
     members: tuple[tuple[int, int], ...]
@@ -233,7 +363,7 @@ class VertexClass:
         return len(self.members)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeClass:
     """An edge of the glued complex.
 
@@ -255,7 +385,7 @@ class EdgeClass:
         return len(self.members)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Skeleton:
     vertex_classes: tuple[VertexClass, ...]
     edge_classes: tuple[EdgeClass, ...]
@@ -268,8 +398,9 @@ def compute_skeleton(tri: Triangulation) -> Skeleton:
 
     Requires a valid triangulation. Edge orbits are tracked on directed
     edges so each class gets a consistent orientation when one exists.
+    Each Triangulation keeps the result as its `skeleton`.
     """
-    require_valid(tri)
+    tri.require_valid()
 
     corners = UnionFind(
         (i, v) for i in range(tri.tet_count) for v in range(4))
@@ -401,7 +532,6 @@ class ResolvedLink:
 def resolve_link(
     tri: Triangulation,
     link: LinkSpec,
-    skeleton: Optional[Skeleton] = None,
     *,
     require_two_components: bool = True,
 ) -> ResolvedLink:
@@ -412,7 +542,7 @@ def resolve_link(
     through the vertex classes, and components are disjoint (no shared
     edge class, no shared vertex class).
     """
-    skel = skeleton if skeleton is not None else compute_skeleton(tri)
+    skel = tri.skeleton
     if require_two_components and len(link.components) != 2:
         raise TriangulationError(
             f"link must have exactly 2 components, got {len(link.components)}")
@@ -477,11 +607,6 @@ def resolve_link(
 # -- serialization ---------------------------------------------------------
 
 
-def _json_error(exc: json.JSONDecodeError) -> TriangulationError:
-    return TriangulationError(
-        f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
-
-
 def parse_triangulation(text: str) -> Triangulation:
     """Read the JSON triangulation format.
 
@@ -490,54 +615,15 @@ def parse_triangulation(text: str) -> Triangulation:
     A gluing may be listed from either or both sides; missing reciprocals
     are inferred, conflicting ones rejected.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _json_error(exc) from None
-    if not isinstance(doc, dict):
-        raise TriangulationError("top-level value must be an object")
-    tets = doc.get("tetrahedra")
-    if not isinstance(tets, list) or not tets:
-        raise TriangulationError('"tetrahedra" must be a nonempty list of names')
-    gluings_doc = doc.get("gluings", [])
-    if not isinstance(gluings_doc, list):
-        raise TriangulationError('"gluings" must be a list')
-    records = []
-    for k, rec in enumerate(gluings_doc):
-        try:
-            to = rec["to"]
-            records.append((rec["tet"], rec["face"], to["tet"], to["verts"]))
-        except (TypeError, KeyError):
-            raise TriangulationError(
-                f"gluing record {k} is malformed; expected "
-                '{"tet", "face", "to": {"tet", "verts"}}') from None
-    metadata = doc.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
-        raise TriangulationError('"metadata" must be an object')
-    return Triangulation(
-        tets, records, infer_reciprocals=True, metadata=metadata)
+    return Triangulation.from_json(text)
 
 
 def serialize_triangulation(tri: Triangulation) -> str:
     """Write the JSON format; both directions of each gluing are listed."""
-    gluings = []
-    for i in range(tri.tet_count):
-        for face in FACES:
-            target = tri.glued_to(i, face)
-            if target is None:
-                continue
-            gluings.append({
-                "tet": tri.name(i),
-                "face": list(face),
-                "to": {"tet": tri.name(target[0]), "verts": list(target[1])},
-            })
-    doc: dict = {"tetrahedra": list(tri.tetrahedra), "gluings": gluings}
-    if tri.metadata:
-        doc["metadata"] = tri.metadata
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return tri.to_json()
 
 
-def _parse_component(obj) -> LinkComponent:
+def _component_from_dict(obj) -> LinkComponent:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise TriangulationError(
             'each link component must be {"edgeCycle": [...]} or '
@@ -549,86 +635,74 @@ def _parse_component(obj) -> LinkComponent:
         edges = []
         for step in steps:
             try:
-                u, v = step["edge"]
-                edges.append((step["tet"], (int(u), int(v))))
+                tet, (u, v) = step["tet"], step["edge"]
             except (TypeError, KeyError, ValueError):
                 raise TriangulationError(
                     f"bad edge cycle step {step!r}") from None
+            if not (_is_label(u) and _is_label(v)):
+                raise TriangulationError(f"bad edge cycle step {step!r}")
+            edges.append((tet, (u, v)))
         return EdgeCycle(edges=tuple(edges))
     if "idealVertex" in obj:
         iv = obj["idealVertex"]
         try:
-            return IdealVertex(tet=iv["tet"], vertex=int(iv["vertex"]))
-        except (TypeError, KeyError, ValueError):
-            raise TriangulationError(f"bad idealVertex component {iv!r}") from None
+            comp = IdealVertex(tet=iv["tet"], vertex=iv["vertex"])
+        except (TypeError, KeyError):
+            raise TriangulationError(
+                f"bad idealVertex component {iv!r}") from None
+        if not _is_label(comp.vertex):
+            raise TriangulationError(f"bad idealVertex component {iv!r}")
+        return comp
     raise TriangulationError(f"unknown link component keys {sorted(obj)}")
+
+
+def _component_to_dict(comp: LinkComponent) -> dict:
+    if isinstance(comp, IdealVertex):
+        return {"idealVertex": {"tet": comp.tet, "vertex": comp.vertex}}
+    return {"edgeCycle": [
+        {"tet": tet, "edge": [u, v]} for tet, (u, v) in comp.edges]}
 
 
 def parse_link(text: str) -> LinkSpec:
     """Read the JSON link format: {"components": [component, ...]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _json_error(exc) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "components" not in doc:
         raise TriangulationError('link file must be {"components": [...]}')
     comps = doc["components"]
     if not isinstance(comps, list):
         raise TriangulationError('"components" must be a list')
-    return LinkSpec(components=tuple(_parse_component(c) for c in comps))
+    return LinkSpec(components=tuple(_component_from_dict(c) for c in comps))
 
 
 def serialize_link(link: LinkSpec) -> str:
-    comps = []
-    for comp in link.components:
-        if isinstance(comp, IdealVertex):
-            comps.append({"idealVertex": {"tet": comp.tet, "vertex": comp.vertex}})
-        else:
-            comps.append({"edgeCycle": [
-                {"tet": tet, "edge": [u, v]} for tet, (u, v) in comp.edges]})
-    return json.dumps({"components": comps}, indent=2, sort_keys=True) + "\n"
+    return _dump_json(
+        {"components": [_component_to_dict(c) for c in link.components]})
 
 
 def parse_link_component(text: str) -> LinkComponent:
     """Read a standalone component file: {"edgeCycle": [...]} or
     {"idealVertex": {"tet": ..., "vertex": ...}}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _json_error(exc) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise TriangulationError("component file must be a JSON object")
     for key in ("edgeCycle", "idealVertex"):
         if key in doc:
-            return _parse_component({key: doc[key]})
+            return _component_from_dict({key: doc[key]})
     raise TriangulationError(
         'component file must contain "edgeCycle" or "idealVertex"')
 
 
 def serialize_link_component(comp: LinkComponent) -> str:
-    if isinstance(comp, IdealVertex):
-        doc: dict = {"idealVertex": {"tet": comp.tet, "vertex": comp.vertex}}
-    else:
-        doc = {"edgeCycle": [
-            {"tet": tet, "edge": [u, v]} for tet, (u, v) in comp.edges]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _dump_json(_component_to_dict(comp))
 
 
 def parse_cycle(text: str) -> EdgeCycle:
     """Read a standalone cycle file: {"edgeCycle": [...]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _json_error(exc) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "edgeCycle" not in doc:
         raise TriangulationError('cycle file must be {"edgeCycle": [...]}')
-    comp = _parse_component({"edgeCycle": doc["edgeCycle"]})
-    assert isinstance(comp, EdgeCycle)
-    return comp
+    return _component_from_dict({"edgeCycle": doc["edgeCycle"]})
 
 
 def serialize_cycle(cycle: EdgeCycle) -> str:
-    return json.dumps(
-        {"edgeCycle": [
-            {"tet": tet, "edge": [u, v]} for tet, (u, v) in cycle.edges]},
-        indent=2, sort_keys=True) + "\n"
+    return _dump_json(_component_to_dict(cycle))

@@ -33,8 +33,8 @@ def sys12(tri12):
 
 
 @pytest.fixture(scope="session")
-def restricted12(tri12, sys12, skel12):
-    return restrict_to_link(sys12, tri12, fig8_link(), skel12)
+def restricted12(tri12, sys12):
+    return restrict_to_link(sys12, tri12, fig8_link())
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """Split-link search and the unknot check built on top of it."""
 
+import sys
 from itertools import permutations
 
 import pytest
 
+from normsurf import matching, triangulation
 from normsurf.detect import (boundary_meeting_variables,
                              filter_unknotting_disks, split_link_check,
                              unknot_via_pushoff)
@@ -33,6 +35,33 @@ def test_knot_is_not_split(tri12):
     assert verdict.diagnostics is None
 
 
+def count_calls(monkeypatch, fn):
+    """Replace fn wherever a normsurf module binds it by a wrapper that
+    counts its calls; returns the list the calls are appended to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "normsurf" or name.startswith("normsurf."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_split_check_derives_each_datum_once(monkeypatch):
+    tri = disconnected_pair()
+    validated = count_calls(monkeypatch, triangulation.validate)
+    skeletons = count_calls(monkeypatch, triangulation.compute_skeleton)
+    systems = count_calls(monkeypatch, matching.build_matching_system)
+    verdict = split_link_check(tri, disconnected_link())
+    assert verdict.answer == "SPLIT" and verdict.searched_count == 53
+    assert (len(validated), len(skeletons), len(systems)) == (1, 1, 1)
+
+
 def test_component_order_does_not_matter(tri12):
     link = fig8_link()
     swapped = LinkSpec(components=tuple(reversed(link.components)))
@@ -50,7 +79,7 @@ def test_disconnected_pair_is_split(disc_tri, disc_link):
     assert surface_cell_counts(disc_tri, v)[3:5] == (2, 1)
     # the witness is one of the material vertex links
     skel = compute_skeleton(disc_tri)
-    links = {vertex_link_vector(disc_tri, skel, vc.index)
+    links = {vertex_link_vector(disc_tri, vc.index)
              for vc in skel.vertex_classes}
     assert v in links
 

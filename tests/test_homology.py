@@ -31,9 +31,9 @@ from tables import (DIRECTED_LOOP_VALUES, LONGITUDE_CLASS_MEMBERS,
                     RAW_TEN_TET, RAW_TET_ORDER)
 
 
-def loop_class(tri, summary, name, pair, skel=None):
+def loop_class(tri, summary, name, pair):
     cyc = EdgeCycle(edges=((name, pair),))
-    return summary.class_of(cycle_chain(tri, cyc, skel))
+    return summary.class_of(cycle_chain(tri, cyc))
 
 
 def class_names(tri, ec):
@@ -101,26 +101,26 @@ def test_closed_fixture_needs_lenient_mode(tri12, skel12):
     assert s.complex.nonmaterial_vertex_classes == (1,)
     vc = skel12.vertex_classes[1]
     assert vc.degree == 2
-    link = analyze(tri12, vertex_link_vector(tri12, skel12, 1))
+    link = analyze(tri12, vertex_link_vector(tri12, 1))
     assert link.euler == 0 and link.closed
 
 
 def test_directed_loop_values(tri10, skel10):
-    s = h1(tri10, skeleton=skel10)
-    base = loop_class(tri10, s, "b1*", (1, 3), skel10)
+    s = h1(tri10)
+    base = loop_class(tri10, s, "b1*", (1, 3))
     assert base.orders == (0,)
     assert abs(base.values[0]) == 1
     sign = base.values[0]
     for (name, pair), want in DIRECTED_LOOP_VALUES.items():
-        got = loop_class(tri10, s, name, pair, skel10)
+        got = loop_class(tri10, s, name, pair)
         assert got.values[0] == sign * want, (name, pair)
 
 
 def test_pushoff_is_generator_not_double(tri10, skel10):
-    s = h1(tri10, skeleton=skel10)
-    gen = loop_class(tri10, s, "p", (1, 0), skel10)
-    vertical = loop_class(tri10, s, "4bar", (0, 3), skel10)
-    pushoff = loop_class(tri10, s, "b1*", (1, 3), skel10)
+    s = h1(tri10)
+    gen = loop_class(tri10, s, "p", (1, 0))
+    vertical = loop_class(tri10, s, "4bar", (0, 3))
+    pushoff = loop_class(tri10, s, "b1*", (1, 3))
     assert vertical.is_null
     assert vertical.values != (2 * gen).values
     assert pushoff.values == gen.values
@@ -128,7 +128,7 @@ def test_pushoff_is_generator_not_double(tri10, skel10):
 
 
 def test_unique_null_boundary_class(tri10, skel10):
-    s = h1(tri10, skeleton=skel10)
+    s = h1(tri10)
     boundary = [ec for ec in skel10.edge_classes if ec.boundary]
     assert [ec.index for ec in boundary] == [8, 10, 11]
     null = [ec for ec in boundary if s.class_of({ec.index: 1}).is_null]
@@ -142,8 +142,8 @@ def test_verify_zero_pushoff(tri10):
 
 
 def test_bounding_certificate(tri10, skel10):
-    s = h1(tri10, skeleton=skel10)
-    chain = cycle_chain(tri10, fig8_longitude_cycle(), skel10)
+    s = h1(tri10)
+    chain = cycle_chain(tri10, fig8_longitude_cycle())
     w = s.bounding(chain)
     assert w is not None
     d2 = np.array(s.complex.boundary2, dtype=int)
@@ -151,15 +151,15 @@ def test_bounding_certificate(tri10, skel10):
     for idx, coeff in chain.items():
         vec[idx] += coeff
     assert (d2 @ np.array(w, dtype=int) == vec).all()
-    assert s.bounding(cycle_chain(tri10, fig8_pushoff_cycle(), skel10)) is None
+    assert s.bounding(cycle_chain(tri10, fig8_pushoff_cycle())) is None
 
 
 def test_class_arithmetic(tri10, skel10):
-    s = h1(tri10, skeleton=skel10)
-    a = loop_class(tri10, s, "p", (1, 0), skel10)
-    b = loop_class(tri10, s, "3", (3, 2), skel10)
+    s = h1(tri10)
+    a = loop_class(tri10, s, "p", (1, 0))
+    b = loop_class(tri10, s, "3", (3, 2))
     both = cycle_chain(tri10, EdgeCycle(edges=(("p", (1, 0)),
-                                               ("3", (3, 2)))), skel10)
+                                               ("3", (3, 2)))))
     assert (a + b).values == s.class_of(both).values
     assert (a + (-a)).is_null
     assert (3 * a).values == (a + a + a).values

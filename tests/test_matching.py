@@ -109,7 +109,7 @@ def test_zero_and_all_triangles(tri10, tri12, sys12):
 
 def test_vertex_link_vectors_are_solutions(tri12, skel12, sys12):
     for vc in skel12.vertex_classes:
-        v = vertex_link_vector(tri12, skel12, vc.index)
+        v = vertex_link_vector(tri12, vc.index)
         assert is_solution(sys12, v)
         assert sum(v) == vc.degree
         assert is_admissible(v)

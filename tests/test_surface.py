@@ -101,7 +101,7 @@ def test_single_tet_quad_stack():
 
 def test_material_vertex_link_is_separating_sphere(tri12, skel12):
     material = max(skel12.vertex_classes, key=lambda vc: vc.degree).index
-    v = vertex_link_vector(tri12, skel12, material)
+    v = vertex_link_vector(tri12, material)
     r = analyze(tri12, v)
     assert r.euler == 2 and r.components == 1 and r.closed
     graph = complement_regions(tri12, v)
@@ -113,7 +113,7 @@ def test_material_vertex_link_is_separating_sphere(tri12, skel12):
 
 def test_ideal_vertex_link_is_torus(tri12, skel12):
     ideal = min(skel12.vertex_classes, key=lambda vc: vc.degree).index
-    r = analyze(tri12, vertex_link_vector(tri12, skel12, ideal))
+    r = analyze(tri12, vertex_link_vector(tri12, ideal))
     assert r.euler == 0 and r.components == 1 and r.closed
 
 

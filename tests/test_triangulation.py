@@ -196,7 +196,7 @@ def test_parse_link_component_rejects_unknown_shape():
 
 def test_resolve_link(tri12, skel12):
     link = fig8_link()
-    resolved = resolve_link(tri12, link, skel12)
+    resolved = resolve_link(tri12, link)
     assert resolved.components == link.components
     assert len(resolved.vertex_components) == 1
     assert len(resolved.edge_cycles) == 1
@@ -223,3 +223,26 @@ def test_resolve_link_rejects_bad_references(tri12):
                                      EdgeCycle(edges=())))
     with pytest.raises(TriangulationError):
         resolve_link(tri12, bad_cycle)
+
+
+@pytest.mark.parametrize("component", [
+    {"edgeCycle": [{"tet": "p", "edge": [1.9, 2.7]}]},
+    {"edgeCycle": [{"tet": "p", "edge": ["1", 2]}]},
+    {"edgeCycle": [{"tet": "p", "edge": [True, 2]}]},
+    {"idealVertex": {"tet": "h1", "vertex": 0.6}},
+    {"idealVertex": {"tet": "h1", "vertex": "3"}},
+    {"idealVertex": {"tet": "h1", "vertex": True}},
+])
+def test_component_labels_must_be_integers(component):
+    with pytest.raises(TriangulationError,
+                       match="^bad (edge cycle step|idealVertex component)"):
+        parse_link_component(json.dumps(component))
+
+
+def test_gluing_labels_must_be_integers():
+    doc = {"tetrahedra": ["a", "b"],
+           "gluings": [{"tet": "a", "face": [0, 1, 2],
+                        "to": {"tet": "b", "verts": [0, 1.0, 3]}}]}
+    with pytest.raises(TriangulationError,
+                       match="glued vertex triple must be three distinct"):
+        parse_triangulation(json.dumps(doc))
