@@ -12,6 +12,10 @@ one vector per row with seven columns per tetrahedron in file order.
 Exit codes: 0 = success or verdict produced, 2 = invalid input,
 3 = resource cap exceeded (UNKNOWN verdict). Default resource caps can
 be set with NORMSURF_MAX_CANDIDATES and NORMSURF_TIME_BUDGET.
+
+`build_config` returns the argparse namespace itself, with the command
+name, the output format and the two caps resolved and checked; each
+command reads its arguments straight off that namespace.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -44,37 +47,6 @@ from .triangulation import (
     serialize_triangulation,
     validate,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    command: str
-    output: str = "human"
-    max_candidates: int = DEFAULT_MAX_CANDIDATES
-    time_budget: Optional[float] = None
-    strict_homology: bool = True
-    triangulation_path: Optional[str] = None
-    link_path: Optional[str] = None
-    cycle_path: Optional[str] = None
-    knot_path: Optional[str] = None
-    pushoff_path: Optional[str] = None
-    homology_tri_path: Optional[str] = None
-    waive_pushoff_check: bool = False
-    include_inadmissible: bool = False
-    surface_path: Optional[str] = None
-    edge_from: Optional[str] = None
-    edge_to: Optional[str] = None
-    directory: Optional[str] = None
-
-    def __post_init__(self):
-        if self.max_candidates <= 0:
-            raise NormSurfError("max-candidates must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise NormSurfError("time-budget must be positive")
-        if self.output not in ("human", "json", "tsv"):
-            raise NormSurfError(f"unknown output format {self.output!r}")
 
 
 def _env_caps() -> tuple[int, Optional[float]]:
@@ -171,41 +143,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Parse arguments (argparse errors exit 2) into a RunConfig."""
+def build_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parse arguments (argparse errors exit 2). On the namespace,
+    command names the subcommand ("curve2d-connect" for curve2d
+    connect), output is "human", "json" or "tsv", and max_candidates
+    and time_budget fall back to the environment, then the defaults."""
     args = _build_parser().parse_args(argv)
     env_max, env_time = _env_caps()
-    command = args.command
-    if command == "curve2d":
-        command = f"curve2d-{args.subcommand}"
-    output = "human"
-    if getattr(args, "json", False):
-        output = "json"
+    if args.command == "curve2d":
+        args.command = f"curve2d-{args.subcommand}"
+    args.output = "json" if args.json else "human"
     if getattr(args, "tsv", False):
-        if output == "json":
+        if args.json:
             raise NormSurfError("--json and --tsv are mutually exclusive")
-        output = "tsv"
-    return RunConfig(
-        command=command,
-        output=output,
-        max_candidates=(args.max_candidates if args.max_candidates is not None
-                        else env_max),
-        time_budget=(args.time_budget if args.time_budget is not None
-                     else env_time),
-        strict_homology=not getattr(args, "lenient", False),
-        triangulation_path=getattr(args, "triangulation", None),
-        link_path=getattr(args, "link", None),
-        cycle_path=getattr(args, "cycle", None),
-        knot_path=getattr(args, "knot", None),
-        pushoff_path=getattr(args, "pushoff", None),
-        homology_tri_path=getattr(args, "homology_tri", None),
-        waive_pushoff_check=getattr(args, "waive_pushoff_check", False),
-        include_inadmissible=getattr(args, "include_inadmissible", False),
-        surface_path=getattr(args, "surface", None),
-        edge_from=getattr(args, "edge_from", None),
-        edge_to=getattr(args, "edge_to", None),
-        directory=getattr(args, "directory", None),
-    )
+        args.output = "tsv"
+    if args.max_candidates is None:
+        args.max_candidates = env_max
+    if args.max_candidates <= 0:
+        raise NormSurfError("max-candidates must be positive")
+    if args.time_budget is None:
+        args.time_budget = env_time
+    if args.time_budget is not None and args.time_budget <= 0:
+        raise NormSurfError("time-budget must be positive")
+    return args
 
 
 # -- shared formatting -------------------------------------------------------
@@ -250,8 +210,8 @@ def _h1_text(summary) -> str:
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_validate(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    tri = _load_triangulation(config.triangulation_path)
+def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
+    tri = _load_triangulation(args.triangulation)
     problems = validate(tri)
     boundary = len(tri.boundary_faces())
     doc = {
@@ -261,7 +221,7 @@ def _cmd_validate(config: RunConfig, out: TextIO, err: TextIO) -> int:
         "boundaryFaces": boundary,
         "connected": tri.is_connected(),
     }
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(doc, out)
     elif problems:
         for p in problems:
@@ -273,13 +233,13 @@ def _cmd_validate(config: RunConfig, out: TextIO, err: TextIO) -> int:
     return 0 if not problems else 2
 
 
-def _cmd_skeleton(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    tri = _load_triangulation(config.triangulation_path)
+def _cmd_skeleton(args: argparse.Namespace, out: TextIO) -> int:
+    tri = _load_triangulation(args.triangulation)
     skel = tri.skeleton
     faces = len(tri.interior_face_pairs()) + len(tri.boundary_faces())
     euler = (len(skel.vertex_classes) - len(skel.edge_classes)
              + faces - tri.tet_count)
-    if config.output == "json":
+    if args.output == "json":
         _emit_json({
             "tetrahedra": tri.tet_count,
             "faceClasses": faces,
@@ -310,28 +270,28 @@ def _cmd_skeleton(config: RunConfig, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_fundamental(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    tri = _load_triangulation(config.triangulation_path)
+def _cmd_fundamental(args: argparse.Namespace, out: TextIO) -> int:
+    tri = _load_triangulation(args.triangulation)
     system = tri.matching_system
-    if config.link_path:
-        link = parse_link(Path(config.link_path).read_text())
+    if args.link:
+        link = parse_link(Path(args.link).read_text())
         system = restrict_to_link(system, tri, link)
     fs = enumerate_fundamental(
         system,
-        max_candidates=config.max_candidates,
-        time_budget=config.time_budget,
-        admissible_only=not config.include_inadmissible)
+        max_candidates=args.max_candidates,
+        time_budget=args.time_budget,
+        admissible_only=not args.include_inadmissible)
     # Inadmissible vectors have no surface reading, so skip analysis then.
     reports = {}
-    if not config.include_inadmissible:
+    if not args.include_inadmissible:
         reports = {v: analyze(tri, v) for v in fs.vectors}
-    if config.output == "json":
+    if args.output == "json":
         _emit_json({
             "variableCount": system.variable_count,
             "equationCount": len(system.equations),
             "forcedZeros": sorted(
                 variable_name(tri, i) for i in system.forced_zeros),
-            "admissibleOnly": not config.include_inadmissible,
+            "admissibleOnly": not args.include_inadmissible,
             "count": len(fs.vectors),
             "candidatesExamined": fs.candidates_examined,
             "vectors": [
@@ -345,14 +305,14 @@ def _cmd_fundamental(config: RunConfig, out: TextIO, err: TextIO) -> int:
                 for v in fs.vectors],
         }, out)
         return 0
-    if config.output == "tsv":
+    if args.output == "tsv":
         header = [variable_name(tri, i)
                   for i in range(system.variable_count)]
         print("\t".join(header), file=out)
         for v in fs.vectors:
             print("\t".join(map(str, v)), file=out)
         return 0
-    kind = "Hilbert basis vectors" if config.include_inadmissible \
+    kind = "Hilbert basis vectors" if args.include_inadmissible \
         else "admissible fundamental surfaces"
     print(f"{len(system.equations)} equations, {system.variable_count} "
           f"variables, {len(system.forced_zeros)} forced zeros", file=out)
@@ -368,9 +328,9 @@ def _cmd_fundamental(config: RunConfig, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _report_verdict(config: RunConfig, out: TextIO, tri: Triangulation,
+def _report_verdict(args: argparse.Namespace, out: TextIO, tri: Triangulation,
                     verdict: Verdict, witness_label: str) -> int:
-    if config.output == "json":
+    if args.output == "json":
         _emit_json({
             "answer": verdict.answer,
             "searchedCount": verdict.searched_count,
@@ -389,34 +349,34 @@ def _report_verdict(config: RunConfig, out: TextIO, tri: Triangulation,
     return 3 if verdict.answer == UNKNOWN else 0
 
 
-def _cmd_split_check(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    tri = _load_triangulation(config.triangulation_path)
-    link = parse_link(Path(config.link_path).read_text())
+def _cmd_split_check(args: argparse.Namespace, out: TextIO) -> int:
+    tri = _load_triangulation(args.triangulation)
+    link = parse_link(Path(args.link).read_text())
     verdict = split_link_check(
-        tri, link, max_candidates=config.max_candidates,
-        time_budget=config.time_budget)
-    return _report_verdict(config, out, tri, verdict, "witness")
+        tri, link, max_candidates=args.max_candidates,
+        time_budget=args.time_budget)
+    return _report_verdict(args, out, tri, verdict, "witness")
 
 
-def _cmd_unknot(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    tri = _load_triangulation(config.triangulation_path)
-    knot = parse_link_component(Path(config.knot_path).read_text())
-    pushoff = parse_link_component(Path(config.pushoff_path).read_text())
+def _cmd_unknot(args: argparse.Namespace, out: TextIO) -> int:
+    tri = _load_triangulation(args.triangulation)
+    knot = parse_link_component(Path(args.knot).read_text())
+    pushoff = parse_link_component(Path(args.pushoff).read_text())
     homology_tri = None
-    if config.homology_tri_path:
-        homology_tri = _load_triangulation(config.homology_tri_path)
+    if args.homology_tri:
+        homology_tri = _load_triangulation(args.homology_tri)
     verdict = unknot_via_pushoff(
         tri, knot, pushoff,
-        waive_pushoff_check=config.waive_pushoff_check,
+        waive_pushoff_check=args.waive_pushoff_check,
         homology_tri=homology_tri,
-        max_candidates=config.max_candidates,
-        time_budget=config.time_budget)
-    return _report_verdict(config, out, tri, verdict, "splitting sphere")
+        max_candidates=args.max_candidates,
+        time_budget=args.time_budget)
+    return _report_verdict(args, out, tri, verdict, "splitting sphere")
 
 
-def _cmd_homology(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    tri = _load_triangulation(config.triangulation_path)
-    summary = h1(tri, strict=config.strict_homology)
+def _cmd_homology(args: argparse.Namespace, out: TextIO) -> int:
+    tri = _load_triangulation(args.triangulation)
+    summary = h1(tri, strict=not args.lenient)
     doc: dict = {
         "freeRank": summary.free_rank,
         "torsion": list(summary.torsion),
@@ -428,8 +388,8 @@ def _cmd_homology(config: RunConfig, out: TextIO, err: TextIO) -> int:
         lines.append(
             "warning: non-material vertex classes "
             f"{list(summary.complex.nonmaterial_vertex_classes)} distort H1")
-    if config.cycle_path:
-        cycle = parse_cycle(Path(config.cycle_path).read_text())
+    if args.cycle:
+        cycle = parse_cycle(Path(args.cycle).read_text())
         chain = cycle_chain(tri, cycle)
         cls = summary.class_of(chain)
         doc["cycle"] = {
@@ -447,7 +407,7 @@ def _cmd_homology(config: RunConfig, out: TextIO, err: TextIO) -> int:
                 f"cycle class: {tuple(cls.values)} with orders "
                 f"{tuple(cls.orders)} - NOT null-homologous, so not a "
                 f"0-pushoff")
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(doc, out)
     else:
         for line in lines:
@@ -455,8 +415,8 @@ def _cmd_homology(config: RunConfig, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_curve2d_connect(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    surf = curves2d.parse_surface(Path(config.surface_path).read_text())
+def _cmd_curve2d_connect(args: argparse.Namespace, out: TextIO) -> int:
+    surf = curves2d.parse_surface(Path(args.surface).read_text())
 
     def edge_ref(spec: str):
         name, _, pair = spec.rpartition(":")
@@ -471,10 +431,10 @@ def _cmd_curve2d_connect(config: RunConfig, out: TextIO, err: TextIO) -> int:
                 f'edge vertices must be integers, got {spec!r}') from None
 
     witness = curves2d.connect_boundary_points(
-        surf, edge_ref(config.edge_from), edge_ref(config.edge_to),
-        max_candidates=config.max_candidates,
-        time_budget=config.time_budget)
-    if config.output == "json":
+        surf, edge_ref(args.edge_from), edge_ref(args.edge_to),
+        max_candidates=args.max_candidates,
+        time_budget=args.time_budget)
+    if args.output == "json":
         _emit_json({"connected": witness is not None,
                     "witness": _witness_doc(surf, witness)}, out)
     elif witness is None:
@@ -507,15 +467,15 @@ FIXTURE_FILES = (
 )
 
 
-def _cmd_emit_fixtures(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    directory = Path(config.directory)
+def _cmd_emit_fixtures(args: argparse.Namespace, out: TextIO) -> int:
+    directory = Path(args.directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for name, render in FIXTURE_FILES:
         path = directory / name
         path.write_text(render())
         written.append(str(path))
-    if config.output == "json":
+    if args.output == "json":
         _emit_json({"written": written}, out)
     else:
         for path in written:
@@ -535,10 +495,10 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig, out: TextIO, err: TextIO) -> int:
+def run(config: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     """Execute one command; report errors on err and return the exit code."""
     try:
-        return _COMMANDS[config.command](config, out, err)
+        return _COMMANDS[config.command](config, out)
     except ResourceLimitExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=err)
         return 3

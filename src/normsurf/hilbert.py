@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ResourceLimitExceeded, VectorError
+from .homology import _smith_with_transforms
 from .matching import MatchingSystem, NormalVector, is_admissible
 from .union_find import UnionFind
 
@@ -376,17 +377,17 @@ def _hilbert_sequential(A: np.ndarray, budget: _Budget) -> list[np.ndarray]:
 
 
 def _interaction_components(
-    nvars: int, equations: list[dict[int, int]], columns: dict[int, int]
+    nvars: int, equations: list[dict[int, int]]
 ) -> list[tuple[list[int], list[dict[int, int]]]]:
     """Split reduced variables into independent blocks."""
     uf = UnionFind(range(nvars))
     for eq in equations:
-        cols = [columns[v] for v in eq]
+        cols = list(eq)
         for c in cols[1:]:
             uf.union(cols[0], c)
     eq_of: dict[int, list[dict[int, int]]] = {}
     for eq in equations:
-        eq_of.setdefault(uf.find(columns[next(iter(eq))]), []).append(eq)
+        eq_of.setdefault(uf.find(next(iter(eq))), []).append(eq)
     comps = []
     for root, members in sorted(uf.groups().items(), key=lambda kv: kv[1][0]):
         comps.append((members, eq_of.get(root, [])))
@@ -397,21 +398,12 @@ def _interaction_components(
 
 
 def _integer_kernel(A: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Primitive integer columns spanning the rational nullspace of A."""
-    from sympy import Matrix
-
-    basis = Matrix([list(row) for row in A]).nullspace()
-    cols = []
-    for vec in basis:
-        mult = 1
-        for x in vec:
-            mult = math.lcm(mult, x.q)
-        ints = [int(x * mult) for x in vec]
-        g = math.gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        cols.append(tuple(ints))
-    return cols
+    """A basis of the integer kernel of A: the columns of the Smith
+    column transform past the rank, each primitive."""
+    m, n = len(A), len(A[0])
+    S, _, V, _ = _smith_with_transforms(A, m, n)
+    rank = sum(1 for i in range(min(m, n)) if S[i][i])
+    return [tuple(row[j] for row in V) for j in range(rank, n)]
 
 
 def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
@@ -420,14 +412,17 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     """Rays spanning the pointed cone {z : ineq @ z >= 0}.
 
     Double description with exact integer arithmetic. The inequality
-    matrix must have full column rank. Start from a maximal independent
-    subset of the rows (a simplicial cone whose rays are the scaled
-    inverse columns); insert each other row in turn, keeping the rays
-    it does not cut off and one new ray per adjacent pair across the
-    cut. Adjacency is decided combinatorially: a pair is adjacent
-    unless some third ray is tight on every row the pair is jointly
-    tight on. Tight-row sets are tracked as exact bitmasks, and the
-    values of the not-yet-inserted rows on all rays are updated
+    matrix must have full column rank. Start from the first d linearly
+    independent rows, found by fraction-free elimination. They bound a
+    simplicial cone whose rays are the columns of the base's inverse:
+    with S = U B V the Smith form of the base B, column j of
+    V diag(s_d/s_i) U is a positive multiple of column j of B^-1, and
+    is taken divided by its gcd. Insert each other row in turn, keeping
+    the rays it does not cut off and one new ray per adjacent pair
+    across the cut. Adjacency is decided combinatorially: a pair is
+    adjacent unless some third ray is tight on every row the pair is
+    jointly tight on. Tight-row sets are tracked as exact bitmasks, and
+    the values of the not-yet-inserted rows on all rays are updated
     incrementally instead of recomputed.
 
     block_rows names groups of inequality rows of which at most one may
@@ -440,12 +435,24 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     further group-respecting rays of the cone; group-violating extreme
     rays are dropped.
     """
-    from sympy import Matrix
-
     d = len(ineq[0])
-    _, pivots = Matrix([list(r) for r in ineq]).T.rref()
-    base = list(pivots)
-    binv = Matrix([list(ineq[i]) for i in base]).inv()
+    base: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for i, row in enumerate(ineq):
+        r = list(row)
+        for p, e in echelon:
+            if r[p]:
+                r = [e[p] * a - r[p] * b for a, b in zip(r, e)]
+        if any(r):
+            g = math.gcd(*r)
+            echelon.append((next(k for k, a in enumerate(r) if a),
+                            [a // g for a in r]))
+            base.append(i)
+            if len(base) == d:
+                break
+    S, U, V, _ = _smith_with_transforms([ineq[i] for i in base], d, d)
+    scaled_u = [[S[d - 1][d - 1] // S[k][k] * x for x in U[k]]
+                for k in range(d)]
     group_masks: list[int] = []
     grouped_rows = 0
     for rows in block_rows:
@@ -461,15 +468,10 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     masks: list[int] = []
     qmasks: list[int] = []
     for j in range(d):
-        col = [binv[i, j] for i in range(d)]
-        mult = 1
-        for x in col:
-            mult = math.lcm(mult, x.q)
-        ints = [int(x * mult) for x in col]
-        g = math.gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        rays.append(tuple(ints))
+        col = [sum(v * u[j] for v, u in zip(V[i], scaled_u))
+               for i in range(d)]
+        g = math.gcd(*col)
+        rays.append(tuple(x // g for x in col))
         masks.append(((1 << d) - 1) ^ (1 << j))
         qmasks.append((1 << base[j]) & grouped_rows)
 
@@ -671,7 +673,6 @@ def _enumerate_dual(sys: MatchingSystem, budget: _Budget
     reduced_eqs = [
         {red.column_of(v): c for v, c in eq.items()} for eq in red.equations]
     nred = len(red.active)
-    columns_ident = {c: c for c in range(nred)}
     solutions: list[tuple[int, ...]] = []
 
     constrained = set()
@@ -684,8 +685,7 @@ def _enumerate_dual(sys: MatchingSystem, budget: _Budget
             solutions.append(red.expand(unit))
     budget.charge(nred - len(constrained))
 
-    for members, eqs in _interaction_components(
-            nred, reduced_eqs, columns_ident):
+    for members, eqs in _interaction_components(nred, reduced_eqs):
         if not eqs:
             continue  # handled as free columns above
         local = {col: k for k, col in enumerate(members)}

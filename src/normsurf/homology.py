@@ -94,15 +94,20 @@ class H1Class:
 
 def _smith_with_transforms(
         A: Sequence[Sequence[int]], m: int, n: int
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form S = U A V with U, V unimodular.
+) -> tuple[list[list[int]], list[list[int]], list[list[int]],
+           list[list[int]]]:
+    """Smith normal form S = U A V with U, V unimodular, and V's inverse.
 
     Exact arbitrary-precision integers throughout; the diagonal is
-    nonnegative with each entry dividing the next.
+    nonnegative with each entry dividing the next. Each column operation
+    on V applies the inverse row operation to V^-1, so the columns of V
+    past the rank are a basis of the integer kernel of A and the rows of
+    V^-1 past the rank project a vector onto them.
     """
     S = [[int(A[i][j]) for j in range(n)] for i in range(m)]
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vinv = [row[:] for row in V]
 
     def row_sub(i, j, q):
         S[i] = [a - q * b for a, b in zip(S[i], S[j])]
@@ -113,6 +118,7 @@ def _smith_with_transforms(
             S[r][i] -= q * S[r][j]
         for r in range(n):
             V[r][i] -= q * V[r][j]
+        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
@@ -123,6 +129,7 @@ def _smith_with_transforms(
             S[r][i], S[r][j] = S[r][j], S[r][i]
         for r in range(n):
             V[r][i], V[r][j] = V[r][j], V[r][i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def positivize(t):
         if S[t][t] < 0:
@@ -175,14 +182,7 @@ def _smith_with_transforms(
             row_sub(t, offender, -1)
             continue
         t += 1
-    return S, U, V
-
-
-def _int_inverse(M: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, exactly."""
-    from sympy import Matrix as SymMatrix
-    inv = SymMatrix([list(r) for r in M]).inv()
-    return [[int(x) for x in inv.row(i)] for i in range(inv.rows)]
+    return S, U, V, Vinv
 
 
 def _matvec(A: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
@@ -351,14 +351,13 @@ def h1(tri: Triangulation, *, strict: bool = True) -> H1Summary:
     n_e = len(cc.skeleton.edge_classes)
     n_f = len(cc.face_basis)
 
-    s1, _, v1 = _smith_with_transforms(cc.boundary1, n_v, n_e)
+    s1, _, _, v1_inv = _smith_with_transforms(cc.boundary1, n_v, n_e)
     r1 = sum(1 for i in range(min(n_v, n_e)) if s1[i][i])
-    v1_inv = _int_inverse(v1)
     projector = v1_inv[r1:]
 
     x = _matmul(projector, cc.boundary2)
     k = n_e - r1
-    s2, u2, v2 = _smith_with_transforms(x, k, n_f)
+    s2, u2, v2, _ = _smith_with_transforms(x, k, n_f)
     diag = tuple(s2[i][i] for i in range(min(k, n_f)) if s2[i][i])
 
     return H1Summary(

@@ -103,11 +103,11 @@ class Gluing:
         metadata: Optional[Mapping] = None,
     ):
         names = tuple(names)
-        if len(set(names)) != len(names):
-            raise TriangulationError(f"{self.NOUN} names must be unique")
         if not all(isinstance(n, str) and n for n in names):
             raise TriangulationError(
                 f"{self.NOUN} names must be nonempty strings")
+        if len(set(names)) != len(names):
+            raise TriangulationError(f"{self.NOUN} names must be unique")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
         self.metadata = dict(metadata) if metadata else {}
@@ -125,9 +125,13 @@ class Gluing:
 
     def _check_labels(self, labels: Sequence[int], what: str
                       ) -> tuple[int, ...]:
-        t = tuple(labels)
-        if (len(t) != self.DIM or len(set(t)) != self.DIM
-                or not all(_is_label(v) and 0 <= v <= self.DIM for v in t)):
+        try:
+            t = tuple(labels)
+        except TypeError:  # not a sequence at all, e.g. a bare number
+            t = labels
+        if (not isinstance(t, tuple) or len(t) != self.DIM
+                or not all(_is_label(v) and 0 <= v <= self.DIM for v in t)
+                or len(set(t)) != self.DIM):
             count = _LABEL_WORDS[self.DIM][0]
             raise TriangulationError(
                 f"{what} must be {count} distinct vertex labels in "
@@ -137,7 +141,7 @@ class Gluing:
     def _add_record(self, simplex: str, facet, to_simplex: str,
                     verts) -> None:
         for name in (simplex, to_simplex):
-            if name not in self._index:
+            if not isinstance(name, str) or name not in self._index:
                 raise TriangulationError(
                     f"unknown {self.NOUN} name {name!r}")
         facet = self._check_labels(facet, self.FACET)
@@ -164,7 +168,7 @@ class Gluing:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise TriangulationError(
                 f"unknown {self.NOUN} name {name!r}") from None
 
@@ -555,7 +559,7 @@ def resolve_link(
     for comp in link.components:
         if isinstance(comp, IdealVertex):
             t = tri.index(comp.tet)
-            if comp.vertex not in (0, 1, 2, 3):
+            if not (_is_label(comp.vertex) and 0 <= comp.vertex <= 3):
                 raise TriangulationError(
                     f"vertex label must be in 0..3, got {comp.vertex}")
             vc = skel.vertex_class_of[(t, comp.vertex)]
@@ -570,7 +574,8 @@ def resolve_link(
             tails = []
             for tet_name, (u, v) in comp.edges:
                 t = tri.index(tet_name)
-                if u == v or not {u, v} <= {0, 1, 2, 3}:
+                if u == v or not all(_is_label(x) and 0 <= x <= 3
+                                     for x in (u, v)):
                     raise TriangulationError(
                         f"bad edge reference {tet_name}({u}{v})")
                 classes.append(skel.edge_class_of[(t, (min(u, v), max(u, v)))])

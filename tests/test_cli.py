@@ -27,6 +27,9 @@ JSON_DIGESTS = {
         "5fe53bbafa8caec28abceaf64366c211ec2c1fc8f9a1b2daf2177ca17c85a51f",
 }
 
+# sha256 of `fundamental --tsv` on the restricted 12-tet system.
+TSV_DIGEST = "2e9098bb68a9be6460947c0254e74f8e6ae22bd7696c155c4ca0f31e585ec786"
+
 COMMANDS = {
     "validate": ["validate", "fig8_10tet.json"],
     "skeleton": ["skeleton", "fig8_12tet.json"],
@@ -44,6 +47,23 @@ COMMANDS = {
 }
 
 
+# Input files whose values have the wrong JSON type.
+MALFORMED = {
+    "face_not_list.json": {"tetrahedra": ["a"], "gluings": [
+        {"tet": "a", "face": 5, "to": {"tet": "a", "verts": [0, 1, 2]}}]},
+    "tet_not_name.json": {"tetrahedra": ["a"], "gluings": [
+        {"tet": ["a"], "face": [0, 1, 2],
+         "to": {"tet": "a", "verts": [0, 1, 3]}}]},
+    "names_not_strings.json": {"tetrahedra": [["a"]], "gluings": []},
+    "face_nested.json": {"tetrahedra": ["a"], "gluings": [
+        {"tet": "a", "face": [[0], 1, 2],
+         "to": {"tet": "a", "verts": [0, 1, 3]}}]},
+    "link_tet_not_name.json": {"components": [
+        {"idealVertex": {"tet": ["h1"], "vertex": 0}},
+        {"edgeCycle": [{"tet": "b1*", "edge": [1, 3]}]}]},
+}
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixtures")
@@ -51,6 +71,8 @@ def fixture_dir(tmp_path_factory):
     (d / "bad.json").write_text('{"tetrahedra": ["a"], "gluings": ['
                                 '{"tet": "a", "face": [0, 1, 2], '
                                 '"to": {"tet": "a", "verts": [0, 2, 1]}}]}')
+    for name, doc in MALFORMED.items():
+        (d / name).write_text(json.dumps(doc))
     return d
 
 
@@ -70,6 +92,13 @@ def test_json_output_bytes(capsys, fixture_dir, name):
     code, out, err = run_cli(capsys, fixture_dir, COMMANDS[name] + ["--json"])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[name]
+
+
+def test_tsv_output_bytes(capsys, fixture_dir):
+    code, out, err = run_cli(capsys, fixture_dir,
+                             COMMANDS["fundamental"] + ["--tsv"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == TSV_DIGEST
 
 
 def test_emit_fixtures_lists_every_file(capsys, tmp_path):
@@ -100,11 +129,40 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["split-check", "fig8_12tet.json", "--link", "fig8_link.json",
       "--max-candidates", "0"], "error: max-candidates must be positive"),
     (["no-such-command"], ""),
+    (["fundamental", "fig8_12tet.json", "--time-budget", "0"],
+     "error: time-budget must be positive"),
+    (["fundamental", "fig8_12tet.json", "--json", "--tsv"],
+     "error: --json and --tsv are mutually exclusive"),
+    (["validate", "face_not_list.json"], "error: "),
+    (["validate", "tet_not_name.json"], "error: "),
+    (["validate", "names_not_strings.json"], "error: "),
+    (["split-check", "fig8_12tet.json", "--link", "link_tet_not_name.json"],
+     "error: unknown tetrahedron name"),
+    (["validate", "face_nested.json"], "error: face must be three"),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)
     assert code == 2
     assert message in out + err
+
+
+def test_time_budget_env_must_be_a_number(capsys, fixture_dir,
+                                         monkeypatch):
+    monkeypatch.setenv("NORMSURF_TIME_BUDGET", "abc")
+    code, out, err = run_cli(capsys, fixture_dir, COMMANDS["validate"])
+    assert code == 2
+    assert "error: NORMSURF_TIME_BUDGET must be a number" in err
+
+
+def test_max_candidates_env_and_override(capsys, fixture_dir, monkeypatch):
+    monkeypatch.setenv("NORMSURF_MAX_CANDIDATES", "1")
+    code, out, _ = run_cli(capsys, fixture_dir, COMMANDS["split-check"])
+    assert code == 3
+    assert out.splitlines()[0] == "verdict: UNKNOWN"
+    argv = COMMANDS["split-check"] + ["--max-candidates", "1000000"]
+    code, out, _ = run_cli(capsys, fixture_dir, argv)
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: NOT_SPLIT"
 
 
 def test_resource_cap_exits_3(capsys, fixture_dir):

@@ -1,12 +1,18 @@
 """Fundamental-solution enumeration against independent brute force."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
+import normsurf
 from normsurf.errors import ResourceLimitExceeded
-from normsurf.hilbert import (brute_force_solutions, enumerate_fundamental,
-                              filter_admissible)
+from normsurf.hilbert import (_integer_kernel, brute_force_solutions,
+                              enumerate_fundamental, filter_admissible)
 from normsurf.matching import MatchingSystem, is_admissible
 
 from oracles import (bounded_solutions, decomposes_over, minimal_nonzero,
@@ -138,3 +144,49 @@ def test_restricted_fixture_has_exactly_the_three_reference_solutions(
         tri12, fund_restricted):
     assert set(fund_restricted.vectors) == set(reference_solutions(tri12))
     assert len(fund_restricted.vectors) == 3
+
+
+def test_integer_kernel_matches_sympy():
+    rng = random.Random(11)
+    for _ in range(25):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 7)
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        kernel = _integer_kernel(A)
+        assert len(kernel) == len(sympy.Matrix(A).nullspace())
+        if not kernel:
+            continue
+        K = sympy.Matrix([list(col) for col in kernel]).T
+        assert sympy.Matrix(A) * K == sympy.zeros(m, len(kernel))
+        # the columns span every integer kernel vector, not a sublattice
+        snf = smith_normal_form(K)
+        assert [abs(snf[i, i]) for i in range(len(kernel))] == \
+            [1] * len(kernel)
+
+
+NO_SYMPY_SCRIPT = """
+import sys
+from normsurf import cli, fixtures
+from normsurf.hilbert import enumerate_fundamental
+from normsurf.homology import h1
+tri = fixtures.fig8_complement()
+enumerate_fundamental(tri.matching_system, admissible_only=True)
+h1(tri)
+d = sys.argv[1]
+assert cli.main(["emit-fixtures", d]) == 0
+assert cli.main(["unknot", d + "/fig8_12tet.json",
+                 "--knot", d + "/fig8_knot.json",
+                 "--pushoff", d + "/fig8_longitude.json",
+                 "--homology-tri", d + "/fig8_10tet.json"]) == 0
+assert "sympy" not in sys.modules
+"""
+
+
+def test_runtime_never_imports_sympy(tmp_path):
+    src = os.path.dirname(os.path.dirname(normsurf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr

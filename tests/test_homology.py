@@ -46,11 +46,12 @@ def test_smith_form_matches_sympy():
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        S, U, V = _smith_with_transforms(A, m, n)
+        S, U, V, Vinv = _smith_with_transforms(A, m, n)
         SU, SA, SV = sympy.Matrix(S), sympy.Matrix(A), sympy.Matrix(V)
         assert sympy.Matrix(U) * SA * SV == SU
         assert abs(sympy.Matrix(U).det()) == 1
         assert abs(SV.det()) == 1
+        assert SV * sympy.Matrix(Vinv) == sympy.eye(n)
         got = [S[i][i] for i in range(min(m, n)) if S[i][i]]
         if any(any(row) for row in A):
             want = smith_normal_form(SA)

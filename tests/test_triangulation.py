@@ -225,6 +225,19 @@ def test_resolve_link_rejects_bad_references(tri12):
         resolve_link(tri12, bad_cycle)
 
 
+def test_resolve_link_vertex_label_must_be_int(tri12):
+    link = LinkSpec(components=(IdealVertex("h1", True),))
+    with pytest.raises(TriangulationError,
+                       match="vertex label must be in 0..3"):
+        resolve_link(tri12, link, require_two_components=False)
+
+
+def test_resolve_link_edge_labels_must_be_ints(tri12):
+    link = LinkSpec(components=(EdgeCycle(edges=(("b1*", (True, 3)),)),))
+    with pytest.raises(TriangulationError, match="bad edge reference"):
+        resolve_link(tri12, link, require_two_components=False)
+
+
 @pytest.mark.parametrize("component", [
     {"edgeCycle": [{"tet": "p", "edge": [1.9, 2.7]}]},
     {"edgeCycle": [{"tet": "p", "edge": ["1", 2]}]},
