@@ -27,6 +27,8 @@ from .matching import MatchingSystem, NormalVector, is_admissible
 from .union_find import UnionFind
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
+# elements a broadcast temporary of the double description may hold
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,15 @@ class _Reduction:
         self.active = sorted(
             {uf.find(v) for v in range(n)} - zeros - set(exprs))
         self._column = {rep: k for k, rep in enumerate(self.active)}
+        self._reps = [uf.find(v) for v in range(n)]
+        # A substituted variable's expression only uses variables that
+        # are pinned to zero, still active, or substituted later (each
+        # substitution removes its variable from every equation left),
+        # so expand evaluates them in reverse order, without recursion
+        # however long the chains of substitutions are.
+        self._substitutions = [
+            (x, [(uf.find(v), c) for v, c in exprs[x].items()])
+            for x in reversed(exprs)]
 
     def column_of(self, var: int) -> Optional[int]:
         """Reduced column of a variable, or None when it is pinned to
@@ -198,22 +209,12 @@ class _Reduction:
 
     def expand(self, reduced: Sequence[int]) -> tuple[int, ...]:
         """Lift a reduced solution back to full length."""
-        memo: dict[int, int] = {}
+        values = dict.fromkeys(self._zero_roots, 0)
+        values.update(zip(self.active, map(int, reduced)))
+        for x, terms in self._substitutions:
+            values[x] = sum(c * values[v] for v, c in terms)
+        return tuple(values[rep] for rep in self._reps)
 
-        def value(var: int) -> int:
-            rep = self._uf.find(var)
-            if rep in self._zero_roots:
-                return 0
-            if rep in memo:
-                return memo[rep]
-            if rep in self._exprs:
-                val = sum(c * value(v) for v, c in self._exprs[rep].items())
-            else:
-                val = int(reduced[self._column[rep]])
-            memo[rep] = val
-            return val
-
-        return tuple(value(v) for v in range(self.n))
 
 def _quadruple_to_row(eq: tuple[int, int, int, int]) -> dict[int, int]:
     row: dict[int, int] = {}
@@ -406,6 +407,46 @@ def _integer_kernel(A: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(row[j] for row in V) for j in range(rank, n)]
 
 
+def _bitsets(masks: Iterable[int], width: int) -> np.ndarray:
+    """Bitmasks given as Python ints, packed as rows of uint64 words."""
+    return np.array([[(m >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF
+                      for w in range(width)] for m in masks],
+                    dtype=np.uint64).reshape(-1, width)
+
+
+def _adjacent_pairs(tight: np.ndarray, positive: np.ndarray,
+                    blocked: np.ndarray, pos: np.ndarray, neg: np.ndarray,
+                    d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (p, q) of pos x neg, in row-major order, whose
+    combination respects the groups and which are adjacent.
+
+    Works through pos a block of rows at a time, so that no broadcast
+    temporary holds more than about _CHUNK elements.
+    """
+    width = tight.shape[1]
+    loose = ~tight
+    tight_neg, positive_neg = tight[neg], positive[neg]
+    step = max(1, _CHUNK // (len(neg) * width))
+    span = max(1, _CHUNK // (len(tight) * width))
+    found_p, found_q = [], []
+    for lo in range(0, len(pos), step):
+        ps = pos[lo:lo + step]
+        common = tight[ps, None] & tight_neg[None]
+        ok = ~(blocked[ps, None] & positive_neg[None]).any(2)
+        ok &= np.bitwise_count(common).sum(2) >= max(d - 2, 0)
+        i, j = np.nonzero(ok)
+        common = common[i, j]
+        adjacent = np.empty(len(i), dtype=bool)
+        for s in range(0, len(i), span):
+            # rays tight on every row of the pair's common set; p and q
+            # always are, so the pair is adjacent iff there is no third
+            covering = ~(common[s:s + span, None] & loose[None]).any(2)
+            adjacent[s:s + span] = covering.sum(1) == 2
+        found_p.append(ps[i[adjacent]])
+        found_q.append(neg[j[adjacent]])
+    return np.concatenate(found_p), np.concatenate(found_q)
+
+
 def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
                   block_rows: Sequence[Sequence[int]] = (),
                   ) -> list[tuple[int, ...]]:
@@ -419,21 +460,31 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     V diag(s_d/s_i) U is a positive multiple of column j of B^-1, and
     is taken divided by its gcd. Insert each other row in turn, keeping
     the rays it does not cut off and one new ray per adjacent pair
-    across the cut. Adjacency is decided combinatorially: a pair is
-    adjacent unless some third ray is tight on every row the pair is
-    jointly tight on. Tight-row sets are tracked as exact bitmasks, and
-    the values of the not-yet-inserted rows on all rays are updated
-    incrementally instead of recomputed.
+    across the cut. Ray coordinates and the values of the not-yet-
+    inserted rows on all rays are exact Python ints; the values are
+    updated incrementally instead of recomputed.
+
+    The pair tests are array operations. The rows each ray is tight
+    on, numbered in insertion order, are a row of the R x W uint64
+    array `tight`, with W = ceil(len(ineq) / 64). A pair (p, q) is
+    adjacent when its common tight set has at least d - 2 rows and no
+    third ray is tight on all of them. Pairs are filtered in row-major
+    (p, q) order, so new rays come out in the order of a plain double
+    loop. Every broadcast works on a chunk of pairs small enough that
+    no temporary holds more than about _CHUNK elements.
 
     block_rows names groups of inequality rows of which at most one may
     end up positive. Rays that already have two positive values within
     one group among the rows processed so far are discarded: a combined
     ray's value on a processed row is a positive combination of its
     parents' values, so positivity there is inherited, and no such ray
-    can lead to a group-respecting final ray. With block pruning the
-    output is every extreme ray that respects the groups, possibly plus
-    further group-respecting rays of the cone; group-violating extreme
-    rays are dropped.
+    can lead to a group-respecting final ray. Every stored ray respects
+    the groups, so `positive` holds its positive grouped rows and
+    `blocked` the other rows of the groups those touch: p and q combine
+    into a group-breaking ray exactly when positive[q] & blocked[p] is
+    nonzero. With block pruning the output is every extreme ray that
+    respects the groups, possibly plus further group-respecting rays of
+    the cone; group-violating extreme rays are dropped.
     """
     d = len(ineq[0])
     base: list[int] = []
@@ -453,90 +504,82 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     S, U, V, _ = _smith_with_transforms([ineq[i] for i in base], d, d)
     scaled_u = [[S[d - 1][d - 1] // S[k][k] * x for x in U[k]]
                 for k in range(d)]
-    group_masks: list[int] = []
-    grouped_rows = 0
+    # grouped row -> the other rows of the groups containing it
+    others: dict[int, int] = {}
     for rows in block_rows:
         group = 0
         for r in rows:
             group |= 1 << r
-        group_masks.append(group)
-        grouped_rows |= group
-
-    def violates(qm: int) -> bool:
-        return any(bin(qm & g).count("1") > 1 for g in group_masks)
+        for r in rows:
+            others[r] = others.get(r, 0) | (group & ~(1 << r))
     rays: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    qmasks: list[int] = []
     for j in range(d):
         col = [sum(v * u[j] for v, u in zip(V[i], scaled_u))
                for i in range(d)]
         g = math.gcd(*col)
         rays.append(tuple(x // g for x in col))
-        masks.append(((1 << d) - 1) ^ (1 << j))
-        qmasks.append((1 << base[j]) & grouped_rows)
+    width = -(-len(ineq) // 64)
+    tight = _bitsets([((1 << d) - 1) ^ (1 << j) for j in range(d)], width)
+    positive = _bitsets([1 << r if r in others else 0 for r in base], width)
+    blocked = _bitsets([others.get(r, 0) for r in base], width)
 
     # grouped rows go first: each one processed arms the group pruning,
     # which is what keeps intermediate ray counts small
     remaining = sorted(
         (i for i in range(len(ineq)) if i not in set(base)),
-        key=lambda i: (not ((1 << i) & grouped_rows), i))
+        key=lambda i: (i not in others, i))
     table = {t: [sum(a * b for a, b in zip(ineq[t], ray)) for ray in rays]
              for t in remaining}
-    nbits = d
-    for t0 in remaining:
+    for nbits, t0 in enumerate(remaining, start=d):
         vals = table.pop(t0)
-        bit = 1 << nbits
-        nbits += 1
-        t0_bit = (1 << t0) & grouped_rows
-        neg_idx = [i for i, v in enumerate(vals) if v < 0]
-        pos_idx = [i for i, v in enumerate(vals) if v > 0]
-        zero_idx = [i for i, v in enumerate(vals) if v == 0]
+        sign = np.array([(v > 0) - (v < 0) for v in vals], dtype=np.int8)
+        pos = np.flatnonzero(sign > 0)
+        neg = np.flatnonzero(sign < 0)
+        zero = np.flatnonzero(sign == 0)
         new_rays: list[tuple[int, ...]] = []
-        new_masks: list[int] = []
-        new_qmasks: list[int] = []
         new_recipe: list[tuple[int, int, int, int, int]] = []
-        if neg_idx and pos_idx:
-            budget.charge(len(pos_idx) * len(neg_idx) + len(rays))
+        if len(pos) and len(neg):
+            budget.charge(len(pos) * len(neg) + len(rays))
             seen: set[tuple[int, ...]] = set()
-            for p in pos_idx:
-                mp, vp = masks[p], vals[p]
-                for q in neg_idx:
-                    # tight on row t0, so the union carries no new bit
-                    qm = qmasks[p] | qmasks[q]
-                    if violates(qm):
-                        continue
-                    common = mp & masks[q]
-                    if bin(common).count("1") < d - 2:
-                        continue
-                    if any(k != p and k != q and mk & common == common
-                           for k, mk in enumerate(masks)):
-                        continue
-                    vq = vals[q]
-                    vec = tuple(vp * rq - vq * rp
-                                for rp, rq in zip(rays[p], rays[q]))
-                    g = math.gcd(*vec)
-                    if g > 1:
-                        vec = tuple(x // g for x in vec)
-                    else:
-                        g = 1
-                    if vec in seen:
-                        continue
-                    seen.add(vec)
-                    new_rays.append(vec)
-                    new_masks.append(common | bit)
-                    new_qmasks.append(qm)
-                    new_recipe.append((p, q, vp, vq, g))
-        if t0_bit:
+            adj_p, adj_q = _adjacent_pairs(
+                tight, positive, blocked, pos, neg, d)
+            for p, q in zip(adj_p.tolist(), adj_q.tolist()):
+                vp, vq = vals[p], vals[q]
+                vec = tuple(vp * rq - vq * rp
+                            for rp, rq in zip(rays[p], rays[q]))
+                g = math.gcd(*vec)
+                if g > 1:
+                    vec = tuple(x // g for x in vec)
+                else:
+                    g = 1
+                if vec in seen:
+                    continue
+                seen.add(vec)
+                new_rays.append(vec)
+                new_recipe.append((p, q, vp, vq, g))
+        bit = _bitsets([1 << nbits], width)
+        p_new = np.array([r[0] for r in new_recipe], dtype=np.intp)
+        q_new = np.array([r[1] for r in new_recipe], dtype=np.intp)
+        # tight on row t0, so the new tight sets are common | bit; a pair
+        # that passed the group test has neither parent's positive rows
+        # blocked by the other, so blocked sets simply unite
+        new_tight = (tight[p_new] & tight[q_new]) | bit
+        new_positive = positive[p_new] | positive[q_new]
+        new_blocked = blocked[p_new] | blocked[q_new]
+        if t0 in others:
             # once this row is sealed, every later combination stays
             # positive here, so rays breaking a group now are dead ends
-            pos_idx = [i for i in pos_idx
-                       if not violates(qmasks[i] | t0_bit)]
-        keep_idx = pos_idx + zero_idx
+            t0_bit = _bitsets([1 << t0], width)
+            pos = pos[~(blocked[pos] & t0_bit).any(1)]
+            positive[pos] |= t0_bit
+            blocked[pos] |= _bitsets([others[t0]], width)
+        tight[zero] |= bit
+        keep = np.concatenate([pos, zero])
+        tight = np.vstack([tight[keep], new_tight])
+        positive = np.vstack([positive[keep], new_positive])
+        blocked = np.vstack([blocked[keep], new_blocked])
+        keep_idx = keep.tolist()
         rays = [rays[i] for i in keep_idx] + new_rays
-        masks = [masks[i] | (bit if vals[i] == 0 else 0)
-                 for i in keep_idx] + new_masks
-        qmasks = [qmasks[i] | (t0_bit if vals[i] > 0 else 0)
-                  for i in keep_idx] + new_qmasks
         for t in table:
             tv = table[t]
             table[t] = [tv[i] for i in keep_idx] + [

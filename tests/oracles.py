@@ -6,6 +6,8 @@ reimplemented from scratch so that agreement means two separate
 computations produced the same answer, not one computation ran twice.
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -326,3 +328,60 @@ def random_quad_system(rng, max_vars=8, forced_allowed=True):
         forced_zeros=forced,
         quad_triples=(),
         equation_labels=tuple(f"e{m}" for m in range(len(eqs))))
+
+
+# ---------------------------------------------------------------------------
+# Extreme rays of a pointed cone by exhaustive rank-(d-1) row subsets.
+
+def _rational_rank_and_kernel(rows, d):
+    """(rank, one kernel vector or None) of a rational matrix with d
+    columns, by Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(d):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    free = [c for c in range(d) if c not in pivots]
+    if not free:
+        return len(pivots), None
+    z = [Fraction(0)] * d
+    z[free[0]] = Fraction(1)
+    for i, c in enumerate(pivots):
+        z[c] = -m[i][free[0]]
+    return len(pivots), z
+
+
+def cone_extreme_rays(ineq):
+    """Primitive extreme rays of {z : ineq @ z >= 0}, for an integer
+    matrix of full column rank.
+
+    An extreme ray is a nonzero point of the cone whose tight rows have
+    rank d - 1, so every one spans the kernel of some d - 1 rows of
+    rank d - 1; each such kernel line is kept in the direction, if any,
+    that lies in the cone.
+    """
+    d = len(ineq[0])
+    if _rational_rank_and_kernel(ineq, d)[0] != d:
+        raise ValueError("inequality matrix must have full column rank")
+    rays = set()
+    for rows in combinations(ineq, d - 1):
+        rank, z = _rational_rank_and_kernel(rows, d)
+        if rank != d - 1:
+            continue
+        scale = math.lcm(*(x.denominator for x in z))
+        z = [int(x * scale) for x in z]
+        g = math.gcd(*z)
+        z = [x // g for x in z]
+        for w in (z, [-x for x in z]):
+            if all(sum(a * b for a, b in zip(row, w)) >= 0 for row in ineq):
+                rays.add(tuple(w))
+    return rays

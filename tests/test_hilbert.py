@@ -1,5 +1,8 @@
 """Fundamental-solution enumeration against independent brute force."""
 
+import hashlib
+import json
+import math
 import os
 import random
 import subprocess
@@ -10,13 +13,15 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 import normsurf
+from normsurf import hilbert
 from normsurf.errors import ResourceLimitExceeded
-from normsurf.hilbert import (_integer_kernel, brute_force_solutions,
-                              enumerate_fundamental, filter_admissible)
-from normsurf.matching import MatchingSystem, is_admissible
+from normsurf.hilbert import (_Budget, _extreme_rays, _integer_kernel,
+                              brute_force_solutions, enumerate_fundamental,
+                              filter_admissible)
+from normsurf.matching import MatchingSystem, is_admissible, is_solution
 
-from oracles import (bounded_solutions, decomposes_over, minimal_nonzero,
-                     random_quad_system)
+from oracles import (bounded_solutions, cone_extreme_rays, decomposes_over,
+                     minimal_nonzero, random_quad_system)
 
 from tables import reference_solutions
 
@@ -162,6 +167,106 @@ def test_integer_kernel_matches_sympy():
         snf = smith_normal_form(K)
         assert [abs(snf[i, i]) for i in range(len(kernel))] == \
             [1] * len(kernel)
+
+
+def test_long_substitution_chain_expands():
+    # x_i = x_{i+1} + y_i with z = 0 substitutes x_0, x_1, ... in a chain
+    # 1,500 deep, deeper than Python's default recursion limit
+    n = 1500
+    z = 2 * n + 1
+    sys = plain_system(2 * n + 2,
+                       [(i + 1, n + 1 + i, i, z) for i in range(n)],
+                       forced={z})
+    fs = enumerate_fundamental(sys)
+    # one basis vector per free variable y_k (then x_0..x_k = 1) and x_n
+    expected = set()
+    for k in range(n + 1):
+        v = [0] * (2 * n + 2)
+        v[:k + 1] = [1] * (k + 1)
+        if k < n:
+            v[n + 1 + k] = 1
+        expected.add(tuple(v))
+    assert set(fs.vectors) == expected
+    assert all(is_solution(sys, v) for v in fs.vectors)
+
+
+def random_cone(rng):
+    """A random integer matrix of full column rank, d <= 5, <= 9 rows."""
+    while True:
+        d = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(d))
+                for _ in range(rng.randint(d, 9))]
+        try:
+            return rows, cone_extreme_rays(rows)
+        except ValueError:
+            continue
+
+
+def assert_rays_of_cone(ineq, rays):
+    assert len(set(rays)) == len(rays)
+    for z in rays:
+        assert any(z) and math.gcd(*z) == 1
+        assert all(sum(a * b for a, b in zip(row, z)) >= 0 for row in ineq)
+
+
+def test_extreme_rays_match_the_oracle():
+    rng = random.Random(17)
+    for _ in range(80):
+        ineq, oracle = random_cone(rng)
+        rays = _extreme_rays(ineq, _Budget(10 ** 9, None))
+        assert_rays_of_cone(ineq, rays)
+        assert set(rays) == oracle, ineq
+
+
+def test_extreme_rays_with_groups_keep_every_respecting_ray():
+    rng = random.Random(23)
+    for _ in range(80):
+        ineq, oracle = random_cone(rng)
+        rows = list(range(len(ineq)))
+        rng.shuffle(rows)
+        groups = []
+        while len(rows) >= 2:
+            size = rng.randint(2, min(3, len(rows)))
+            groups.append(tuple(sorted(rows[:size])))
+            rows = rows[size:]
+
+        def respects(z):
+            return all(
+                sum(sum(a * b for a, b in zip(ineq[r], z)) > 0
+                    for r in group) <= 1
+                for group in groups)
+
+        rays = _extreme_rays(ineq, _Budget(10 ** 9, None), groups)
+        assert_rays_of_cone(ineq, rays)
+        assert all(respects(z) for z in rays), (ineq, groups)
+        assert {z for z in oracle if respects(z)} <= set(rays), \
+            (ineq, groups)
+
+
+# sha256 of json.dumps of the ordered ray list that _extreme_rays returns
+# on the 10-tet admissible enumeration, and the candidates it charges;
+# recorded with the pure-Python pair loop the bitset version replaced
+TEN_TET_RAYS_SHA256 = \
+    "3009727d4d7758845baa2fce9801c48d3aad96915d735be0383f0666d3777fdc"
+TEN_TET_RAYS_CHARGED = 226_061
+
+
+def test_ten_tet_double_description_is_pinned(tri10, monkeypatch):
+    calls = []
+
+    def recording(ineq, budget, block_rows=()):
+        before = budget.examined
+        rays = _extreme_rays(ineq, budget, block_rows)
+        calls.append((rays, budget.examined - before))
+        return rays
+
+    monkeypatch.setattr(hilbert, "_extreme_rays", recording)
+    enumerate_fundamental(tri10.matching_system, admissible_only=True)
+    [(rays, charged)] = calls
+    assert len(rays) == 100
+    assert charged == TEN_TET_RAYS_CHARGED
+    assert hashlib.sha256(json.dumps(rays).encode()).hexdigest() == \
+        TEN_TET_RAYS_SHA256
 
 
 NO_SYMPY_SCRIPT = """
