@@ -27,7 +27,7 @@ from .matching import MatchingSystem, NormalVector, is_admissible
 from .union_find import UnionFind
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
-# elements a broadcast temporary of the double description may hold
+# elements a broadcast temporary may hold
 _CHUNK = 1 << 15
 
 
@@ -226,32 +226,26 @@ def _quadruple_to_row(eq: tuple[int, int, int, int]) -> dict[int, int]:
 # -- completion search -----------------------------------------------------
 
 
+def _dominated(rows: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """For each row, the number of anchor rows it is coordinatewise >=.
+
+    Works through rows a block at a time, so that no broadcast
+    temporary holds more than about _CHUNK elements.
+    """
+    counts = np.zeros(len(rows), dtype=np.intp)
+    step = max(1, _CHUNK // max(1, anchors.size))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step, None] >= anchors[None]
+        counts[lo:lo + step] = block.all(2).sum(1)
+    return counts
+
+
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     """Coordinatewise-minimal nonzero rows, deduplicated."""
-    if not len(rows):
-        return rows
     rows = np.unique(rows, axis=0)
     rows = rows[rows.any(axis=1)]
-    keep = np.ones(len(rows), dtype=bool)
-    for i in range(len(rows)):
-        below = (rows <= rows[i]).all(axis=1)
-        # rows are unique, so a second row below rows[i] dominates it
-        if below.sum() > 1:
-            keep[i] = False
-    return rows[keep]
-
-
-def _undominated_mask(cand: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Mask of candidate rows not coordinatewise >= any anchor row."""
-    keep = np.ones(len(cand), dtype=bool)
-    if not len(cand) or not len(anchors):
-        return keep
-    step = max(1, 4_000_000 // (len(anchors) * cand.shape[1] + 1))
-    for lo in range(0, len(cand), step):
-        chunk = cand[lo:lo + step]
-        dom = (chunk[:, None, :] >= anchors[None, :, :]).all(2).any(1)
-        keep[lo:lo + step] = ~dom
-    return keep
+    # rows are unique, so a minimal row is above itself only
+    return rows[_dominated(rows, rows) == 1]
 
 
 def _lift_equation(H: np.ndarray, vals: np.ndarray,
@@ -267,8 +261,6 @@ def _lift_equation(H: np.ndarray, vals: np.ndarray,
     filtered to the coordinatewise-minimal nonzero vectors.
     """
     width = H.shape[1]
-    if not (vals != 0).any():
-        return H
     zero = H[vals == 0]
     if not (vals > 0).any() or not (vals < 0).any():
         return zero
@@ -277,72 +269,38 @@ def _lift_equation(H: np.ndarray, vals: np.ndarray,
     neg = H[vals < 0]
     neg_vals = vals[vals < 0]
 
-    results = [zero] if len(zero) else []
+    results = [zero]
     # archive of minimal partial sums per running value, for pruning
     archive: dict[int, np.ndarray] = {}
-    frontier = np.vstack([pos, neg])
-    fvals = np.concatenate([pos_vals, neg_vals])
-    for v in np.unique(fvals):
-        archive[int(v)] = _minimal_rows(frontier[fvals == v])
-    frontier = np.vstack([archive[int(v)] for v in np.unique(fvals)])
-    fvals = np.concatenate(
-        [np.full(len(archive[int(v)]), v) for v in np.unique(fvals)])
+    # the generators are the first partial sums
+    cand, cvals = H[vals != 0], vals[vals != 0]
+    while len(cand):
+        values = np.unique(cvals)
+        fresh = []
+        for v in values.tolist():
+            old = archive.get(v, cand[:0])
+            merged = _minimal_rows(np.vstack([old, cand[cvals == v]]))
+            archive[v] = merged
+            # a merged row not in old is above no old row, or it would
+            # not be minimal
+            fresh.append(merged[_dominated(merged, old) == 0])
+        frontier = np.vstack(fresh)
+        fvals = np.repeat(values, [len(f) for f in fresh])
 
-    while len(frontier):
-        pmask = fvals > 0
-        parts = []
-        pvals = []
-        if pmask.any():
-            grown = frontier[pmask][:, None, :] + neg[None, :, :]
-            parts.append(grown.reshape(-1, width))
-            pvals.append(
-                (fvals[pmask][:, None] + neg_vals[None, :]).reshape(-1))
-        if (~pmask).any():
-            grown = frontier[~pmask][:, None, :] + pos[None, :, :]
-            parts.append(grown.reshape(-1, width))
-            pvals.append(
-                (fvals[~pmask][:, None] + pos_vals[None, :]).reshape(-1))
-        cand = np.vstack(parts)
-        cvals = np.concatenate(pvals)
+        up = fvals > 0
+        cand = np.vstack([
+            (frontier[up][:, None] + neg[None]).reshape(-1, width),
+            (frontier[~up][:, None] + pos[None]).reshape(-1, width)])
+        cvals = np.concatenate([
+            (fvals[up][:, None] + neg_vals[None]).reshape(-1),
+            (fvals[~up][:, None] + pos_vals[None]).reshape(-1)])
         budget.charge(len(cand))
 
         done = cvals == 0
-        if done.any():
-            results.append(np.unique(cand[done], axis=0))
-        cand = cand[~done]
-        cvals = cvals[~done]
-        if len(cand) and results:
-            mask = _undominated_mask(cand, np.vstack(results))
-            cand = cand[mask]
-            cvals = cvals[mask]
-
-        next_front = []
-        next_vals = []
-        for v in np.unique(cvals):
-            rows = np.unique(cand[cvals == v], axis=0)
-            old = archive.get(int(v))
-            merged = _minimal_rows(
-                np.vstack([old, rows]) if old is not None else rows)
-            archive[int(v)] = merged
-            if old is not None and len(old):
-                old_keys = {r.tobytes() for r in old}
-                fresh = np.array(
-                    [r for r in merged if r.tobytes() not in old_keys],
-                    dtype=np.int64).reshape(-1, width)
-            else:
-                fresh = merged
-            if len(fresh):
-                next_front.append(fresh)
-                next_vals.append(np.full(len(fresh), v))
-        if next_front:
-            frontier = np.vstack(next_front)
-            fvals = np.concatenate(next_vals)
-        else:
-            frontier = np.zeros((0, width), dtype=np.int64)
-            fvals = np.zeros(0, dtype=np.int64)
-
-    if not results:
-        return np.zeros((0, width), dtype=np.int64)
+        results.append(np.unique(cand[done], axis=0))
+        cand, cvals = cand[~done], cvals[~done]
+        alive = _dominated(cand, np.vstack(results)) == 0
+        cand, cvals = cand[alive], cvals[alive]
     return _minimal_rows(np.vstack(results))
 
 
@@ -356,24 +314,17 @@ def _hilbert_sequential(A: np.ndarray, budget: _Budget) -> list[np.ndarray]:
     combination of the previous generators. Remaining equations are
     chosen greedily so the cheapest lift runs first.
     """
-    m, k = A.shape
-    if k == 0:
-        return []
-    H = np.eye(k, dtype=np.int64)
+    H = np.eye(A.shape[1], dtype=np.int64)
     budget.charge(len(H))
-    remaining = list(range(m))
+    remaining = list(range(len(A)))
     while remaining and len(H):
-        best = None
-        best_key = None
-        for r in remaining:
-            vals = H @ A[r]
-            npos = int((vals > 0).sum())
-            nneg = int((vals < 0).sum())
-            key = (npos * nneg, npos + nneg)
-            if best_key is None or key < best_key:
-                best, best_key = r, key
-        remaining.remove(best)
-        H = _lift_equation(H, H @ A[best], budget)
+        vals = H @ A[remaining].T
+        npos = (vals > 0).sum(0).tolist()
+        nneg = (vals < 0).sum(0).tolist()
+        best = min(range(len(remaining)), key=lambda i: (
+            npos[i] * nneg[i], npos[i] + nneg[i]))
+        H = _lift_equation(H, vals[:, best], budget)
+        del remaining[best]
     return list(H)
 
 
@@ -398,10 +349,11 @@ def _interaction_components(
 # -- admissible-only search --------------------------------------------------
 
 
-def _integer_kernel(A: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """A basis of the integer kernel of A: the columns of the Smith
-    column transform past the rank, each primitive."""
-    m, n = len(A), len(A[0])
+def _integer_kernel(A: Sequence[Sequence[int]], n: int
+                    ) -> list[tuple[int, ...]]:
+    """A basis of the integer kernel of the m x n matrix A: the columns
+    of the Smith column transform past the rank, each primitive."""
+    m = len(A)
     S, _, V, _ = _smith_with_transforms(A, m, n)
     rank = sum(1 for i in range(min(m, n)) if S[i][i])
     return [tuple(row[j] for row in V) for j in range(rank, n)]
@@ -640,23 +592,17 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
     active = [v for v in range(sys.variable_count)
               if v not in sys.forced_zeros]
     col_of = {v: k for k, v in enumerate(active)}
-    if not active:
-        return []
     rows = []
     for eq in sys.equations:
         row = {col_of[v]: c for v, c in _quadruple_to_row(eq).items()
                if v in col_of}
         if row:
             rows.append(row)
-    if rows:
-        A = [[0] * len(active) for _ in rows]
-        for r, row in enumerate(rows):
-            for col, c in row.items():
-                A[r][col] = c
-        kernel = _integer_kernel(A)
-    else:
-        kernel = [tuple(int(i == j) for i in range(len(active)))
-                  for j in range(len(active))]
+    A = [[0] * len(active) for _ in rows]
+    for r, row in enumerate(rows):
+        for col, c in row.items():
+            A[r][col] = c
+    kernel = _integer_kernel(A, len(active))
     if not kernel:
         return []
     ineq = [tuple(col[i] for col in kernel) for i in range(len(active))]
@@ -717,20 +663,9 @@ def _enumerate_dual(sys: MatchingSystem, budget: _Budget
         {red.column_of(v): c for v, c in eq.items()} for eq in red.equations]
     nred = len(red.active)
     solutions: list[tuple[int, ...]] = []
-
-    constrained = set()
-    for eq in reduced_eqs:
-        constrained.update(eq)
-    for col in range(nred):
-        if col not in constrained:
-            unit = np.zeros(nred, dtype=np.int64)
-            unit[col] = 1
-            solutions.append(red.expand(unit))
-    budget.charge(nred - len(constrained))
-
+    # a column in no equation is a component of its own, whose only
+    # fundamental solution is its unit vector
     for members, eqs in _interaction_components(nred, reduced_eqs):
-        if not eqs:
-            continue  # handled as free columns above
         local = {col: k for k, col in enumerate(members)}
         A = np.zeros((len(eqs), len(members)), dtype=np.int64)
         for r, eq in enumerate(eqs):
@@ -820,7 +755,6 @@ def brute_force_solutions(
     for v in range(n):
         if v not in seen:
             order.append(v)
-    position = {v: k for k, v in enumerate(order)}
 
     m = len(rows)
     coef = np.zeros((m, n), dtype=np.int64)

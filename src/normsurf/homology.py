@@ -370,12 +370,9 @@ def h1(tri: Triangulation, *, strict: bool = True) -> H1Summary:
         _postfactor=tuple(tuple(r) for r in v2))
 
 
-def edge_cycle_class(tri: Triangulation, chain: Chain, *,
-                     summary: Optional[H1Summary] = None,
-                     strict: bool = True) -> H1Class:
+def edge_cycle_class(tri: Triangulation, chain: Chain) -> H1Class:
     """H1 class of an integer combination of oriented edge classes."""
-    s = summary if summary is not None else h1(tri, strict=strict)
-    return s.class_of(chain)
+    return h1(tri).class_of(chain)
 
 
 def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
@@ -401,10 +398,8 @@ def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
     return coeffs
 
 
-def verify_zero_pushoff(tri: Triangulation, cycle: EdgeCycle, *,
-                        summary: Optional[H1Summary] = None,
-                        strict: bool = True) -> bool:
+def verify_zero_pushoff(tri: Triangulation, cycle: EdgeCycle) -> bool:
     """True iff the closed edge walk is null-homologous."""
-    s = summary if summary is not None else h1(tri, strict=strict)
+    s = h1(tri)
     chain = cycle_chain(tri, cycle)
     return s.class_of(chain).is_null

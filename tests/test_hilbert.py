@@ -8,17 +8,19 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 import normsurf
-from normsurf import hilbert
+from normsurf import fixtures, hilbert
 from normsurf.errors import ResourceLimitExceeded
 from normsurf.hilbert import (_Budget, _extreme_rays, _integer_kernel,
                               brute_force_solutions, enumerate_fundamental,
                               filter_admissible)
-from normsurf.matching import MatchingSystem, is_admissible, is_solution
+from normsurf.matching import (MatchingSystem, is_admissible, is_solution,
+                               restrict_to_link)
 
 from oracles import (bounded_solutions, cone_extreme_rays, decomposes_over,
                      minimal_nonzero, random_quad_system)
@@ -157,7 +159,7 @@ def test_integer_kernel_matches_sympy():
         m = rng.randint(1, 5)
         n = rng.randint(1, 7)
         A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        kernel = _integer_kernel(A)
+        kernel = _integer_kernel(A, n)
         assert len(kernel) == len(sympy.Matrix(A).nullspace())
         if not kernel:
             continue
@@ -188,6 +190,76 @@ def test_long_substitution_chain_expands():
         expected.add(tuple(v))
     assert set(fs.vectors) == expected
     assert all(is_solution(sys, v) for v in fs.vectors)
+
+
+# (candidates_examined, number of vectors), recorded with the completion
+# search that had a separate dominance test per use
+PINNED_WORK = {
+    "10-tet admissible": (254_857, 110),
+    "restricted 12-tet full": (11_468, 54),
+    "restricted pair admissible": (254_931, 54),
+    "solid torus full": (18, 5),
+    "solid torus admissible": (12, 4),
+    "square surface": (14, 6),
+}
+
+
+def test_total_work_is_pinned(fund10, restricted12, disc_tri, disc_link):
+    pair = restrict_to_link(disc_tri.matching_system, disc_tri, disc_link)
+    torus = fixtures.solid_torus().matching_system
+    runs = {
+        "10-tet admissible": fund10,
+        "restricted 12-tet full": enumerate_fundamental(restricted12),
+        "restricted pair admissible":
+            enumerate_fundamental(pair, admissible_only=True),
+        "solid torus full": enumerate_fundamental(torus),
+        "solid torus admissible":
+            enumerate_fundamental(torus, admissible_only=True),
+        "square surface":
+            enumerate_fundamental(fixtures.square_surface().matching_system),
+    }
+    assert {name: (fs.candidates_examined, len(fs.vectors))
+            for name, fs in runs.items()} == PINNED_WORK
+
+
+def pairwise_minimal(rows):
+    """Coordinatewise-minimal nonzero rows, sorted, by comparing every
+    pair of distinct rows."""
+    rows = {tuple(r) for r in rows if any(r)}
+    return sorted(r for r in rows if not any(
+        o != r and all(a <= b for a, b in zip(o, r)) for o in rows))
+
+
+@pytest.mark.parametrize("chunk", [hilbert._CHUNK, 8])
+def test_dominance_kernel_matches_pairwise_comparison(chunk, monkeypatch):
+    # a chunk of 8 elements splits every block of rows
+    monkeypatch.setattr(hilbert, "_CHUNK", chunk)
+    rng = random.Random(5)
+    for _ in range(60):
+        width = rng.randint(1, 5)
+        # entries 0..3 so that duplicate and zero rows occur
+        rows, anchors = ([[rng.randint(0, 3) for _ in range(width)]
+                          for _ in range(rng.randint(0, 40))]
+                         for _ in range(2))
+        arr = np.array(rows, dtype=np.int64).reshape(-1, width)
+        assert hilbert._minimal_rows(arr).tolist() == \
+            [list(r) for r in pairwise_minimal(rows)]
+        counts = hilbert._dominated(
+            arr, np.array(anchors, dtype=np.int64).reshape(-1, width))
+        assert counts.tolist() == [
+            sum(all(a >= b for a, b in zip(r, o)) for o in anchors)
+            for r in rows]
+
+
+def test_lift_without_both_signs_keeps_the_zero_rows():
+    H = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
+                 dtype=np.int64)
+    budget = _Budget(10, None)
+    for vals in ([0, 0, 0, 0], [1, 0, 2, 0], [0, -1, 0, -3]):
+        vals = np.array(vals, dtype=np.int64)
+        assert hilbert._lift_equation(H, vals, budget).tolist() == \
+            H[vals == 0].tolist()
+    assert budget.examined == 0
 
 
 def random_cone(rng):
