@@ -13,15 +13,16 @@ monoid up to isomorphism.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitExceeded, VectorError
+from .errors import ResourceLimitExceeded
 from .homology import _smith_with_transforms
 from .matching import MatchingSystem, NormalVector, is_admissible
 from .union_find import UnionFind
@@ -112,80 +113,121 @@ class _Reduction:
         uf = UnionFind(range(n))
         zeros = {uf.find(z) for z in forced_zeros}
         exprs: dict[int, dict[int, int]] = {}
-        eqs = [dict(eq) for eq in equations]
+        # Equations are keyed by their input position, and every sweep
+        # and tie-break follows that order: the result is the one that
+        # repeated full passes over the list would give, but only
+        # equations whose variables changed are visited again.
+        eqs = dict(enumerate(dict(eq) for eq in equations))
+        uses: dict[int, set[int]] = {}  # variable -> equations with it
+        for k, eq in eqs.items():
+            for var in eq:
+                uses.setdefault(var, set()).add(k)
+        owner: dict[tuple, int] = {}  # canonical form -> first equation
+        form: dict[int, tuple] = {}  # equation -> its canonical form
+        pivots: dict[int, int] = {}  # equation -> its pivot variable
+        first: list[int] = []  # heap of equations that may have a pivot
 
-        def normalize() -> None:
-            changed = True
-            while changed:
-                changed = False
-                kept = []
-                for eq in eqs:
-                    acc: dict[int, int] = {}
-                    for var, c in eq.items():
-                        r = uf.find(var)
-                        if r in zeros:
-                            continue
-                        acc[r] = acc.get(r, 0) + c
-                    acc = {v: c for v, c in acc.items() if c != 0}
-                    if not acc:
-                        continue
-                    signs = {c > 0 for c in acc.values()}
-                    if len(signs) == 1:
-                        zeros.update(acc)
-                        changed = True
-                        continue
-                    if len(acc) == 2:
-                        (x, cx), (y, cy) = sorted(acc.items())
-                        if cx == -cy:
-                            # roots here are never in zeros (checked above)
-                            uf.union(x, y)
-                            changed = True
-                            continue
-                    kept.append(acc)
-                eqs[:] = kept
-            # drop duplicate constraints (an equation equals its negation)
-            seen = set()
-            kept = []
-            for eq in eqs:
-                items = tuple(sorted(eq.items()))
-                if items[0][1] < 0:
-                    items = tuple((v, -c) for v, c in items)
-                if items not in seen:
-                    seen.add(items)
-                    kept.append(eq)
-            eqs[:] = kept
+        def holding(variables: Iterable[int]) -> set[int]:
+            return {k for var in variables for k in uses.get(var, ())
+                    if k in eqs and var in eqs[k]}
 
-        def find_pivot() -> Optional[tuple[int, int]]:
-            for k, eq in enumerate(eqs):
-                for var in sorted(eq):
-                    c = eq[var]
-                    if c in (1, -1) and all(
-                            (other_c > 0) != (c > 0)
-                            for v, other_c in eq.items() if v != var):
-                        return k, var
+        def find_pivot(eq: dict[int, int]) -> Optional[int]:
+            for var in sorted(eq):
+                c = eq[var]
+                if c in (1, -1) and all(
+                        (other_c > 0) != (c > 0)
+                        for v, other_c in eq.items() if v != var):
+                    return var
             return None
 
+        def normalize(touched: set[int]) -> None:
+            # (pass, equation) in the order of full passes over the list:
+            # an equation changed by a later one waits for the next pass
+            queue = [(0, k) for k in sorted(touched)]
+            queued = set(queue)
+            while queue:
+                sweep, k = heapq.heappop(queue)
+                if k not in eqs:
+                    continue
+                touched.add(k)
+                acc: dict[int, int] = {}
+                for var, c in eqs[k].items():
+                    r = uf.find(var)
+                    if r not in zeros:
+                        acc[r] = acc.get(r, 0) + c
+                acc = {v: c for v, c in acc.items() if c != 0}
+                changed: Iterable[int] = ()
+                if len({c > 0 for c in acc.values()}) == 1:
+                    zeros.update(acc)
+                    changed = acc
+                elif len(acc) == 2 and sum(acc.values()) == 0:
+                    # roots here are never in zeros (checked above)
+                    uf.union(*sorted(acc))
+                    changed = acc
+                if not acc or changed:
+                    del eqs[k]
+                else:
+                    eqs[k] = acc
+                    for var in acc:
+                        uses.setdefault(var, set()).add(k)
+                for j in holding(changed):
+                    entry = (sweep + (j < k), j)
+                    if entry not in queued:
+                        queued.add(entry)
+                        heapq.heappush(queue, entry)
+            # drop duplicate constraints (an equation equals its
+            # negation), keeping the first
+            for k in touched:
+                old = form.pop(k, None)
+                if owner.get(old) == k:
+                    del owner[old]
+            for k in sorted(touched):
+                pivots.pop(k, None)
+                if k not in eqs:
+                    continue
+                items = tuple(sorted(eqs[k].items()))
+                if items[0][1] < 0:
+                    items = tuple((v, -c) for v, c in items)
+                j = owner.get(items, k)
+                if j < k:
+                    del eqs[k]
+                    continue
+                if j > k:
+                    del eqs[j], form[j]
+                    pivots.pop(j, None)
+                owner[items], form[k] = k, items
+                pivot = find_pivot(eqs[k])
+                if pivot is not None:
+                    pivots[k] = pivot
+                    heapq.heappush(first, k)
+
+        normalize(set(eqs))
         while True:
-            normalize()
-            hit = find_pivot()
-            if hit is None:
+            while first and first[0] not in pivots:
+                heapq.heappop(first)
+            if not first:
                 break
-            k, x = hit
+            k = first[0]
+            x = pivots.pop(k)
             eq = eqs.pop(k)
+            del owner[form.pop(k)]
             cx = eq.pop(x)
             # x = sum of the remaining terms scaled to positive coeffs
             expr = {v: -c * cx for v, c in eq.items()}
             exprs[x] = expr
-            for other in eqs:
-                if x in other:
-                    mult = other.pop(x)
-                    for v, c in expr.items():
-                        other[v] = other.get(v, 0) + mult * c
+            dirty = holding([x])
+            for j in dirty:
+                other = eqs[j]
+                mult = other.pop(x)
+                for v, c in expr.items():
+                    other[v] = other.get(v, 0) + mult * c
+                    uses.setdefault(v, set()).add(j)
+            normalize(dirty)
 
         self._uf = uf
         self._zero_roots = zeros
         self._exprs = exprs
-        self.equations = eqs
+        self.equations = list(eqs.values())
         self.active = sorted(
             {uf.find(v) for v in range(n)} - zeros - set(exprs))
         self._column = {rep: k for k, rep in enumerate(self.active)}
@@ -226,82 +268,114 @@ def _quadruple_to_row(eq: tuple[int, int, int, int]) -> dict[int, int]:
 # -- completion search -----------------------------------------------------
 
 
-def _dominated(rows: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """For each row, the number of anchor rows it is coordinatewise >=.
+def _count_matches(rows: np.ndarray, anchors: np.ndarray,
+                   match: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                   ) -> np.ndarray:
+    """For each row, the number of anchor rows it matches.
 
-    Works through rows a block at a time, so that no broadcast
-    temporary holds more than about _CHUNK elements.
+    match(r, a) maps a block of rows shaped (k, 1, w) and a block of
+    anchors shaped (1, m, w) to k x m booleans. Works through blocks of
+    rows against blocks of anchors, so that no broadcast temporary
+    holds more than about _CHUNK elements (one row and one anchor when
+    a single row is longer than that).
     """
     counts = np.zeros(len(rows), dtype=np.intp)
-    step = max(1, _CHUNK // max(1, anchors.size))
-    for lo in range(0, len(rows), step):
-        block = rows[lo:lo + step, None] >= anchors[None]
-        counts[lo:lo + step] = block.all(2).sum(1)
+    span = max(1, _CHUNK // max(1, anchors.shape[1]))
+    for at in range(0, len(anchors), span):
+        block = anchors[at:at + span]
+        step = max(1, _CHUNK // max(1, block.size))
+        for lo in range(0, len(rows), step):
+            counts[lo:lo + step] += match(
+                rows[lo:lo + step, None], block[None]).sum(1)
     return counts
 
 
+def _dominated(rows: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """For each row, the number of anchor rows it is coordinatewise >=."""
+    return _count_matches(rows, anchors, lambda r, a: (r >= a).all(2))
+
+
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
-    """Coordinatewise-minimal nonzero rows, deduplicated."""
-    rows = np.unique(rows, axis=0)
-    rows = rows[rows.any(axis=1)]
-    # rows are unique, so a minimal row is above itself only
+    """Coordinatewise-minimal nonzero rows, deduplicated, in
+    lexicographic order.
+
+    Sorting puts equal rows next to each other, so one comparison of
+    neighbours deduplicates them; after that a row is minimal exactly
+    when the only row it is above is itself.
+    """
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = rows.any(axis=1)
+    keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[keep]
     return rows[_dominated(rows, rows) == 1]
+
+
+def _merge_antichain(antichain: np.ndarray, rows: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Merge rows into an antichain of minimal nonzero rows.
+
+    Returns the minimal nonzero rows of antichain + rows, and the
+    fresh ones among them: the minimal rows of `rows` that are >= no
+    antichain row, in lexicographic order. Such a row has no old row
+    below it, so it is minimal in the union. An old row stays minimal
+    unless a fresh row lies below it: a row of `rows` below it is >= a
+    minimal row of `rows`, which is >= no old row (the old rows form
+    an antichain), so is fresh.
+    """
+    fresh = _minimal_rows(rows)
+    fresh = fresh[_dominated(fresh, antichain) == 0]
+    kept = antichain[_dominated(antichain, fresh) == 0]
+    return np.vstack([kept, fresh]), fresh
 
 
 def _lift_equation(H: np.ndarray, vals: np.ndarray,
                    budget: _Budget) -> np.ndarray:
     """Restrict the monoid generated by the rows of H to one equation.
 
-    vals[i] is the equation's value on row i. Partial sums of
-    generators are grown breadth-first, always adding a generator whose
-    value has the sign opposite to the running total, until the total
-    cancels. A partial sum is discarded as soon as it dominates a
-    finished solution or another partial sum with the same running
-    value; neither can lead to a new minimal element. Finished sums are
-    filtered to the coordinatewise-minimal nonzero vectors.
+    vals[i] is the equation's value on row i, and the rows of H are
+    nonnegative and nonzero. Partial sums of generators are grown
+    breadth-first, always adding a generator whose value has the sign
+    opposite to the running total, until the total cancels. A partial
+    sum is discarded as soon as it is coordinatewise >= a finished sum
+    or an earlier partial sum with the same running value; neither can
+    lead to a new minimal element. The result is the minimal finished
+    sums in lexicographic order.
+
+    Two antichains carry the pruning, both kept by _merge_antichain:
+      - `finished`, the minimal finished sums so far. A row above some
+        finished sum is above a minimal one, so testing against the
+        minimal ones prunes exactly what testing against all would.
+      - `archive`, the minimal partial sums so far for each running
+        value, as value-augmented rows [v, -v, row]. Such a row is >=
+        another exactly when both have the same value and row >= row,
+        so one antichain of augmented rows holds every value's own
+        antichain. Each step extends only the fresh partial sums, those
+        minimal among the step's sums and above no archived sum of
+        their value; they come out ordered by value, then row.
+    Each step's candidate count is charged before its sums are built.
     """
-    width = H.shape[1]
     zero = H[vals == 0]
     if not (vals > 0).any() or not (vals < 0).any():
         return zero
-    pos = H[vals > 0]
-    pos_vals = vals[vals > 0]
-    neg = H[vals < 0]
-    neg_vals = vals[vals < 0]
-
-    results = [zero]
-    # archive of minimal partial sums per running value, for pruning
-    archive: dict[int, np.ndarray] = {}
+    aug = np.hstack([vals[:, None], -vals[:, None], H])
+    width = aug.shape[1]
+    pos, neg = aug[vals > 0], aug[vals < 0]
+    finished = _minimal_rows(zero)
+    archive = aug[:0]
     # the generators are the first partial sums
-    cand, cvals = H[vals != 0], vals[vals != 0]
+    cand = aug[vals != 0]
     while len(cand):
-        values = np.unique(cvals)
-        fresh = []
-        for v in values.tolist():
-            old = archive.get(v, cand[:0])
-            merged = _minimal_rows(np.vstack([old, cand[cvals == v]]))
-            archive[v] = merged
-            # a merged row not in old is above no old row, or it would
-            # not be minimal
-            fresh.append(merged[_dominated(merged, old) == 0])
-        frontier = np.vstack(fresh)
-        fvals = np.repeat(values, [len(f) for f in fresh])
-
-        up = fvals > 0
+        archive, fresh = _merge_antichain(archive, cand)
+        fresh_up, fresh_down = fresh[fresh[:, 0] > 0], fresh[fresh[:, 0] < 0]
+        budget.charge(len(fresh_up) * len(neg) + len(fresh_down) * len(pos))
         cand = np.vstack([
-            (frontier[up][:, None] + neg[None]).reshape(-1, width),
-            (frontier[~up][:, None] + pos[None]).reshape(-1, width)])
-        cvals = np.concatenate([
-            (fvals[up][:, None] + neg_vals[None]).reshape(-1),
-            (fvals[~up][:, None] + pos_vals[None]).reshape(-1)])
-        budget.charge(len(cand))
-
-        done = cvals == 0
-        results.append(np.unique(cand[done], axis=0))
-        cand, cvals = cand[~done], cvals[~done]
-        alive = _dominated(cand, np.vstack(results)) == 0
-        cand, cvals = cand[alive], cvals[alive]
-    return _minimal_rows(np.vstack(results))
+            (fresh_up[:, None] + neg[None]).reshape(-1, width),
+            (fresh_down[:, None] + pos[None]).reshape(-1, width)])
+        done = cand[:, 0] == 0
+        finished, _ = _merge_antichain(finished, cand[done, 2:])
+        cand = cand[~done]
+        cand = cand[_dominated(cand[:, 2:], finished) == 0]
+    return finished[np.lexsort(finished.T[::-1])]
 
 
 def _hilbert_sequential(A: np.ndarray, budget: _Budget) -> list[np.ndarray]:
@@ -372,30 +446,33 @@ def _adjacent_pairs(tight: np.ndarray, positive: np.ndarray,
     """The pairs (p, q) of pos x neg, in row-major order, whose
     combination respects the groups and which are adjacent.
 
-    Works through pos a block of rows at a time, so that no broadcast
-    temporary holds more than about _CHUNK elements.
+    Works through blocks of pos against blocks of neg, and checks
+    adjacency against blocks of rays, so that no broadcast temporary
+    holds more than about _CHUNK elements.
     """
     width = tight.shape[1]
     loose = ~tight
     tight_neg, positive_neg = tight[neg], positive[neg]
-    step = max(1, _CHUNK // (len(neg) * width))
-    span = max(1, _CHUNK // (len(tight) * width))
+    span = max(1, _CHUNK // width)
+    # pos rows one at a time once neg is split, so that pairs still come
+    # out in row-major order
+    step = 1 if len(neg) > span else max(1, _CHUNK // (len(neg) * width))
     found_p, found_q = [], []
     for lo in range(0, len(pos), step):
         ps = pos[lo:lo + step]
-        common = tight[ps, None] & tight_neg[None]
-        ok = ~(blocked[ps, None] & positive_neg[None]).any(2)
-        ok &= np.bitwise_count(common).sum(2) >= max(d - 2, 0)
-        i, j = np.nonzero(ok)
-        common = common[i, j]
-        adjacent = np.empty(len(i), dtype=bool)
-        for s in range(0, len(i), span):
+        for at in range(0, len(neg), span):
+            common = tight[ps, None] & tight_neg[None, at:at + span]
+            ok = ~(blocked[ps, None] & positive_neg[None, at:at + span]
+                   ).any(2)
+            ok &= np.bitwise_count(common).sum(2) >= max(d - 2, 0)
+            i, j = np.nonzero(ok)
             # rays tight on every row of the pair's common set; p and q
             # always are, so the pair is adjacent iff there is no third
-            covering = ~(common[s:s + span, None] & loose[None]).any(2)
-            adjacent[s:s + span] = covering.sum(1) == 2
-        found_p.append(ps[i[adjacent]])
-        found_q.append(neg[j[adjacent]])
+            covering = _count_matches(common[i, j], loose,
+                                      lambda c, r: ~(c & r).any(2))
+            adjacent = covering == 2
+            found_p.append(ps[i[adjacent]])
+            found_q.append(neg[at + j[adjacent]])
     return np.concatenate(found_p), np.concatenate(found_q)
 
 
@@ -720,78 +797,3 @@ def filter_admissible(fs: FundamentalSet) -> FundamentalSet:
     return replace(
         fs, vectors=tuple(v for v in fs.vectors if is_admissible(v)))
 
-
-# -- verification helpers ----------------------------------------------------
-
-
-def brute_force_solutions(
-    sys: MatchingSystem,
-    bound: int,
-    *,
-    max_states: int = 2_000_000,
-) -> set[NormalVector]:
-    """All solutions with every coordinate <= bound, by exhaustive search.
-
-    Independent of the completion machinery: variables are enumerated
-    one at a time with interval pruning per equation (a partial
-    assignment dies once an equation can no longer reach zero). Forced
-    zeros clamp their variables directly. Raises ResourceLimitExceeded
-    when the partial-assignment population exceeds max_states.
-    """
-    if bound < 0:
-        raise VectorError("bound must be >= 0")
-    n = sys.variable_count
-    rows = [_quadruple_to_row(eq) for eq in sys.equations]
-    rows = [r for r in rows if r]
-
-    # Order variables so related ones are adjacent; equations resolve early.
-    order: list[int] = []
-    seen: set[int] = set()
-    for row in rows:
-        for v in sorted(row):
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    for v in range(n):
-        if v not in seen:
-            order.append(v)
-
-    m = len(rows)
-    coef = np.zeros((m, n), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for v, c in row.items():
-            coef[r, v] = c
-
-    # After processing prefix of length k, equation r can still change by
-    # any amount in [lo_future[r, k], hi_future[r, k]].
-    lo_future = np.zeros((m, n + 1), dtype=np.int64)
-    hi_future = np.zeros((m, n + 1), dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        v = order[k]
-        contrib = coef[:, v] * bound
-        lo_future[:, k] = lo_future[:, k + 1] + np.minimum(contrib, 0)
-        hi_future[:, k] = hi_future[:, k + 1] + np.maximum(contrib, 0)
-
-    states = np.zeros((1, n), dtype=np.int64)
-    sums = np.zeros((1, m), dtype=np.int64)
-    for k, v in enumerate(order):
-        top = 0 if v in sys.forced_zeros else bound
-        reps = []
-        new_sums = []
-        for value in range(top + 1):
-            reps.append(np.concatenate(
-                [states[:, :v], np.full((len(states), 1), value, np.int64),
-                 states[:, v + 1:]], axis=1))
-            new_sums.append(sums + value * coef[:, v])
-        states = np.concatenate(reps, axis=0)
-        sums = np.concatenate(new_sums, axis=0)
-        ok = ((sums + lo_future[:, k + 1] <= 0)
-              & (sums + hi_future[:, k + 1] >= 0)).all(axis=1)
-        states = states[ok]
-        sums = sums[ok]
-        if len(states) > max_states:
-            raise ResourceLimitExceeded(
-                f"brute force state population {len(states)} exceeds "
-                f"{max_states}",
-                candidates=len(states), elapsed=0.0)
-    return {tuple(int(x) for x in row) for row in states}

@@ -272,6 +272,79 @@ def bounded_solutions(system, bound):
     return {tuple(int(x) for x in row) for row in grid[mask]}
 
 
+def brute_force_solutions(system, bound, *, max_states=2_000_000):
+    """All solutions with every coordinate <= bound, by exhaustive search.
+
+    Variables are enumerated one at a time with interval pruning per
+    equation (a partial assignment dies once an equation can no longer
+    reach zero). Forced zeros clamp their variables directly. Raises
+    ResourceLimitExceeded when the partial-assignment population
+    exceeds max_states.
+    """
+    from normsurf.errors import ResourceLimitExceeded, VectorError
+
+    if bound < 0:
+        raise VectorError("bound must be >= 0")
+    n = system.variable_count
+    rows = []
+    for (i, j, k, l) in system.equations:
+        row = {}
+        for var, c in ((i, 1), (j, 1), (k, -1), (l, -1)):
+            row[var] = row.get(var, 0) + c
+        row = {v: c for v, c in row.items() if c}
+        if row:
+            rows.append(row)
+
+    # Order variables so related ones are adjacent; equations resolve early.
+    order = []
+    seen = set()
+    for row in rows:
+        for v in sorted(row):
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    order.extend(v for v in range(n) if v not in seen)
+
+    m = len(rows)
+    coef = np.zeros((m, n), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for v, c in row.items():
+            coef[r, v] = c
+
+    # After processing prefix of length k, equation r can still change by
+    # any amount in [lo_future[r, k], hi_future[r, k]].
+    lo_future = np.zeros((m, n + 1), dtype=np.int64)
+    hi_future = np.zeros((m, n + 1), dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        contrib = coef[:, order[k]] * bound
+        lo_future[:, k] = lo_future[:, k + 1] + np.minimum(contrib, 0)
+        hi_future[:, k] = hi_future[:, k + 1] + np.maximum(contrib, 0)
+
+    states = np.zeros((1, n), dtype=np.int64)
+    sums = np.zeros((1, m), dtype=np.int64)
+    for k, v in enumerate(order):
+        top = 0 if v in system.forced_zeros else bound
+        reps = []
+        new_sums = []
+        for value in range(top + 1):
+            reps.append(np.concatenate(
+                [states[:, :v], np.full((len(states), 1), value, np.int64),
+                 states[:, v + 1:]], axis=1))
+            new_sums.append(sums + value * coef[:, v])
+        states = np.concatenate(reps, axis=0)
+        sums = np.concatenate(new_sums, axis=0)
+        ok = ((sums + lo_future[:, k + 1] <= 0)
+              & (sums + hi_future[:, k + 1] >= 0)).all(axis=1)
+        states = states[ok]
+        sums = sums[ok]
+        if len(states) > max_states:
+            raise ResourceLimitExceeded(
+                f"brute force state population {len(states)} exceeds "
+                f"{max_states}",
+                candidates=len(states), elapsed=0.0)
+    return {tuple(int(x) for x in row) for row in states}
+
+
 def minimal_nonzero(solutions):
     """Members with no other nonzero solution below them coordinatewise.
 
@@ -385,3 +458,54 @@ def cone_extreme_rays(ineq):
             if all(sum(a * b for a, b in zip(row, w)) >= 0 for row in ineq):
                 rays.add(tuple(w))
     return rays
+
+
+# ---------------------------------------------------------------------------
+# One completion-search lift, with a per-value archive of partial sums and
+# every finished sum kept.
+
+def lift_reference(H, vals):
+    """(minimal finished sums in lexicographic order, candidates built)
+    for the monoid generated by the rows of H, restricted to the
+    equation whose value on row i is vals[i].
+
+    Partial sums grow breadth-first by generators of the opposite sign
+    until their value cancels. Each step keeps, per running value, the
+    minimal sums seen so far and extends only the ones new to that
+    archive; a sum above any finished sum is dropped.
+    """
+    H = [tuple(int(x) for x in row) for row in H]
+    vals = [int(v) for v in vals]
+    zero = [h for h, v in zip(H, vals) if v == 0]
+    if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
+        return zero, 0
+    pos = [(h, v) for h, v in zip(H, vals) if v > 0]
+    neg = [(h, v) for h, v in zip(H, vals) if v < 0]
+
+    def above(a, b):
+        return all(x >= y for x, y in zip(a, b))
+
+    def minimal(rows):
+        rows = sorted({r for r in rows if any(r)})
+        return [r for r in rows
+                if not any(o != r and above(r, o) for o in rows)]
+
+    finished = list(zero)
+    archive = {}
+    cand = [(h, v) for h, v in zip(H, vals) if v]
+    built = 0
+    while cand:
+        frontier = []
+        for value in sorted({v for _, v in cand}):
+            old = archive.get(value, [])
+            merged = minimal(old + [r for r, v in cand if v == value])
+            archive[value] = merged
+            frontier += [(r, value) for r in merged
+                         if not any(above(r, o) for o in old)]
+        cand = [(tuple(a + b for a, b in zip(r, g)), v + w)
+                for r, v in frontier for g, w in (neg if v > 0 else pos)]
+        built += len(cand)
+        finished += [r for r, v in cand if v == 0]
+        cand = [(r, v) for r, v in cand
+                if v and not any(above(r, f) for f in finished)]
+    return minimal(finished), built

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ import normsurf
 from normsurf import fixtures, hilbert
 from normsurf.errors import ResourceLimitExceeded
 from normsurf.hilbert import (_Budget, _extreme_rays, _integer_kernel,
-                              brute_force_solutions, enumerate_fundamental,
-                              filter_admissible)
+                              enumerate_fundamental, filter_admissible)
 from normsurf.matching import (MatchingSystem, is_admissible, is_solution,
                                restrict_to_link)
 
-from oracles import (bounded_solutions, cone_extreme_rays, decomposes_over,
+from oracles import (bounded_solutions, brute_force_solutions,
+                     cone_extreme_rays, decomposes_over, lift_reference,
                      minimal_nonzero, random_quad_system)
 
 from tables import reference_solutions
@@ -260,6 +261,81 @@ def test_lift_without_both_signs_keeps_the_zero_rows():
         assert hilbert._lift_equation(H, vals, budget).tolist() == \
             H[vals == 0].tolist()
     assert budget.examined == 0
+
+
+def random_lift(rng):
+    """Random nonnegative nonzero generators and their values."""
+    width = rng.randint(1, 5)
+    H = [[rng.randint(0, 3) for _ in range(width)]
+         for _ in range(rng.randint(2, 12))]
+    H = [row for row in H if any(row)] or [[1] * width]
+    return H, [rng.randint(-4, 4) for _ in H]
+
+
+@pytest.mark.parametrize("chunk", [hilbert._CHUNK, 8])
+def test_lift_matches_the_reference(chunk, monkeypatch):
+    monkeypatch.setattr(hilbert, "_CHUNK", chunk)
+    rng = random.Random(29)
+    for _ in range(200):
+        H, vals = random_lift(rng)
+        budget = _Budget(10 ** 9, None)
+        rows = hilbert._lift_equation(np.array(H, dtype=np.int64),
+                                      np.array(vals, dtype=np.int64), budget)
+        expected, built = lift_reference(H, vals)
+        assert rows.tolist() == [list(r) for r in expected], (H, vals)
+        assert budget.examined == built, (H, vals)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while fn(*args) runs, and what it returned or
+    raised."""
+    tracemalloc.start()
+    try:
+        try:
+            out = fn(*args)
+        except ResourceLimitExceeded as exc:
+            out = exc
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_lift_charges_a_step_before_building_it():
+    # 300 generators of each sign with distinct values: all are fresh,
+    # so the first step would build 2 * 300 * 300 sums of width 4 + 2
+    rng = np.random.default_rng(3)
+    H = rng.integers(1, 4, size=(600, 4))
+    vals = np.concatenate([np.arange(1, 301), -np.arange(1, 301)])
+    step_bytes = 2 * 300 * 300 * 6 * 8
+    peak, out = traced_peak(hilbert._lift_equation, H, vals,
+                            _Budget(1_000, None))
+    assert isinstance(out, ResourceLimitExceeded)
+    assert out.candidates == 2 * 300 * 300
+    assert peak < step_bytes / 10
+
+
+def test_dominance_blocks_the_anchor_axis():
+    rng = np.random.default_rng(5)
+    anchors = rng.integers(0, 4, size=(200_000, 8))
+    rows = rng.integers(0, 4, size=(3, 8))
+    expected = [int((row >= anchors).all(1).sum()) for row in rows]
+    # one row against every anchor at once is 1.6 MB of booleans
+    peak, counts = traced_peak(hilbert._dominated, rows, anchors)
+    assert counts.tolist() == expected
+    assert peak < 200_000
+
+
+def test_adjacent_pairs_keep_their_order_in_small_blocks(monkeypatch):
+    # a one-element chunk splits every axis of every pair test
+    rng = random.Random(31)
+    cones = [random_cone(rng)[0] for _ in range(40)]
+    runs = []
+    for chunk in (hilbert._CHUNK, 1):
+        monkeypatch.setattr(hilbert, "_CHUNK", chunk)
+        budget = _Budget(10 ** 9, None)
+        runs.append(([_extreme_rays(ineq, budget) for ineq in cones],
+                     budget.examined))
+    assert runs[0] == runs[1]
 
 
 def random_cone(rng):
