@@ -213,7 +213,7 @@ def _h1_text(summary) -> str:
 def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
     tri = _load_triangulation(args.triangulation)
     problems = validate(tri)
-    boundary = len(tri.boundary_faces())
+    boundary = len(tri.boundary_facets())
     doc = {
         "valid": not problems,
         "problems": problems,
@@ -236,7 +236,7 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_skeleton(args: argparse.Namespace, out: TextIO) -> int:
     tri = _load_triangulation(args.triangulation)
     skel = tri.skeleton
-    faces = len(tri.interior_face_pairs()) + len(tri.boundary_faces())
+    faces = len(tri.interior_pairs()) + len(tri.boundary_facets())
     euler = (len(skel.vertex_classes) - len(skel.edge_classes)
              + faces - tri.tet_count)
     if args.output == "json":
@@ -251,7 +251,7 @@ def _cmd_skeleton(args: argparse.Namespace, out: TextIO) -> int:
             "edgeClasses": [
                 {"degree": ec.degree, "boundary": ec.boundary,
                  "inverted": ec.inverted,
-                 "members": [tri.format_edge(t, e) for t, e in ec.members]}
+                 "members": [tri.format_spot(t, e) for t, e in ec.members]}
                 for ec in skel.edge_classes],
         }, out)
         return 0
@@ -264,7 +264,7 @@ def _cmd_skeleton(args: argparse.Namespace, out: TextIO) -> int:
     for ec in skel.edge_classes:
         kind = "boundary" if ec.boundary else "interior"
         flags = ", inverted" if ec.inverted else ""
-        members = " ".join(tri.format_edge(t, e) for t, e in ec.members)
+        members = " ".join(tri.format_spot(t, e) for t, e in ec.members)
         print(f"edge class {ec.index}: degree {ec.degree}, {kind}{flags}: "
               f"{members}", file=out)
     return 0

@@ -25,7 +25,7 @@ system once, on first use, and keeps both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -57,10 +57,8 @@ class SurfaceTriangulation(Gluing):
     NOUN, FACET, KIND = "triangle", "edge", "surface triangulation"
     JSON_KEYS = ("triangles", "tri", "edge")
 
-    triangles = property(lambda self: self.names)
     triangle_count = Gluing.size
     boundary_edges = Gluing.boundary_facets
-    interior_edge_pairs = Gluing.interior_pairs
     format_edge = Gluing.format_spot
 
     @cached_property
@@ -86,7 +84,7 @@ def build_matching_system_2d(surf: SurfaceTriangulation) -> MatchingSystem:
     surf.require_valid()
     equations = []
     labels = []
-    for (i, (u, v)), (j, image), vmap in surf.interior_edge_pairs():
+    for (i, (u, v)), (j, image), vmap in surf.interior_pairs():
         equations.append((
             CURVE_BLOCK * i + u,
             CURVE_BLOCK * i + v,
@@ -143,7 +141,7 @@ def analyze_curve(surf: SurfaceTriangulation, v: Sequence[int]
         raise VectorError("vector is not a solution of the 2D system")
 
     weight = 0
-    for (i, edge), _, _ in surf.interior_edge_pairs():
+    for (i, edge), _, _ in surf.interior_pairs():
         weight += _edge_crossings(v, i, edge)
     for (i, edge) in surf.boundary_edges():
         weight += _edge_crossings(v, i, edge)
@@ -153,7 +151,7 @@ def analyze_curve(surf: SurfaceTriangulation, v: Sequence[int]
         for x in range(3):
             for depth in range(1, v[CURVE_BLOCK * i + x] + 1):
                 arcs.add((i, x, depth))
-    for (i, edge), (j, jedge), vmap in surf.interior_edge_pairs():
+    for (i, edge), (j, jedge), vmap in surf.interior_pairs():
         image = (vmap[edge[0]], vmap[edge[1]])
         total = _edge_crossings(v, i, edge)
         for pos in range(1, total + 1):
@@ -208,14 +206,9 @@ def connect_boundary_points(
             continue
         zeros.add(CURVE_BLOCK * i + u)
         zeros.add(CURVE_BLOCK * i + w)
-    constrained = MatchingSystem(
-        variable_count=sys_.variable_count,
-        equations=sys_.equations,
-        forced_zeros=frozenset(zeros),
-        quad_triples=(),
-        equation_labels=sys_.equation_labels)
     fs = enumerate_fundamental(
-        constrained, max_candidates=max_candidates, time_budget=time_budget)
+        replace(sys_, forced_zeros=frozenset(zeros)),
+        max_candidates=max_candidates, time_budget=time_budget)
     for v in fs.vectors:
         if _edge_crossings(v, *p) == 1 and _edge_crossings(v, *q) == 1:
             return v

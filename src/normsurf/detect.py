@@ -180,7 +180,7 @@ def boundary_meeting_variables(tri: Triangulation) -> frozenset[int]:
     boundary face qualifies.
     """
     meeting: set[int] = set()
-    for (t, face) in tri.boundary_faces():
+    for (t, face) in tri.boundary_facets():
         for x in face:
             meeting.add(BLOCK * t + x)
         for q in (4, 5, 6):
@@ -203,7 +203,7 @@ def filter_unknotting_disks(
     closed, since then no properly embedded disk with boundary exists.
     """
     tri.require_valid()
-    if not tri.boundary_faces():
+    if not tri.boundary_facets():
         raise TriangulationError(
             "triangulation is closed: no boundary for a disk to end on")
     allowed = frozenset(longitude_pattern)

@@ -105,27 +105,36 @@ class _Reduction:
     Each rewrite is a coordinatewise-order isomorphism of solution
     monoids (the third because x depends monotonically on the others),
     so fundamental solutions correspond one to one.
+
+    The first two rules reach one fixpoint in any visiting order: zeros
+    only grow, classes only merge, merging same-sign terms keeps their
+    sign, and a merge keeps the smaller root, so every class is named
+    by its minimum. Pending equations therefore sit in a plain set.
+    Only the pivot policy fixes an order: at each fixpoint, substitute
+    the smallest eligible variable of the lowest-index equation that
+    has one.
+
+    Twins, copies or negations of one equation, are kept. They are
+    rewritten alike, so substituting from the first empties the others;
+    when none is substituted, the first to be imposed by
+    _hilbert_sequential leaves the others zero on every generator.
+
+    `columns` are the representative variables left free, in order, and
+    `equations` the surviving equations over column indices, in input
+    order.
     """
 
     def __init__(self, n: int, equations: Iterable[dict[int, int]],
                  forced_zeros: Iterable[int]):
-        self.n = n
         uf = UnionFind(range(n))
         zeros = {uf.find(z) for z in forced_zeros}
         exprs: dict[int, dict[int, int]] = {}
-        # Equations are keyed by their input position, and every sweep
-        # and tie-break follows that order: the result is the one that
-        # repeated full passes over the list would give, but only
-        # equations whose variables changed are visited again.
         eqs = dict(enumerate(dict(eq) for eq in equations))
         uses: dict[int, set[int]] = {}  # variable -> equations with it
         for k, eq in eqs.items():
             for var in eq:
                 uses.setdefault(var, set()).add(k)
-        owner: dict[tuple, int] = {}  # canonical form -> first equation
-        form: dict[int, tuple] = {}  # equation -> its canonical form
-        pivots: dict[int, int] = {}  # equation -> its pivot variable
-        first: list[int] = []  # heap of equations that may have a pivot
+        first: list[int] = []  # heap of equations rewritten since examined
 
         def holding(variables: Iterable[int]) -> set[int]:
             return {k for var in variables for k in uses.get(var, ())
@@ -140,16 +149,11 @@ class _Reduction:
                     return var
             return None
 
-        def normalize(touched: set[int]) -> None:
-            # (pass, equation) in the order of full passes over the list:
-            # an equation changed by a later one waits for the next pass
-            queue = [(0, k) for k in sorted(touched)]
-            queued = set(queue)
-            while queue:
-                sweep, k = heapq.heappop(queue)
+        def normalize(work: set[int]) -> None:
+            while work:
+                k = work.pop()
                 if k not in eqs:
                     continue
-                touched.add(k)
                 acc: dict[int, int] = {}
                 for var, c in eqs[k].items():
                     r = uf.find(var)
@@ -168,49 +172,18 @@ class _Reduction:
                     del eqs[k]
                 else:
                     eqs[k] = acc
+                    heapq.heappush(first, k)
                     for var in acc:
                         uses.setdefault(var, set()).add(k)
-                for j in holding(changed):
-                    entry = (sweep + (j < k), j)
-                    if entry not in queued:
-                        queued.add(entry)
-                        heapq.heappush(queue, entry)
-            # drop duplicate constraints (an equation equals its
-            # negation), keeping the first
-            for k in touched:
-                old = form.pop(k, None)
-                if owner.get(old) == k:
-                    del owner[old]
-            for k in sorted(touched):
-                pivots.pop(k, None)
-                if k not in eqs:
-                    continue
-                items = tuple(sorted(eqs[k].items()))
-                if items[0][1] < 0:
-                    items = tuple((v, -c) for v, c in items)
-                j = owner.get(items, k)
-                if j < k:
-                    del eqs[k]
-                    continue
-                if j > k:
-                    del eqs[j], form[j]
-                    pivots.pop(j, None)
-                owner[items], form[k] = k, items
-                pivot = find_pivot(eqs[k])
-                if pivot is not None:
-                    pivots[k] = pivot
-                    heapq.heappush(first, k)
+                work |= holding(changed)
 
         normalize(set(eqs))
-        while True:
-            while first and first[0] not in pivots:
-                heapq.heappop(first)
-            if not first:
-                break
-            k = first[0]
-            x = pivots.pop(k)
+        while first:
+            k = heapq.heappop(first)
+            x = find_pivot(eqs[k]) if k in eqs else None
+            if x is None:
+                continue
             eq = eqs.pop(k)
-            del owner[form.pop(k)]
             cx = eq.pop(x)
             # x = sum of the remaining terms scaled to positive coeffs
             expr = {v: -c * cx for v, c in eq.items()}
@@ -224,16 +197,14 @@ class _Reduction:
                     uses.setdefault(v, set()).add(j)
             normalize(dirty)
 
-        self._uf = uf
-        self._zero_roots = zeros
-        self._exprs = exprs
-        self.equations = list(eqs.values())
-        self.active = sorted(
+        self.columns = sorted(
             {uf.find(v) for v in range(n)} - zeros - set(exprs))
-        self._column = {rep: k for k, rep in enumerate(self.active)}
+        column = {rep: k for k, rep in enumerate(self.columns)}
+        self.equations = [{column[v]: c for v, c in eq.items()}
+                          for eq in eqs.values()]
         self._reps = [uf.find(v) for v in range(n)]
         # A substituted variable's expression only uses variables that
-        # are pinned to zero, still active, or substituted later (each
+        # are pinned to zero, still free, or substituted later (each
         # substitution removes its variable from every equation left),
         # so expand evaluates them in reverse order, without recursion
         # however long the chains of substitutions are.
@@ -241,21 +212,19 @@ class _Reduction:
             (x, [(uf.find(v), c) for v, c in exprs[x].items()])
             for x in reversed(exprs)]
 
-    def column_of(self, var: int) -> Optional[int]:
-        """Reduced column of a variable, or None when it is pinned to
-        zero or substituted away."""
-        rep = self._uf.find(var)
-        if rep in self._zero_roots or rep in self._exprs:
-            return None
-        return self._column[rep]
+    def expand(self, reduced: np.ndarray) -> list[tuple[int, ...]]:
+        """Lift reduced solutions, the rows of a matrix over `columns`,
+        back to full length.
 
-    def expand(self, reduced: Sequence[int]) -> tuple[int, ...]:
-        """Lift a reduced solution back to full length."""
-        values = dict.fromkeys(self._zero_roots, 0)
-        values.update(zip(self.active, map(int, reduced)))
+        One row of Python ints per variable (an `object` array) holds
+        its value in every solution, so each substitution is a few
+        exact row operations whatever the number of solutions.
+        """
+        values = np.zeros((len(self._reps), len(reduced)), dtype=object)
+        values[self.columns] = reduced.T
         for x, terms in self._substitutions:
             values[x] = sum(c * values[v] for v, c in terms)
-        return tuple(values[rep] for rep in self._reps)
+        return list(zip(*(values[rep] for rep in self._reps)))
 
 
 def _quadruple_to_row(eq: tuple[int, int, int, int]) -> dict[int, int]:
@@ -378,15 +347,17 @@ def _lift_equation(H: np.ndarray, vals: np.ndarray,
     return finished[np.lexsort(finished.T[::-1])]
 
 
-def _hilbert_sequential(A: np.ndarray, budget: _Budget) -> list[np.ndarray]:
-    """Minimal nonzero solutions of A v = 0, v >= 0 integral.
+def _hilbert_sequential(A: np.ndarray, budget: _Budget) -> np.ndarray:
+    """Minimal nonzero solutions of A v = 0, v >= 0 integral, as rows.
 
     Equations are imposed one at a time: the generating set for the
     first k rows is lifted across row k+1 by cancelling values of the
     current generators. Each lift preserves exactness, because every
     minimal solution of the extended system is a minimal-cancellation
     combination of the previous generators. Remaining equations are
-    chosen greedily so the cheapest lift runs first.
+    chosen greedily so the cheapest lift runs first, the earliest row
+    on ties. A row that is a multiple of one already imposed is zero on
+    every generator, so it is chosen next and lifts at no cost.
     """
     H = np.eye(A.shape[1], dtype=np.int64)
     budget.charge(len(H))
@@ -399,7 +370,7 @@ def _hilbert_sequential(A: np.ndarray, budget: _Budget) -> list[np.ndarray]:
             npos[i] * nneg[i], npos[i] + nneg[i]))
         H = _lift_equation(H, vals[:, best], budget)
         del remaining[best]
-    return list(H)
+    return H
 
 
 def _interaction_components(
@@ -489,9 +460,8 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     V diag(s_d/s_i) U is a positive multiple of column j of B^-1, and
     is taken divided by its gcd. Insert each other row in turn, keeping
     the rays it does not cut off and one new ray per adjacent pair
-    across the cut. Ray coordinates and the values of the not-yet-
-    inserted rows on all rays are exact Python ints; the values are
-    updated incrementally instead of recomputed.
+    across the cut. Ray coordinates, and the values of each row on the
+    rays when it is inserted, are exact Python ints.
 
     The pair tests are array operations. The rows each ray is tight
     on, numbered in insertion order, are a row of the R x W uint64
@@ -557,16 +527,14 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     remaining = sorted(
         (i for i in range(len(ineq)) if i not in set(base)),
         key=lambda i: (i not in others, i))
-    table = {t: [sum(a * b for a, b in zip(ineq[t], ray)) for ray in rays]
-             for t in remaining}
     for nbits, t0 in enumerate(remaining, start=d):
-        vals = table.pop(t0)
+        vals = [sum(a * b for a, b in zip(ineq[t0], ray)) for ray in rays]
         sign = np.array([(v > 0) - (v < 0) for v in vals], dtype=np.int8)
         pos = np.flatnonzero(sign > 0)
         neg = np.flatnonzero(sign < 0)
         zero = np.flatnonzero(sign == 0)
         new_rays: list[tuple[int, ...]] = []
-        new_recipe: list[tuple[int, int, int, int, int]] = []
+        new_pairs: list[tuple[int, int]] = []
         if len(pos) and len(neg):
             budget.charge(len(pos) * len(neg) + len(rays))
             seen: set[tuple[int, ...]] = set()
@@ -574,21 +542,19 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
                 tight, positive, blocked, pos, neg, d)
             for p, q in zip(adj_p.tolist(), adj_q.tolist()):
                 vp, vq = vals[p], vals[q]
+                # a positive combination of two rays of a pointed cone,
+                # so nonzero and its gcd is at least 1
                 vec = tuple(vp * rq - vq * rp
                             for rp, rq in zip(rays[p], rays[q]))
                 g = math.gcd(*vec)
-                if g > 1:
-                    vec = tuple(x // g for x in vec)
-                else:
-                    g = 1
+                vec = tuple(x // g for x in vec)
                 if vec in seen:
                     continue
                 seen.add(vec)
                 new_rays.append(vec)
-                new_recipe.append((p, q, vp, vq, g))
+                new_pairs.append((p, q))
         bit = _bitsets([1 << nbits], width)
-        p_new = np.array([r[0] for r in new_recipe], dtype=np.intp)
-        q_new = np.array([r[1] for r in new_recipe], dtype=np.intp)
+        p_new, q_new = np.array(new_pairs, dtype=np.intp).reshape(-1, 2).T
         # tight on row t0, so the new tight sets are common | bit; a pair
         # that passed the group test has neither parent's positive rows
         # blocked by the other, so blocked sets simply unite
@@ -607,13 +573,7 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
         tight = np.vstack([tight[keep], new_tight])
         positive = np.vstack([positive[keep], new_positive])
         blocked = np.vstack([blocked[keep], new_blocked])
-        keep_idx = keep.tolist()
-        rays = [rays[i] for i in keep_idx] + new_rays
-        for t in table:
-            tv = table[t]
-            table[t] = [tv[i] for i in keep_idx] + [
-                (vp * tv[q] - vq * tv[p]) // g
-                for p, q, vp, vq, g in new_recipe]
+        rays = [rays[i] for i in keep.tolist()] + new_rays
     return rays
 
 
@@ -735,24 +695,21 @@ def _enumerate_dual(sys: MatchingSystem, budget: _Budget
     """Full Hilbert basis by reduction plus sequential lifting."""
     rows = [_quadruple_to_row(eq) for eq in sys.equations]
     red = _Reduction(sys.variable_count, rows, sys.forced_zeros)
-
-    reduced_eqs = [
-        {red.column_of(v): c for v, c in eq.items()} for eq in red.equations]
-    nred = len(red.active)
-    solutions: list[tuple[int, ...]] = []
+    ncols = len(red.columns)
+    blocks = [np.zeros((0, ncols), dtype=np.int64)]
     # a column in no equation is a component of its own, whose only
     # fundamental solution is its unit vector
-    for members, eqs in _interaction_components(nred, reduced_eqs):
+    for members, eqs in _interaction_components(ncols, red.equations):
         local = {col: k for k, col in enumerate(members)}
         A = np.zeros((len(eqs), len(members)), dtype=np.int64)
         for r, eq in enumerate(eqs):
             for col, c in eq.items():
                 A[r, local[col]] = c
-        for v in _hilbert_sequential(A, budget):
-            reduced = np.zeros(nred, dtype=np.int64)
-            reduced[members] = v
-            solutions.append(red.expand(reduced))
-    return solutions
+        H = _hilbert_sequential(A, budget)
+        block = np.zeros((len(H), ncols), dtype=np.int64)
+        block[:, members] = H
+        blocks.append(block)
+    return red.expand(np.vstack(blocks))
 
 
 def enumerate_fundamental(

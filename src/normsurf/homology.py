@@ -230,7 +230,7 @@ def chain_complex(tri: Triangulation) -> ChainComplex:
 
     face_basis = []
     seen = set()
-    for spot in tri.face_spots():
+    for spot in tri.facet_spots():
         if spot in seen:
             continue
         seen.add(spot)

@@ -81,11 +81,11 @@ def build_matching_system(tri: Triangulation) -> MatchingSystem:
     tri.require_valid()
     equations = []
     labels = []
-    for (i, face), (j, jface), vmap in tri.interior_face_pairs():
+    for (i, face), (j, jface), vmap in tri.interior_pairs():
         d_a = omitted_vertex(face)
         d_b = omitted_vertex(jface)
         image = tuple(vmap[x] for x in face)
-        label = f"{tri.format_face(i, face)} ~ {tri.format_face(j, image)}"
+        label = f"{tri.format_spot(i, face)} ~ {tri.format_spot(j, image)}"
         for x in face:
             equations.append((
                 BLOCK * i + x,

@@ -279,7 +279,7 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
 
     arcs = 0
     disks = UnionFind(d for p in pats for d in p.disks())
-    for (ta, fa), (tb, fb), vmap in tri.interior_face_pairs():
+    for (ta, fa), (tb, fb), vmap in tri.interior_pairs():
         da, db = omitted_vertex(fa), omitted_vertex(fb)
         for x in fa:
             count = pats[ta].arc_count(x, da)
@@ -290,7 +290,7 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
 
     boundary_arcs = UnionFind([])
     point_arcs: dict[tuple[int, int], list] = {}
-    for (t, face) in tri.boundary_faces():
+    for (t, face) in tri.boundary_facets():
         d = omitted_vertex(face)
         for x in face:
             count = pats[t].arc_count(x, d)
@@ -335,7 +335,7 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     skel = tri.skeleton
 
     cells = UnionFind(r for p in pats for r in p.regions())
-    for (ta, fa), (tb, fb), vmap in tri.interior_face_pairs():
+    for (ta, fa), (tb, fb), vmap in tri.interior_pairs():
         da, db = omitted_vertex(fa), omitted_vertex(fb)
         for x in fa:
             count = pats[ta].arc_count(x, da)

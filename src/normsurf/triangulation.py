@@ -9,8 +9,10 @@ Unglued facets form the boundary. The base class does the record
 checks, accessors, interior pairs, connectivity, validation, equality
 and the JSON codec for any dimension; `Triangulation` (tetrahedra glued
 along faces) and `curves2d.SurfaceTriangulation` (triangles glued along
-edges) set only the dimension, the nouns in messages and the JSON keys,
-and keep the dimension-specific accessor names as aliases.
+edges) set only the dimension, the nouns in messages and the JSON keys.
+Callers use the `Gluing` accessor names; the only aliases left are
+`tetrahedra` and `tet_count`, and on surfaces `triangle_count`,
+`boundary_edges` and `format_edge`.
 
 A gluing never changes after construction, so the data derived from it
 is computed at most once per object and kept: its validation result,
@@ -338,10 +340,6 @@ class Triangulation(Gluing):
 
     tetrahedra = property(lambda self: self.names)
     tet_count = Gluing.size
-    face_spots = Gluing.facet_spots
-    boundary_faces = Gluing.boundary_facets
-    interior_face_pairs = Gluing.interior_pairs
-    format_face = format_edge = Gluing.format_spot
 
     @cached_property
     def skeleton(self) -> Skeleton:
@@ -413,7 +411,7 @@ def compute_skeleton(tri: Triangulation) -> Skeleton:
         for i in range(tri.tet_count)
         for u in range(4) for v in range(4) if u != v)
 
-    for (i, face), (j, _), vmap in tri.interior_face_pairs():
+    for (i, face), (j, _), vmap in tri.interior_pairs():
         for v in face:
             corners.union((i, v), (j, vmap[v]))
         for u in face:
@@ -423,7 +421,7 @@ def compute_skeleton(tri: Triangulation) -> Skeleton:
 
     boundary_corners: set[tuple[int, int]] = set()
     boundary_edges: set[tuple[int, Edge]] = set()
-    for (i, face) in tri.boundary_faces():
+    for (i, face) in tri.boundary_facets():
         for v in face:
             boundary_corners.add((i, v))
         for a in face:

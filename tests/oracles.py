@@ -135,7 +135,7 @@ def surface_cell_counts(tri, v):
                 for k in range(1, _arc_count(block, x, d) + 1):
                     arcs.find((t, face, x, k))
 
-    for (ta, fa), (tb, fb), vmap in tri.interior_face_pairs():
+    for (ta, fa), (tb, fb), vmap in tri.interior_pairs():
         da, db = _omitted(fa), _omitted(fb)
         for x in fa:
             for k in range(1, _arc_count(_block(v, ta), x, da) + 1):
@@ -160,7 +160,7 @@ def surface_cell_counts(tri, v):
     components = len(comp.groups()) if all_disks else 0
 
     interior = set()
-    for (ta, fa), (tb, fb), _ in tri.interior_face_pairs():
+    for (ta, fa), (tb, fb), _ in tri.interior_pairs():
         interior.add((ta, fa))
         interior.add((tb, fb))
     boundary_arcs = [a for a in arc_groups.values()
@@ -205,7 +205,7 @@ def trace_curve_components(surf, v):
             point_arcs.setdefault(endpoint(i, x, d, other), []).append(
                 (i, x, d))
     uf = UF(arcs)
-    for (i, e), (j, je), vmap in surf.interior_edge_pairs():
+    for (i, e), (j, je), vmap in surf.interior_pairs():
         total = v[3 * i + e[0]] + v[3 * i + e[1]]
         for pos in range(1, total + 1):
             jpos = pos if vmap[e[0]] == je[0] else total + 1 - pos
@@ -218,7 +218,7 @@ def trace_curve_components(surf, v):
 def triangle_component_uf(surf):
     """Flood fill of triangles across interior edge gluings."""
     uf = UF(range(surf.triangle_count))
-    for (i, _), (j, _), _ in surf.interior_edge_pairs():
+    for (i, _), (j, _), _ in surf.interior_pairs():
         uf.union(i, j)
     return uf
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,62 @@ def test_long_substitution_chain_expands():
         expected.add(tuple(v))
     assert set(fs.vectors) == expected
     assert all(is_solution(sys, v) for v in fs.vectors)
+
+
+def reduction_record(red):
+    """A reduction's column count, its equations in order with terms
+    sorted and later twins (copies or negations) dropped, and the
+    expansion of each unit column."""
+    seen, equations = set(), []
+    for eq in red.equations:
+        terms = sorted(eq.items())
+        sign = 1 if terms[0][1] > 0 else -1
+        canonical = tuple((v, sign * c) for v, c in terms)
+        if canonical not in seen:
+            seen.add(canonical)
+            equations.append(terms)
+    units = red.expand(np.eye(len(red.columns), dtype=np.int64))
+    return [len(red.columns), equations, units]
+
+
+# sha256 of json.dumps of the records of the 109 reductions built by the
+# 10-tet admissible and restricted 12-tet full enumerations; recorded
+# with the reduction that replayed full passes and dropped twins
+REDUCTIONS_SHA256 = \
+    "e956a25b9ead5a97a14593c31e4ec08481412f0833b098c3b902f3f721fa1b05"
+
+
+def test_reductions_are_pinned(tri10, restricted12, monkeypatch):
+    records = []
+
+    class Recording(hilbert._Reduction):
+        def __init__(self, *args):
+            super().__init__(*args)
+            records.append(reduction_record(self))
+
+    monkeypatch.setattr(hilbert, "_Reduction", Recording)
+    enumerate_fundamental(tri10.matching_system, admissible_only=True)
+    enumerate_fundamental(restricted12)
+    assert len(records) == 109
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == \
+        REDUCTIONS_SHA256
+
+
+def test_twin_equations_change_nothing(restricted12):
+    cyclic = plain_system(
+        12, [(i, (i + 1) % 12, (i + 2) % 12, (i + 3) % 12)
+             for i in range(6)])
+    for sys in (cyclic, restricted12):
+        twice = [eq for eq in sys.equations for _ in range(2)]
+        negated = [twin for i, j, k, l in sys.equations
+                   for twin in ((i, j, k, l), (k, l, i, j))]
+        runs = []
+        for equations in (sys.equations, twice, negated):
+            fs = enumerate_fundamental(replace(
+                sys, equations=tuple(equations),
+                equation_labels=tuple(map(str, range(len(equations))))))
+            runs.append((fs.vectors, fs.candidates_examined))
+        assert runs[0] == runs[1] == runs[2]
 
 
 # (candidates_examined, number of vectors), recorded with the completion

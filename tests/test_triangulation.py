@@ -26,8 +26,8 @@ def member_names(tri, ec):
 def test_fixture_shapes(tri10, tri12):
     assert tri10.tet_count == 10
     assert tri12.tet_count == 12
-    assert len(tri10.boundary_faces()) == 2
-    assert tri12.boundary_faces() == []
+    assert len(tri10.boundary_facets()) == 2
+    assert tri12.boundary_facets() == []
     assert tri10.is_connected() and tri12.is_connected()
     assert validate(tri10) == []
     assert validate(tri12) == []
@@ -43,8 +43,8 @@ def test_name_index_round_trip(tri12):
 def test_single_tet():
     st = single_tet()
     assert validate(st) == []
-    assert len(st.boundary_faces()) == 4
-    assert list(st.interior_face_pairs()) == []
+    assert len(st.boundary_facets()) == 4
+    assert list(st.interior_pairs()) == []
     skel = compute_skeleton(st)
     assert len(skel.vertex_classes) == 4
     assert len(skel.edge_classes) == 6
@@ -55,7 +55,7 @@ def test_disconnected_pair():
     assert validate(pair) == []
     assert pair.tet_count == 24
     assert not pair.is_connected()
-    assert pair.boundary_faces() == []
+    assert pair.boundary_facets() == []
     names = {pair.name(i) for i in range(24)}
     assert {"A.h1", "B.h1", "A.p", "B.b1*"} <= names
 
@@ -67,7 +67,7 @@ def test_skeleton_counts_10(tri10, skel10):
     assert len(skel10.edge_classes) == 12
     assert sum(ec.degree for ec in skel10.edge_classes) == 60
     assert not any(ec.inverted for ec in skel10.edge_classes)
-    assert len(list(tri10.interior_face_pairs())) == 19
+    assert len(list(tri10.interior_pairs())) == 19
 
 
 def test_skeleton_counts_12(tri12, skel12):
@@ -76,7 +76,7 @@ def test_skeleton_counts_12(tri12, skel12):
     assert len(skel12.edge_classes) == 13
     assert sum(ec.degree for ec in skel12.edge_classes) == 72
     assert not any(ec.inverted for ec in skel12.edge_classes)
-    assert len(list(tri12.interior_face_pairs())) == 24
+    assert len(list(tri12.interior_pairs())) == 24
 
 
 def test_edge_classes_match_hand_table_12(tri12, skel12):
@@ -103,7 +103,7 @@ def test_b1star13_class_has_ten_members_when_closed(tri12, skel12):
 def test_solid_torus_skeleton():
     stor = solid_torus()
     assert validate(stor) == []
-    assert len(stor.boundary_faces()) == 2
+    assert len(stor.boundary_facets()) == 2
     skel = compute_skeleton(stor)
     assert len(skel.vertex_classes) == 1
     assert len(skel.edge_classes) == 3
