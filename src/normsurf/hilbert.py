@@ -80,6 +80,9 @@ class _Budget:
                 f"candidate limit exceeded ({self.examined} > "
                 f"{self.max_candidates})",
                 candidates=self.examined, elapsed=self.elapsed)
+        self.check_time()
+
+    def check_time(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitExceeded(
                 f"time budget exceeded after {self.examined} candidates",
@@ -87,6 +90,85 @@ class _Budget:
 
 
 # -- reduction -------------------------------------------------------------
+
+
+class _Closure:
+    """The zero/merge fixpoint of one system: the state that zero
+    propagation and equality merging reach, before any substitution.
+
+    It holds the union-find of merged variables (every class is named
+    by its minimum), the zeroed roots, the surviving equations over
+    roots by input index, an index from each variable to the equations
+    that held it, and `first`, a heap holding every surviving equation
+    (an equation that leaves it has no pivot; see _Reduction).
+    """
+
+    def __init__(self, n: int, equations: Iterable[dict[int, int]],
+                 forced_zeros: Iterable[int]):
+        self.n = n
+        self.uf = UnionFind(range(n))
+        self.zeros = set(forced_zeros)
+        self.eqs = dict(enumerate(dict(eq) for eq in equations))
+        self.uses: dict[int, set[int]] = {}
+        for k, eq in self.eqs.items():
+            for var in eq:
+                self.uses.setdefault(var, set()).add(k)
+        self.first: list[int] = []
+        self.normalize(set(self.eqs))
+
+    def copy(self) -> _Closure:
+        """An independent copy: it shares no mutable container."""
+        twin = object.__new__(_Closure)
+        twin.n = self.n
+        twin.uf = self.uf.copy()
+        twin.zeros = set(self.zeros)
+        twin.eqs = {k: dict(eq) for k, eq in self.eqs.items()}
+        twin.uses = {var: set(ks) for var, ks in self.uses.items()}
+        twin.first = list(self.first)
+        return twin
+
+    def add_zeros(self, zeros: Iterable[int]) -> None:
+        """Force more variables to zero and return to the fixpoint,
+        normalizing only the equations that hold them."""
+        roots = {self.uf.find(z) for z in zeros} - self.zeros
+        self.zeros |= roots
+        self.normalize(self.holding(roots))
+
+    def holding(self, variables: Iterable[int]) -> set[int]:
+        eqs = self.eqs
+        return {k for var in variables for k in self.uses.get(var, ())
+                if k in eqs and var in eqs[k]}
+
+    def normalize(self, work: set[int]) -> None:
+        """Rewrite the equations in work, and every equation a rewrite
+        zeroes or merges a variable of, until none triggers a rule."""
+        uf, zeros, eqs = self.uf, self.zeros, self.eqs
+        while work:
+            k = work.pop()
+            if k not in eqs:
+                continue
+            acc: dict[int, int] = {}
+            for var, c in eqs[k].items():
+                r = uf.find(var)
+                if r not in zeros:
+                    acc[r] = acc.get(r, 0) + c
+            acc = {v: c for v, c in acc.items() if c != 0}
+            changed: Iterable[int] = ()
+            if len({c > 0 for c in acc.values()}) == 1:
+                zeros.update(acc)
+                changed = acc
+            elif len(acc) == 2 and sum(acc.values()) == 0:
+                # roots here are never in zeros (checked above)
+                uf.union(*sorted(acc))
+                changed = acc
+            if not acc or changed:
+                del eqs[k]
+            else:
+                eqs[k] = acc
+                heapq.heappush(self.first, k)
+                for var in acc:
+                    self.uses.setdefault(var, set()).add(k)
+            work |= self.holding(changed)
 
 
 class _Reduction:
@@ -114,6 +196,15 @@ class _Reduction:
     the smallest eligible variable of the lowest-index equation that
     has one.
 
+    So the reduction starts from a copy of a _Closure, the fixpoint of
+    the system's own zeros, and adds `zeros`, any further forced zeros.
+    Adding zeros to a fixpoint and normalizing the equations that hold
+    them reaches the fixpoint that imposing all zeros from the start
+    would, with the same surviving equations, so the pivot loop that
+    follows, deterministic code, does exactly what it would do on a
+    closure built with every zero. Subcones of one system thus share
+    one closure and pay only for their own zeros.
+
     Twins, copies or negations of one equation, are kept. They are
     rewritten alike, so substituting from the first empties the others;
     when none is substituted, the first to be imposed by
@@ -124,21 +215,11 @@ class _Reduction:
     order.
     """
 
-    def __init__(self, n: int, equations: Iterable[dict[int, int]],
-                 forced_zeros: Iterable[int]):
-        uf = UnionFind(range(n))
-        zeros = {uf.find(z) for z in forced_zeros}
+    def __init__(self, closure: _Closure, zeros: Iterable[int] = ()):
+        state = closure.copy()
+        state.add_zeros(zeros)
+        uf, eqs, first = state.uf, state.eqs, state.first
         exprs: dict[int, dict[int, int]] = {}
-        eqs = dict(enumerate(dict(eq) for eq in equations))
-        uses: dict[int, set[int]] = {}  # variable -> equations with it
-        for k, eq in eqs.items():
-            for var in eq:
-                uses.setdefault(var, set()).add(k)
-        first: list[int] = []  # heap of equations rewritten since examined
-
-        def holding(variables: Iterable[int]) -> set[int]:
-            return {k for var in variables for k in uses.get(var, ())
-                    if k in eqs and var in eqs[k]}
 
         def find_pivot(eq: dict[int, int]) -> Optional[int]:
             for var in sorted(eq):
@@ -149,35 +230,9 @@ class _Reduction:
                     return var
             return None
 
-        def normalize(work: set[int]) -> None:
-            while work:
-                k = work.pop()
-                if k not in eqs:
-                    continue
-                acc: dict[int, int] = {}
-                for var, c in eqs[k].items():
-                    r = uf.find(var)
-                    if r not in zeros:
-                        acc[r] = acc.get(r, 0) + c
-                acc = {v: c for v, c in acc.items() if c != 0}
-                changed: Iterable[int] = ()
-                if len({c > 0 for c in acc.values()}) == 1:
-                    zeros.update(acc)
-                    changed = acc
-                elif len(acc) == 2 and sum(acc.values()) == 0:
-                    # roots here are never in zeros (checked above)
-                    uf.union(*sorted(acc))
-                    changed = acc
-                if not acc or changed:
-                    del eqs[k]
-                else:
-                    eqs[k] = acc
-                    heapq.heappush(first, k)
-                    for var in acc:
-                        uses.setdefault(var, set()).add(k)
-                work |= holding(changed)
-
-        normalize(set(eqs))
+        # an equation leaves `first` only when it has no pivot, and one
+        # that gains a pivot was rewritten and so pushed again; the heap
+        # therefore yields the lowest-index equation that has a pivot
         while first:
             k = heapq.heappop(first)
             x = find_pivot(eqs[k]) if k in eqs else None
@@ -188,21 +243,21 @@ class _Reduction:
             # x = sum of the remaining terms scaled to positive coeffs
             expr = {v: -c * cx for v, c in eq.items()}
             exprs[x] = expr
-            dirty = holding([x])
+            dirty = state.holding([x])
             for j in dirty:
                 other = eqs[j]
                 mult = other.pop(x)
                 for v, c in expr.items():
                     other[v] = other.get(v, 0) + mult * c
-                    uses.setdefault(v, set()).add(j)
-            normalize(dirty)
+                    state.uses.setdefault(v, set()).add(j)
+            state.normalize(dirty)
 
         self.columns = sorted(
-            {uf.find(v) for v in range(n)} - zeros - set(exprs))
+            {uf.find(v) for v in range(state.n)} - state.zeros - set(exprs))
         column = {rep: k for k, rep in enumerate(self.columns)}
         self.equations = [{column[v]: c for v, c in eq.items()}
                           for eq in eqs.values()]
-        self._reps = [uf.find(v) for v in range(n)]
+        self._reps = [uf.find(v) for v in range(state.n)]
         # A substituted variable's expression only uses variables that
         # are pinned to zero, still free, or substituted later (each
         # substitution removes its variable from every equation left),
@@ -212,16 +267,23 @@ class _Reduction:
             (x, [(uf.find(v), c) for v, c in exprs[x].items()])
             for x in reversed(exprs)]
 
-    def expand(self, reduced: np.ndarray) -> list[tuple[int, ...]]:
-        """Lift reduced solutions, the rows of a matrix over `columns`,
-        back to full length.
+    def expand(self, blocks: Sequence[tuple[Sequence[int], np.ndarray]]
+               ) -> list[tuple[int, ...]]:
+        """Lift reduced solutions back to full length.
 
+        Each block (members, H) holds solutions as the rows of H, over
+        the column indices `members`, and zero on every other column.
         One row of Python ints per variable (an `object` array) holds
-        its value in every solution, so each substitution is a few
-        exact row operations whatever the number of solutions.
+        its value in every solution; each block is written straight into
+        it at its columns, and each substitution is a few exact row
+        operations whatever the number of solutions.
         """
-        values = np.zeros((len(self._reps), len(reduced)), dtype=object)
-        values[self.columns] = reduced.T
+        values = np.zeros((len(self._reps), sum(len(H) for _, H in blocks)),
+                          dtype=object)
+        at = 0
+        for members, H in blocks:
+            values[[self.columns[m] for m in members], at:at + len(H)] = H.T
+            at += len(H)
         for x, terms in self._substitutions:
             values[x] = sum(c * values[v] for v, c in terms)
         return list(zip(*(values[rep] for rep in self._reps)))
@@ -238,15 +300,16 @@ def _quadruple_to_row(eq: tuple[int, int, int, int]) -> dict[int, int]:
 
 
 def _count_matches(rows: np.ndarray, anchors: np.ndarray,
-                   match: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                   ) -> np.ndarray:
+                   match: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   budget: _Budget) -> np.ndarray:
     """For each row, the number of anchor rows it matches.
 
     match(r, a) maps a block of rows shaped (k, 1, w) and a block of
     anchors shaped (1, m, w) to k x m booleans. Works through blocks of
     rows against blocks of anchors, so that no broadcast temporary
     holds more than about _CHUNK elements (one row and one anchor when
-    a single row is longer than that).
+    a single row is longer than that). The budget's deadline is checked
+    before each block.
     """
     counts = np.zeros(len(rows), dtype=np.intp)
     span = max(1, _CHUNK // max(1, anchors.shape[1]))
@@ -254,17 +317,20 @@ def _count_matches(rows: np.ndarray, anchors: np.ndarray,
         block = anchors[at:at + span]
         step = max(1, _CHUNK // max(1, block.size))
         for lo in range(0, len(rows), step):
+            budget.check_time()
             counts[lo:lo + step] += match(
                 rows[lo:lo + step, None], block[None]).sum(1)
     return counts
 
 
-def _dominated(rows: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+def _dominated(rows: np.ndarray, anchors: np.ndarray,
+               budget: _Budget) -> np.ndarray:
     """For each row, the number of anchor rows it is coordinatewise >=."""
-    return _count_matches(rows, anchors, lambda r, a: (r >= a).all(2))
+    return _count_matches(rows, anchors, lambda r, a: (r >= a).all(2),
+                          budget)
 
 
-def _minimal_rows(rows: np.ndarray) -> np.ndarray:
+def _minimal_rows(rows: np.ndarray, budget: _Budget) -> np.ndarray:
     """Coordinatewise-minimal nonzero rows, deduplicated, in
     lexicographic order.
 
@@ -276,11 +342,11 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     keep = rows.any(axis=1)
     keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
     rows = rows[keep]
-    return rows[_dominated(rows, rows) == 1]
+    return rows[_dominated(rows, rows, budget) == 1]
 
 
-def _merge_antichain(antichain: np.ndarray, rows: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _merge_antichain(antichain: np.ndarray, rows: np.ndarray,
+                     budget: _Budget) -> tuple[np.ndarray, np.ndarray]:
     """Merge rows into an antichain of minimal nonzero rows.
 
     Returns the minimal nonzero rows of antichain + rows, and the
@@ -291,9 +357,9 @@ def _merge_antichain(antichain: np.ndarray, rows: np.ndarray
     minimal row of `rows`, which is >= no old row (the old rows form
     an antichain), so is fresh.
     """
-    fresh = _minimal_rows(rows)
-    fresh = fresh[_dominated(fresh, antichain) == 0]
-    kept = antichain[_dominated(antichain, fresh) == 0]
+    fresh = _minimal_rows(rows, budget)
+    fresh = fresh[_dominated(fresh, antichain, budget) == 0]
+    kept = antichain[_dominated(antichain, fresh, budget) == 0]
     return np.vstack([kept, fresh]), fresh
 
 
@@ -329,21 +395,21 @@ def _lift_equation(H: np.ndarray, vals: np.ndarray,
     aug = np.hstack([vals[:, None], -vals[:, None], H])
     width = aug.shape[1]
     pos, neg = aug[vals > 0], aug[vals < 0]
-    finished = _minimal_rows(zero)
+    finished = _minimal_rows(zero, budget)
     archive = aug[:0]
     # the generators are the first partial sums
     cand = aug[vals != 0]
     while len(cand):
-        archive, fresh = _merge_antichain(archive, cand)
+        archive, fresh = _merge_antichain(archive, cand, budget)
         fresh_up, fresh_down = fresh[fresh[:, 0] > 0], fresh[fresh[:, 0] < 0]
         budget.charge(len(fresh_up) * len(neg) + len(fresh_down) * len(pos))
         cand = np.vstack([
             (fresh_up[:, None] + neg[None]).reshape(-1, width),
             (fresh_down[:, None] + pos[None]).reshape(-1, width)])
         done = cand[:, 0] == 0
-        finished, _ = _merge_antichain(finished, cand[done, 2:])
+        finished, _ = _merge_antichain(finished, cand[done, 2:], budget)
         cand = cand[~done]
-        cand = cand[_dominated(cand[:, 2:], finished) == 0]
+        cand = cand[_dominated(cand[:, 2:], finished, budget) == 0]
     return finished[np.lexsort(finished.T[::-1])]
 
 
@@ -411,9 +477,33 @@ def _bitsets(masks: Iterable[int], width: int) -> np.ndarray:
                     dtype=np.uint64).reshape(-1, width)
 
 
+def _disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether bitsets a and b, broadcast against each other, share no
+    bit: the words ANDed pairwise and ORed together, compared with 0.
+
+    The word axis (the last) is short, one word per 64 rows, and a numpy
+    reduction over so short an axis costs far more than the few word
+    operations it does, so the words are combined in a Python loop.
+    """
+    acc = a[..., 0] & b[..., 0]
+    for w in range(1, a.shape[-1]):
+        acc |= a[..., w] & b[..., w]
+    return acc == 0
+
+
+def _popcount(a: np.ndarray) -> np.ndarray:
+    """The number of bits set in each bitset of a, word by word."""
+    # bitwise_count gives uint8, which a sum of four words could wrap
+    count = np.bitwise_count(a[..., 0]).astype(np.intp)
+    for w in range(1, a.shape[-1]):
+        count += np.bitwise_count(a[..., w])
+    return count
+
+
 def _adjacent_pairs(tight: np.ndarray, positive: np.ndarray,
                     blocked: np.ndarray, pos: np.ndarray, neg: np.ndarray,
-                    d: int) -> tuple[np.ndarray, np.ndarray]:
+                    d: int, budget: _Budget
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (p, q) of pos x neg, in row-major order, whose
     combination respects the groups and which are adjacent.
 
@@ -433,14 +523,14 @@ def _adjacent_pairs(tight: np.ndarray, positive: np.ndarray,
         ps = pos[lo:lo + step]
         for at in range(0, len(neg), span):
             common = tight[ps, None] & tight_neg[None, at:at + span]
-            ok = ~(blocked[ps, None] & positive_neg[None, at:at + span]
-                   ).any(2)
-            ok &= np.bitwise_count(common).sum(2) >= max(d - 2, 0)
+            ok = _disjoint(blocked[ps, None],
+                           positive_neg[None, at:at + span])
+            ok &= _popcount(common) >= max(d - 2, 0)
             i, j = np.nonzero(ok)
             # rays tight on every row of the pair's common set; p and q
             # always are, so the pair is adjacent iff there is no third
-            covering = _count_matches(common[i, j], loose,
-                                      lambda c, r: ~(c & r).any(2))
+            covering = _count_matches(common[i, j], loose, _disjoint,
+                                      budget)
             adjacent = covering == 2
             found_p.append(ps[i[adjacent]])
             found_q.append(neg[at + j[adjacent]])
@@ -470,7 +560,10 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     third ray is tight on all of them. Pairs are filtered in row-major
     (p, q) order, so new rays come out in the order of a plain double
     loop. Every broadcast works on a chunk of pairs small enough that
-    no temporary holds more than about _CHUNK elements.
+    no temporary holds more than about _CHUNK elements. Bitset tests
+    that reduce over the W words (_disjoint, _popcount) loop over the
+    words in Python, each step one array operation on a whole chunk,
+    instead of calling a numpy reduction over an axis of length W.
 
     block_rows names groups of inequality rows of which at most one may
     end up positive. Rays that already have two positive values within
@@ -539,7 +632,7 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
             budget.charge(len(pos) * len(neg) + len(rays))
             seen: set[tuple[int, ...]] = set()
             adj_p, adj_q = _adjacent_pairs(
-                tight, positive, blocked, pos, neg, d)
+                tight, positive, blocked, pos, neg, d, budget)
             for p, q in zip(adj_p.tolist(), adj_q.tolist()):
                 vp, vq = vals[p], vals[q]
                 # a positive combination of two rays of a pointed cone,
@@ -565,7 +658,7 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
             # once this row is sealed, every later combination stays
             # positive here, so rays breaking a group now are dead ends
             t0_bit = _bitsets([1 << t0], width)
-            pos = pos[~(blocked[pos] & t0_bit).any(1)]
+            pos = pos[_disjoint(blocked[pos], t0_bit)]
             positive[pos] |= t0_bit
             blocked[pos] |= _bitsets([others[t0]], width)
         tight[zero] |= bit
@@ -625,14 +718,19 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
     the union over these subsystems is exactly the admissible part of
     the full fundamental set. Duplicates across subsystem runs are
     removed by exact vector equality after re-expansion.
+
+    The subsystems differ from the system only in their forced quad
+    zeros, so one _Closure of the system is built and every subsystem's
+    _Reduction starts from it (see _Reduction for why that reduction is
+    the one a fresh closure with every zero would give).
     """
+    equations = [_quadruple_to_row(eq) for eq in sys.equations]
     active = [v for v in range(sys.variable_count)
               if v not in sys.forced_zeros]
     col_of = {v: k for k, v in enumerate(active)}
     rows = []
-    for eq in sys.equations:
-        row = {col_of[v]: c for v, c in _quadruple_to_row(eq).items()
-               if v in col_of}
+    for eq in equations:
+        row = {col_of[v]: c for v, c in eq.items() if v in col_of}
         if row:
             rows.append(row)
     A = [[0] * len(active) for _ in rows]
@@ -672,6 +770,7 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
                 neighbors[j] |= 1 << i
 
     all_quads = {q for triple in sys.quad_triples for q in triple}
+    closure = _Closure(sys.variable_count, equations, sys.forced_zeros)
     solutions: set[tuple[int, ...]] = set()
     seen_zero_sets: set[frozenset[int]] = set()
     for clique in _maximal_cliques(neighbors):
@@ -685,31 +784,25 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
         if zeros in seen_zero_sets:
             continue
         seen_zero_sets.add(zeros)
-        solutions.update(
-            _enumerate_dual(replace(sys, forced_zeros=zeros), budget))
+        solutions.update(_enumerate_dual(_Reduction(closure, zeros), budget))
     return list(solutions)
 
 
-def _enumerate_dual(sys: MatchingSystem, budget: _Budget
+def _enumerate_dual(red: _Reduction, budget: _Budget
                     ) -> list[tuple[int, ...]]:
-    """Full Hilbert basis by reduction plus sequential lifting."""
-    rows = [_quadruple_to_row(eq) for eq in sys.equations]
-    red = _Reduction(sys.variable_count, rows, sys.forced_zeros)
-    ncols = len(red.columns)
-    blocks = [np.zeros((0, ncols), dtype=np.int64)]
+    """Full Hilbert basis of a reduced system by sequential lifting."""
+    blocks = []
     # a column in no equation is a component of its own, whose only
     # fundamental solution is its unit vector
-    for members, eqs in _interaction_components(ncols, red.equations):
+    for members, eqs in _interaction_components(len(red.columns),
+                                                red.equations):
         local = {col: k for k, col in enumerate(members)}
         A = np.zeros((len(eqs), len(members)), dtype=np.int64)
         for r, eq in enumerate(eqs):
             for col, c in eq.items():
                 A[r, local[col]] = c
-        H = _hilbert_sequential(A, budget)
-        block = np.zeros((len(H), ncols), dtype=np.int64)
-        block[:, members] = H
-        blocks.append(block)
-    return red.expand(np.vstack(blocks))
+        blocks.append((members, _hilbert_sequential(A, budget)))
+    return red.expand(blocks)
 
 
 def enumerate_fundamental(
@@ -736,7 +829,11 @@ def enumerate_fundamental(
     if admissible_only and sys.quad_triples:
         solutions = _enumerate_admissible_primal(sys, budget)
     else:
-        solutions = _enumerate_dual(sys, budget)
+        closure = _Closure(
+            sys.variable_count,
+            [_quadruple_to_row(eq) for eq in sys.equations],
+            sys.forced_zeros)
+        solutions = _enumerate_dual(_Reduction(closure), budget)
     return FundamentalSet(
         vectors=tuple(sorted(set(solutions))),
         system_fingerprint=system_fingerprint(sys),

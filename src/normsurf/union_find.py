@@ -17,13 +17,18 @@ class UnionFind:
         if item not in self._parent:
             self._parent[item] = item
 
+    def copy(self) -> "UnionFind":
+        twin = UnionFind()
+        twin._parent = dict(self._parent)
+        return twin
+
     def find(self, item):
-        self.add(item)
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
+        parent = self._parent
+        root = parent.setdefault(item, item)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:
+            parent[item], item = root, parent[item]
         return root
 
     def union(self, a, b) -> None:

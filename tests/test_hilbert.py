@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -194,6 +195,25 @@ def test_long_substitution_chain_expands():
     assert all(is_solution(sys, v) for v in fs.vectors)
 
 
+def test_chain_expansion_holds_the_output_about_twice():
+    # the chain above: 1,501 vectors of 3,002 Python ints. The basis of
+    # each component is written straight into the expansion matrix, so
+    # the peak is that matrix plus the tuples returned
+    n = 1500
+    z = 2 * n + 1
+    sys = plain_system(2 * n + 2,
+                       [(i + 1, n + 1 + i, i, z) for i in range(n)],
+                       forced={z})
+    tracemalloc.start()
+    try:
+        fs = enumerate_fundamental(sys)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fs.vectors) == n + 1
+    assert peak < 2.4 * held
+
+
 def reduction_record(red):
     """A reduction's column count, its equations in order with terms
     sorted and later twins (copies or negations) dropped, and the
@@ -206,7 +226,8 @@ def reduction_record(red):
         if canonical not in seen:
             seen.add(canonical)
             equations.append(terms)
-    units = red.expand(np.eye(len(red.columns), dtype=np.int64))
+    units = red.expand([(range(len(red.columns)),
+                         np.eye(len(red.columns), dtype=np.int64))])
     return [len(red.columns), equations, units]
 
 
@@ -231,6 +252,28 @@ def test_reductions_are_pinned(tri10, restricted12, monkeypatch):
     assert len(records) == 109
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == \
         REDUCTIONS_SHA256
+
+
+def test_shared_closure_gives_the_fresh_reduction():
+    # a reduction from a copy of one system's closure plus further zeros
+    # is the one a closure built with every zero gives, and building one
+    # subcone leaves the shared closure as it was
+    rng = random.Random(43)
+    for _ in range(200):
+        sys = random_quad_system(rng, max_vars=10)
+        n = sys.variable_count
+        rows = [hilbert._quadruple_to_row(eq) for eq in sys.equations]
+        base = hilbert._Closure(n, rows, sys.forced_zeros)
+        extra = [frozenset(rng.sample(range(n), rng.randint(0, n // 2)))
+                 for _ in range(2)]
+        fresh = [reduction_record(hilbert._Reduction(hilbert._Closure(
+            n, rows, sys.forced_zeros | zeros))) for zeros in extra]
+        shared = [reduction_record(hilbert._Reduction(base, zeros))
+                  for zeros in extra]
+        backwards = [reduction_record(hilbert._Reduction(base, zeros))
+                     for zeros in reversed(extra)]
+        assert shared == fresh, sys
+        assert backwards == fresh[::-1], sys
 
 
 def test_twin_equations_change_nothing(restricted12):
@@ -300,10 +343,11 @@ def test_dominance_kernel_matches_pairwise_comparison(chunk, monkeypatch):
                           for _ in range(rng.randint(0, 40))]
                          for _ in range(2))
         arr = np.array(rows, dtype=np.int64).reshape(-1, width)
-        assert hilbert._minimal_rows(arr).tolist() == \
+        assert hilbert._minimal_rows(arr, _Budget(1, None)).tolist() == \
             [list(r) for r in pairwise_minimal(rows)]
         counts = hilbert._dominated(
-            arr, np.array(anchors, dtype=np.int64).reshape(-1, width))
+            arr, np.array(anchors, dtype=np.int64).reshape(-1, width),
+            _Budget(1, None))
         assert counts.tolist() == [
             sum(all(a >= b for a, b in zip(r, o)) for o in anchors)
             for r in rows]
@@ -377,9 +421,53 @@ def test_dominance_blocks_the_anchor_axis():
     rows = rng.integers(0, 4, size=(3, 8))
     expected = [int((row >= anchors).all(1).sum()) for row in rows]
     # one row against every anchor at once is 1.6 MB of booleans
-    peak, counts = traced_peak(hilbert._dominated, rows, anchors)
+    peak, counts = traced_peak(hilbert._dominated, rows, anchors,
+                               _Budget(1, None))
     assert counts.tolist() == expected
     assert peak < 200_000
+
+
+# The one slow component of the 10-tet complement relabelled by
+# bench/gen.py's random_relabelling(names, random.Random(1)), admissible
+# enumeration: a 16-column system whose greedy lift order charges 5,184
+# and then 22,536 candidates to grow 203 generators into 2,140, after
+# which the next lift charges 1,328,400
+HARD_SUBCONE = [
+    [0, 1, 0, 0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 0, 0],
+    [1, -1, 0, 0, 1, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0],
+    [0, 0, -1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2],
+    [0, -1, 1, 0, 1, 0, 0, 0, 0, 0, 0, -1, 0, 0, -1, 0],
+    [0, 0, 0, -1, 0, 0, 1, 0, 0, 1, 0, -1, -1, 0, 0, 0],
+    [0, 0, -1, 0, 0, 1, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0],
+    [-1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, -1, 0, -1],
+    [0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 1, 0, 0, -1, 0, -1],
+    [0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 1],
+    [0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0, -1, 0, 0],
+    [0, 0, 0, 1, 0, -1, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0],
+    [0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, -1],
+    [0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, -1, 0, 1],
+    [0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, -1, 0],
+    [-1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1],
+    [0, 0, 1, 0, 0, -1, 0, 0, 0, 0, 0, -1, -1, 0, 1, 1],
+    [0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0, -1, 0, 0],
+]
+
+
+def test_deadline_is_checked_between_charges():
+    # the deadline passes as soon as the 22,536-candidate step is
+    # charged; the dominance tests of that step, well over a tenth of a
+    # second, must notice it before the 1,328,400-candidate charge
+    class Expiring(_Budget):
+        def charge(self, count):
+            super().charge(count)
+            if self.examined >= 28_403 and self.deadline is None:
+                self.deadline = time.monotonic()
+
+    budget = Expiring(10 ** 9, None)
+    with pytest.raises(ResourceLimitExceeded) as raised:
+        hilbert._hilbert_sequential(np.array(HARD_SUBCONE), budget)
+    assert raised.value.candidates == 28_403
+    assert time.monotonic() - budget.deadline < 0.5
 
 
 def test_adjacent_pairs_keep_their_order_in_small_blocks(monkeypatch):
@@ -446,6 +534,30 @@ def test_extreme_rays_with_groups_keep_every_respecting_ray():
         assert all(respects(z) for z in rays), (ineq, groups)
         assert {z for z in oracle if respects(z)} <= set(rays), \
             (ineq, groups)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_bitset_kernels_match_python_ints(width):
+    rng = random.Random(width)
+    masks = [rng.getrandbits(64 * width) & rng.getrandbits(64 * width)
+             for _ in range(30)] + [0, (1 << 64 * width) - 1]
+    bits = hilbert._bitsets(masks, width)
+    assert hilbert._popcount(bits).tolist() == \
+        [bin(m).count("1") for m in masks]
+    assert hilbert._disjoint(bits[:, None], bits[None]).tolist() == \
+        [[a & b == 0 for b in masks] for a in masks]
+
+
+def test_extreme_rays_on_multiword_bitsets_match_the_oracle():
+    # 65 to 150 rows, so tight sets span two or three uint64 words; every
+    # row is positive on (0, 0, 1), which is thus inside the cone
+    rng = random.Random(41)
+    for _ in range(4):
+        ineq = [(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(rng.randint(65, 150))]
+        rays = _extreme_rays(ineq, _Budget(10 ** 9, None))
+        assert_rays_of_cone(ineq, rays)
+        assert set(rays) == cone_extreme_rays(ineq), ineq
 
 
 # sha256 of json.dumps of the ordered ray list that _extreme_rays returns
