@@ -27,8 +27,9 @@ from typing import Iterable, Optional
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
 from .hilbert import DEFAULT_MAX_CANDIDATES, FundamentalSet, enumerate_fundamental
 from .homology import verify_zero_pushoff
-from .matching import BLOCK, NormalVector, restrict_to_link
-from .surface import analyze, separates
+from .matching import (BLOCK, NormalVector, quad_offsets_crossing,
+                       restrict_to_link)
+from .surface import analyze, euler_coefficients, separates
 from .triangulation import EdgeCycle, LinkComponent, LinkSpec, Triangulation
 
 SPLIT = "SPLIT"
@@ -70,6 +71,35 @@ def _is_splitting_sphere(tri: Triangulation, v: NormalVector,
     return separates(tri, v, link)
 
 
+class _Screen:
+    """Linear tests that rule a surface out before analyze runs.
+
+    On an admissible solution v, analyze(tri, v).euler is euler . v
+    (surface.euler_coefficients), and the surface is closed exactly
+    when v is zero on boundary_meeting_variables(tri). admits(v, chi,
+    closed) is False only when those settle that the report differs in
+    chi or closedness, so callers skip analyze for v with no change in
+    outcome. A vector crossing an edge class glued to itself reversed
+    is always admitted, so that analyze still raises
+    TriangulationError on it.
+    """
+
+    def __init__(self, tri: Triangulation):
+        self.euler = euler_coefficients(tri)
+        self.boundary = sorted(boundary_meeting_variables(tri))
+        self.inverted = sorted({
+            BLOCK * t + k
+            for ec in tri.skeleton.edge_classes if ec.inverted
+            for t, (a, b) in ec.members
+            for k in (a, b, *quad_offsets_crossing(a, b))})
+
+    def admits(self, v: NormalVector, chi: int, closed: bool) -> bool:
+        if any(v[i] for i in self.inverted):
+            return True
+        return (sum(c * x for c, x in zip(self.euler, v)) == chi
+                and closed != any(v[i] for i in self.boundary))
+
+
 def split_link_check(
     tri: Triangulation,
     link: LinkSpec,
@@ -87,7 +117,9 @@ def split_link_check(
     NOT_SPLIT, because a split link always admits a fundamental
     splitting sphere. If enumeration overruns max_candidates or
     time_budget the verdict is UNKNOWN with diagnostics: an incomplete
-    scan proves nothing either way.
+    scan proves nothing either way. Every scanned vector counts in
+    searched_count, but analyze runs only on those that miss the
+    boundary and whose Euler characteristic, linear in the vector, is 2.
 
     Raises TriangulationError when the triangulation is invalid or the
     link does not resolve to exactly two disjoint components.
@@ -103,10 +135,12 @@ def split_link_check(
             diagnostics=(
                 f"fundamental enumeration exceeded its budget after "
                 f"{exc.candidates} candidates: {exc}"))
+    screen = _Screen(tri)
     searched = 0
     for v in fs.vectors:
         searched += 1
-        if _is_splitting_sphere(tri, v, link):
+        if (screen.admits(v, 2, closed=True)
+                and _is_splitting_sphere(tri, v, link)):
             return Verdict(answer=SPLIT, witness=v, searched_count=searched)
     return Verdict(answer=NOT_SPLIT, witness=None, searched_count=searched)
 
@@ -208,9 +242,11 @@ def filter_unknotting_disks(
             "triangulation is closed: no boundary for a disk to end on")
     allowed = frozenset(longitude_pattern)
     banned = boundary_meeting_variables(tri) - allowed
+    screen = _Screen(tri)
     disks = []
     for v in fs.vectors:
-        if not any(v) or any(v[i] for i in banned):
+        if (any(v[i] for i in banned)
+                or not screen.admits(v, 1, closed=False)):
             continue
         report = analyze(tri, v)
         if (report.euler == 1 and report.components == 1

@@ -20,6 +20,12 @@ class HomologyError(NormSurfError):
     """Homology computation refused or given a non-cycle input."""
 
 
+class IntegerOverflow(NormSurfError):
+    """An intermediate value of the completion search may not fit the
+    int64 arrays it is computed in. Raised before the value is built,
+    so no result is ever computed from a wrapped value."""
+
+
 class ResourceLimitExceeded(NormSurfError):
     """Enumeration exceeded its candidate or wall-clock budget.
 

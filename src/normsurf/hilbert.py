@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitExceeded
+from .errors import IntegerOverflow, ResourceLimitExceeded
 from .homology import _smith_with_transforms
 from .matching import MatchingSystem, NormalVector, is_admissible
 from .union_find import UnionFind
@@ -30,6 +30,7 @@ from .union_find import UnionFind
 DEFAULT_MAX_CANDIDATES = 10_000_000
 # elements a broadcast temporary may hold
 _CHUNK = 1 << 15
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -299,6 +300,15 @@ def _quadruple_to_row(eq: tuple[int, int, int, int]) -> dict[int, int]:
 # -- completion search -----------------------------------------------------
 
 
+def _require_int64(bound: int, what: str) -> None:
+    """Raise IntegerOverflow unless bound, a Python int bounding the
+    absolute values about to be computed, fits in int64."""
+    if bound > _INT64_MAX:
+        raise IntegerOverflow(
+            f"{what} may reach {bound}, beyond the int64 range "
+            "(2**63 - 1) of the completion search")
+
+
 def _count_matches(rows: np.ndarray, anchors: np.ndarray,
                    match: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    budget: _Budget) -> np.ndarray:
@@ -388,10 +398,16 @@ def _lift_equation(H: np.ndarray, vals: np.ndarray,
         minimal among the step's sums and above no archived sum of
         their value; they come out ordered by value, then row.
     Each step's candidate count is charged before its sums are built.
+
+    A sum adds a generator to a partial sum of the opposite sign, so its
+    value lies strictly between theirs and cannot overflow; each step
+    checks that its coordinates, at most the largest fresh coordinate
+    plus the largest generator entry, fit in int64.
     """
     zero = H[vals == 0]
     if not (vals > 0).any() or not (vals < 0).any():
         return zero
+    top = int(H.max())
     aug = np.hstack([vals[:, None], -vals[:, None], H])
     width = aug.shape[1]
     pos, neg = aug[vals > 0], aug[vals < 0]
@@ -401,6 +417,8 @@ def _lift_equation(H: np.ndarray, vals: np.ndarray,
     cand = aug[vals != 0]
     while len(cand):
         archive, fresh = _merge_antichain(archive, cand, budget)
+        _require_int64(int(fresh[:, 2:].max(initial=0)) + top,
+                       "a partial sum's coordinates")
         fresh_up, fresh_down = fresh[fresh[:, 0] > 0], fresh[fresh[:, 0] < 0]
         budget.charge(len(fresh_up) * len(neg) + len(fresh_down) * len(pos))
         cand = np.vstack([
@@ -424,11 +442,17 @@ def _hilbert_sequential(A: np.ndarray, budget: _Budget) -> np.ndarray:
     chosen greedily so the cheapest lift runs first, the earliest row
     on ties. A row that is a multiple of one already imposed is zero on
     every generator, so it is chosen next and lifts at no cost.
+
+    The generators are nonnegative, so every entry of H @ A.T, and every
+    partial sum the product forms, is at most max(H) times the largest
+    absolute row sum of A; each step checks that this fits in int64.
     """
+    norm = max((sum(map(abs, row)) for row in A.tolist()), default=0)
     H = np.eye(A.shape[1], dtype=np.int64)
     budget.charge(len(H))
     remaining = list(range(len(A)))
     while remaining and len(H):
+        _require_int64(int(H.max()) * norm, "equation values")
         vals = H @ A[remaining].T
         npos = (vals > 0).sum(0).tolist()
         nneg = (vals < 0).sum(0).tolist()

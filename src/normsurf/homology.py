@@ -92,6 +92,29 @@ class H1Class:
         return self._combine([-v for v in self.values])
 
 
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst -= q * src over the nonzeros of src.
+
+    Sparse vectors are dicts from index to value that hold no zeros.
+    """
+    if q:
+        for k, b in src.items():
+            v = dst.get(k, 0) - q * b
+            if v:
+                dst[k] = v
+            else:
+                del dst[k]
+
+
+def _dense(vectors: Sequence[dict[int, int]], width: int
+           ) -> list[list[int]]:
+    out = [[0] * width for _ in vectors]
+    for row, vec in zip(out, vectors):
+        for k, x in vec.items():
+            row[k] = x
+    return out
+
+
 def _smith_with_transforms(
         A: Sequence[Sequence[int]], m: int, n: int
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]],
@@ -103,48 +126,82 @@ def _smith_with_transforms(
     on V applies the inverse row operation to V^-1, so the columns of V
     past the rank are a basis of the integer kernel of A and the rows of
     V^-1 past the rank project a vector onto them.
+
+    The transforms depend on the sequence of operations, which is fixed:
+    the pivot for position t is the entry of smallest absolute value in
+    rows and columns >= t, the first in row-major order on ties. It is
+    swapped to (t, t) and made positive. Rows, top to bottom, then
+    columns, left to right, subtract floor multiples of it, a nonzero
+    remainder being swapped in as the new pivot, until both are clear.
+    If an entry past (t, t) is not a multiple of the pivot, the first
+    row holding one is added to the pivot row and t starts over.
+
+    Only nonzero work is done, which leaves that sequence unchanged:
+      - No entry is smaller than a unit, so the pivot search stops at
+        the first entry of absolute value 1: later ones could only tie.
+      - Every integer is a multiple of a unit pivot, so the
+        divisibility scan is skipped for one.
+      - S, U and V^-1 are sparse rows and V sparse columns. An
+        operation touches its source's nonzeros, and a pass visits the
+        rows (columns) with a nonzero in the pivot column (row): a visit
+        rewrites or swaps only its own row (column) and the pivot's.
+      - The row pass leaves the pivot column clear, so until a column
+        swap, column operations change S in the pivot row only.
     """
-    S = [[int(A[i][j]) for j in range(n)] for i in range(m)]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    Vinv = [row[:] for row in V]
+    S = [{j: int(A[i][j]) for j in range(n) if A[i][j]} for i in range(m)]
+    U = [{i: 1} for i in range(m)]
+    V_cols = [{j: 1} for j in range(n)]
+    Vinv = [{j: 1} for j in range(n)]
 
     def row_sub(i, j, q):
-        S[i] = [a - q * b for a, b in zip(S[i], S[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        _axpy(S[i], S[j], q)
+        _axpy(U[i], U[j], q)
 
-    def col_sub(i, j, q):
-        for r in range(m):
-            S[r][i] -= q * S[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
-        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
+    def col_sub(i, j, q, rows):
+        # rows: every row of S with a nonzero in column j
+        if q:
+            for r in rows:
+                row = S[r]
+                v = row.get(i, 0) - q * row[j]
+                if v:
+                    row[i] = v
+                else:
+                    del row[i]
+        _axpy(V_cols[i], V_cols[j], q)
+        _axpy(Vinv[j], Vinv[i], -q)
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
-        for r in range(m):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        for row in S:
+            a, b = row.pop(i, 0), row.pop(j, 0)
+            if b:
+                row[i] = b
+            if a:
+                row[j] = a
+        V_cols[i], V_cols[j] = V_cols[j], V_cols[i]
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def positivize(t):
         if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
+            for vec in (S[t], U[t]):
+                for k in vec:
+                    vec[k] = -vec[k]
 
     t = 0
     while t < m and t < n:
+        # earlier pivots cleared their rows and columns, so the rows
+        # from t on hold entries in columns t and up only
         best = None
-        pi = pj = t
         for i in range(t, m):
-            for j in range(t, n):
-                v = abs(S[i][j])
-                if v and (best is None or v < best):
+            if S[i]:
+                v, j = min((abs(x), j) for j, x in S[i].items())
+                if best is None or v < best:
                     best, pi, pj = v, i, j
+                    if v == 1:
+                        break
         if best is None:
             break
         row_swap(t, pi)
@@ -153,36 +210,37 @@ def _smith_with_transforms(
 
         while True:
             swapped = False
-            for i in range(m):
-                if i != t and S[i][t]:
-                    row_sub(i, t, S[i][t] // S[t][t])
-                    if S[i][t]:
-                        # remainder beats the pivot; promote it
-                        row_swap(t, i)
-                        positivize(t)
-                        swapped = True
+            for i in [i for i in range(m) if i != t and t in S[i]]:
+                row_sub(i, t, S[i][t] // S[t][t])
+                if t in S[i]:
+                    # remainder beats the pivot; promote it
+                    row_swap(t, i)
+                    positivize(t)
+                    swapped = True
             if swapped:
                 continue
-            for j in range(n):
-                if j != t and S[t][j]:
-                    col_sub(j, t, S[t][j] // S[t][t])
-                    if S[t][j]:
-                        col_swap(t, j)
-                        swapped = True
+            rows = [t]
+            for j in sorted(k for k in S[t] if k != t):
+                col_sub(j, t, S[t][j] // S[t][t], rows)
+                if j in S[t]:
+                    col_swap(t, j)
+                    rows = [r for r in range(m) if t in S[r]]
+                    swapped = True
             if not swapped:
                 break
 
-        offender = -1
-        for i in range(t + 1, m):
-            if any(S[i][j] % S[t][t] for j in range(t + 1, n)):
-                offender = i
-                break
-        if offender >= 0:
-            # fold the offending row in and rerun this pivot
-            row_sub(t, offender, -1)
-            continue
+        p = S[t][t]
+        if p != 1:
+            offender = next(
+                (i for i in range(t + 1, m)
+                 if any(x % p for j, x in S[i].items() if j > t)), -1)
+            if offender >= 0:
+                # fold the offending row in and rerun this pivot
+                row_sub(t, offender, -1)
+                continue
         t += 1
-    return S, U, V, Vinv
+    V = [list(col) for col in zip(*_dense(V_cols, n))]
+    return _dense(S, n), _dense(U, m), V, _dense(Vinv, n)
 
 
 def _matvec(A: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:

@@ -321,6 +321,45 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
         disk_count=disk_count)
 
 
+def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
+    """Integer coefficients c with c . v == analyze(tri, v).euler for
+    every admissible solution v.
+
+    analyze counts chi = V - E + F over the surface's cells:
+      - F = sum(v): each variable counts +1 as a disk.
+      - V is the sum of the edge-class weights. For a solution all
+        members of a class are crossed equally often, so each class
+        counts the crossing count of its representative (least) member:
+        the edge {a, b} of tetrahedron t is crossed by t_a + t_b
+        triangles plus the quads of the two types separating a from b.
+      - E counts each arc once: on one side of every interior pair and
+        on every boundary facet, each arc counting -1. The face of t
+        omitting d carries at corner x the t_x triangles plus the quads
+        of the type quad_offset(x, d).
+    These are _TetPattern's edge_weight and arc_count, which are linear
+    in the block as long as it has at most one quad type, as every
+    admissible vector does. So c_i is the count at the unit vector e_i:
+    1 + (its crossings of representative edges) - (its arcs).
+    """
+    units = [_TetPattern(0, [int(k == i) for k in range(BLOCK)])
+             for i in range(BLOCK)]
+    c = [1] * (BLOCK * tri.size)
+
+    def add(t: int, counts) -> None:
+        for i, count in enumerate(counts):
+            c[BLOCK * t + i] += count
+
+    for ec in tri.skeleton.edge_classes:
+        t, (a, b) = min(ec.members)
+        add(t, (u.edge_weight(a, b) for u in units))
+    faces = [spot for spot, _, _ in tri.interior_pairs()]
+    for t, face in faces + list(tri.boundary_facets()):
+        d = omitted_vertex(face)
+        for x in face:
+            add(t, (-u.arc_count(x, d) for u in units))
+    return tuple(c)
+
+
 def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     """Regions the surface cuts the underlying space into.
 

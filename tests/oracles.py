@@ -9,6 +9,7 @@ computations produced the same answer, not one computation ran twice.
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -509,3 +510,101 @@ def lift_reference(H, vals):
         cand = [(r, v) for r, v in cand
                 if v and not any(above(r, f) for f in finished)]
     return minimal(finished), built
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form with transforms, as the library computed it before it
+# moved to sparse storage and unit shortcuts: a dense, full rescan for every
+# pivot. The library must keep returning exactly these S, U, V and V^-1.
+
+def smith_reference(
+        A: Sequence[Sequence[int]], m: int, n: int
+) -> tuple[list[list[int]], list[list[int]], list[list[int]],
+           list[list[int]]]:
+    """Smith normal form S = U A V with U, V unimodular, and V's inverse.
+
+    Exact arbitrary-precision integers throughout; the diagonal is
+    nonnegative with each entry dividing the next. Each column operation
+    on V applies the inverse row operation to V^-1, so the columns of V
+    past the rank are a basis of the integer kernel of A and the rows of
+    V^-1 past the rank project a vector onto them.
+    """
+    S = [[int(A[i][j]) for j in range(n)] for i in range(m)]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vinv = [row[:] for row in V]
+
+    def row_sub(i, j, q):
+        S[i] = [a - q * b for a, b in zip(S[i], S[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_sub(i, j, q):
+        for r in range(m):
+            S[r][i] -= q * S[r][j]
+        for r in range(n):
+            V[r][i] -= q * V[r][j]
+        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
+
+    def row_swap(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            S[r][i], S[r][j] = S[r][j], S[r][i]
+        for r in range(n):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def positivize(t):
+        if S[t][t] < 0:
+            S[t] = [-x for x in S[t]]
+            U[t] = [-x for x in U[t]]
+
+    t = 0
+    while t < m and t < n:
+        best = None
+        pi = pj = t
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(S[i][j])
+                if v and (best is None or v < best):
+                    best, pi, pj = v, i, j
+        if best is None:
+            break
+        row_swap(t, pi)
+        col_swap(t, pj)
+        positivize(t)
+
+        while True:
+            swapped = False
+            for i in range(m):
+                if i != t and S[i][t]:
+                    row_sub(i, t, S[i][t] // S[t][t])
+                    if S[i][t]:
+                        # remainder beats the pivot; promote it
+                        row_swap(t, i)
+                        positivize(t)
+                        swapped = True
+            if swapped:
+                continue
+            for j in range(n):
+                if j != t and S[t][j]:
+                    col_sub(j, t, S[t][j] // S[t][t])
+                    if S[t][j]:
+                        col_swap(t, j)
+                        swapped = True
+            if not swapped:
+                break
+
+        offender = -1
+        for i in range(t + 1, m):
+            if any(S[i][j] % S[t][t] for j in range(t + 1, n)):
+                offender = i
+                break
+        if offender >= 0:
+            # fold the offending row in and rerun this pivot
+            row_sub(t, offender, -1)
+            continue
+        t += 1
+    return S, U, V, Vinv

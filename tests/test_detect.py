@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from normsurf import matching, triangulation
+from normsurf import matching, surface, triangulation
 from normsurf.detect import (boundary_meeting_variables,
                              filter_unknotting_disks, split_link_check,
                              unknot_via_pushoff)
@@ -60,6 +60,26 @@ def test_split_check_derives_each_datum_once(monkeypatch):
     verdict = split_link_check(tri, disconnected_link())
     assert verdict.answer == "SPLIT" and verdict.searched_count == 53
     assert (len(validated), len(skeletons), len(systems)) == (1, 1, 1)
+
+
+def test_split_scan_analyzes_only_screened_vectors(monkeypatch, disc_tri,
+                                                   disc_link):
+    # of the 53 fundamental surfaces scanned, only the witness is a
+    # closed surface of Euler characteristic 2
+    analyzed = count_calls(monkeypatch, surface.analyze)
+    verdict = split_link_check(disc_tri, disc_link)
+    assert verdict.answer == "SPLIT" and verdict.searched_count == 53
+    assert [args[1] for args in analyzed] == [verdict.witness]
+
+
+def test_split_scan_refuses_surfaces_crossing_inverted_edges():
+    # edge 01 is glued to itself reversed, and the first fundamental
+    # surface, a quad meeting the boundary, crosses it
+    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
+                        infer_reciprocals=True)
+    link = LinkSpec(components=(IdealVertex("s", 0), IdealVertex("s", 2)))
+    with pytest.raises(TriangulationError, match="reversed"):
+        split_link_check(tri, link)
 
 
 def test_component_order_does_not_matter(tri12):
@@ -163,6 +183,32 @@ def test_filter_disks_single_tet():
     disks = filter_unknotting_disks(st, fs, range(7))
     assert disks == list(fs.vectors)
     assert filter_unknotting_disks(st, fs, ()) == []
+
+
+def disks_by_analysis(tri, fs, allowed):
+    """filter_unknotting_disks without the linear screen: every vector
+    off the banned variables goes through analyze."""
+    banned = boundary_meeting_variables(tri) - frozenset(allowed)
+    out = []
+    for v in fs.vectors:
+        if not any(v) or any(v[i] for i in banned):
+            continue
+        r = analyze(tri, v)
+        if (r.euler, r.components, r.closed, r.boundary_circles) == (
+                1, 1, False, 1):
+            out.append(v)
+    return out
+
+
+def test_screened_disk_filter_keeps_every_disk(tri10, fund10):
+    st = solid_torus()
+    fs_st = enumerate_fundamental(build_matching_system(st),
+                                  admissible_only=True)
+    for tri, fs, count in ((tri10, fund10, 1), (st, fs_st, 2)):
+        allowed = boundary_meeting_variables(tri)
+        disks = filter_unknotting_disks(tri, fs, allowed)
+        assert len(disks) == count
+        assert disks == disks_by_analysis(tri, fs, allowed)
 
 
 def test_filter_disks_complement(tri10, fund10):

@@ -1,6 +1,7 @@
 """Fundamental-solution enumeration against independent brute force."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +20,11 @@ from sympy.matrices.normalforms import smith_normal_form
 
 import normsurf
 from normsurf import fixtures, hilbert
-from normsurf.errors import ResourceLimitExceeded
+from normsurf.errors import IntegerOverflow, ResourceLimitExceeded
 from normsurf.hilbert import (_Budget, _extreme_rays, _integer_kernel,
                               enumerate_fundamental, filter_admissible)
-from normsurf.matching import (MatchingSystem, is_admissible, is_solution,
-                               restrict_to_link)
+from normsurf.matching import (BLOCK, MatchingSystem, is_admissible,
+                               is_solution, quad_offset, restrict_to_link)
 
 from oracles import (bounded_solutions, brute_force_solutions,
                      cone_extreme_rays, decomposes_over, lift_reference,
@@ -415,6 +417,25 @@ def test_lift_charges_a_step_before_building_it():
     assert peak < step_bytes / 10
 
 
+def test_values_past_int64_raise_instead_of_wrapping():
+    def system(c):
+        # x0 = x1 and 2 x0 = x2 + x3, the second scaled by c: the first
+        # lift's generator e0 + e1 has value 2c on the second equation
+        return np.array([[1, -1, 0, 0], [c, c, -c, -c]], dtype=np.int64)
+
+    budget = _Budget(10 ** 6, None)
+    assert hilbert._hilbert_sequential(system(2 ** 60), budget).tolist() \
+        == [[1, 1, 0, 2], [1, 1, 1, 1], [1, 1, 2, 0]]
+    # 2 * 2**62 wraps to -2**63, which once left no positive value and
+    # so an empty basis
+    with pytest.raises(IntegerOverflow, match="int64"):
+        hilbert._hilbert_sequential(system(2 ** 62), budget)
+    # a partial sum whose coordinate would wrap to -2**63
+    with pytest.raises(IntegerOverflow, match="int64"):
+        hilbert._lift_equation(np.array([[2 ** 62], [2 ** 62]]),
+                               np.array([1, -1]), budget)
+
+
 def test_dominance_blocks_the_anchor_axis():
     rng = np.random.default_rng(5)
     anchors = rng.integers(0, 4, size=(200_000, 8))
@@ -602,6 +623,51 @@ assert cli.main(["unknot", d + "/fig8_12tet.json",
                  "--homology-tri", d + "/fig8_10tet.json"]) == 0
 assert "sympy" not in sys.modules
 """
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# candidates_examined of the admissible enumeration of the 10-tet
+# complement relabelled by bench/gen.py's random_relabelling(names,
+# random.Random(seed)), for seeds whose cost stays near the canonical one
+RELABELLED_WORK = {2: 1_141_758, 4: 1_016_695}
+
+
+def canonical_coordinates(v, tri, relabelling):
+    """v, a vector of gen.relabel(tri, relabelling), in tri's labels.
+
+    gen.relabel moves tetrahedron `name` to position order.index(name)
+    and renames its vertex x to sigma[x]: a triangle type follows its
+    vertex, and the quad type separating {0, x} follows that pair.
+    """
+    order, perms = relabelling
+    out = []
+    for t in range(tri.size):
+        sigma = perms[tri.name(t)]
+        at = BLOCK * order.index(tri.name(t))
+        block = v[at:at + BLOCK]
+        out += [block[sigma[x]] for x in range(4)]
+        out += [block[quad_offset(sigma[0], sigma[x])] for x in (1, 2, 3)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", sorted(RELABELLED_WORK))
+def test_relabelled_enumeration_is_the_canonical_one(seed, tri10, fund10,
+                                                     monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    gen = importlib.import_module("gen")
+    names = [tri10.name(t) for t in range(tri10.size)]
+    relabelling = gen.random_relabelling(names, random.Random(seed))
+    fs = enumerate_fundamental(
+        gen.relabel(tri10, relabelling).matching_system,
+        admissible_only=True)
+    assert len(fs.vectors) == 110
+    back = sorted(canonical_coordinates(v, tri10, relabelling)
+                  for v in fs.vectors)
+    blob = json.dumps([[int(x) for x in v] for v in back],
+                      separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == "4a50c39f6e38a1bc"
+    assert back == list(fund10.vectors)
+    assert fs.candidates_examined == RELABELLED_WORK[seed]
 
 
 def test_runtime_never_imports_sympy(tmp_path):

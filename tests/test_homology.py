@@ -14,19 +14,23 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from normsurf import hilbert, homology
 from normsurf.errors import HomologyError
-from normsurf.fixtures import (fig8_longitude_cycle, fig8_pushoff_cycle,
+from normsurf.fixtures import (disconnected_link, disconnected_pair,
+                               fig8_closed, fig8_complement, fig8_link,
+                               fig8_longitude_cycle, fig8_pushoff_cycle,
                                single_tet, solid_torus)
+from normsurf.hilbert import enumerate_fundamental
 from normsurf.homology import (_smith_with_transforms, chain_complex,
                                cycle_chain, edge_cycle_class, h1,
                                verify_zero_pushoff)
-from normsurf.matching import vertex_link_vector
+from normsurf.matching import restrict_to_link, vertex_link_vector
 from normsurf.surface import analyze
 from normsurf.triangulation import (EdgeCycle, Triangulation,
                                     parse_triangulation,
                                     serialize_triangulation)
 
-from oracles import UF
+from oracles import UF, smith_reference
 from tables import (DIRECTED_LOOP_VALUES, LONGITUDE_CLASS_MEMBERS,
                     RAW_TEN_TET, RAW_TET_ORDER)
 
@@ -62,6 +66,78 @@ def test_smith_form_matches_sympy():
         # divisibility chain
         for a, b in zip(got, got[1:]):
             assert b % a == 0
+
+
+def smith_test_matrices(rng):
+    """200 matrices covering each branch of the pivot rule."""
+
+    def matrix(m, n, pick):
+        return [[pick() for _ in range(n)] for _ in range(m)]
+
+    out = []
+    for _ in range(50):  # small dense
+        out.append(matrix(rng.randint(1, 5), rng.randint(1, 5),
+                          lambda: rng.randint(-4, 4)))
+    for _ in range(50):  # sparse, up to 40 x 40, entries in -2..2
+        m, n = rng.randint(1, 40), rng.randint(1, 40)
+        p = 1.5 / max(m, n)
+        out.append(matrix(m, n, lambda: rng.choice((-2, -1, 1, 2))
+                          if rng.random() < p else 0))
+    for _ in range(40):  # no unit entry, so the divisibility fold runs
+        out.append(matrix(rng.randint(2, 6), rng.randint(2, 6),
+                          lambda: rng.choice((0, 0, 2, -2, 3, -3, 4, 6))))
+    for _ in range(30):  # one unit, in the bottom half of the rows
+        m, n = rng.randint(2, 8), rng.randint(2, 8)
+        A = matrix(m, n, lambda: rng.choice((0, 2, -2, 3, -4, 5)))
+        A[rng.randrange(m // 2, m)][rng.randrange(n)] = rng.choice((1, -1))
+        out.append(A)
+    for _ in range(30):  # the first unit is a -1 past column 0: the
+        # swaps bring it to (0, 0), then its row is negated
+        m, n = rng.randint(2, 8), rng.randint(3, 8)
+        A = matrix(m, n, lambda: rng.choice((0, 0, 2, -3, 1, -1)))
+        i = rng.randrange(min(m, n - 1))
+        for r in range(i + 1):
+            A[r] = [2 * x if abs(x) == 1 else x for x in A[r]]
+        A[i][rng.randrange(i + 1, n)] = -1
+        out.append(A)
+    return out
+
+
+def test_smith_matches_the_reference_on_random_matrices():
+    matrices = smith_test_matrices(random.Random(9))
+    assert len(matrices) == 200
+    for A in matrices:
+        m, n = len(A), len(A[0])
+        assert _smith_with_transforms(A, m, n) == smith_reference(A, m, n)
+
+
+def test_smith_matches_the_reference_on_fixture_matrices(monkeypatch):
+    """Every matrix the bundled pipelines hand to the routine: the
+    integer kernels and extreme-ray bases of four enumerations, and the
+    boundaries of three H1 computations."""
+    seen = []
+
+    def recording(A, m, n):
+        seen.append(([list(row) for row in A], m, n))
+        return _smith_with_transforms(A, m, n)
+
+    monkeypatch.setattr(hilbert, "_smith_with_transforms", recording)
+    monkeypatch.setattr(homology, "_smith_with_transforms", recording)
+    t10, t12, pair, st = (fig8_complement(), fig8_closed(),
+                          disconnected_pair(), solid_torus())
+    for system in (t10.matching_system,
+                   restrict_to_link(t12.matching_system, t12, fig8_link()),
+                   restrict_to_link(pair.matching_system, pair,
+                                    disconnected_link()),
+                   st.matching_system):
+        enumerate_fundamental(system, admissible_only=True)
+    h1(t10)
+    h1(st)
+    h1(t12, strict=False)
+    assert len(seen) == 14
+    assert (124, 130) in {(m, n) for _, m, n in seen}
+    for A, m, n in seen:
+        assert _smith_with_transforms(A, m, n) == smith_reference(A, m, n)
 
 
 def test_boundary_composition_is_zero(tri10, tri12):

@@ -10,11 +10,15 @@ import random
 
 import pytest
 
+from normsurf.detect import boundary_meeting_variables
 from normsurf.errors import TriangulationError, VectorError
-from normsurf.fixtures import fig8_link, single_tet
+from normsurf.fixtures import fig8_link, single_tet, solid_torus
+from normsurf.hilbert import enumerate_fundamental
 from normsurf.matching import (all_triangles_vector, haken_sum,
-                               is_admissible, vertex_link_vector)
-from normsurf.surface import analyze, complement_regions, separates
+                               is_admissible, restrict_to_link,
+                               vertex_link_vector)
+from normsurf.surface import (analyze, complement_regions,
+                              euler_coefficients, separates)
 from normsurf.triangulation import Triangulation
 
 from oracles import surface_cell_counts
@@ -181,3 +185,36 @@ def test_inverted_edge_class_policy():
     with pytest.raises(TriangulationError, match="reversed"):
         analyze(tri, (1, 1, 0, 0, 0, 0, 0))
     assert analyze(tri, (0, 0, 0, 0, 0, 0, 0)).weight == 0
+
+
+def test_euler_characteristic_and_closedness_are_linear(
+        tri10, fund10, tri12, fund_restricted, disc_tri, disc_link):
+    """On every admissible fundamental vector of four systems, and on
+    the admissible sums of seeded pairs of them, euler_coefficients
+    gives analyze's Euler characteristic, and zero weight on the
+    boundary-meeting variables means closed."""
+    st = solid_torus()
+    pair = restrict_to_link(disc_tri.matching_system, disc_tri, disc_link)
+    cases = [
+        (tri10, fund10.vectors),
+        (tri12, fund_restricted.vectors),
+        (disc_tri, enumerate_fundamental(pair, admissible_only=True).vectors),
+        (st, enumerate_fundamental(st.matching_system,
+                                   admissible_only=True).vectors),
+    ]
+    rng = random.Random(4)
+    sums = 0
+    for tri, vectors in cases:
+        c = euler_coefficients(tri)
+        assert len(c) == 7 * tri.size
+        boundary = boundary_meeting_variables(tri)
+        pairs = [rng.sample(vectors, 2) for _ in range(40)]
+        summed = [tuple(x + y for x, y in zip(a, b)) for a, b in pairs]
+        summed = [v for v in summed if is_admissible(v)]
+        sums += len(summed)
+        for v in list(vectors) + summed:
+            r = analyze(tri, v)
+            assert sum(a * x for a, x in zip(c, v)) == r.euler
+            assert (not any(v[i] for i in boundary)) == r.closed
+    assert [len(vs) for _, vs in cases] == [110, 3, 54, 4]
+    assert sums > 60
