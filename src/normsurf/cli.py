@@ -163,7 +163,8 @@ def build_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         raise NormSurfError("max-candidates must be positive")
     if args.time_budget is None:
         args.time_budget = env_time
-    if args.time_budget is not None and args.time_budget <= 0:
+    # "not > 0" also refuses NaN, which no deadline would ever pass
+    if args.time_budget is not None and not args.time_budget > 0:
         raise NormSurfError("time-budget must be positive")
     return args
 
@@ -502,10 +503,7 @@ def run(config: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=err)
         return 3
-    except NormSurfError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except OSError as exc:
+    except (NormSurfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

@@ -65,6 +65,8 @@ class _Budget:
     def __init__(self, max_candidates: int, time_budget: Optional[float]):
         if max_candidates <= 0:
             raise ValueError("max_candidates must be positive")
+        if time_budget is not None and math.isnan(time_budget):
+            raise ValueError("time_budget must be a number, not NaN")
         self.max_candidates = max_candidates
         self.start = time.monotonic()
         self.deadline = None if time_budget is None else self.start + time_budget
@@ -93,85 +95,6 @@ class _Budget:
 # -- reduction -------------------------------------------------------------
 
 
-class _Closure:
-    """The zero/merge fixpoint of one system: the state that zero
-    propagation and equality merging reach, before any substitution.
-
-    It holds the union-find of merged variables (every class is named
-    by its minimum), the zeroed roots, the surviving equations over
-    roots by input index, an index from each variable to the equations
-    that held it, and `first`, a heap holding every surviving equation
-    (an equation that leaves it has no pivot; see _Reduction).
-    """
-
-    def __init__(self, n: int, equations: Iterable[dict[int, int]],
-                 forced_zeros: Iterable[int]):
-        self.n = n
-        self.uf = UnionFind(range(n))
-        self.zeros = set(forced_zeros)
-        self.eqs = dict(enumerate(dict(eq) for eq in equations))
-        self.uses: dict[int, set[int]] = {}
-        for k, eq in self.eqs.items():
-            for var in eq:
-                self.uses.setdefault(var, set()).add(k)
-        self.first: list[int] = []
-        self.normalize(set(self.eqs))
-
-    def copy(self) -> _Closure:
-        """An independent copy: it shares no mutable container."""
-        twin = object.__new__(_Closure)
-        twin.n = self.n
-        twin.uf = self.uf.copy()
-        twin.zeros = set(self.zeros)
-        twin.eqs = {k: dict(eq) for k, eq in self.eqs.items()}
-        twin.uses = {var: set(ks) for var, ks in self.uses.items()}
-        twin.first = list(self.first)
-        return twin
-
-    def add_zeros(self, zeros: Iterable[int]) -> None:
-        """Force more variables to zero and return to the fixpoint,
-        normalizing only the equations that hold them."""
-        roots = {self.uf.find(z) for z in zeros} - self.zeros
-        self.zeros |= roots
-        self.normalize(self.holding(roots))
-
-    def holding(self, variables: Iterable[int]) -> set[int]:
-        eqs = self.eqs
-        return {k for var in variables for k in self.uses.get(var, ())
-                if k in eqs and var in eqs[k]}
-
-    def normalize(self, work: set[int]) -> None:
-        """Rewrite the equations in work, and every equation a rewrite
-        zeroes or merges a variable of, until none triggers a rule."""
-        uf, zeros, eqs = self.uf, self.zeros, self.eqs
-        while work:
-            k = work.pop()
-            if k not in eqs:
-                continue
-            acc: dict[int, int] = {}
-            for var, c in eqs[k].items():
-                r = uf.find(var)
-                if r not in zeros:
-                    acc[r] = acc.get(r, 0) + c
-            acc = {v: c for v, c in acc.items() if c != 0}
-            changed: Iterable[int] = ()
-            if len({c > 0 for c in acc.values()}) == 1:
-                zeros.update(acc)
-                changed = acc
-            elif len(acc) == 2 and sum(acc.values()) == 0:
-                # roots here are never in zeros (checked above)
-                uf.union(*sorted(acc))
-                changed = acc
-            if not acc or changed:
-                del eqs[k]
-            else:
-                eqs[k] = acc
-                heapq.heappush(self.first, k)
-                for var in acc:
-                    self.uses.setdefault(var, set()).add(k)
-            work |= self.holding(changed)
-
-
 class _Reduction:
     """Zero propagation, equality merging, and dependent-variable
     substitution.
@@ -197,15 +120,6 @@ class _Reduction:
     the smallest eligible variable of the lowest-index equation that
     has one.
 
-    So the reduction starts from a copy of a _Closure, the fixpoint of
-    the system's own zeros, and adds `zeros`, any further forced zeros.
-    Adding zeros to a fixpoint and normalizing the equations that hold
-    them reaches the fixpoint that imposing all zeros from the start
-    would, with the same surviving equations, so the pivot loop that
-    follows, deterministic code, does exactly what it would do on a
-    closure built with every zero. Subcones of one system thus share
-    one closure and pay only for their own zeros.
-
     Twins, copies or negations of one equation, are kept. They are
     rewritten alike, so substituting from the first empties the others;
     when none is substituted, the first to be imposed by
@@ -216,11 +130,25 @@ class _Reduction:
     order.
     """
 
-    def __init__(self, closure: _Closure, zeros: Iterable[int] = ()):
-        state = closure.copy()
-        state.add_zeros(zeros)
-        uf, eqs, first = state.uf, state.eqs, state.first
+    def __init__(self, n: int, equations: Iterable[dict[int, int]],
+                 zeros: Iterable[int]):
+        uf = UnionFind(range(n))  # merged classes, each named by its min
+        zeros = set(zeros)
         exprs: dict[int, dict[int, int]] = {}
+        eqs = dict(enumerate(dict(eq) for eq in equations))
+        uses: dict[int, set[int]] = {}  # variable -> equations with it
+        for k, eq in eqs.items():
+            for var in eq:
+                uses.setdefault(var, set()).add(k)
+        # heap of every surviving equation; an equation leaves it only
+        # when it has no pivot, and one that gains a pivot was rewritten
+        # and so pushed again, so the heap yields the lowest-index
+        # equation that has a pivot
+        first: list[int] = []
+
+        def holding(variables: Iterable[int]) -> set[int]:
+            return {k for var in variables for k in uses.get(var, ())
+                    if k in eqs and var in eqs[k]}
 
         def find_pivot(eq: dict[int, int]) -> Optional[int]:
             for var in sorted(eq):
@@ -231,9 +159,38 @@ class _Reduction:
                     return var
             return None
 
-        # an equation leaves `first` only when it has no pivot, and one
-        # that gains a pivot was rewritten and so pushed again; the heap
-        # therefore yields the lowest-index equation that has a pivot
+        def normalize(work: set[int]) -> None:
+            """Rewrite the equations in work, and every equation a
+            rewrite zeroes or merges a variable of, until none triggers
+            a rule."""
+            while work:
+                k = work.pop()
+                if k not in eqs:
+                    continue
+                acc: dict[int, int] = {}
+                for var, c in eqs[k].items():
+                    r = uf.find(var)
+                    if r not in zeros:
+                        acc[r] = acc.get(r, 0) + c
+                acc = {v: c for v, c in acc.items() if c != 0}
+                changed: Iterable[int] = ()
+                if len({c > 0 for c in acc.values()}) == 1:
+                    zeros.update(acc)
+                    changed = acc
+                elif len(acc) == 2 and sum(acc.values()) == 0:
+                    # roots here are never in zeros (checked above)
+                    uf.union(*sorted(acc))
+                    changed = acc
+                if not acc or changed:
+                    del eqs[k]
+                else:
+                    eqs[k] = acc
+                    heapq.heappush(first, k)
+                    for var in acc:
+                        uses.setdefault(var, set()).add(k)
+                work |= holding(changed)
+
+        normalize(set(eqs))
         while first:
             k = heapq.heappop(first)
             x = find_pivot(eqs[k]) if k in eqs else None
@@ -244,21 +201,21 @@ class _Reduction:
             # x = sum of the remaining terms scaled to positive coeffs
             expr = {v: -c * cx for v, c in eq.items()}
             exprs[x] = expr
-            dirty = state.holding([x])
+            dirty = holding([x])
             for j in dirty:
                 other = eqs[j]
                 mult = other.pop(x)
                 for v, c in expr.items():
                     other[v] = other.get(v, 0) + mult * c
-                    state.uses.setdefault(v, set()).add(j)
-            state.normalize(dirty)
+                    uses.setdefault(v, set()).add(j)
+            normalize(dirty)
 
         self.columns = sorted(
-            {uf.find(v) for v in range(state.n)} - state.zeros - set(exprs))
+            {uf.find(v) for v in range(n)} - zeros - set(exprs))
         column = {rep: k for k, rep in enumerate(self.columns)}
         self.equations = [{column[v]: c for v, c in eq.items()}
                           for eq in eqs.values()]
-        self._reps = [uf.find(v) for v in range(state.n)]
+        self._reps = [uf.find(v) for v in range(n)]
         # A substituted variable's expression only uses variables that
         # are pinned to zero, still free, or substituted later (each
         # substitution removes its variable from every equation left),
@@ -742,11 +699,6 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
     the union over these subsystems is exactly the admissible part of
     the full fundamental set. Duplicates across subsystem runs are
     removed by exact vector equality after re-expansion.
-
-    The subsystems differ from the system only in their forced quad
-    zeros, so one _Closure of the system is built and every subsystem's
-    _Reduction starts from it (see _Reduction for why that reduction is
-    the one a fresh closure with every zero would give).
     """
     equations = [_quadruple_to_row(eq) for eq in sys.equations]
     active = [v for v in range(sys.variable_count)
@@ -794,7 +746,6 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
                 neighbors[j] |= 1 << i
 
     all_quads = {q for triple in sys.quad_triples for q in triple}
-    closure = _Closure(sys.variable_count, equations, sys.forced_zeros)
     solutions: set[tuple[int, ...]] = set()
     seen_zero_sets: set[frozenset[int]] = set()
     for clique in _maximal_cliques(neighbors):
@@ -808,7 +759,8 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
         if zeros in seen_zero_sets:
             continue
         seen_zero_sets.add(zeros)
-        solutions.update(_enumerate_dual(_Reduction(closure, zeros), budget))
+        solutions.update(_enumerate_dual(
+            _Reduction(sys.variable_count, equations, zeros), budget))
     return list(solutions)
 
 
@@ -853,11 +805,10 @@ def enumerate_fundamental(
     if admissible_only and sys.quad_triples:
         solutions = _enumerate_admissible_primal(sys, budget)
     else:
-        closure = _Closure(
-            sys.variable_count,
-            [_quadruple_to_row(eq) for eq in sys.equations],
-            sys.forced_zeros)
-        solutions = _enumerate_dual(_Reduction(closure), budget)
+        red = _Reduction(sys.variable_count,
+                         [_quadruple_to_row(eq) for eq in sys.equations],
+                         sys.forced_zeros)
+        solutions = _enumerate_dual(red, budget)
     return FundamentalSet(
         vectors=tuple(sorted(set(solutions))),
         system_fingerprint=system_fingerprint(sys),

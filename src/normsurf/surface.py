@@ -16,6 +16,14 @@ Conventions (shared with the matching equations):
     of the vertex pair containing vertex 0, so the depth from a corner
     x is t_x + j when x lies in that pair and t_x + (q + 1 - j)
     otherwise. Crossing points along an edge follow the same rule.
+  - The stack of corner x on the face omitting d lists what a walk from
+    x across that face meets, in turn. Entry 2k is the region behind the
+    face piece beyond the arc at depth k: entry 0 holds vertex x and the
+    last entry is the face centre. Entry 2k - 1 is the disk owning the
+    arc at depth k, so the corner has len(stack) // 2 arcs. Glued
+    corners see their arcs at equal depths, so their stacks line up
+    entry for entry: gluing joins odd entries into surface components
+    and even entries into complementary regions.
 """
 
 from __future__ import annotations
@@ -87,10 +95,8 @@ def _pairs_of(offset: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return first, tuple(v for v in (1, 2, 3) if v != offset - 3)
 
 
-def _pair_of(offset: int, vertex: int) -> tuple[int, int]:
-    """The separated vertex pair of a quad type containing vertex."""
-    first, second = _pairs_of(offset)
-    return first if vertex in first else second
+# every (corner, omitted vertex) of a tetrahedron's faces
+_CORNERS = [(x, d) for d in range(4) for x in range(4) if x != d]
 
 
 class _TetPattern:
@@ -105,9 +111,6 @@ class _TetPattern:
                 f"two quad types in tetrahedron block {tet}")
         self.qoff, self.q = quads[0] if quads else (None, 0)
 
-    def pair_with_zero(self) -> tuple[int, int]:
-        return _pair_of(self.qoff, 0)
-
     def arc_count(self, x: int, d: int) -> int:
         """Arcs cutting off corner x on the face omitting d."""
         n = self.tri[x]
@@ -115,45 +118,15 @@ class _TetPattern:
             n += self.q
         return n
 
-    def disk_at(self, x: int, d: int, depth: int) -> Disk:
-        """The disk owning the arc at the given depth from corner x on
-        the face omitting d."""
-        if depth <= self.tri[x]:
-            return ("tri", self.tet, x, depth)
-        j = depth - self.tri[x]
-        if x not in self.pair_with_zero():
-            j = self.q + 1 - j
-        return ("quad", self.tet, j)
-
     def edge_weight(self, a: int, b: int) -> int:
         w = self.tri[a] + self.tri[b]
         if self.qoff in quad_offsets_crossing(a, b):
             w += self.q
         return w
 
-    def disks(self) -> list[Disk]:
-        out: list[Disk] = []
-        for x in range(4):
-            out.extend(("tri", self.tet, x, i)
-                       for i in range(1, self.tri[x] + 1))
-        out.extend(("quad", self.tet, j) for j in range(1, self.q + 1))
-        return out
-
-    # -- complement regions within this tetrahedron --------------------
-
-    def regions(self) -> list[Region]:
-        out: list[Region] = []
-        for x in range(4):
-            out.extend(("v", self.tet, x, k) for k in range(self.tri[x]))
-        if self.q:
-            out.extend(("s", self.tet, pair) for pair in _pairs_of(self.qoff))
-            out.extend(("q", self.tet, j) for j in range(1, self.q))
-        else:
-            out.append(("c", self.tet))
-        return out
-
     def _side(self, vertex: int) -> Region:
-        return ("s", self.tet, _pair_of(self.qoff, vertex))
+        first, second = _pairs_of(self.qoff)
+        return ("s", self.tet, first if vertex in first else second)
 
     def vertex_region(self, x: int) -> Region:
         """The region containing vertex x."""
@@ -163,53 +136,29 @@ class _TetPattern:
             return self._side(x)
         return ("c", self.tet)
 
-    def face_piece_region(self, x: int, d: int, k: int) -> Region:
-        """Region behind face piece k at corner x, face omitting d.
-
-        Piece 0 touches the vertex; piece k for k >= 1 lies between the
-        arcs at depths k and k + 1.
-        """
-        if k < self.tri[x]:
-            return self.vertex_region(x) if k == 0 else ("v", self.tet, x, k)
-        if k == self.tri[x]:
-            # between the last triangle at x and the quad stack
-            return ("s", self.tet, _pair_of(self.qoff, x))
-        j = k - self.tri[x]
-        if x not in self.pair_with_zero():
-            j = self.q - j
-        return ("q", self.tet, j)
-
-    def face_center_region(self, d: int) -> Region:
-        """Region behind the face piece beyond all arcs."""
-        if self.q:
+    def stack(self, x: int, d: int) -> list:
+        """Regions and disks met, in turn, walking from corner x across
+        the face omitting d (layout in the module docstring)."""
+        t, n = self.tet, self.tri[x]
+        regions: list[Region] = [("v", t, x, k) for k in range(n)]
+        disks: list[Disk] = [("tri", t, x, i) for i in range(1, n + 1)]
+        if not self.q:
+            regions.append(("c", t))
+        elif self.qoff != quad_offset(x, d):
+            # the quads miss this corner; x's side holds the face centre
+            regions.append(self._side(x))
+        else:
             first, second = _pairs_of(self.qoff)
-            return ("s", self.tet, second if d in first else first)
-        return ("c", self.tet)
-
-    def edge_region(self, a: int, b: int) -> Region:
-        """Region containing the whole edge {a, b} (weight 0 required)."""
-        if self.q:
-            return ("s", self.tet, _pair_of(self.qoff, a))
-        return ("c", self.tet)
-
-    def disk_sides(self, disk: Disk) -> tuple[Region, Region]:
-        """The two regions an elementary disk separates locally."""
-        if disk[0] == "tri":
-            _, _, x, i = disk
-            near = ("v", self.tet, x, i - 1)
-            if i < self.tri[x]:
-                far: Region = ("v", self.tet, x, i)
-            elif self.q:
-                far = self._side(x)
-            else:
-                far = ("c", self.tet)
-            return near, far
-        _, _, j = disk
-        first, second = _pairs_of(self.qoff)
-        side0 = ("s", self.tet, first) if j == 1 else ("q", self.tet, j - 1)
-        side1 = (("s", self.tet, second) if j == self.q
-                 else ("q", self.tet, j))
-        return side0, side1
+            sides = [("s", t, first), *(("q", t, j) for j in range(1, self.q)),
+                     ("s", t, second)]
+            quads = [("quad", t, j) for j in range(1, self.q + 1)]
+            if x not in first:
+                sides, quads = sides[::-1], quads[::-1]
+            regions += sides
+            disks += quads
+        out = regions + disks
+        out[::2], out[1::2] = regions, disks
+        return out
 
 
 def _patterns(tri: Triangulation, v: Sequence[int]) -> list[_TetPattern]:
@@ -256,6 +205,25 @@ def _crossing_point(skel: Skeleton, pats: list[_TetPattern],
     return ec.index, w + 1 - pos_from_a
 
 
+def _stacks(pats: list[_TetPattern]) -> dict[tuple[int, int, int], list]:
+    """Each corner stack by (tet, x, d); every disk and region is in some."""
+    return {(p.tet, x, d): p.stack(x, d) for p in pats for x, d in _CORNERS}
+
+
+def _glue(tri: Triangulation, stacks: dict, parity: int) -> UnionFind:
+    """The stack entries of one parity (1: disks, 0: regions), joined
+    across every interior face, where the stacks of glued corners line
+    up entry for entry."""
+    cells = UnionFind(e for s in stacks.values() for e in s[parity::2])
+    for (ta, fa), (tb, fb), vmap in tri.interior_pairs():
+        da, db = omitted_vertex(fa), omitted_vertex(fb)
+        for x in fa:
+            for a, b in zip(stacks[ta, x, da][parity::2],
+                            stacks[tb, vmap[x], db][parity::2]):
+                cells.union(a, b)
+    return cells
+
+
 def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
     """Edge weights, Euler characteristic, components, and boundary.
 
@@ -277,16 +245,9 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
     vertices = sum(edge_weights)
     disk_count = sum(v)
 
-    arcs = 0
-    disks = UnionFind(d for p in pats for d in p.disks())
-    for (ta, fa), (tb, fb), vmap in tri.interior_pairs():
-        da, db = omitted_vertex(fa), omitted_vertex(fb)
-        for x in fa:
-            count = pats[ta].arc_count(x, da)
-            arcs += count
-            for depth in range(1, count + 1):
-                disks.union(pats[ta].disk_at(x, da, depth),
-                            pats[tb].disk_at(vmap[x], db, depth))
+    disks = _glue(tri, _stacks(pats), 1)
+    arcs = sum(pats[t].arc_count(x, omitted_vertex(face))
+               for (t, face), _, _ in tri.interior_pairs() for x in face)
 
     boundary_arcs = UnionFind([])
     point_arcs: dict[tuple[int, int], list] = {}
@@ -372,17 +333,8 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     """
     pats = _patterns(tri, v)
     skel = tri.skeleton
-
-    cells = UnionFind(r for p in pats for r in p.regions())
-    for (ta, fa), (tb, fb), vmap in tri.interior_pairs():
-        da, db = omitted_vertex(fa), omitted_vertex(fb)
-        for x in fa:
-            count = pats[ta].arc_count(x, da)
-            for k in range(count):
-                cells.union(pats[ta].face_piece_region(x, da, k),
-                            pats[tb].face_piece_region(vmap[x], db, k))
-        cells.union(pats[ta].face_center_region(da),
-                    pats[tb].face_center_region(db))
+    stacks = _stacks(pats)
+    cells = _glue(tri, stacks, 0)
 
     grouped = cells.groups()
     roots = sorted(grouped, key=lambda r: grouped[r][0])
@@ -404,7 +356,8 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     for ec in skel.edge_classes:
         if any(pats[t].edge_weight(a, b) for t, (a, b) in ec.members):
             continue
-        where = {locate(pats[t].edge_region(a, b)) for t, (a, b) in ec.members}
+        # an uncrossed edge lies in the region of either end
+        where = {locate(pats[t].vertex_region(a)) for t, (a, _) in ec.members}
         if len(where) != 1:
             raise NormSurfError(
                 f"internal inconsistency: edge class {ec.index} meets "
@@ -412,9 +365,10 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
         edge_region[ec.index] = where.pop()
 
     adjacency = set()
-    for p in pats:
-        for disk in p.disks():
-            s0, s1 = (locate(side) for side in p.disk_sides(disk))
+    for s in stacks.values():
+        # a disk's two neighbours in a stack are the regions it parts
+        for near, far in zip(s[::2], s[2::2]):
+            s0, s1 = locate(near), locate(far)
             if s0 != s1:
                 adjacency.add((min(s0, s1), max(s0, s1)))
 

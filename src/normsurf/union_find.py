@@ -17,11 +17,6 @@ class UnionFind:
         if item not in self._parent:
             self._parent[item] = item
 
-    def copy(self) -> "UnionFind":
-        twin = UnionFind()
-        twin._parent = dict(self._parent)
-        return twin
-
     def find(self, item):
         parent = self._parent
         root = parent.setdefault(item, item)

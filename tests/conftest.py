@@ -1,7 +1,8 @@
 import pytest
 
 from normsurf.fixtures import (disconnected_link, disconnected_pair,
-                               fig8_closed, fig8_complement, fig8_link)
+                               fig8_closed, fig8_complement, fig8_link,
+                               solid_torus)
 from normsurf.hilbert import enumerate_fundamental
 from normsurf.matching import build_matching_system, restrict_to_link
 from normsurf.triangulation import compute_skeleton
@@ -57,3 +58,21 @@ def disc_tri():
 @pytest.fixture(scope="session")
 def disc_link():
     return disconnected_link()
+
+
+@pytest.fixture(scope="session")
+def fund_pair(disc_tri, disc_link):
+    restricted = restrict_to_link(disc_tri.matching_system, disc_tri,
+                                  disc_link)
+    return enumerate_fundamental(restricted, admissible_only=True)
+
+
+@pytest.fixture(scope="session")
+def torus_tri():
+    return solid_torus()
+
+
+@pytest.fixture(scope="session")
+def fund_torus(torus_tri):
+    return enumerate_fundamental(torus_tri.matching_system,
+                                 admissible_only=True)

@@ -73,6 +73,7 @@ def fixture_dir(tmp_path_factory):
                                 '"to": {"tet": "a", "verts": [0, 2, 1]}}]}')
     for name, doc in MALFORMED.items():
         (d / name).write_text(json.dumps(doc))
+    (d / "not_utf8.json").write_bytes(b"\xff\xfe{}")
     return d
 
 
@@ -139,6 +140,9 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["split-check", "fig8_12tet.json", "--link", "link_tet_not_name.json"],
      "error: unknown tetrahedron name"),
     (["validate", "face_nested.json"], "error: face must be three"),
+    (["fundamental", "fig8_12tet.json", "--time-budget", "nan"],
+     "error: time-budget must be positive"),
+    (["validate", "not_utf8.json"], "error: "),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)
@@ -152,6 +156,14 @@ def test_time_budget_env_must_be_a_number(capsys, fixture_dir,
     code, out, err = run_cli(capsys, fixture_dir, COMMANDS["validate"])
     assert code == 2
     assert "error: NORMSURF_TIME_BUDGET must be a number" in err
+
+
+def test_time_budget_env_must_be_positive(capsys, fixture_dir,
+                                          monkeypatch):
+    monkeypatch.setenv("NORMSURF_TIME_BUDGET", "nan")
+    code, out, err = run_cli(capsys, fixture_dir, COMMANDS["validate"])
+    assert code == 2
+    assert "error: time-budget must be positive" in err
 
 
 def test_max_candidates_env_and_override(capsys, fixture_dir, monkeypatch):

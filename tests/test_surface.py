@@ -6,17 +6,18 @@ point, arc, and disk from the raw gluings without the library's
 surface code.
 """
 
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
 
 from normsurf.detect import boundary_meeting_variables
 from normsurf.errors import TriangulationError, VectorError
-from normsurf.fixtures import fig8_link, single_tet, solid_torus
-from normsurf.hilbert import enumerate_fundamental
+from normsurf.fixtures import fig8_link, single_tet
 from normsurf.matching import (all_triangles_vector, haken_sum,
-                               is_admissible, restrict_to_link,
-                               vertex_link_vector)
+                               is_admissible, vertex_link_vector)
 from normsurf.surface import (analyze, complement_regions,
                               euler_coefficients, separates)
 from normsurf.triangulation import Triangulation
@@ -188,19 +189,17 @@ def test_inverted_edge_class_policy():
 
 
 def test_euler_characteristic_and_closedness_are_linear(
-        tri10, fund10, tri12, fund_restricted, disc_tri, disc_link):
+        tri10, fund10, tri12, fund_restricted, disc_tri, fund_pair,
+        torus_tri, fund_torus):
     """On every admissible fundamental vector of four systems, and on
     the admissible sums of seeded pairs of them, euler_coefficients
     gives analyze's Euler characteristic, and zero weight on the
     boundary-meeting variables means closed."""
-    st = solid_torus()
-    pair = restrict_to_link(disc_tri.matching_system, disc_tri, disc_link)
     cases = [
         (tri10, fund10.vectors),
         (tri12, fund_restricted.vectors),
-        (disc_tri, enumerate_fundamental(pair, admissible_only=True).vectors),
-        (st, enumerate_fundamental(st.matching_system,
-                                   admissible_only=True).vectors),
+        (disc_tri, fund_pair.vectors),
+        (torus_tri, fund_torus.vectors),
     ]
     rng = random.Random(4)
     sums = 0
@@ -218,3 +217,42 @@ def test_euler_characteristic_and_closedness_are_linear(
             assert (not any(v[i] for i in boundary)) == r.closed
     assert [len(vs) for _, vs in cases] == [110, 3, 54, 4]
     assert sums > 60
+
+
+# sha256 of the lines test_surface_reading_is_pinned builds: per vector,
+# every SurfaceReport field, the RegionGraph (regions, sorted adjacency,
+# vertex regions, sorted edge regions) and, where the system has a link,
+# separates.
+SURFACE_SHA256 = (
+    "005afb869207a0ac9b91db727000fb787d2077c08ed95fca18a7e4c18fc5c7aa")
+
+
+def test_surface_reading_is_pinned(tri10, fund10, tri12, fund_restricted,
+                                   disc_tri, disc_link, fund_pair,
+                                   torus_tri, fund_torus):
+    """Pins the full surface reading of the admissible fundamental
+    vectors of four systems and of seeded admissible sums of them, so
+    a rewrite of the cell and region bookkeeping keeps every output."""
+    cases = [
+        (tri10, fund10.vectors, None),
+        (tri12, fund_restricted.vectors, fig8_link()),
+        (disc_tri, fund_pair.vectors, disc_link),
+        (torus_tri, fund_torus.vectors, None),
+    ]
+    rng = random.Random(10)
+    lines = []
+    for tri, vectors, link in cases:
+        sums = [tuple(x + y for x, y in zip(*rng.sample(vectors, 2)))
+                for _ in range(100)]
+        for v in list(vectors) + [s for s in sums if is_admissible(s)]:
+            r = analyze(tri, v)
+            g = complement_regions(tri, v)
+            row = [list(v), list(dataclasses.astuple(r)), list(g.regions),
+                   sorted(g.adjacency), list(g.vertex_region),
+                   sorted(g.edge_region.items())]
+            if link is not None:
+                row.append(separates(tri, v, link))
+            lines.append(json.dumps(row))
+    assert len(lines) == 368
+    blob = "\n".join(lines).encode()
+    assert hashlib.sha256(blob).hexdigest() == SURFACE_SHA256
