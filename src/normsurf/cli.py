@@ -29,7 +29,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import curves2d, fixtures
 from .detect import UNKNOWN, Verdict, split_link_check, unknot_via_pushoff
-from .errors import NormSurfError, ResourceLimitExceeded
+from .errors import HomologyError, NormSurfError, ResourceLimitExceeded
 from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
 from .homology import cycle_chain, h1
 from .matching import restrict_to_link, variable_name
@@ -99,7 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("triangulation")
     p.add_argument("--link", help="restrict surfaces away from this link")
     p.add_argument("--include-inadmissible", action="store_true",
-                   help="list the full Hilbert basis, not only admissible vectors")
+                   help="list the full Hilbert basis, not only admissible "
+                        "vectors; it can exceed any budget, as on the "
+                        "10-tet complement")
     common(p, tsv=True)
 
     p = sub.add_parser("split-check", help="decide whether a link is split")
@@ -218,7 +220,7 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
     doc = {
         "valid": not problems,
         "problems": problems,
-        "tetrahedra": tri.tet_count,
+        "tetrahedra": tri.size,
         "boundaryFaces": boundary,
         "connected": tri.is_connected(),
     }
@@ -229,7 +231,7 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
             print(f"INVALID: {p}", file=out)
     else:
         shape = "connected" if doc["connected"] else "disconnected"
-        print(f"valid: {tri.tet_count} tetrahedra, {boundary} boundary "
+        print(f"valid: {tri.size} tetrahedra, {boundary} boundary "
               f"faces, {shape}", file=out)
     return 0 if not problems else 2
 
@@ -239,10 +241,10 @@ def _cmd_skeleton(args: argparse.Namespace, out: TextIO) -> int:
     skel = tri.skeleton
     faces = len(tri.interior_pairs()) + len(tri.boundary_facets())
     euler = (len(skel.vertex_classes) - len(skel.edge_classes)
-             + faces - tri.tet_count)
+             + faces - tri.size)
     if args.output == "json":
         _emit_json({
-            "tetrahedra": tri.tet_count,
+            "tetrahedra": tri.size,
             "faceClasses": faces,
             "eulerCharacteristic": euler,
             "vertexClasses": [
@@ -256,7 +258,7 @@ def _cmd_skeleton(args: argparse.Namespace, out: TextIO) -> int:
                 for ec in skel.edge_classes],
         }, out)
         return 0
-    print(f"{tri.tet_count} tetrahedra, {len(skel.vertex_classes)} vertex "
+    print(f"{tri.size} tetrahedra, {len(skel.vertex_classes)} vertex "
           f"classes, {len(skel.edge_classes)} edge classes, "
           f"{faces} face classes; euler characteristic {euler}", file=out)
     for vc in skel.vertex_classes:
@@ -377,7 +379,11 @@ def _cmd_unknot(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_homology(args: argparse.Namespace, out: TextIO) -> int:
     tri = _load_triangulation(args.triangulation)
-    summary = h1(tri, strict=not args.lenient)
+    try:
+        summary = h1(tri, strict=not args.lenient)
+    except HomologyError as exc:  # the refusal names h1's own parameter
+        raise NormSurfError(
+            str(exc).replace("strict=False", "--lenient")) from None
     doc: dict = {
         "freeRank": summary.free_rank,
         "torsion": list(summary.torsion),

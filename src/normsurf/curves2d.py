@@ -20,7 +20,11 @@ connectivity checkable by fundamental enumeration alone.
 A surface is a `SurfaceTriangulation`, the 2D case of the gluing class
 in `triangulation`, which supplies its constructor, validation and
 JSON codec. Each surface validates itself and builds its matching
-system once, on first use, and keeps both.
+system once, on first use, and keeps both. Curve components are joined
+by `Gluing.join_stacks`, the walk that joins 3D normal disks; it also
+counts a normal surface's boundary circles on `boundary_surface`. The
+`validate_surface` alias, like the `Gluing` ones, is kept only for the
+benchmark scripts.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ from typing import Optional, Sequence
 from .errors import TriangulationError, VectorError
 from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
 from .matching import MatchingSystem, is_solution
-from .triangulation import Gluing, validate
-from .union_find import UnionFind
+from .triangulation import Gluing, corner_stack, validate
 
 CURVE_BLOCK = 3
 EDGES_2D = ((0, 1), (0, 2), (1, 2))
@@ -91,10 +94,10 @@ def build_matching_system_2d(surf: SurfaceTriangulation) -> MatchingSystem:
             CURVE_BLOCK * j + vmap[u],
             CURVE_BLOCK * j + vmap[v],
         ))
-        labels.append(f"{surf.format_edge(i, (u, v))} ~ "
-                      f"{surf.format_edge(j, (vmap[u], vmap[v]))}")
+        labels.append(f"{surf.format_spot(i, (u, v))} ~ "
+                      f"{surf.format_spot(j, (vmap[u], vmap[v]))}")
     return MatchingSystem(
-        variable_count=CURVE_BLOCK * surf.triangle_count,
+        variable_count=CURVE_BLOCK * surf.size,
         equations=tuple(equations),
         forced_zeros=frozenset(),
         quad_triples=(),
@@ -114,54 +117,44 @@ def _edge_crossings(v: Sequence[int], tri: int, edge: tuple[int, int]) -> int:
     return v[CURVE_BLOCK * tri + u] + v[CURVE_BLOCK * tri + w]
 
 
-def _arc_at(v: Sequence[int], tri: int, edge: tuple[int, int],
-            pos: int) -> tuple[int, int, int]:
-    """The arc crossing an edge at 1-indexed position pos from its lower
-    endpoint. Positions run from u to w on edge (u, w): first the arcs
-    cutting off u by nesting depth, then the arcs cutting off w in
-    reverse depth order."""
-    u, w = edge
-    au = v[CURVE_BLOCK * tri + u]
-    aw = v[CURVE_BLOCK * tri + w]
-    if pos <= au:
-        return (tri, u, pos)
-    return (tri, w, au + aw + 1 - pos)
+def _stack(v: Sequence[int], tri: int, x: int, edge: tuple[int, int]
+           ) -> list:
+    """Regions and arcs met, in turn, walking the edge from its end x:
+    x's arcs by depth, the centre region, the far end's arcs in reverse
+    (`triangulation.corner_stack` layout)."""
+    y = sum(edge) - x
+    nx, ny = v[CURVE_BLOCK * tri + x], v[CURVE_BLOCK * tri + y]
+    regions = [*(("v", tri, x, k) for k in range(nx)), ("c", tri),
+               *(("v", tri, y, k) for k in range(ny - 1, -1, -1))]
+    arcs = [*((tri, x, k) for k in range(1, nx + 1)),
+            *((tri, y, k) for k in range(ny, 0, -1))]
+    return corner_stack(regions, arcs)
+
+
+def curve_components(surf: SurfaceTriangulation, v: Sequence[int]) -> int:
+    """Components of the curve of solution vector v, which is not
+    checked: arcs crossing glued edges at the same point are joined by
+    one corner-stack walk (`Gluing.join_stacks`)."""
+    stacks = {(i, x, edge): _stack(v, i, x, edge)
+              for i in range(surf.size) for edge in EDGES_2D for x in edge}
+    return len(surf.join_stacks(stacks, 1).groups())
 
 
 def analyze_curve(surf: SurfaceTriangulation, v: Sequence[int]
                   ) -> CurveReport:
     """Weight and component count of a solution vector.
 
-    Weight counts crossings per edge class (each interior gluing once).
-    Components come from union-find on arcs, glued position-to-position
-    across each interior edge.
+    Weight counts crossings per edge class (each interior gluing once);
+    components are counted by `curve_components`.
     """
-    v = tuple(int(x) for x in v)
+    v = surf.matching_system.read(v)
     if not is_solution(surf.matching_system, v):
         raise VectorError("vector is not a solution of the 2D system")
 
-    weight = 0
-    for (i, edge), _, _ in surf.interior_pairs():
-        weight += _edge_crossings(v, i, edge)
-    for (i, edge) in surf.boundary_edges():
-        weight += _edge_crossings(v, i, edge)
-
-    arcs = UnionFind()
-    for i in range(surf.triangle_count):
-        for x in range(3):
-            for depth in range(1, v[CURVE_BLOCK * i + x] + 1):
-                arcs.add((i, x, depth))
-    for (i, edge), (j, jedge), vmap in surf.interior_pairs():
-        image = (vmap[edge[0]], vmap[edge[1]])
-        total = _edge_crossings(v, i, edge)
-        for pos in range(1, total + 1):
-            a = _arc_at(v, i, edge, pos)
-            if image[0] < image[1]:
-                b = _arc_at(v, j, jedge, pos)
-            else:
-                b = _arc_at(v, j, jedge, total + 1 - pos)
-            arcs.union(a, b)
-    return CurveReport(weight=weight, components=len(arcs.groups()))
+    spots = [spot for spot, _, _ in surf.interior_pairs()]
+    weight = sum(_edge_crossings(v, *spot)
+                 for spot in spots + surf.boundary_facets())
+    return CurveReport(weight=weight, components=curve_components(surf, v))
 
 
 def _resolve_boundary_edge(surf: SurfaceTriangulation, ref: EdgeRef,
@@ -169,9 +162,9 @@ def _resolve_boundary_edge(surf: SurfaceTriangulation, ref: EdgeRef,
     name, pair = ref
     spot: EdgeSpot2D = (surf.index(name), tuple(sorted(
         surf._check_labels(pair, f"{what} edge"))))
-    if spot not in set(surf.boundary_edges()):
+    if spot not in set(surf.boundary_facets()):
         raise TriangulationError(
-            f"{what} edge {surf.format_edge(*spot)} is not a boundary edge")
+            f"{what} edge {surf.format_spot(*spot)} is not a boundary edge")
     return spot
 
 
@@ -201,7 +194,7 @@ def connect_boundary_points(
     if p == q:
         return tuple([0] * sys_.variable_count)
     zeros = set()
-    for (i, (u, w)) in surf.boundary_edges():
+    for (i, (u, w)) in surf.boundary_facets():
         if (i, (u, w)) in (p, q):
             continue
         zeros.add(CURVE_BLOCK * i + u)

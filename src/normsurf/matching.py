@@ -12,6 +12,7 @@ per gluing.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -59,11 +60,17 @@ class MatchingSystem:
     quad_triples: tuple[tuple[int, int, int], ...]
     equation_labels: tuple[str, ...]
 
-    def check_length(self, v: Sequence[int]) -> None:
+    def read(self, v: Sequence) -> tuple:
+        """v's entries, the integral ones as ints. Raises VectorError on
+        a wrong length or on an entry that is not a real number."""
         if len(v) != self.variable_count:
             raise VectorError(
                 f"vector has {len(v)} entries, system has "
                 f"{self.variable_count} variables")
+        for x in v:
+            if not isinstance(x, numbers.Real):
+                raise VectorError(f"vector entry {x!r} is not a number")
+        return tuple(int(x) if x % 1 == 0 else x for x in v)
 
 
 def build_matching_system(tri: Triangulation) -> MatchingSystem:
@@ -95,20 +102,21 @@ def build_matching_system(tri: Triangulation) -> MatchingSystem:
             ))
             labels.append(f"{label} : corner {x}")
     return MatchingSystem(
-        variable_count=BLOCK * tri.tet_count,
+        variable_count=BLOCK * tri.size,
         equations=tuple(equations),
         forced_zeros=frozenset(),
         quad_triples=tuple(
             (BLOCK * t + 4, BLOCK * t + 5, BLOCK * t + 6)
-            for t in range(tri.tet_count)),
+            for t in range(tri.size)),
         equation_labels=tuple(labels))
 
 
 def is_solution(sys: MatchingSystem, v: Sequence[int]) -> bool:
     """True iff v is nonnegative, integral, satisfies every equation,
-    and vanishes on all forced zeros."""
-    sys.check_length(v)
-    if any(int(x) != x or x < 0 for x in v):
+    and vanishes on all forced zeros. Raises VectorError where
+    `MatchingSystem.read` does."""
+    v = sys.read(v)
+    if any(not isinstance(x, int) or x < 0 for x in v):
         return False
     if any(v[i] != 0 for i in sys.forced_zeros):
         return False
@@ -181,12 +189,12 @@ def zero_vector(sys: MatchingSystem) -> NormalVector:
 def all_triangles_vector(tri: Triangulation) -> NormalVector:
     """One triangle at every corner: the union of all vertex links."""
     block = (1, 1, 1, 1, 0, 0, 0)
-    return block * tri.tet_count
+    return block * tri.size
 
 
 def vertex_link_vector(tri: Triangulation, vertex_class: int) -> NormalVector:
     """One triangle at each corner of the given vertex class."""
-    v = [0] * (BLOCK * tri.tet_count)
+    v = [0] * (BLOCK * tri.size)
     for (t, corner) in tri.skeleton.vertex_classes[vertex_class].members:
         v[BLOCK * t + corner] = 1
     return tuple(v)

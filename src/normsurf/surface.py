@@ -7,6 +7,9 @@ rebuilds the surface's cell structure - crossing points on edges, arcs
 on faces, elementary disks - to compute edge weights, the Euler
 characteristic, connected components and boundary circles, and builds
 the complementary region decomposition behind separation tests.
+Components and regions are joined by `Gluing.join_stacks` over the
+corner stacks below; boundary circles are the components of the
+boundary curve on `boundary_surface` (`curves2d.curve_components`).
 
 Conventions (shared with the matching equations):
   - On a face, the arcs cutting off corner x are nested and indexed by
@@ -16,14 +19,15 @@ Conventions (shared with the matching equations):
     of the vertex pair containing vertex 0, so the depth from a corner
     x is t_x + j when x lies in that pair and t_x + (q + 1 - j)
     otherwise. Crossing points along an edge follow the same rule.
-  - The stack of corner x on the face omitting d lists what a walk from
+  - The stack of corner x on face f (omitting d) lists what a walk from
     x across that face meets, in turn. Entry 2k is the region behind the
     face piece beyond the arc at depth k: entry 0 holds vertex x and the
     last entry is the face centre. Entry 2k - 1 is the disk owning the
     arc at depth k, so the corner has len(stack) // 2 arcs. Glued
     corners see their arcs at equal depths, so their stacks line up
     entry for entry: gluing joins odd entries into surface components
-    and even entries into complementary regions.
+    and even entries into complementary regions. Stacks are keyed by
+    (tet, x, f), as `Gluing.join_stacks` expects.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .curves2d import curve_components
 from .errors import NormSurfError, TriangulationError, VectorError
 from .matching import (
     BLOCK,
@@ -40,14 +45,16 @@ from .matching import (
     quad_offsets_crossing,
 )
 from .triangulation import (
+    FACES,
     IdealVertex,
     LinkSpec,
     Skeleton,
     Triangulation,
+    corner_stack,
+    face_omitting,
     omitted_vertex,
     resolve_link,
 )
-from .union_find import UnionFind
 
 Disk = tuple
 Region = tuple
@@ -89,16 +96,6 @@ class RegionGraph:
     edge_region: dict[int, int]
 
 
-def _pairs_of(offset: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Both vertex pairs a quad type separates, the one with 0 first."""
-    first = (0, offset - 3)
-    return first, tuple(v for v in (1, 2, 3) if v != offset - 3)
-
-
-# every (corner, omitted vertex) of a tetrahedron's faces
-_CORNERS = [(x, d) for d in range(4) for x in range(4) if x != d]
-
-
 class _TetPattern:
     """Disk pattern of one tetrahedron of an admissible vector."""
 
@@ -124,18 +121,6 @@ class _TetPattern:
             w += self.q
         return w
 
-    def _side(self, vertex: int) -> Region:
-        first, second = _pairs_of(self.qoff)
-        return ("s", self.tet, first if vertex in first else second)
-
-    def vertex_region(self, x: int) -> Region:
-        """The region containing vertex x."""
-        if self.tri[x]:
-            return ("v", self.tet, x, 0)
-        if self.q:
-            return self._side(x)
-        return ("c", self.tet)
-
     def stack(self, x: int, d: int) -> list:
         """Regions and disks met, in turn, walking from corner x across
         the face omitting d (layout in the module docstring)."""
@@ -143,28 +128,25 @@ class _TetPattern:
         regions: list[Region] = [("v", t, x, k) for k in range(n)]
         disks: list[Disk] = [("tri", t, x, i) for i in range(1, n + 1)]
         if not self.q:
-            regions.append(("c", t))
-        elif self.qoff != quad_offset(x, d):
+            return corner_stack(regions + [("c", t)], disks)
+        # the two vertex pairs the quads separate, the one with 0 first
+        first = (0, self.qoff - 3)
+        second = tuple(v for v in (1, 2, 3) if v not in first)
+        sides = [("s", t, first), *(("q", t, j) for j in range(1, self.q)),
+                 ("s", t, second)]
+        quads = [("quad", t, j) for j in range(1, self.q + 1)]
+        if x not in first:
+            sides, quads = sides[::-1], quads[::-1]
+        if self.qoff != quad_offset(x, d):
             # the quads miss this corner; x's side holds the face centre
-            regions.append(self._side(x))
-        else:
-            first, second = _pairs_of(self.qoff)
-            sides = [("s", t, first), *(("q", t, j) for j in range(1, self.q)),
-                     ("s", t, second)]
-            quads = [("quad", t, j) for j in range(1, self.q + 1)]
-            if x not in first:
-                sides, quads = sides[::-1], quads[::-1]
-            regions += sides
-            disks += quads
-        out = regions + disks
-        out[::2], out[1::2] = regions, disks
-        return out
+            sides, quads = sides[:1], []
+        return corner_stack(regions + sides, disks + quads)
 
 
 def _patterns(tri: Triangulation, v: Sequence[int]) -> list[_TetPattern]:
     """Validate the vector as an admissible solution; split by tet."""
     sys = tri.matching_system
-    sys.check_length(v)
+    v = sys.read(v)
     if any(x < 0 for x in v):
         raise VectorError("vector has negative entries")
     if not is_solution(sys, v):
@@ -175,7 +157,7 @@ def _patterns(tri: Triangulation, v: Sequence[int]) -> list[_TetPattern]:
         raise VectorError(
             "inadmissible vector: two quad types in one tetrahedron")
     return [_TetPattern(t, v[BLOCK * t: BLOCK * (t + 1)])
-            for t in range(tri.tet_count)]
+            for t in range(tri.size)]
 
 
 def _edge_class_weights(tri: Triangulation, skel: Skeleton,
@@ -191,37 +173,11 @@ def _edge_class_weights(tri: Triangulation, skel: Skeleton,
     return weights
 
 
-def _crossing_point(skel: Skeleton, pats: list[_TetPattern],
-                    t: int, a: int, b: int, pos_from_a: int
-                    ) -> tuple[int, int]:
-    """Identify crossing point pos_from_a on edge {a,b} of tet t as
-    (edge class, position along the class direction)."""
-    edge = (min(a, b), max(a, b))
-    ec = skel.edge_classes[skel.edge_class_of[(t, edge)]]
-    direction = ec.directions[(t, edge)]
-    w = pats[t].edge_weight(a, b)
-    if direction == (a, b):
-        return ec.index, pos_from_a
-    return ec.index, w + 1 - pos_from_a
-
-
-def _stacks(pats: list[_TetPattern]) -> dict[tuple[int, int, int], list]:
-    """Each corner stack by (tet, x, d); every disk and region is in some."""
-    return {(p.tet, x, d): p.stack(x, d) for p in pats for x, d in _CORNERS}
-
-
-def _glue(tri: Triangulation, stacks: dict, parity: int) -> UnionFind:
-    """The stack entries of one parity (1: disks, 0: regions), joined
-    across every interior face, where the stacks of glued corners line
-    up entry for entry."""
-    cells = UnionFind(e for s in stacks.values() for e in s[parity::2])
-    for (ta, fa), (tb, fb), vmap in tri.interior_pairs():
-        da, db = omitted_vertex(fa), omitted_vertex(fb)
-        for x in fa:
-            for a, b in zip(stacks[ta, x, da][parity::2],
-                            stacks[tb, vmap[x], db][parity::2]):
-                cells.union(a, b)
-    return cells
+def _stacks(pats: list[_TetPattern]) -> dict:
+    """Each corner stack by (tet, x, face); every disk and region is in
+    some."""
+    return {(p.tet, x, face): p.stack(x, omitted_vertex(face))
+            for p in pats for face in FACES for x in face}
 
 
 def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
@@ -230,8 +186,8 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
     The Euler characteristic is the global cell count V - E + F of the
     surface: V crossing points with edges, E arcs on faces, F
     elementary disks. Components join disks glued arc-to-arc across
-    interior faces; boundary circles join boundary-face arcs at their
-    endpoints on boundary edges.
+    interior faces; boundary circles are the components of the
+    boundary curve on `tri.boundary_surface`.
     """
     pats = _patterns(tri, v)
     skel = tri.skeleton
@@ -243,35 +199,17 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
                 "surfaces crossing it are not supported")
 
     vertices = sum(edge_weights)
-    disk_count = sum(v)
+    disk_count = sum(sum(p.tri) + p.q for p in pats)
 
-    disks = _glue(tri, _stacks(pats), 1)
+    disks = tri.join_stacks(_stacks(pats), 1)
     arcs = sum(pats[t].arc_count(x, omitted_vertex(face))
                for (t, face), _, _ in tri.interior_pairs() for x in face)
-
-    boundary_arcs = UnionFind([])
-    point_arcs: dict[tuple[int, int], list] = {}
-    for (t, face) in tri.boundary_facets():
-        d = omitted_vertex(face)
-        for x in face:
-            count = pats[t].arc_count(x, d)
-            arcs += count
-            for depth in range(1, count + 1):
-                arc = (t, face, x, depth)
-                boundary_arcs.add(arc)
-                for other in face:
-                    if other != x:
-                        pt = _crossing_point(skel, pats, t, x, other, depth)
-                        point_arcs.setdefault(pt, []).append(arc)
-    for pt, incident in point_arcs.items():
-        if len(incident) != 2:
-            raise NormSurfError(
-                f"internal inconsistency: boundary crossing point {pt} "
-                f"lies on {len(incident)} arcs")
-        boundary_arcs.union(*incident)
+    curve = [pats[t].arc_count(x, omitted_vertex(face))
+             for t, face in tri.boundary_facets() for x in face]
+    arcs += sum(curve)
 
     components = len(disks.groups()) if disk_count else 0
-    circles = len(boundary_arcs.groups())
+    circles = curve_components(tri.boundary_surface, curve)
     return SurfaceReport(
         weight=vertices,
         edge_weights=tuple(edge_weights),
@@ -334,7 +272,7 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     pats = _patterns(tri, v)
     skel = tri.skeleton
     stacks = _stacks(pats)
-    cells = _glue(tri, stacks, 0)
+    cells = tri.join_stacks(stacks, 0)
 
     grouped = cells.groups()
     roots = sorted(grouped, key=lambda r: grouped[r][0])
@@ -343,9 +281,13 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     def locate(cell: Region) -> int:
         return region_id[cells.find(cell)]
 
+    def home(t: int, x: int) -> int:
+        """The region of vertex x of tet t: entry 0 of any stack at x."""
+        return locate(stacks[t, x, face_omitting(x ^ 1)][0])
+
     vertex_region = []
     for vc in skel.vertex_classes:
-        where = {locate(pats[t].vertex_region(x)) for t, x in vc.members}
+        where = {home(t, x) for t, x in vc.members}
         if len(where) != 1:
             raise NormSurfError(
                 f"internal inconsistency: vertex class {vc.index} meets "
@@ -357,7 +299,7 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
         if any(pats[t].edge_weight(a, b) for t, (a, b) in ec.members):
             continue
         # an uncrossed edge lies in the region of either end
-        where = {locate(pats[t].vertex_region(a)) for t, (a, _) in ec.members}
+        where = {home(t, a) for t, (a, _) in ec.members}
         if len(where) != 1:
             raise NormSurfError(
                 f"internal inconsistency: edge class {ec.index} meets "

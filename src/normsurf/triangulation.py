@@ -10,17 +10,20 @@ checks, accessors, interior pairs, connectivity, validation, equality
 and the JSON codec for any dimension; `Triangulation` (tetrahedra glued
 along faces) and `curves2d.SurfaceTriangulation` (triangles glued along
 edges) set only the dimension, the nouns in messages and the JSON keys.
-Callers use the `Gluing` accessor names; the only aliases left are
-`tetrahedra` and `tet_count`, and on surfaces `triangle_count`,
-`boundary_edges` and `format_edge`.
+`Gluing.join_stacks` is the one place that matches normal pieces (3D
+disks in `surface`, 2D arcs in `curves2d`) across glued facets.
 
 A gluing never changes after construction, so the data derived from it
 is computed at most once per object and kept: its validation result,
-and for a `Triangulation` its skeleton and its matching system.
+and for a `Triangulation` its skeleton, its matching system and its
+`boundary_surface`.
 
 The skeleton computation closes vertices and edges under the gluing
 orbits, producing the vertex classes and edge classes of the underlying
 cell complex.
+The aliases `tetrahedra`, `tet_count` and, on surfaces,
+`triangle_count`, `boundary_edges` and `format_edge` are kept only for
+the benchmark scripts; the package uses the `Gluing` names.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import TriangulationError
 from .union_find import UnionFind
 
 if TYPE_CHECKING:
+    from .curves2d import SurfaceTriangulation
     from .matching import MatchingSystem
 
 Face = tuple[int, int, int]
@@ -55,6 +59,14 @@ def face_omitting(d: int) -> Face:
 
 def omitted_vertex(face: Face) -> int:
     return 6 - sum(face)
+
+
+def corner_stack(regions: list, pieces: list) -> list:
+    """A corner stack: regions at the even entries, with the normal
+    piece parting consecutive regions between them."""
+    out = regions + pieces
+    out[::2], out[1::2] = regions, pieces
+    return out
 
 
 def _is_label(x) -> bool:
@@ -208,6 +220,24 @@ class Gluing:
             pairs.append((spot, target, dict(zip(spot[1], image))))
         return pairs
 
+    def join_stacks(self, stacks: Mapping[tuple, Sequence], parity: int
+                    ) -> UnionFind:
+        """The stack entries of one parity, joined across every interior
+        facet: parity 1 joins normal pieces, parity 0 regions.
+
+        stacks maps every (simplex, corner, sorted facet) to what a walk
+        from that corner across the facet meets (`corner_stack`). Glued
+        corners meet the same pieces in the same order, so their stacks
+        are matched entry for entry.
+        """
+        cells = UnionFind(e for s in stacks.values() for e in s[parity::2])
+        for (i, fa), (j, fb), vmap in self.interior_pairs():
+            for x in fa:
+                for a, b in zip(stacks[i, x, fa][parity::2],
+                                stacks[j, vmap[x], fb][parity::2]):
+                    cells.union(a, b)
+        return cells
+
     def is_connected(self) -> bool:
         uf = UnionFind(range(self.size))
         for (i, _), (j, _), _ in self.interior_pairs():
@@ -329,8 +359,8 @@ class Triangulation(Gluing):
     """Tetrahedra glued in pairs along faces.
 
     Besides the shared gluing data it keeps, each computed on first use,
-    its skeleton (`compute_skeleton`) and its matching system
-    (`matching.build_matching_system`).
+    its skeleton (`compute_skeleton`), its matching system
+    (`matching.build_matching_system`) and its `boundary_surface`.
     """
 
     DIM = 3
@@ -349,6 +379,35 @@ class Triangulation(Gluing):
     def matching_system(self) -> MatchingSystem:
         from . import matching  # matching imports this module
         return matching.build_matching_system(self)
+
+    @cached_property
+    def boundary_surface(self) -> SurfaceTriangulation:
+        """The boundary faces as a triangulated surface.
+
+        Triangle k is the k-th of `boundary_facets`, named by its face
+        ("p(012)"); its vertex label m is the face's m-th corner. Each
+        boundary edge class lies on exactly two boundary faces, which
+        are glued along it so that the class direction agrees.
+        """
+        from .curves2d import SurfaceTriangulation  # it imports this module
+        skel = self.skeleton
+        names, ends = [], {}
+        for t, face in self.boundary_facets():
+            names.append(self.format_spot(t, face))
+            for a, b in SurfaceTriangulation.FACETS:
+                edge = (face[a], face[b])
+                ec = skel.edge_classes[skel.edge_class_of[t, edge]]
+                head, tail = ec.directions[t, edge]
+                ends.setdefault(ec.index, []).append(
+                    (names[-1], (face.index(head), face.index(tail))))
+        for ec, found in ends.items():
+            if len(found) != 2:
+                raise TriangulationError(
+                    f"boundary edge class {ec} lies on {len(found)} "
+                    "boundary faces, not 2")
+        records = [(a, pair, b, image)
+                   for (a, pair), (b, image) in ends.values()]
+        return SurfaceTriangulation(names, records, infer_reciprocals=True)
 
 
 # -- skeleton ------------------------------------------------------------
@@ -404,12 +463,8 @@ def compute_skeleton(tri: Triangulation) -> Skeleton:
     """
     tri.require_valid()
 
-    corners = UnionFind(
-        (i, v) for i in range(tri.tet_count) for v in range(4))
-    directed = UnionFind(
-        (i, (u, v))
-        for i in range(tri.tet_count)
-        for u in range(4) for v in range(4) if u != v)
+    corners = UnionFind((i, v) for i in range(tri.size) for v in range(4))
+    directed = UnionFind()  # directed edges, added on first use
 
     for (i, face), (j, _), vmap in tri.interior_pairs():
         for v in face:
@@ -441,35 +496,24 @@ def compute_skeleton(tri: Triangulation) -> Skeleton:
         for m in members:
             vertex_class_of[m] = idx
 
-    # Collapse directed orbits to undirected classes.
-    edge_items = sorted(
-        {(i, (min(u, v), max(u, v)))
-         for i in range(tri.tet_count)
-         for u in range(4) for v in range(4) if u != v})
-    undirected = UnionFind(edge_items)
-    for i, (a, b) in edge_items:
-        root = directed.find((i, (a, b)))
-        ri, (ru, rv) = root
-        undirected.union((i, (a, b)), (ri, (min(ru, rv), max(ru, rv))))
-        rev = directed.find((i, (b, a)))
-        ri, (ru, rv) = rev
-        undirected.union((i, (a, b)), (ri, (min(ru, rv), max(ru, rv))))
-
-    edge_groups = sorted(undirected.groups().values(), key=lambda g: g[0])
+    # An edge's class is named by the orbits of its two directions; it
+    # is inverted exactly when they are one orbit. Edges are visited in
+    # sorted order, so classes come out ordered by their least member.
+    edge_groups: dict[frozenset, list[tuple[int, Edge]]] = {}
+    for i in range(tri.size):
+        for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            roots = frozenset((directed.find((i, (a, b))),
+                               directed.find((i, (b, a)))))
+            edge_groups.setdefault(roots, []).append((i, (a, b)))
     edge_classes = []
     edge_class_of = {}
-    for idx, members in enumerate(edge_groups):
-        rep = members[0]
-        rep_dir = (rep[0], rep[1])
-        inverted = directed.same(rep_dir, (rep[0], (rep[1][1], rep[1][0])))
-        directions = {}
-        for (t, (a, b)) in members:
-            if inverted:
-                directions[(t, (a, b))] = (a, b)
-            elif directed.same((t, (a, b)), rep_dir):
-                directions[(t, (a, b))] = (a, b)
-            else:
-                directions[(t, (a, b))] = (b, a)
+    for idx, (roots, members) in enumerate(edge_groups.items()):
+        inverted = len(roots) == 1
+        forward = directed.find(members[0])
+        directions = {
+            (t, (a, b)): (a, b)
+            if inverted or directed.find((t, (a, b))) == forward else (b, a)
+            for t, (a, b) in members}
         ec = EdgeClass(
             index=idx,
             members=tuple(members),

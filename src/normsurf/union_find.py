@@ -9,13 +9,7 @@ class UnionFind:
     """Union-find over arbitrary hashable items with path compression."""
 
     def __init__(self, items: Iterable[Hashable] = ()):
-        self._parent: dict = {}
-        for item in items:
-            self.add(item)
-
-    def add(self, item) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
+        self._parent: dict = {item: item for item in items}
 
     def find(self, item):
         parent = self._parent
@@ -30,9 +24,6 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[rb] = ra
-
-    def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
 
     def groups(self) -> dict:
         """Map each root to the sorted list of its members."""

@@ -181,6 +181,14 @@ def surface_cell_counts(tri, v):
     return V, E, F, V - E + F, components, circles
 
 
+def boundary_curve(tri, v):
+    """The arcs of v on the boundary faces, as a curve vector on
+    tri.boundary_surface: its triangle k is the k-th boundary face, and
+    its vertex label m is that face's m-th corner."""
+    return tuple(_arc_count(_block(v, t), x, _omitted(face))
+                 for t, face in tri.boundary_facets() for x in face)
+
+
 # ---------------------------------------------------------------------------
 # 2D curve components by endpoint-position arithmetic.
 

@@ -143,6 +143,7 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["fundamental", "fig8_12tet.json", "--time-budget", "nan"],
      "error: time-budget must be positive"),
     (["validate", "not_utf8.json"], "error: "),
+    (["homology", "fig8_12tet.json"], "Use --lenient to compute"),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

@@ -13,16 +13,19 @@ import random
 
 import pytest
 
+from normsurf.curves2d import analyze_curve
 from normsurf.detect import boundary_meeting_variables
 from normsurf.errors import TriangulationError, VectorError
-from normsurf.fixtures import fig8_link, single_tet
+from normsurf.fixtures import fig8_link, single_tet, square_surface
 from normsurf.matching import (all_triangles_vector, haken_sum,
-                               is_admissible, vertex_link_vector)
+                               is_admissible, is_solution,
+                               vertex_link_vector)
 from normsurf.surface import (analyze, complement_regions,
                               euler_coefficients, separates)
 from normsurf.triangulation import Triangulation
 
-from oracles import surface_cell_counts
+from oracles import (boundary_curve, surface_cell_counts,
+                     trace_curve_components)
 from tables import reference_solutions
 
 
@@ -179,6 +182,36 @@ def test_error_paths(tri12):
         analyze(st, (0, 0, 0, 0, 1, 1, 0))
 
 
+def test_vector_entries_are_read_one_way(tri12, torus_tri):
+    """Integral entries of any real type read as ints, other reals as
+    no solution, and an entry that is no number is a VectorError."""
+    v = (0, 0, 1, 1, 0, 1, 0)
+    floats = tuple(map(float, v))
+    assert analyze(torus_tri, floats) == analyze(torus_tri, v)
+    assert complement_regions(torus_tri, floats) \
+        == complement_regions(torus_tri, v)
+    sphere = reference_solutions(tri12)[1]
+    assert separates(tri12, tuple(map(float, sphere)), fig8_link())
+    square, curve = square_surface(), (1, 0, 0, 0, 1, 0)
+    assert analyze_curve(square, tuple(map(float, curve))) \
+        == analyze_curve(square, curve)
+
+    assert not is_solution(torus_tri.matching_system, (0.5,) + (0,) * 6)
+    with pytest.raises(VectorError, match="not a solution"):
+        analyze_curve(square, (0.5,) * 6)
+    for bad in ("0", None, 1j):
+        calls = [
+            lambda: is_solution(torus_tri.matching_system, (bad,) * 7),
+            lambda: analyze(torus_tri, (bad,) * 7),
+            lambda: complement_regions(torus_tri, (bad,) * 7),
+            lambda: separates(tri12, (bad,) * 84, fig8_link()),
+            lambda: analyze_curve(square, (bad,) * 6),
+        ]
+        for call in calls:
+            with pytest.raises(VectorError, match="is not a number"):
+                call()
+
+
 def test_inverted_edge_class_policy():
     tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
                         infer_reciprocals=True)
@@ -256,3 +289,24 @@ def test_surface_reading_is_pinned(tri10, fund10, tri12, fund_restricted,
     assert len(lines) == 368
     blob = "\n".join(lines).encode()
     assert hashlib.sha256(blob).hexdigest() == SURFACE_SHA256
+
+
+def test_boundary_circles_are_the_boundary_curve_components(
+        tri10, fund10, torus_tri, fund_torus):
+    """The boundary curve's components on the boundary surface, traced
+    by the oracle's endpoint arithmetic, are the oracle's boundary
+    circles, on the admissible fundamentals of two bounded systems and
+    seeded admissible sums of them."""
+    rng = random.Random(11)
+    circles = []
+    for tri, vectors in ((tri10, fund10.vectors),
+                         (torus_tri, fund_torus.vectors)):
+        sums = [tuple(x + y for x, y in zip(*rng.sample(vectors, 2)))
+                for _ in range(40)]
+        for v in list(vectors) + [s for s in sums if is_admissible(s)]:
+            n = trace_curve_components(tri.boundary_surface,
+                                       boundary_curve(tri, v))
+            assert n == surface_cell_counts(tri, v)[5]
+            assert n == analyze(tri, v).boundary_circles
+            circles.append(n)
+    assert (len(circles), max(circles)) == (135, 5)

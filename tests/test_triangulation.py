@@ -1,9 +1,12 @@
 """Gluing structure, validation, skeleton classes, serialization."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import normsurf
 from normsurf.errors import TriangulationError
 from normsurf.fixtures import (disconnected_pair, fig8_link, single_tet,
                                solid_torus)
@@ -259,3 +262,34 @@ def test_gluing_labels_must_be_integers():
     with pytest.raises(TriangulationError,
                        match="glued vertex triple must be three distinct"):
         parse_triangulation(json.dumps(doc))
+
+
+def test_boundary_surface_structure(tri10, tri12):
+    """One triangle per boundary face, in boundary_facets order; the
+    boundary of a 3-manifold is a closed surface."""
+    cases = [(single_tet(), 4), (tri10, 2), (solid_torus(), 2), (tri12, 0)]
+    for tri, triangles in cases:
+        surf = tri.boundary_surface
+        assert surf is tri.boundary_surface
+        assert surf.size == triangles
+        assert surf.names == tuple(tri.format_spot(*spot)
+                                   for spot in tri.boundary_facets())
+        assert validate(surf) == []
+        assert surf.is_connected()
+        assert surf.boundary_facets() == []
+
+
+# Kept on Gluing and SurfaceTriangulation only for the benchmark scripts.
+BENCH_ALIASES = {"tetrahedra", "tet_count", "triangle_count",
+                 "boundary_edges", "format_edge"}
+
+
+def test_package_reads_no_bench_alias():
+    """The package itself uses the Gluing names, so the aliases can go
+    once the benchmark scripts stop reading them."""
+    uses = []
+    for path in sorted(Path(normsurf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in BENCH_ALIASES:
+                uses.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert uses == []
