@@ -509,6 +509,11 @@ def run(config: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=err)
         return 3
+    except MemoryError as exc:
+        # numpy's allocation failures say how much they asked for
+        detail = f": {exc}" if str(exc) else ""
+        print(f"resource cap exceeded: out of memory{detail}", file=err)
+        return 3
     except (NormSurfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return 2

@@ -5,15 +5,26 @@ integer vectors satisfying homogeneous equations v_i + v_j = v_k + v_l
 and a set of forced zeros. Its fundamental solutions are the nonzero
 members that are not the sum of two nonzero members; equivalently the
 minimal nonzero members under coordinatewise order, since the solution
-set is closed downward in that order. This module enumerates them by
-completion search, after reductions that shrink but do not change the
-monoid up to isomorphism.
+set is closed downward in that order. This module enumerates them in
+two ways:
+
+  - The admissible members (admissible_only=True), primally: the
+    double description gives the solution cone's admissible rays; the
+    faces that coherent quad choices cut out cover every admissible
+    solution; each face is triangulated on its rays, and its Hilbert
+    basis read off the simplices' fundamental parallelepipeds
+    (_enumerate_admissible_primal).
+  - The full basis (and systems without quad triples), by completion
+    search: equations are imposed one at a time on a generating set,
+    after reductions that shrink but do not change the monoid up to
+    isomorphism (_Reduction, _enumerate_dual).
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import math
 import time
@@ -39,8 +50,14 @@ class FundamentalSet:
 
     vectors are full-length, lexicographically sorted. The fingerprint
     identifies the generating system so downstream callers can detect
-    set/system mismatches. candidates_examined and elapsed describe the
-    search effort.
+    set/system mismatches. elapsed is the wall time of the search, and
+    candidates_examined its work, the total charged to the candidate
+    budget, which counts for each path:
+      - admissible: the pairs and rays of each double description step,
+        then each face's rays and each distinct simplex's index, the
+        number of its parallelepiped points, zero included;
+      - full basis: the unit vectors each completion search starts from
+        and the partial sums each of its steps builds.
     """
 
     vectors: tuple[NormalVector, ...]
@@ -263,7 +280,7 @@ def _require_int64(bound: int, what: str) -> None:
     if bound > _INT64_MAX:
         raise IntegerOverflow(
             f"{what} may reach {bound}, beyond the int64 range "
-            "(2**63 - 1) of the completion search")
+            "(2**63 - 1) of the array arithmetic")
 
 
 def _count_matches(rows: np.ndarray, anchors: np.ndarray,
@@ -451,6 +468,29 @@ def _integer_kernel(A: Sequence[Sequence[int]], n: int
     return [tuple(row[j] for row in V) for j in range(rank, n)]
 
 
+def _independent(rows: Sequence[Sequence[int]],
+                 limit: Optional[int] = None) -> list[int]:
+    """Indices of the first linearly independent rows, at most limit of
+    them: by fraction-free elimination, a row is taken when it does not
+    reduce to zero against the rows taken before it. Their number is the
+    rank when there is no limit."""
+    taken: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for i, row in enumerate(rows):
+        if len(taken) == limit:
+            break
+        r = list(row)
+        for p, e in echelon:
+            if r[p]:
+                r = [e[p] * a - r[p] * b for a, b in zip(r, e)]
+        if any(r):
+            g = math.gcd(*r)
+            echelon.append((next(k for k, a in enumerate(r) if a),
+                            [a // g for a in r]))
+            taken.append(i)
+    return taken
+
+
 def _bitsets(masks: Iterable[int], width: int) -> np.ndarray:
     """Bitmasks given as Python ints, packed as rows of uint64 words."""
     return np.array([[(m >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF
@@ -560,20 +600,7 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     the cone; group-violating extreme rays are dropped.
     """
     d = len(ineq[0])
-    base: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for i, row in enumerate(ineq):
-        r = list(row)
-        for p, e in echelon:
-            if r[p]:
-                r = [e[p] * a - r[p] * b for a, b in zip(r, e)]
-        if any(r):
-            g = math.gcd(*r)
-            echelon.append((next(k for k, a in enumerate(r) if a),
-                            [a // g for a in r]))
-            base.append(i)
-            if len(base) == d:
-                break
+    base = _independent(ineq, d)
     S, U, V, _ = _smith_with_transforms([ineq[i] for i in base], d, d)
     scaled_u = [[S[d - 1][d - 1] // S[k][k] * x for x in U[k]]
                 for k in range(d)]
@@ -651,6 +678,16 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     return rays
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the bits set in mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _maximal_cliques(neighbors: Sequence[int]) -> list[int]:
     """Maximal cliques of a small graph, vertices as bitmask ints."""
     out: list[int] = []
@@ -659,67 +696,50 @@ def _maximal_cliques(neighbors: Sequence[int]) -> list[int]:
         if p == 0 and x == 0:
             out.append(r)
             return
-        pool = p | x
         pivot, best = -1, -1
-        probe = pool
-        while probe:
-            b = probe & -probe
-            v = b.bit_length() - 1
+        for v in _bits(p | x):
             cnt = bin(p & neighbors[v]).count("1")
             if cnt > best:
                 pivot, best = v, cnt
-            probe ^= b
-        cand = p & ~neighbors[pivot]
-        while cand:
-            b = cand & -cand
-            v = b.bit_length() - 1
+        for v in _bits(p & ~neighbors[pivot]):
+            b = 1 << v
             extend(r | b, p & neighbors[v], x & neighbors[v])
             p ^= b
             x |= b
-            cand ^= b
 
     if neighbors:
         extend(0, (1 << len(neighbors)) - 1, 0)
     return out
 
 
-def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
-                                 ) -> list[tuple[int, ...]]:
-    """Admissible fundamental solutions via quad-choice subcones.
+def _admissible_rays(sys: MatchingSystem, budget: _Budget
+                     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]],
+                                list[frozenset[int]]]:
+    """The admissible rays of the solution cone, as three parallel lists:
+    kernel coordinates, full-length normal coordinates and quad patterns
+    (the quad variables a ray is positive on).
 
-    Every summand of a nonnegative combination is bounded by the total,
-    so an extreme ray of the solution cone carrying two quad types in
-    one block can never appear in a decomposition of an admissible
-    solution. Each admissible solution therefore lies in a face of the
-    cone spanned by admissible extreme rays, whose quad supports are
-    pairwise coherent (at most one quad type per block in the union).
-    For each maximal coherent family of ray supports, forcing all other
-    quad coordinates to zero gives a subsystem whose fundamental
-    solutions are admissible and fundamental in the full system, and
-    the union over these subsystems is exactly the admissible part of
-    the full fundamental set. Duplicates across subsystem runs are
-    removed by exact vector equality after re-expansion.
+    The cone is {z : K z >= 0}, K the integer kernel basis of the
+    system's equations over its variables that are not forced to zero:
+    z is a point's coordinates in that basis, which spans every integer
+    solution, so the lattice points of the cone are exactly the integer
+    solutions. The rays are those of _extreme_rays with the rows of each
+    quad triple as a group, so every one is admissible.
     """
     equations = [_quadruple_to_row(eq) for eq in sys.equations]
     active = [v for v in range(sys.variable_count)
               if v not in sys.forced_zeros]
     col_of = {v: k for k, v in enumerate(active)}
-    rows = []
+    A = []
     for eq in equations:
         row = {col_of[v]: c for v, c in eq.items() if v in col_of}
         if row:
-            rows.append(row)
-    A = [[0] * len(active) for _ in rows]
-    for r, row in enumerate(rows):
-        for col, c in row.items():
-            A[r][col] = c
+            A.append([row.get(col, 0) for col in range(len(active))])
     kernel = _integer_kernel(A, len(active))
     if not kernel:
-        return []
+        return [], [], []
     ineq = [tuple(col[i] for col in kernel) for i in range(len(active))]
 
-    block_of = {q: b for b, triple in enumerate(sys.quad_triples)
-                for q in triple}
     block_rows = []
     quad_rows = []
     for triple in sys.quad_triples:
@@ -728,15 +748,38 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
         if len(present) > 1:
             block_rows.append(present)
 
-    patterns: set[frozenset[int]] = set()
-    for z in _extreme_rays(ineq, budget, block_rows):
-        patterns.add(frozenset(
-            active[i] for i in quad_rows
-            if sum(a * b for a, b in zip(ineq[i], z)) > 0))
-    if not patterns:
-        return []
+    rays = _extreme_rays(ineq, budget, block_rows)
+    # one exact product of Python ints: ray r's values are column r
+    values = np.zeros((sys.variable_count, len(rays)), dtype=object)
+    values[active] = np.array(ineq, dtype=object) @ np.array(
+        rays, dtype=object).reshape(-1, len(kernel)).T
+    normals = [tuple(v) for v in values.T.tolist()]
+    patterns = [frozenset(active[i] for i in quad_rows if v[active[i]] > 0)
+                for v in normals]
+    return rays, normals, patterns
 
-    plist = sorted(patterns, key=sorted)
+
+def _faces(patterns: Sequence[frozenset[int]],
+           quad_triples: Sequence[tuple[int, int, int]]) -> list[int]:
+    """The ray sets, as bitmasks over the rays, of the faces that cover
+    the admissible solutions, one per maximal coherent family of quad
+    patterns, in the order _maximal_cliques finds the families, each
+    set once.
+
+    Two patterns are coherent when their union has at most one quad type
+    per block. A family's face is the cone's face on which every quad
+    outside the family's union vanishes. Its rays are the rays whose
+    pattern lies inside that union, and those are exactly the rays of
+    the family's patterns: a pattern inside the union is coherent with
+    every member, so a maximal family holds it.
+    """
+    block_of = {q: b for b, triple in enumerate(quad_triples)
+                for q in triple}
+    plist = sorted(set(patterns), key=sorted)
+    index = {p: k for k, p in enumerate(plist)}
+    rays_of = [0] * len(plist)
+    for r, p in enumerate(patterns):
+        rays_of[index[p]] |= 1 << r
     maps = [{block_of[q]: q for q in p} for p in plist]
     neighbors = [0] * len(plist)
     for i in range(len(plist)):
@@ -744,24 +787,138 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
             if all(maps[j].get(blk, q) == q for blk, q in maps[i].items()):
                 neighbors[i] |= 1 << j
                 neighbors[j] |= 1 << i
+    # each ray has one pattern, so the masks of rays_of are disjoint
+    return list(dict.fromkeys(
+        sum(rays_of[k] for k in _bits(clique))
+        for clique in _maximal_cliques(neighbors)))
 
-    all_quads = {q for triple in sys.quad_triples for q in triple}
-    solutions: set[tuple[int, ...]] = set()
-    seen_zero_sets: set[frozenset[int]] = set()
-    for clique in _maximal_cliques(neighbors):
-        allowed: set[int] = set()
-        m = clique
-        while m:
-            b = m & -m
-            allowed |= plist[b.bit_length() - 1]
-            m ^= b
-        zeros = frozenset(sys.forced_zeros | (all_quads - allowed))
-        if zeros in seen_zero_sets:
+
+def _triangulate(face: int, rank: int, zero_masks: Iterable[int],
+                 memo: dict[int, list[tuple[int, ...]]], budget: _Budget
+                 ) -> list[tuple[int, ...]]:
+    """Pulling triangulation of the cone spanned by the rays in `face`,
+    a bitmask over the rays, of the given rank: its simplices as sorted
+    tuples of rays.
+
+    `zero_masks` holds, for each coordinate, the rays vanishing on it;
+    the cone is a face of {x >= 0 : A x = 0}, so each of its facets is
+    where one coordinate vanishes. A set of rank many rays is a simplex
+    already. Otherwise pull the lowest ray r0: cone r0 over the
+    triangulation of each facet that misses it. The facets' ray sets are
+    the inclusion-maximal proper sets `face & zero_mask`: every proper
+    face lies in a facet, and a face holds exactly the rays of the
+    spanning set that lie in it, so a smaller face has fewer rays. Each
+    facet has rank one less. The triangulation of a ray set depends on
+    that set only, so it is memoised in `memo`, shared by all faces.
+    """
+    budget.check_time()
+    if face in memo:
+        return memo[face]
+    rays = _bits(face)
+    if len(rays) == rank:
+        simplices = [tuple(rays)]
+    else:
+        r0 = rays[0]
+        tight = {face & z for z in zero_masks} - {face}
+        simplices = [
+            (r0,) + s
+            for t in sorted(tight)
+            if not t >> r0 & 1
+            and not any(t != u and t & u == t for u in tight)
+            for s in _triangulate(t, rank - 1, zero_masks, memo, budget)]
+    memo[face] = simplices
+    return simplices
+
+
+def _parallelepiped(kernel_rays: Sequence[Sequence[int]],
+                    normals: Sequence[Sequence[int]], budget: _Budget
+                    ) -> list[tuple[int, ...]]:
+    """The nonzero lattice points of a simplicial cone's fundamental
+    parallelepiped {sum l_i r_i : 0 <= l_i < 1}, in normal coordinates.
+
+    The k rays r_i are linearly independent, given by their kernel
+    coordinates (the rows of a k x d matrix R) and their normal
+    coordinates. With S = U R V its Smith form and s_1 | ... | s_k the
+    invariant factors, the lattice points of R's row span are exactly
+    the combinations l R with l = y diag(1/s) U, y integral, and y
+    modulo s_j in coordinate j picks out each point of the
+    parallelepiped once, as frac(l). Their number, the simplex's index,
+    is s_1 ... s_k; it is charged before any point is built. Integers
+    only: each l_i is scaled by s_k and reduced modulo s_k, and the
+    point is divided by s_k at the end, exactly.
+    """
+    k, d = len(kernel_rays), len(kernel_rays[0])
+    S, U, _, _ = _smith_with_transforms(kernel_rays, k, d)
+    s = [S[j][j] for j in range(k)]
+    budget.charge(math.prod(s))
+    top = s[-1]
+    # y_j only matters where s_j > 1; l * top = sum_j y_j * scaled[j]
+    big = [j for j in range(k) if s[j] > 1]
+    scaled = [[top // s[j] * u for u in U[j]] for j in big]
+    points = []
+    for y in itertools.product(*(range(s[j]) for j in big)):
+        if not any(y):
             continue
-        seen_zero_sets.add(zeros)
-        solutions.update(_enumerate_dual(
-            _Reduction(sys.variable_count, equations, zeros), budget))
-    return list(solutions)
+        coeffs = [sum(yj * row[i] for yj, row in zip(y, scaled)) % top
+                  for i in range(k)]
+        points.append(tuple(
+            sum(c * x for c, x in zip(coeffs, column)) // top
+            for column in zip(*normals)))
+    return points
+
+
+def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
+                                 ) -> list[tuple[int, ...]]:
+    """Admissible fundamental solutions from triangulated faces.
+
+    Every summand of a nonnegative combination is bounded by the total,
+    so an extreme ray of the solution cone carrying two quad types in
+    one block never appears in a decomposition of an admissible
+    solution: each admissible solution lies in a face of the cone
+    spanned by admissible rays whose quad patterns are pairwise
+    coherent, hence in one of the faces of _faces.
+
+    Each face is triangulated (_triangulate), and every lattice point of
+    a simplicial cone is a point of its fundamental parallelepiped
+    (_parallelepiped) plus a nonnegative integer combination of its
+    rays. So every irreducible element of a face's monoid is one of its
+    rays or one of its simplices' nonzero parallelepiped points.
+
+    A face is where some coordinates vanish. If x = y + w in the full
+    monoid, then y and w are below x coordinatewise, so they lie in x's
+    face: an irreducible element of a face's monoid is fundamental in
+    the full system. The same argument gives the test. A candidate c
+    lies in some face F; every nonzero solution below c lies in F as
+    well, so it is above one of F's irreducible elements, which are
+    candidates. So c is fundamental exactly when no other candidate lies
+    below it, and minimality is tested once, over the candidates of all
+    faces together.
+
+    The budget is charged each face's ray count, and each distinct
+    simplex's index (its parallelepiped's lattice points, zero included)
+    before the points are built; the triangulation checks the deadline
+    at every step.
+    """
+    kernel_rays, normals, patterns = _admissible_rays(sys, budget)
+    if not kernel_rays:
+        return []
+    zero_masks = {sum(1 << r for r, x in enumerate(column) if not x)
+                  for column in zip(*normals)}
+    memo: dict[int, list[tuple[int, ...]]] = {}
+    points: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for face in _faces(patterns, sys.quad_triples):
+        members = _bits(face)
+        budget.charge(len(members))
+        rank = len(_independent([kernel_rays[r] for r in members]))
+        for simplex in _triangulate(face, rank, zero_masks, memo, budget):
+            if simplex not in points:
+                points[simplex] = _parallelepiped(
+                    [kernel_rays[r] for r in simplex],
+                    [normals[r] for r in simplex], budget)
+    candidates = normals + [p for found in points.values() for p in found]
+    _require_int64(max(map(max, candidates)), "a normal coordinate")
+    rows = _minimal_rows(np.array(candidates, dtype=np.int64), budget)
+    return [tuple(row) for row in rows.tolist()]
 
 
 def _enumerate_dual(red: _Reduction, budget: _Budget
@@ -796,10 +953,14 @@ def enumerate_fundamental(
     budget runs out; never returns a silently truncated set.
 
     With admissible_only=True the result is instead exactly the
-    admissible members of that Hilbert basis. They are computed without
-    the full basis, by covering the admissible solutions with
-    single-quad-choice subcones (see _enumerate_admissible_primal),
-    which is usually far cheaper.
+    admissible members of that Hilbert basis, admissible meaning at most
+    one nonzero quad of each of sys.quad_triples. They are computed
+    without the full basis: faces of the solution cone that allow one
+    quad choice per block cover the admissible solutions, and each face
+    is triangulated and its simplices' fundamental parallelepipeds
+    enumerated (see _enumerate_admissible_primal), which is usually far
+    cheaper. Otherwise, and for systems without quad triples, the
+    completion search runs on the whole system.
     """
     budget = _Budget(max_candidates, time_budget)
     if admissible_only and sys.quad_triples:
@@ -818,6 +979,12 @@ def enumerate_fundamental(
 
 def filter_admissible(fs: FundamentalSet) -> FundamentalSet:
     """Keep only vectors with at most one nonzero quad type per block.
+
+    Blocks are the fixed 7-slot tetrahedron layout of matching.BLOCK
+    (quads in slots 4..6), read by is_admissible; the system's own
+    quad_triples are not consulted, so on a system whose triples lie
+    elsewhere this is not the admissible part that admissible_only
+    enumerates.
 
     An admissible solution's summands are themselves solutions below it
     coordinatewise, hence admissible too, so the admissible members of

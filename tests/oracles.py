@@ -1,9 +1,11 @@
 """Independent oracles the tests check the library against.
 
 Nothing here calls the library's surface, homology, or enumeration
-code. Shared conventions (coordinate layout, gluing record shape) are
-reimplemented from scratch so that agreement means two separate
-computations produced the same answer, not one computation ran twice.
+code, except admissible_by_completion, which keeps the library's
+previous admissible enumeration whole as a reference. Shared
+conventions (coordinate layout, gluing record shape) are reimplemented
+from scratch so that agreement means two separate computations
+produced the same answer, not one computation ran twice.
 """
 
 import math
@@ -616,3 +618,93 @@ def smith_reference(
             continue
         t += 1
     return S, U, V, Vinv
+
+
+# ---------------------------------------------------------------------------
+# Admissible fundamental solutions by the completion search, as the library
+# computed them before it triangulated faces. Unlike everything above, this
+# drives the library's own reduction and completion search: it is the
+# previous algorithm kept whole, so that agreement checks the new one
+# against it. The reduction is looked up on the module at call time, so a
+# test can record the reductions it builds.
+
+def admissible_by_completion(system):
+    """The admissible members of the system's Hilbert basis, sorted: for
+    each face the library covers the admissible solutions with, every
+    quad outside the face's patterns is forced to zero, and the
+    subsystem's full Hilbert basis is found by reduction and completion
+    search. Subsystems with the same zero set run once."""
+    from normsurf import hilbert
+
+    budget = hilbert._Budget(hilbert.DEFAULT_MAX_CANDIDATES, None)
+    equations = [hilbert._quadruple_to_row(eq) for eq in system.equations]
+    _, _, patterns = hilbert._admissible_rays(system, budget)
+    all_quads = {q for triple in system.quad_triples for q in triple}
+    solutions = set()
+    seen_zero_sets = set()
+    for face in hilbert._faces(patterns, system.quad_triples):
+        allowed = set().union(*(p for r, p in enumerate(patterns)
+                                if face >> r & 1))
+        zeros = frozenset(system.forced_zeros | (all_quads - allowed))
+        if zeros in seen_zero_sets:
+            continue
+        seen_zero_sets.add(zeros)
+        solutions.update(hilbert._enumerate_dual(
+            hilbert._Reduction(system.variable_count, equations, zeros),
+            budget))
+    return tuple(sorted(solutions))
+
+
+# ---------------------------------------------------------------------------
+# Hilbert basis of a small face from every simplicial subset of its rays.
+
+def _determinant(rows):
+    """Determinant of a square integer matrix, by elimination over
+    Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return int(det)
+
+
+def hilbert_by_subset_cover(rays):
+    """The Hilbert basis of the lattice points of cone(rays), for the
+    rays of a face of a cone {x >= 0 : A x = 0}, so that a lattice point
+    of it is reducible exactly when another lies below it
+    coordinatewise.
+
+    Needs no triangulation: every linearly independent subset of rank
+    many rays spans a simplicial cone, and together they cover the face.
+    A lattice point of such a cone's fundamental parallelepiped is
+    sum l_i r_i with 0 <= l_i < 1, and by Cramer's rule each l_i times
+    any maximal minor of the subset is an integer, so each l_i is a_i / D
+    with D the gcd of those minors and 0 <= a_i < D: every such
+    combination is tried. The basis is the minimal nonzero
+    candidates among the rays and those points.
+    """
+    rays = [tuple(int(x) for x in r) for r in rays]
+    if not rays:
+        return set()
+    n = len(rays[0])
+    k = _rational_rank_and_kernel(rays, n)[0]
+    candidates = set(rays)
+    for subset in combinations(rays, k):
+        if _rational_rank_and_kernel(subset, n)[0] < k:
+            continue
+        D = math.gcd(*(_determinant([[r[j] for j in cols] for r in subset])
+                       for cols in combinations(range(n), k)))
+        a = np.indices((D,) * k).reshape(k, -1).T
+        v = a @ np.array(subset, dtype=np.int64)
+        for row in v[(v % D == 0).all(1) & a.any(1)] // D:
+            candidates.add(tuple(int(x) for x in row))
+    return minimal_nonzero(candidates)

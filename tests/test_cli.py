@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from normsurf import cli
 from normsurf.cli import main
 
 # sha256 of the --json output of each command, run on the files that
@@ -22,7 +23,7 @@ JSON_DIGESTS = {
     "homology":
         "63fc8ddf5e11e2d10a81e3e0d830797e4e65483e9ba49e39f95597f9cf708b3d",
     "fundamental":
-        "a61c099bf6bbf42d91789b2ed217b4239e92efd2321d8da050cda1c8787c33d0",
+        "24bc4d496908747dc850057bec1d4b0307bd7c5f73b6e322cb65d1f2ba1b2d5b",
     "curve2d":
         "5fe53bbafa8caec28abceaf64366c211ec2c1fc8f9a1b2daf2177ca17c85a51f",
 }
@@ -188,3 +189,15 @@ def test_resource_cap_exits_3(capsys, fixture_dir):
     code, _, err = run_cli(capsys, fixture_dir, argv)
     assert code == 3
     assert err.startswith("resource cap exceeded:")
+
+
+def test_out_of_memory_exits_3(capsys, fixture_dir, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 755. MiB for an array")
+
+    monkeypatch.setattr(cli, "enumerate_fundamental", exhausted)
+    code, out, err = run_cli(capsys, fixture_dir,
+                             COMMANDS["fundamental"] + ["--json"])
+    assert (code, out) == (3, "")
+    assert err == ("resource cap exceeded: out of memory: "
+                   "Unable to allocate 755. MiB for an array\n")

@@ -25,10 +25,12 @@ from normsurf.hilbert import (_Budget, _extreme_rays, _integer_kernel,
                               enumerate_fundamental, filter_admissible)
 from normsurf.matching import (BLOCK, MatchingSystem, is_admissible,
                                is_solution, quad_offset, restrict_to_link)
+from normsurf.triangulation import LinkSpec
 
-from oracles import (bounded_solutions, brute_force_solutions,
-                     cone_extreme_rays, decomposes_over, lift_reference,
-                     minimal_nonzero, random_quad_system)
+from oracles import (admissible_by_completion, bounded_solutions,
+                     brute_force_solutions, cone_extreme_rays,
+                     decomposes_over, hilbert_by_subset_cover,
+                     lift_reference, minimal_nonzero, random_quad_system)
 
 from tables import reference_solutions
 
@@ -159,6 +161,109 @@ def test_admissible_only_equals_filtered_full_basis():
         assert all(is_admissible(v) for v in only.vectors)
 
 
+def fixture_systems():
+    """The bundled matching systems, by name, with quad triples."""
+    tri12, link = fixtures.fig8_closed(), fixtures.fig8_link()
+    knot_and_longitude = LinkSpec(components=(
+        link.components[0], fixtures.fig8_longitude_cycle()))
+    pair = fixtures.disconnected_pair()
+    return {
+        "10-tet": fixtures.fig8_complement().matching_system,
+        "12-tet": tri12.matching_system,
+        "12-tet off the link":
+            restrict_to_link(tri12.matching_system, tri12, link),
+        "12-tet off knot and longitude":
+            restrict_to_link(tri12.matching_system, tri12,
+                             knot_and_longitude),
+        "pair off the link": restrict_to_link(
+            pair.matching_system, pair, fixtures.disconnected_link()),
+        "solid torus": fixtures.solid_torus().matching_system,
+        "single tet": fixtures.single_tet().matching_system,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(fixture_systems()))
+def test_admissible_basis_matches_the_completion_search(name):
+    sys = fixture_systems()[name]
+    assert sys.quad_triples
+    assert enumerate_fundamental(sys, admissible_only=True).vectors == \
+        admissible_by_completion(sys)
+
+
+def with_quad_triples(rng, sys):
+    """sys with random disjoint quad triples over its variables."""
+    spots = list(range(sys.variable_count))
+    rng.shuffle(spots)
+    return replace(sys, quad_triples=tuple(
+        tuple(sorted(spots[3 * t:3 * t + 3]))
+        for t in range(rng.randint(1, sys.variable_count // 3))))
+
+
+def doubled_system(rng):
+    """A random system with quad triples and equations 2 x_i = x_j + x_k,
+    whose cones have simplices of index 2 and more: the solutions x_i =
+    1, x_j = x_k = 1 of one such equation lie halfway between its rays
+    (1, 2, 0) and (1, 0, 2)."""
+    n = rng.randint(4, 9)
+    eqs = [tuple(rng.randrange(n) for _ in range(4))
+           for _ in range(rng.randint(0, 2))]
+    eqs += [(i, i, j, k) for i, j, k in
+            (rng.sample(range(n), 3) for _ in range(rng.randint(1, 3)))]
+    return with_quad_triples(rng, plain_system(n, eqs))
+
+
+def count_indexed_simplices(monkeypatch):
+    """A list that grows by one for every simplex of index > 1 built."""
+    found = []
+    parallelepiped = hilbert._parallelepiped
+
+    def recording(*args):
+        points = parallelepiped(*args)
+        if points:
+            found.append(len(points))
+        return points
+
+    monkeypatch.setattr(hilbert, "_parallelepiped", recording)
+    return found
+
+
+def test_admissible_basis_is_the_admissible_part_of_the_full_one(
+        monkeypatch):
+    # admissible under sys.quad_triples, not filter_admissible's fixed
+    # 7-slot blocks
+    found = count_indexed_simplices(monkeypatch)
+    rng = random.Random(13)
+    plain = [with_quad_triples(rng, random_quad_system(rng, max_vars=9))
+             for _ in range(150)]
+    doubled = [doubled_system(rng) for _ in range(150)]
+    indexed = 0
+    for sys in plain + doubled:
+        before = len(found)
+        only = enumerate_fundamental(sys, admissible_only=True).vectors
+        indexed += len(found) > before
+        full = enumerate_fundamental(sys).vectors
+        assert only == tuple(v for v in full if all(
+            sum(1 for q in triple if v[q]) <= 1
+            for triple in sys.quad_triples)), sys
+    assert indexed >= 20
+
+
+def test_triangulated_faces_match_the_subset_cover(monkeypatch):
+    found = count_indexed_simplices(monkeypatch)
+    rng = random.Random(19)
+    for _ in range(150):
+        sys = doubled_system(rng)
+        only = enumerate_fundamental(sys, admissible_only=True).vectors
+        _, normals, patterns = hilbert._admissible_rays(
+            sys, _Budget(10 ** 9, None))
+        cover = set()
+        for face in hilbert._faces(patterns, sys.quad_triples):
+            cover |= hilbert_by_subset_cover(
+                [v for r, v in enumerate(normals) if face >> r & 1])
+        assert set(only) == cover, sys
+    assert len(found) >= 30
+
+
 def test_restricted_fixture_has_exactly_the_three_reference_solutions(
         tri12, fund_restricted):
     assert set(fund_restricted.vectors) == set(reference_solutions(tri12))
@@ -241,8 +346,9 @@ def reduction_record(red):
 
 
 # sha256 of json.dumps of the records of the 109 reductions built by the
-# 10-tet admissible and restricted 12-tet full enumerations; recorded
-# with the reduction that replayed full passes and dropped twins
+# completion-search oracle on the 10-tet (admissible) and by the restricted
+# 12-tet full enumeration; recorded with the reduction that replayed full
+# passes and dropped twins, when both ran inside the library
 REDUCTIONS_SHA256 = \
     "e956a25b9ead5a97a14593c31e4ec08481412f0833b098c3b902f3f721fa1b05"
 
@@ -256,7 +362,7 @@ def test_reductions_are_pinned(tri10, restricted12, monkeypatch):
             records.append(reduction_record(self))
 
     monkeypatch.setattr(hilbert, "_Reduction", Recording)
-    enumerate_fundamental(tri10.matching_system, admissible_only=True)
+    admissible_by_completion(tri10.matching_system)
     enumerate_fundamental(restricted12)
     assert len(records) == 109
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == \
@@ -280,14 +386,16 @@ def test_twin_equations_change_nothing(restricted12):
         assert runs[0] == runs[1] == runs[2]
 
 
-# (candidates_examined, number of vectors), recorded with the completion
-# search that had a separate dominance test per use
+# (candidates_examined, number of vectors). The full rows were recorded
+# with the completion search that had a separate dominance test per use;
+# the admissible rows count the extreme-ray steps, each face's rays and
+# each simplex's index
 PINNED_WORK = {
-    "10-tet admissible": (254_857, 110),
+    "10-tet admissible": (226_693, 110),
     "restricted 12-tet full": (11_468, 54),
-    "restricted pair admissible": (254_931, 54),
+    "restricted pair admissible": (231_141, 54),
     "solid torus full": (18, 5),
-    "solid torus admissible": (12, 4),
+    "solid torus admissible": (15, 4),
     "square surface": (14, 6),
 }
 
@@ -433,11 +541,12 @@ def test_dominance_blocks_the_anchor_axis():
     assert peak < 200_000
 
 
-# The one slow component of the 10-tet complement relabelled by
-# bench/gen.py's random_relabelling(names, random.Random(1)), admissible
-# enumeration: a 16-column system whose greedy lift order charges 5,184
-# and then 22,536 candidates to grow 203 generators into 2,140, after
-# which the next lift charges 1,328,400
+# A subsystem of the 10-tet complement relabelled by bench/gen.py's
+# random_relabelling(names, random.Random(1)), the one slow component when
+# admissible enumeration ran the completion search on each subcone: a
+# 16-column system whose greedy lift order charges 5,184 and then 22,536
+# candidates to grow 203 generators into 2,140, after which the next lift
+# charges 1,328,400
 HARD_SUBCONE = [
     [0, 1, 0, 0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 0, 0],
     [1, -1, 0, 0, 1, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0],
@@ -592,6 +701,34 @@ def test_ten_tet_double_description_is_pinned(tri10, monkeypatch):
         TEN_TET_RAYS_SHA256
 
 
+def test_candidate_cap_stops_the_face_loop(tri10):
+    # every charge after the extreme rays is a face's rays or a simplex's
+    # index, so a cap one below the total is passed by the last of them
+    total = PINNED_WORK["10-tet admissible"][0]
+    with pytest.raises(ResourceLimitExceeded) as raised:
+        enumerate_fundamental(tri10.matching_system, admissible_only=True,
+                              max_candidates=total - 1)
+    assert raised.value.candidates == total > TEN_TET_RAYS_CHARGED
+
+
+def test_deadline_is_checked_inside_the_triangulation(tri10):
+    class Expiring(_Budget):
+        def charge(self, count):
+            super().charge(count)
+            if self.examined > TEN_TET_RAYS_CHARGED:
+                # the first face's rays are charged: the deadline passes
+                self.deadline = time.monotonic() - 1
+
+    with pytest.raises(ResourceLimitExceeded) as raised:
+        hilbert._enumerate_admissible_primal(tri10.matching_system,
+                                             Expiring(10 ** 9, None))
+    assert raised.value.candidates > TEN_TET_RAYS_CHARGED
+    assert raised.traceback[-2].name == "_triangulate"
+    with pytest.raises(ResourceLimitExceeded):
+        enumerate_fundamental(tri10.matching_system, admissible_only=True,
+                              time_budget=1e-3)
+
+
 NO_SYMPY_SCRIPT = """
 import sys
 from normsurf import cli, fixtures
@@ -613,8 +750,11 @@ assert "sympy" not in sys.modules
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # candidates_examined of the admissible enumeration of the 10-tet
 # complement relabelled by bench/gen.py's random_relabelling(names,
-# random.Random(seed)), for seeds whose cost stays near the canonical one
-RELABELLED_WORK = {2: 1_141_758, 4: 1_016_695}
+# random.Random(seed))
+RELABELLED_WORK = {
+    0: 1_258_539, 1: 945_962, 2: 1_128_614, 3: 620_730, 4: 1_004_571,
+    5: 1_164_477, 6: 971_926, 7: 2_104_310, 8: 788_649, 9: 273_857,
+}
 
 
 def canonical_coordinates(v, tri, relabelling):
@@ -644,7 +784,7 @@ def test_relabelled_enumeration_is_the_canonical_one(seed, tri10, fund10,
     relabelling = gen.random_relabelling(names, random.Random(seed))
     fs = enumerate_fundamental(
         gen.relabel(tri10, relabelling).matching_system,
-        admissible_only=True)
+        admissible_only=True, time_budget=5)
     assert len(fs.vectors) == 110
     back = sorted(canonical_coordinates(v, tri10, relabelling)
                   for v in fs.vectors)

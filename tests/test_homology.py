@@ -113,8 +113,8 @@ def test_smith_matches_the_reference_on_random_matrices():
 
 def test_smith_matches_the_reference_on_fixture_matrices(monkeypatch):
     """Every matrix the bundled pipelines hand to the routine: the
-    integer kernels and extreme-ray bases of four enumerations, and the
-    boundaries of three H1 computations."""
+    integer kernels, extreme-ray bases and simplex ray matrices of four
+    enumerations, and the boundaries of three H1 computations."""
     seen = []
 
     def recording(A, m, n):
@@ -134,7 +134,8 @@ def test_smith_matches_the_reference_on_fixture_matrices(monkeypatch):
     h1(t10)
     h1(st)
     h1(t12, strict=False)
-    assert len(seen) == 14
+    # 14 kernels, bases and boundaries, and 267 simplices
+    assert len(seen) == 281
     assert (124, 130) in {(m, n) for _, m, n in seen}
     for A, m, n in seen:
         assert _smith_with_transforms(A, m, n) == smith_reference(A, m, n)
