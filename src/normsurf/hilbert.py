@@ -17,7 +17,10 @@ two ways:
   - The full basis (and systems without quad triples), by completion
     search: equations are imposed one at a time on a generating set,
     after reductions that shrink but do not change the monoid up to
-    isomorphism (_Reduction, _enumerate_dual).
+    isomorphism (_Reduction, _enumerate_dual). The primal path does not
+    pay here: on the 3x3 grid query of curves2d, triangulating the
+    whole cone took 19.6 s (93 rays, 56,888 simplices, 24,303
+    parallelepiped points) against 0.057 s for the completion search.
 """
 
 from __future__ import annotations
@@ -463,7 +466,7 @@ def _integer_kernel(A: Sequence[Sequence[int]], n: int
     """A basis of the integer kernel of the m x n matrix A: the columns
     of the Smith column transform past the rank, each primitive."""
     m = len(A)
-    S, _, V, _ = _smith_with_transforms(A, m, n)
+    S, _, V = _smith_with_transforms(A, m, n)
     rank = sum(1 for i in range(min(m, n)) if S[i][i])
     return [tuple(row[j] for row in V) for j in range(rank, n)]
 
@@ -601,7 +604,7 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     """
     d = len(ineq[0])
     base = _independent(ineq, d)
-    S, U, V, _ = _smith_with_transforms([ineq[i] for i in base], d, d)
+    S, U, V = _smith_with_transforms([ineq[i] for i in base], d, d)
     scaled_u = [[S[d - 1][d - 1] // S[k][k] * x for x in U[k]]
                 for k in range(d)]
     # grouped row -> the other rows of the groups containing it
@@ -848,7 +851,7 @@ def _parallelepiped(kernel_rays: Sequence[Sequence[int]],
     point is divided by s_k at the end, exactly.
     """
     k, d = len(kernel_rays), len(kernel_rays[0])
-    S, U, _, _ = _smith_with_transforms(kernel_rays, k, d)
+    S, U, _ = _smith_with_transforms(kernel_rays, k, d)
     s = [S[j][j] for j in range(k)]
     budget.charge(math.prod(s))
     top = s[-1]

@@ -2,10 +2,15 @@
 
 The quotient complex of a triangulation has one cell per vertex class,
 edge class, and face class. This module assembles its integer boundary
-matrices, computes H1 = ker d1 / im d2 through an exact Smith normal
-form with unimodular transforms, and classifies 1-cycles: every cycle
-gets canonical coordinates in H1, a nullity test, and, when it bounds,
-an explicit 2-chain certificate.
+matrices, computes H1 = ker d1 / im d2, and classifies 1-cycles: every
+cycle gets canonical coordinates in H1, a nullity test, and, when it
+bounds, an explicit 2-chain certificate.
+
+The cycle space ker d1 comes from a spanning forest of the skeleton
+graph: each edge class left out of it closes one fundamental cycle, and
+a 1-cycle's coordinates in that basis are its values on those edges. So
+x, im d2 in these coordinates, is those rows of d2, and one exact Smith
+form S = U x V gives the group, U a cycle's class, V a bounding 2-chain.
 
 Orientation conventions:
   - Each edge class is oriented by its lexicographically least member
@@ -18,11 +23,12 @@ Orientation conventions:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import HomologyError
-from .matching import vertex_link_vector
+from .matching import BLOCK
 from .triangulation import (
     EdgeCycle,
     LinkSpec,
@@ -30,6 +36,7 @@ from .triangulation import (
     Triangulation,
     resolve_link,
 )
+from .union_find import UnionFind
 
 Matrix = tuple[tuple[int, ...], ...]
 Chain = Union[Sequence[int], Mapping[int, int]]
@@ -117,15 +124,12 @@ def _dense(vectors: Sequence[dict[int, int]], width: int
 
 def _smith_with_transforms(
         A: Sequence[Sequence[int]], m: int, n: int
-) -> tuple[list[list[int]], list[list[int]], list[list[int]],
-           list[list[int]]]:
-    """Smith normal form S = U A V with U, V unimodular, and V's inverse.
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form S = U A V with U, V unimodular.
 
     Exact arbitrary-precision integers throughout; the diagonal is
-    nonnegative with each entry dividing the next. Each column operation
-    on V applies the inverse row operation to V^-1, so the columns of V
-    past the rank are a basis of the integer kernel of A and the rows of
-    V^-1 past the rank project a vector onto them.
+    nonnegative with each entry dividing the next, and the columns of V
+    past the rank are a basis of the integer kernel of A.
 
     The transforms depend on the sequence of operations, which is fixed:
     the pivot for position t is the entry of smallest absolute value in
@@ -141,9 +145,9 @@ def _smith_with_transforms(
         the first entry of absolute value 1: later ones could only tie.
       - Every integer is a multiple of a unit pivot, so the
         divisibility scan is skipped for one.
-      - S, U and V^-1 are sparse rows and V sparse columns. An
-        operation touches its source's nonzeros, and a pass visits the
-        rows (columns) with a nonzero in the pivot column (row): a visit
+      - S and U are sparse rows and V sparse columns. An operation
+        touches its source's nonzeros, and a pass visits the rows
+        (columns) with a nonzero in the pivot column (row): a visit
         rewrites or swaps only its own row (column) and the pivot's.
       - The row pass leaves the pivot column clear, so until a column
         swap, column operations change S in the pivot row only.
@@ -151,7 +155,6 @@ def _smith_with_transforms(
     S = [{j: int(A[i][j]) for j in range(n) if A[i][j]} for i in range(m)]
     U = [{i: 1} for i in range(m)]
     V_cols = [{j: 1} for j in range(n)]
-    Vinv = [{j: 1} for j in range(n)]
 
     def row_sub(i, j, q):
         _axpy(S[i], S[j], q)
@@ -168,7 +171,6 @@ def _smith_with_transforms(
                 else:
                     del row[i]
         _axpy(V_cols[i], V_cols[j], q)
-        _axpy(Vinv[j], Vinv[i], -q)
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
@@ -182,7 +184,6 @@ def _smith_with_transforms(
             if a:
                 row[j] = a
         V_cols[i], V_cols[j] = V_cols[j], V_cols[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def positivize(t):
         if S[t][t] < 0:
@@ -240,33 +241,28 @@ def _smith_with_transforms(
                 continue
         t += 1
     V = [list(col) for col in zip(*_dense(V_cols, n))]
-    return _dense(S, n), _dense(U, m), V, _dense(Vinv, n)
+    return _dense(S, n), _dense(U, m), V
 
 
 def _matvec(A: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(a * b for a, b in zip(row, x)) for row in A]
 
 
-def _matmul(A: Sequence[Sequence[int]],
-            B: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = list(zip(*B)) if B else []
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in A]
-
-
 def _nonmaterial_vertex_classes(tri: Triangulation,
                                 skel: Skeleton) -> tuple[int, ...]:
-    """Vertex classes whose link is neither a sphere nor a disk."""
-    from .surface import analyze
-    bad = []
-    for vc in skel.vertex_classes:
-        rep = analyze(tri, vertex_link_vector(tri, vc.index))
-        sphere = rep.closed and rep.euler == 2 and rep.components == 1
-        disk = (not rep.closed and rep.euler == 1
-                and rep.components == 1)
-        if not (sphere or disk):
-            bad.append(vc.index)
-    return tuple(bad)
+    """Vertex classes whose link is neither a sphere nor a disk.
+
+    A class is one orbit of corners under the face gluings, so its link
+    is connected; it has boundary exactly when the class does. Its Euler
+    characteristic is the Euler form (exact on admissible vectors) on
+    its corner triangles: 1 for a disk, 2 for a sphere.
+    """
+    from .surface import euler_coefficients  # surface imports hilbert
+    chi = euler_coefficients(tri)
+    return tuple(
+        vc.index for vc in skel.vertex_classes
+        if sum(chi[BLOCK * t + v] for t, v in vc.members)
+        != (1 if vc.boundary else 2))
 
 
 def chain_complex(tri: Triangulation) -> ChainComplex:
@@ -286,16 +282,9 @@ def chain_complex(tri: Triangulation) -> ChainComplex:
     n_v = len(skel.vertex_classes)
     n_e = len(skel.edge_classes)
 
-    face_basis = []
-    seen = set()
-    for spot in tri.facet_spots():
-        if spot in seen:
-            continue
-        seen.add(spot)
-        target = tri.glued_to(*spot)
-        if target is not None:
-            seen.add((target[0], tuple(sorted(target[1]))))
-        face_basis.append(spot)
+    sources = {spot for spot, _, _ in tri.interior_pairs()}
+    face_basis = [spot for spot in tri.facet_spots()
+                  if spot in sources or tri.glued_to(*spot) is None]
 
     d1 = [[0] * n_e for _ in range(n_v)]
     for ec in skel.edge_classes:
@@ -333,59 +322,61 @@ class H1Summary:
     free_rank: int
     torsion: tuple[int, ...]
     complex: ChainComplex
-    _projector: Matrix
+    _cycle_edges: tuple[int, ...]
     _transform: Matrix
     _image_diag: tuple[int, ...]
     _postfactor: Matrix
 
-    def _coordinates(self, chain: Sequence[int]) -> list[int]:
+    def _coordinates(self, chain: Chain) -> list[int]:
+        chain = _as_vector(chain, self.complex)
         n_e = len(self.complex.skeleton.edge_classes)
         if len(chain) != n_e:
             raise HomologyError(
                 f"chain has {len(chain)} coefficients, expected {n_e}")
         if any(_matvec(self.complex.boundary1, chain)):
             raise HomologyError("chain is not a 1-cycle")
-        return _matvec(self._transform, _matvec(self._projector, chain))
+        return _matvec(self._transform,
+                       [chain[e] for e in self._cycle_edges])
 
     def class_of(self, chain: Chain) -> H1Class:
-        w = self._coordinates(_as_vector(chain, self.complex))
-        r = len(self._image_diag)
-        values = []
-        orders = []
-        for i, d in enumerate(self._image_diag):
-            if d > 1:
-                values.append(w[i] % d)
-                orders.append(d)
-        values.extend(w[r:])
-        orders.extend([0] * (len(w) - r))
-        return H1Class(values=tuple(values), orders=tuple(orders))
+        w = self._coordinates(chain)
+        diag = self._image_diag + (0,) * (len(w) - len(self._image_diag))
+        kept = [(x, d) for x, d in zip(w, diag) if d != 1]
+        return H1Class(values=tuple(x % d if d else x for x, d in kept),
+                       orders=tuple(d for _, d in kept))
 
     def bounding(self, chain: Chain) -> Optional[tuple[int, ...]]:
         """A 2-chain over face classes whose boundary is the cycle,
         or None when the cycle is not null-homologous."""
-        w = self._coordinates(_as_vector(chain, self.complex))
-        r = len(self._image_diag)
-        if any(w[r:]):
+        w = self._coordinates(chain)
+        diag = self._image_diag
+        if any(w[len(diag):]) or any(x % d for x, d in zip(w, diag)):
             return None
-        n_f = len(self.complex.face_basis)
-        c = [0] * n_f
-        for i, d in enumerate(self._image_diag):
-            if w[i] % d:
-                return None
-            c[i] = w[i] // d
-        return tuple(_matvec(self._postfactor, c))
+        # the 2-chain's coordinates past the rank are zero
+        return tuple(_matvec(self._postfactor,
+                             [x // d for x, d in zip(w, diag)]))
 
 
 def _as_vector(chain: Chain, cc: ChainComplex) -> list[int]:
+    """The chain's coefficients as ints, one per edge class. Mapping
+    keys must be plain ints naming edge classes, and every coefficient
+    a number of integral value; anything else raises HomologyError."""
     n_e = len(cc.skeleton.edge_classes)
     if isinstance(chain, Mapping):
         vec = [0] * n_e
         for idx, coeff in chain.items():
-            if not 0 <= idx < n_e:
-                raise HomologyError(f"no edge class {idx}")
-            vec[idx] += coeff
+            if not (isinstance(idx, int) and not isinstance(idx, bool)
+                    and 0 <= idx < n_e):
+                raise HomologyError(f"no edge class {idx!r}")
+            vec[idx] += _coefficient(coeff)
         return vec
-    return [int(x) for x in chain]
+    return [_coefficient(x) for x in chain]
+
+
+def _coefficient(x) -> int:
+    if not (isinstance(x, numbers.Real) and x % 1 == 0):
+        raise HomologyError(f"chain coefficient {x!r} is not an integer")
+    return int(x)
 
 
 def h1(tri: Triangulation, *, strict: bool = True) -> H1Summary:
@@ -405,24 +396,27 @@ def h1(tri: Triangulation, *, strict: bool = True) -> H1Summary:
             "non-disk links; their cone points distort H1. Use "
             "strict=False to compute the complex's homology anyway")
 
-    n_v = len(cc.boundary1)
-    n_e = len(cc.skeleton.edge_classes)
-    n_f = len(cc.face_basis)
+    # the edges outside a spanning forest index the fundamental cycles
+    forest = UnionFind(range(len(cc.boundary1)))
+    cycle_edges = []
+    for e in range(len(cc.skeleton.edge_classes)):
+        ends = [forest.find(i) for i, row in enumerate(cc.boundary1)
+                if row[e]]
+        if ends and ends[0] != ends[1]:
+            forest.union(*ends)
+        else:  # a loop's column is zero
+            cycle_edges.append(e)
 
-    s1, _, _, v1_inv = _smith_with_transforms(cc.boundary1, n_v, n_e)
-    r1 = sum(1 for i in range(min(n_v, n_e)) if s1[i][i])
-    projector = v1_inv[r1:]
-
-    x = _matmul(projector, cc.boundary2)
-    k = n_e - r1
-    s2, u2, v2, _ = _smith_with_transforms(x, k, n_f)
+    x = [cc.boundary2[e] for e in cycle_edges]
+    k, n_f = len(cycle_edges), len(cc.face_basis)
+    s2, u2, v2 = _smith_with_transforms(x, k, n_f)
     diag = tuple(s2[i][i] for i in range(min(k, n_f)) if s2[i][i])
 
     return H1Summary(
         free_rank=k - len(diag),
         torsion=tuple(d for d in diag if d > 1),
         complex=cc,
-        _projector=tuple(tuple(r) for r in projector),
+        _cycle_edges=tuple(cycle_edges),
         _transform=tuple(tuple(r) for r in u2),
         _image_diag=diag,
         _postfactor=tuple(tuple(r) for r in v2))

@@ -525,7 +525,8 @@ def lift_reference(H, vals):
 # ---------------------------------------------------------------------------
 # Smith normal form with transforms, as the library computed it before it
 # moved to sparse storage and unit shortcuts: a dense, full rescan for every
-# pivot. The library must keep returning exactly these S, U, V and V^-1.
+# pivot. The library must keep returning exactly these S, U and V; V^-1 is
+# what h1_reference projects cycles with.
 
 def smith_reference(
         A: Sequence[Sequence[int]], m: int, n: int
@@ -618,6 +619,100 @@ def smith_reference(
             continue
         t += 1
     return S, U, V, Vinv
+
+
+# ---------------------------------------------------------------------------
+# First homology as the library computed it before it took the cycle space
+# from a spanning forest: the complex rebuilt from the skeleton, each vertex
+# link's cells counted by surface_cell_counts, and cycles projected onto
+# ker d1 by the rows of d1's V^-1 past the rank.
+
+class H1Reference:
+    """H1 of the quotient complex. Chains are lists over edge classes;
+    class_of gives (values, orders) as the library's H1Class does."""
+
+    def __init__(self, tri, strict):
+        skel = tri.skeleton
+        n_v, n_e = len(skel.vertex_classes), len(skel.edge_classes)
+        self.nonmaterial = []
+        for vc in skel.vertex_classes:
+            v = [0] * (7 * tri.size)
+            for t, x in vc.members:
+                v[7 * t + x] = 1
+            _, _, _, chi, comps, circles = surface_cell_counts(tri, v)
+            if comps != 1 or (chi, circles) not in ((2, 0), (1, 1)):
+                self.nonmaterial.append(vc.index)
+        if strict and self.nonmaterial:
+            raise ValueError(f"non-material vertex classes "
+                             f"{self.nonmaterial}")
+
+        self.face_basis = []
+        seen = set()
+        for t in range(tri.size):
+            for face in _FACES:
+                if (t, face) in seen:
+                    continue
+                seen.add((t, face))
+                target = tri.glued_to(t, face)
+                if target is not None:
+                    seen.add((target[0], tuple(sorted(target[1]))))
+                self.face_basis.append((t, face))
+        n_f = len(self.face_basis)
+
+        def sign(t, x, y):
+            ec = skel.edge_classes[skel.edge_class_of[t, (x, y)]]
+            return ec.index, 1 if ec.directions[t, (x, y)] == (x, y) else -1
+
+        self.d1 = [[0] * n_e for _ in range(n_v)]
+        for ec in skel.edge_classes:
+            t, (a, b) = min(ec.members)
+            self.d1[skel.vertex_class_of[t, b]][ec.index] += 1
+            self.d1[skel.vertex_class_of[t, a]][ec.index] -= 1
+        self.d2 = [[0] * n_f for _ in range(n_e)]
+        for col, (t, (i, j, k)) in enumerate(self.face_basis):
+            for sgn, (x, y) in ((1, (j, k)), (-1, (i, k)), (1, (i, j))):
+                row, orient = sign(t, x, y)
+                self.d2[row][col] += sgn * orient
+
+        S1, _, V1, V1inv = smith_reference(self.d1, n_v, n_e)
+        r1 = sum(1 for i in range(min(n_v, n_e)) if S1[i][i])
+        # columns of V1 past the rank span the cycles; P projects onto them
+        self.cycle_basis = [[row[j] for row in V1] for j in range(r1, n_e)]
+        self.P = V1inv[r1:]
+        x = [[sum(a * b for a, b in zip(p, col)) for col in zip(*self.d2)]
+             for p in self.P]
+        k = n_e - r1
+        S, self.U, self.V, _ = smith_reference(x, k, n_f)
+        self.diag = [S[i][i] for i in range(min(k, n_f)) if S[i][i]]
+        self.free_rank = k - len(self.diag)
+        self.torsion = tuple(d for d in self.diag if d > 1)
+
+    def _coordinates(self, chain):
+        z = [sum(a * b for a, b in zip(p, chain)) for p in self.P]
+        return [sum(a * b for a, b in zip(u, z)) for u in self.U]
+
+    def class_of(self, chain):
+        w = self._coordinates(chain)
+        r = len(self.diag)
+        values = [w[i] % d for i, d in enumerate(self.diag) if d > 1]
+        orders = [d for d in self.diag if d > 1]
+        return (tuple(values + w[r:]),
+                tuple(orders + [0] * (len(w) - r)))
+
+    def bounding(self, chain):
+        w = self._coordinates(chain)
+        r = len(self.diag)
+        if any(w[r:]) or any(w[i] % d for i, d in enumerate(self.diag)):
+            return None
+        c = [w[i] // d for i, d in enumerate(self.diag)]
+        c += [0] * (len(self.face_basis) - r)
+        return tuple(sum(a * b for a, b in zip(row, c)) for row in self.V)
+
+
+def h1_reference(tri, strict=True):
+    """H1Reference of the triangulation; in strict mode a vertex class
+    whose link is neither a sphere nor a disk raises ValueError."""
+    return H1Reference(tri, strict)
 
 
 # ---------------------------------------------------------------------------
