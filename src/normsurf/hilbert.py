@@ -564,7 +564,8 @@ def _adjacent_pairs(tight: np.ndarray, positive: np.ndarray,
 def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
                   block_rows: Sequence[Sequence[int]] = (),
                   ) -> list[tuple[int, ...]]:
-    """Rays spanning the pointed cone {z : ineq @ z >= 0}.
+    """Rays spanning the pointed cone {z : ineq @ z >= 0}, as tuples of
+    Python ints.
 
     Double description with exact integer arithmetic. The inequality
     matrix must have full column rank. Start from the first d linearly
@@ -574,8 +575,19 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     V diag(s_d/s_i) U is a positive multiple of column j of B^-1, and
     is taken divided by its gcd. Insert each other row in turn, keeping
     the rays it does not cut off and one new ray per adjacent pair
-    across the cut. Ray coordinates, and the values of each row on the
-    rays when it is inserted, are exact Python ints.
+    across the cut.
+
+    The rays are the rows of one R x d integer array, so each insertion
+    is a few whole-array operations: the row's values on every ray are
+    one matrix-vector product, the new rays vals[p] * ray[q] -
+    vals[q] * ray[p] of all adjacent pairs one broadcast, each divided
+    by its gcd, and a ray that two pairs give is kept at its first pair.
+    The array is int64 while every value a step can form fits: with M
+    the largest |ray coordinate| and N the largest l1 norm of a row of
+    ineq, a value is at most M * N and a new coordinate at most
+    2 * M**2 * N. Once that bound passes the int64 range the arrays turn
+    to dtype=object, exact Python ints, for the rest of the run, and the
+    same operations go on with arbitrary precision.
 
     The pair tests are array operations. The rows each ray is tight
     on, numbered in insertion order, are a row of the R x W uint64
@@ -615,12 +627,14 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
             group |= 1 << r
         for r in rows:
             others[r] = others.get(r, 0) | (group & ~(1 << r))
-    rays: list[tuple[int, ...]] = []
-    for j in range(d):
-        col = [sum(v * u[j] for v, u in zip(V[i], scaled_u))
-               for i in range(d)]
-        g = math.gcd(*col)
-        rays.append(tuple(x // g for x in col))
+    # ray j is column j of the product, so row j of its transpose
+    rays = (np.array(V, dtype=object) @ np.array(scaled_u, dtype=object)).T
+    # initial=0 makes even a one-coordinate gcd nonnegative
+    rays //= np.gcd.reduce(rays, axis=1, initial=0)[:, None]
+    A = np.array(ineq, dtype=object)
+    norm = max(sum(map(abs, row)) for row in ineq)
+    if 2 * int(np.abs(rays).max()) ** 2 * norm <= _INT64_MAX:
+        rays, A = rays.astype(np.int64), A.astype(np.int64)
     width = -(-len(ineq) // 64)
     tight = _bitsets([((1 << d) - 1) ^ (1 << j) for j in range(d)], width)
     positive = _bitsets([1 << r if r in others else 0 for r in base], width)
@@ -632,33 +646,30 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
         (i for i in range(len(ineq)) if i not in set(base)),
         key=lambda i: (i not in others, i))
     for nbits, t0 in enumerate(remaining, start=d):
-        vals = [sum(a * b for a, b in zip(ineq[t0], ray)) for ray in rays]
-        sign = np.array([(v > 0) - (v < 0) for v in vals], dtype=np.int8)
-        pos = np.flatnonzero(sign > 0)
-        neg = np.flatnonzero(sign < 0)
-        zero = np.flatnonzero(sign == 0)
-        new_rays: list[tuple[int, ...]] = []
-        new_pairs: list[tuple[int, int]] = []
+        if rays.dtype != object and 2 * int(
+                np.abs(rays).max(initial=0)) ** 2 * norm > _INT64_MAX:
+            rays, A = rays.astype(object), A.astype(object)
+        vals = rays @ A[t0]
+        pos = np.flatnonzero(vals > 0)
+        neg = np.flatnonzero(vals < 0)
+        zero = np.flatnonzero(vals == 0)
+        p_new = q_new = np.zeros(0, dtype=np.intp)
+        new_rays = rays[:0]
         if len(pos) and len(neg):
             budget.charge(len(pos) * len(neg) + len(rays))
-            seen: set[tuple[int, ...]] = set()
             adj_p, adj_q = _adjacent_pairs(
                 tight, positive, blocked, pos, neg, d, budget)
-            for p, q in zip(adj_p.tolist(), adj_q.tolist()):
-                vp, vq = vals[p], vals[q]
-                # a positive combination of two rays of a pointed cone,
-                # so nonzero and its gcd is at least 1
-                vec = tuple(vp * rq - vq * rp
-                            for rp, rq in zip(rays[p], rays[q]))
-                g = math.gcd(*vec)
-                vec = tuple(x // g for x in vec)
-                if vec in seen:
-                    continue
-                seen.add(vec)
-                new_rays.append(vec)
-                new_pairs.append((p, q))
+            # positive combinations of two rays of a pointed cone, so
+            # nonzero, and each gcd is at least 1
+            vec = (vals[adj_p, None] * rays[adj_q]
+                   - vals[adj_q, None] * rays[adj_p])
+            vec //= np.gcd.reduce(vec, axis=1, initial=0)[:, None]
+            first: dict[tuple[int, ...], int] = {}
+            for k, key in enumerate(map(tuple, vec.tolist())):
+                first.setdefault(key, k)
+            unique = list(first.values())
+            new_rays, p_new, q_new = vec[unique], adj_p[unique], adj_q[unique]
         bit = _bitsets([1 << nbits], width)
-        p_new, q_new = np.array(new_pairs, dtype=np.intp).reshape(-1, 2).T
         # tight on row t0, so the new tight sets are common | bit; a pair
         # that passed the group test has neither parent's positive rows
         # blocked by the other, so blocked sets simply unite
@@ -677,8 +688,8 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
         tight = np.vstack([tight[keep], new_tight])
         positive = np.vstack([positive[keep], new_positive])
         blocked = np.vstack([blocked[keep], new_blocked])
-        rays = [rays[i] for i in keep.tolist()] + new_rays
-    return rays
+        rays = np.vstack([rays[keep], new_rays])
+    return [tuple(ray) for ray in rays.tolist()]
 
 
 def _bits(mask: int) -> list[int]:
@@ -775,6 +786,10 @@ def _faces(patterns: Sequence[frozenset[int]],
     pattern lies inside that union, and those are exactly the rays of
     the family's patterns: a pattern inside the union is coherent with
     every member, so a maximal family holds it.
+
+    Each pattern is admissible, one quad per block it touches, and each
+    quad lies in one block; so two patterns are coherent exactly when
+    their union, as bitmasks, has as many quads as blocks.
     """
     block_of = {q: b for b, triple in enumerate(quad_triples)
                 for q in triple}
@@ -783,11 +798,13 @@ def _faces(patterns: Sequence[frozenset[int]],
     rays_of = [0] * len(plist)
     for r, p in enumerate(patterns):
         rays_of[index[p]] |= 1 << r
-    maps = [{block_of[q]: q for q in p} for p in plist]
+    quads = [sum(1 << q for q in p) for p in plist]
+    blocks = [sum(1 << block_of[q] for q in p) for p in plist]
     neighbors = [0] * len(plist)
     for i in range(len(plist)):
         for j in range(i + 1, len(plist)):
-            if all(maps[j].get(blk, q) == q for blk, q in maps[i].items()):
+            if (quads[i] | quads[j]).bit_count() == \
+                    (blocks[i] | blocks[j]).bit_count():
                 neighbors[i] |= 1 << j
                 neighbors[j] |= 1 << i
     # each ray has one pattern, so the masks of rays_of are disjoint

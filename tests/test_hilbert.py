@@ -682,8 +682,21 @@ TEN_TET_RAYS_SHA256 = \
     "3009727d4d7758845baa2fce9801c48d3aad96915d735be0383f0666d3777fdc"
 TEN_TET_RAYS_CHARGED = 226_061
 
+# the same pins for the link-restricted systems, recorded with the
+# Python-int ray arithmetic the array version replaced:
+# (rays, candidates charged, sha256 of the ordered ray list)
+RESTRICTED_RAYS = {
+    # d = 33, 130 inequality rows: the double description of split-pair
+    "pair": (54, 230_820,
+             "d4113c21170a2264fb8ced488ce25e4fc658acae45392e6b65ed7c40cb216407"),
+    "12-tet": (3, 64,
+               "2577da253c7f4c63b961795871b5f6beb28ea9236571cc4acfb71934016ee997"),
+}
 
-def test_ten_tet_double_description_is_pinned(tri10, monkeypatch):
+
+def recorded_double_description(system, monkeypatch):
+    """(rays, candidates charged) of the one _extreme_rays call that the
+    admissible enumeration of system makes."""
     calls = []
 
     def recording(ineq, budget, block_rows=()):
@@ -693,12 +706,78 @@ def test_ten_tet_double_description_is_pinned(tri10, monkeypatch):
         return rays
 
     monkeypatch.setattr(hilbert, "_extreme_rays", recording)
-    enumerate_fundamental(tri10.matching_system, admissible_only=True)
-    [(rays, charged)] = calls
+    enumerate_fundamental(system, admissible_only=True)
+    [call] = calls
+    return call
+
+
+def rays_sha256(rays):
+    return hashlib.sha256(json.dumps(rays).encode()).hexdigest()
+
+
+def test_ten_tet_double_description_is_pinned(tri10, monkeypatch):
+    rays, charged = recorded_double_description(tri10.matching_system,
+                                                monkeypatch)
     assert len(rays) == 100
     assert charged == TEN_TET_RAYS_CHARGED
-    assert hashlib.sha256(json.dumps(rays).encode()).hexdigest() == \
-        TEN_TET_RAYS_SHA256
+    assert rays_sha256(rays) == TEN_TET_RAYS_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICTED_RAYS))
+def test_restricted_double_description_is_pinned(name, restricted12,
+                                                 disc_tri, disc_link,
+                                                 monkeypatch):
+    system = restricted12 if name == "12-tet" else restrict_to_link(
+        disc_tri.matching_system, disc_tri, disc_link)
+    rays, charged = recorded_double_description(system, monkeypatch)
+    assert (len(rays), charged, rays_sha256(rays)) == RESTRICTED_RAYS[name]
+
+
+# On the 10-tet the bound 2 * M**2 * N on a step's values starts at 1,120
+# and peaks at 33,880: a limit of 100 sends the whole run to Python ints,
+# and one of 5,000 switches it partway through.
+@pytest.mark.parametrize("limit", [100, 5_000])
+def test_double_description_past_int64_switches_to_python_ints(
+        limit, tri10, monkeypatch):
+    # numpy integer arrays wrap silently, so only the same rays at a lower
+    # limit show that the switch comes before any value could wrap
+    monkeypatch.setattr(hilbert, "_INT64_MAX", limit)
+    rays, charged = recorded_double_description(tri10.matching_system,
+                                                monkeypatch)
+    assert charged == TEN_TET_RAYS_CHARGED
+    assert rays_sha256(rays) == TEN_TET_RAYS_SHA256
+    assert all(type(x) is int for ray in rays for x in ray)
+
+
+def test_rays_past_int64_match_the_oracle():
+    # scaling every column but the first of a seeded cone's inequalities
+    # by 2**70 maps its ray (a, b, ...) to (a * 2**70, b, ...), up to the
+    # gcd, so most primitive rays pass 2**63 in their first coordinate
+    rng = random.Random(43)
+    big = 0
+    for _ in range(10):
+        ineq, _ = random_cone(rng)
+        ineq = [tuple(x if i == 0 else x << 70 for i, x in enumerate(row))
+                for row in ineq]
+        rays = _extreme_rays(ineq, _Budget(10 ** 9, None))
+        assert_rays_of_cone(ineq, rays)
+        assert set(rays) == cone_extreme_rays(ineq), ineq
+        assert all(type(x) is int for ray in rays for x in ray)
+        big += max((abs(x) for ray in rays for x in ray), default=0) > \
+            hilbert._INT64_MAX
+    assert big
+
+
+def test_rays_that_outgrow_int64_midway_match_the_oracle():
+    # the wedge r/s <= y/x <= p/q starts from the unit rays, which fit in
+    # int64 with room to spare; inserting the third row makes the ray
+    # (q, p), and the fourth row's combinations reach about 2**82
+    # before their gcd is divided out
+    p, q = (1 << 40) + 1, 1 << 40
+    r, s = (1 << 40) - 1, (1 << 40) + 1
+    ineq = [(1, 0), (0, 1), (p, -q), (-r, s)]
+    rays = _extreme_rays(ineq, _Budget(10 ** 9, None))
+    assert set(rays) == {(q, p), (s, r)} == cone_extreme_rays(ineq)
 
 
 def test_candidate_cap_stops_the_face_loop(tri10):
