@@ -30,7 +30,8 @@ from .homology import verify_zero_pushoff
 from .matching import (BLOCK, NormalVector, quad_offsets_crossing,
                        restrict_to_link)
 from .surface import analyze, euler_coefficients, separates
-from .triangulation import EdgeCycle, LinkComponent, LinkSpec, Triangulation
+from .triangulation import (EdgeCycle, LinkComponent, LinkSpec, Triangulation,
+                            resolve_link)
 
 SPLIT = "SPLIT"
 NOT_SPLIT = "NOT_SPLIT"
@@ -124,6 +125,7 @@ def split_link_check(
     Raises TriangulationError when the triangulation is invalid or the
     link does not resolve to exactly two disjoint components.
     """
+    resolve_link(tri, link)  # restrict_to_link takes any component count
     restricted = restrict_to_link(tri.matching_system, tri, link)
     try:
         fs = enumerate_fundamental(

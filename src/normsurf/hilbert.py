@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import IntegerOverflow, ResourceLimitExceeded
-from .homology import _smith_with_transforms
+from .homology import _smith, _sparse
 from .matching import MatchingSystem, NormalVector, is_admissible
 from .union_find import UnionFind
 
@@ -464,11 +464,12 @@ def _interaction_components(
 def _integer_kernel(A: Sequence[Sequence[int]], n: int
                     ) -> list[tuple[int, ...]]:
     """A basis of the integer kernel of the m x n matrix A: the columns
-    of the Smith column transform past the rank, each primitive."""
+    of the Smith column transform past the rank, each primitive. Only
+    the rows of V are appended to A's."""
     m = len(A)
-    S, _, V = _smith_with_transforms(A, m, n)
-    rank = sum(1 for i in range(min(m, n)) if S[i][i])
-    return [tuple(row[j] for row in V) for j in range(rank, n)]
+    rows = [_sparse(row) for row in A] + [{j: 1} for j in range(n)]
+    rank = len(_smith(rows, m, n))
+    return [tuple(row.get(j, 0) for row in rows[m:]) for j in range(rank, n)]
 
 
 def _independent(rows: Sequence[Sequence[int]],
@@ -571,9 +572,10 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     matrix must have full column rank. Start from the first d linearly
     independent rows, found by fraction-free elimination. They bound a
     simplicial cone whose rays are the columns of the base's inverse:
-    with S = U B V the Smith form of the base B, column j of
-    V diag(s_d/s_i) U is a positive multiple of column j of B^-1, and
-    is taken divided by its gcd. Insert each other row in turn, keeping
+    with S = U B V the Smith form of the base B (both U's columns and
+    V's rows are appended to B's rows), column j of V diag(s_d/s_i) U
+    is a positive multiple of column j of B^-1, and is taken divided by
+    its gcd. Insert each other row in turn, keeping
     the rays it does not cut off and one new ray per adjacent pair
     across the cut.
 
@@ -616,9 +618,12 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     """
     d = len(ineq[0])
     base = _independent(ineq, d)
-    S, U, V = _smith_with_transforms([ineq[i] for i in base], d, d)
-    scaled_u = [[S[d - 1][d - 1] // S[k][k] * x for x in U[k]]
+    aug = [_sparse(ineq[i]) | {d + k: 1} for k, i in enumerate(base)]
+    aug += [{j: 1} for j in range(d)]
+    s = _smith(aug, d, d)
+    scaled_u = [[s[-1] // s[k] * aug[k].get(d + i, 0) for i in range(d)]
                 for k in range(d)]
+    V = [[row.get(j, 0) for j in range(d)] for row in aug[d:]]
     # grouped row -> the other rows of the groups containing it
     others: dict[int, int] = {}
     for rows in block_rows:
@@ -865,16 +870,18 @@ def _parallelepiped(kernel_rays: Sequence[Sequence[int]],
     parallelepiped once, as frac(l). Their number, the simplex's index,
     is s_1 ... s_k; it is charged before any point is built. Integers
     only: each l_i is scaled by s_k and reduced modulo s_k, and the
-    point is divided by s_k at the end, exactly.
+    point is divided by s_k at the end, exactly. Only the columns of U
+    are appended to R's rows; V is never built.
     """
     k, d = len(kernel_rays), len(kernel_rays[0])
-    S, U, _ = _smith_with_transforms(kernel_rays, k, d)
-    s = [S[j][j] for j in range(k)]
+    rows = [_sparse(r) | {d + i: 1} for i, r in enumerate(kernel_rays)]
+    s = _smith(rows, k, d)
     budget.charge(math.prod(s))
     top = s[-1]
     # y_j only matters where s_j > 1; l * top = sum_j y_j * scaled[j]
     big = [j for j in range(k) if s[j] > 1]
-    scaled = [[top // s[j] * u for u in U[j]] for j in big]
+    scaled = [[top // s[j] * rows[j].get(d + i, 0) for i in range(k)]
+              for j in big]
     points = []
     for y in itertools.product(*(range(s[j]) for j in big)):
         if not any(y):

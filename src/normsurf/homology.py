@@ -11,6 +11,8 @@ graph: each edge class left out of it closes one fundamental cycle, and
 a 1-cycle's coordinates in that basis are its values on those edges. So
 x, im d2 in these coordinates, is those rows of d2, and one exact Smith
 form S = U x V gives the group, U a cycle's class, V a bounding 2-chain.
+It comes from _smith, the one exact integer elimination, shared with
+hilbert; its docstring defines the layout of appended transforms.
 
 Orientation conventions:
   - Each edge class is oriented by its lexicographically least member
@@ -113,22 +115,22 @@ def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
                 del dst[k]
 
 
-def _dense(vectors: Sequence[dict[int, int]], width: int
-           ) -> list[list[int]]:
-    out = [[0] * width for _ in vectors]
-    for row, vec in zip(out, vectors):
-        for k, x in vec.items():
-            row[k] = x
-    return out
+def _sparse(row: Sequence[int]) -> dict[int, int]:
+    return {j: int(x) for j, x in enumerate(row) if x}
 
 
-def _smith_with_transforms(
-        A: Sequence[Sequence[int]], m: int, n: int
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form S = U A V with U, V unimodular.
+def _smith(rows: list[dict[int, int]], m: int, n: int) -> list[int]:
+    """Smith normal form S = U A V, in place, with U and V unimodular;
+    returns the nonzero diagonal of S, each entry dividing the next.
 
-    Exact arbitrary-precision integers throughout; the diagonal is
-    nonnegative with each entry dividing the next, and the columns of V
+    rows are sparse (dicts from column to nonzero), and A is the block
+    of their first m rows and first n columns. Each row operation acts
+    on a whole row and each column operation on a whole column, but only
+    block entries choose them. So a caller appends what it reads:
+      - {n + i: 1} merged into block row i: row i of U ends up in its
+        columns n..n + m - 1, and row i of S in its columns < n;
+      - rows {j: 1} for j < n below the block: they end up as V's rows.
+    Exact arbitrary-precision integers throughout; the columns of V
     past the rank are a basis of the integer kernel of A.
 
     The transforms depend on the sequence of operations, which is fixed:
@@ -145,103 +147,87 @@ def _smith_with_transforms(
         the first entry of absolute value 1: later ones could only tie.
       - Every integer is a multiple of a unit pivot, so the
         divisibility scan is skipped for one.
-      - S and U are sparse rows and V sparse columns. An operation
-        touches its source's nonzeros, and a pass visits the rows
-        (columns) with a nonzero in the pivot column (row): a visit
-        rewrites or swaps only its own row (column) and the pivot's.
-      - The row pass leaves the pivot column clear, so until a column
-        swap, column operations change S in the pivot row only.
+      - An operation touches its source's nonzeros, and a pass visits
+        only the rows holding the pivot column: after the row pass, the
+        pivot row and the appended rows the last column swap found.
+      - Earlier pivots cleared their rows and columns, so a column swap
+        skips the rows above t.
     """
-    S = [{j: int(A[i][j]) for j in range(n) if A[i][j]} for i in range(m)]
-    U = [{i: 1} for i in range(m)]
-    V_cols = [{j: 1} for j in range(n)]
-
-    def row_sub(i, j, q):
-        _axpy(S[i], S[j], q)
-        _axpy(U[i], U[j], q)
-
-    def col_sub(i, j, q, rows):
-        # rows: every row of S with a nonzero in column j
-        if q:
-            for r in rows:
-                row = S[r]
-                v = row.get(i, 0) - q * row[j]
-                if v:
-                    row[i] = v
-                else:
-                    del row[i]
-        _axpy(V_cols[i], V_cols[j], q)
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
     def col_swap(i, j):
-        for row in S:
-            a, b = row.pop(i, 0), row.pop(j, 0)
-            if b:
-                row[i] = b
-            if a:
-                row[j] = a
-        V_cols[i], V_cols[j] = V_cols[j], V_cols[i]
+        # i is the pivot position; returns the rows then holding column i
+        held = []
+        for r, row in enumerate(rows[i:], i):
+            if i in row or j in row:
+                # j goes first, so that j == i leaves the entry in held
+                b, a = row.pop(j, 0), row.pop(i, 0)
+                if b:
+                    row[i] = b
+                    held.append(r)
+                if a:
+                    row[j] = a
+        return held
 
     def positivize(t):
-        if S[t][t] < 0:
-            for vec in (S[t], U[t]):
-                for k in vec:
-                    vec[k] = -vec[k]
+        if rows[t][t] < 0:
+            rows[t] = {k: -x for k, x in rows[t].items()}
 
     t = 0
     while t < m and t < n:
-        # earlier pivots cleared their rows and columns, so the rows
-        # from t on hold entries in columns t and up only
         best = None
         for i in range(t, m):
-            if S[i]:
-                v, j = min((abs(x), j) for j, x in S[i].items())
-                if best is None or v < best:
-                    best, pi, pj = v, i, j
-                    if v == 1:
-                        break
+            v, j = min(((abs(x), j) for j, x in rows[i].items() if j < n),
+                       default=(0, 0))
+            if v and (best is None or v < best):
+                best, pi, pj = v, i, j
+                if v == 1:
+                    break
         if best is None:
             break
-        row_swap(t, pi)
-        col_swap(t, pj)
+        rows[t], rows[pi] = rows[pi], rows[t]
+        held = col_swap(t, pj)
         positivize(t)
 
         while True:
             swapped = False
-            for i in [i for i in range(m) if i != t and t in S[i]]:
-                row_sub(i, t, S[i][t] // S[t][t])
-                if t in S[i]:
+            for i in [i for i in range(m) if i != t and t in rows[i]]:
+                _axpy(rows[i], rows[t], rows[i][t] // rows[t][t])
+                if t in rows[i]:
                     # remainder beats the pivot; promote it
-                    row_swap(t, i)
+                    rows[t], rows[i] = rows[i], rows[t]
                     positivize(t)
                     swapped = True
             if swapped:
                 continue
-            rows = [t]
-            for j in sorted(k for k in S[t] if k != t):
-                col_sub(j, t, S[t][j] // S[t][t], rows)
-                if j in S[t]:
-                    col_swap(t, j)
-                    rows = [r for r in range(m) if t in S[r]]
+            # column j -= q * column t, on the rows holding column t
+            cols = [rows[t]] + [rows[r] for r in held if r >= m]
+            for j in sorted(k for k in rows[t] if t != k < n):
+                q = rows[t][j] // rows[t][t]
+                if q:
+                    for row in cols:
+                        v = row.get(j, 0) - q * row[t]
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+                if j in rows[t]:
+                    held = col_swap(t, j)
+                    cols = [rows[r] for r in held]
                     swapped = True
             if not swapped:
                 break
 
-        p = S[t][t]
+        p = rows[t][t]
         if p != 1:
             offender = next(
                 (i for i in range(t + 1, m)
-                 if any(x % p for j, x in S[i].items() if j > t)), -1)
+                 if any(x % p for j, x in rows[i].items() if t < j < n)),
+                -1)
             if offender >= 0:
                 # fold the offending row in and rerun this pivot
-                row_sub(t, offender, -1)
+                _axpy(rows[t], rows[offender], -1)
                 continue
         t += 1
-    V = [list(col) for col in zip(*_dense(V_cols, n))]
-    return _dense(S, n), _dense(U, m), V
+    return [rows[i][i] for i in range(t)]
 
 
 def _matvec(A: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
@@ -407,19 +393,22 @@ def h1(tri: Triangulation, *, strict: bool = True) -> H1Summary:
         else:  # a loop's column is zero
             cycle_edges.append(e)
 
-    x = [cc.boundary2[e] for e in cycle_edges]
     k, n_f = len(cycle_edges), len(cc.face_basis)
-    s2, u2, v2 = _smith_with_transforms(x, k, n_f)
-    diag = tuple(s2[i][i] for i in range(min(k, n_f)) if s2[i][i])
+    rows = [_sparse(cc.boundary2[e]) | {n_f + i: 1}
+            for i, e in enumerate(cycle_edges)]
+    rows += [{j: 1} for j in range(n_f)]
+    diag = tuple(_smith(rows, k, n_f))
 
     return H1Summary(
         free_rank=k - len(diag),
         torsion=tuple(d for d in diag if d > 1),
         complex=cc,
         _cycle_edges=tuple(cycle_edges),
-        _transform=tuple(tuple(r) for r in u2),
+        _transform=tuple(tuple(row.get(n_f + i, 0) for i in range(k))
+                         for row in rows[:k]),
         _image_diag=diag,
-        _postfactor=tuple(tuple(r) for r in v2))
+        _postfactor=tuple(tuple(row.get(j, 0) for j in range(n_f))
+                          for row in rows[k:]))
 
 
 def edge_cycle_class(tri: Triangulation, chain: Chain) -> H1Class:

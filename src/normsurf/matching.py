@@ -144,9 +144,10 @@ def restrict_to_link(
     EdgeCycle component pins to zero the four disk types crossing that
     edge in its tetrahedron: the triangles at a and b and the two quad
     types not separating {a, b}. Vertex components add nothing, since
-    normal surfaces are disjoint from vertices anyway.
+    normal surfaces are disjoint from vertices anyway. The link may have
+    any number of components.
     """
-    resolved = resolve_link(tri, link)
+    resolved = resolve_link(tri, link, require_two_components=False)
     zeros = set(sys.forced_zeros)
     for cycle in resolved.edge_cycles:
         for class_index in cycle:

@@ -525,8 +525,9 @@ def lift_reference(H, vals):
 # ---------------------------------------------------------------------------
 # Smith normal form with transforms, as the library computed it before it
 # moved to sparse storage and unit shortcuts: a dense, full rescan for every
-# pivot. The library must keep returning exactly these S, U and V; V^-1 is
-# what h1_reference projects cycles with.
+# pivot. homology._smith, which leaves S, U and V in the augmented rows its
+# callers pass, must keep producing exactly these; V^-1 is what
+# h1_reference projects cycles with.
 
 def smith_reference(
         A: Sequence[Sequence[int]], m: int, n: int

@@ -7,6 +7,8 @@ import pytest
 
 from normsurf import cli
 from normsurf.cli import main
+from normsurf.fixtures import fig8_pushoff_cycle
+from normsurf.triangulation import LinkSpec, serialize_link
 
 # sha256 of the --json output of each command, run on the files that
 # `emit-fixtures` writes. Any change to these bytes is a change to the
@@ -75,6 +77,8 @@ def fixture_dir(tmp_path_factory):
     for name, doc in MALFORMED.items():
         (d / name).write_text(json.dumps(doc))
     (d / "not_utf8.json").write_bytes(b"\xff\xfe{}")
+    (d / "pushoff_link.json").write_text(serialize_link(
+        LinkSpec(components=(fig8_pushoff_cycle(),))))
     return d
 
 
@@ -101,6 +105,17 @@ def test_tsv_output_bytes(capsys, fixture_dir):
                              COMMANDS["fundamental"] + ["--tsv"])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == TSV_DIGEST
+
+
+def test_fundamental_takes_a_one_component_link(capsys, fixture_dir):
+    # the ideal vertex of fig8_link.json pins no variable to zero, so the
+    # edge cycle alone gives the same output
+    code, out, err = run_cli(capsys, fixture_dir, [
+        "fundamental", "fig8_12tet.json", "--link", "pushoff_link.json",
+        "--json"])
+    assert code == 0, err
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == JSON_DIGESTS["fundamental"])
 
 
 def test_emit_fixtures_lists_every_file(capsys, tmp_path):
@@ -145,6 +160,8 @@ def test_human_output_exit_zero(capsys, fixture_dir):
      "error: time-budget must be positive"),
     (["validate", "not_utf8.json"], "error: "),
     (["homology", "fig8_12tet.json"], "Use --lenient to compute"),
+    (["split-check", "fig8_12tet.json", "--link", "pushoff_link.json"],
+     "error: link must have exactly 2 components"),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

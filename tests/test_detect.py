@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from normsurf import matching, surface, triangulation
+from normsurf import detect, matching, surface, triangulation
 from normsurf.detect import (boundary_meeting_variables,
                              filter_unknotting_disks, split_link_check,
                              unknot_via_pushoff)
@@ -104,8 +104,15 @@ def test_disconnected_pair_is_split(disc_tri, disc_link):
     assert v in links
 
 
-def test_link_must_have_two_components(tri12):
-    lone = LinkSpec(components=(fig8_link().components[0],))
+@pytest.mark.parametrize("kept", [0, 1])
+def test_link_must_have_two_components(tri12, kept, monkeypatch):
+    """Checked before enumerating: restrict_to_link takes one component,
+    and on the edge cycle alone the scan would report NOT_SPLIT."""
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated a one-component link")
+
+    monkeypatch.setattr(detect, "enumerate_fundamental", never)
+    lone = LinkSpec(components=(fig8_link().components[kept],))
     with pytest.raises(TriangulationError, match="exactly 2 components"):
         split_link_check(tri12, lone)
 

@@ -9,6 +9,7 @@ rebuild with sympy on every run.
 import importlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,8 @@ from normsurf.fixtures import (disconnected_link, disconnected_pair,
                                fig8_longitude_cycle, fig8_pushoff_cycle,
                                single_tet, solid_torus)
 from normsurf.hilbert import enumerate_fundamental
-from normsurf.homology import (_smith_with_transforms, chain_complex,
-                               cycle_chain, edge_cycle_class, h1,
-                               verify_zero_pushoff)
+from normsurf.homology import (_smith, _sparse, chain_complex, cycle_chain,
+                               edge_cycle_class, h1, verify_zero_pushoff)
 from normsurf.matching import restrict_to_link, vertex_link_vector
 from normsurf.surface import analyze
 from normsurf.triangulation import (EdgeCycle, Triangulation,
@@ -48,13 +48,27 @@ def class_names(tri, ec):
     return frozenset(f"{tri.name(t)}({a}{b})" for t, (a, b) in ec.members)
 
 
+def smith_transforms(A, m, n, u=True, v=True):
+    """S, and U and V where appended, from _smith on the rows of
+    [[A, I], [I, 0]], or of [A, I] or [[A], [I]] without V or U."""
+    rows = [_sparse(row) | ({n + i: 1} if u else {})
+            for i, row in enumerate(A)]
+    rows += [{j: 1} for j in range(n)] if v else []
+    _smith(rows, m, n)
+    return ([[row.get(j, 0) for j in range(n)] for row in rows[:m]],
+            [[row.get(n + i, 0) for i in range(m)] for row in rows[:m]]
+            if u else None,
+            [[row.get(j, 0) for j in range(n)] for row in rows[m:]]
+            if v else None)
+
+
 def test_smith_form_matches_sympy():
     rng = random.Random(7)
     for _ in range(25):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        S, U, V = _smith_with_transforms(A, m, n)
+        S, U, V = smith_transforms(A, m, n)
         SU, SA, SV = sympy.Matrix(S), sympy.Matrix(A), sympy.Matrix(V)
         assert sympy.Matrix(U) * SA * SV == SU
         assert abs(sympy.Matrix(U).det()) == 1
@@ -111,37 +125,73 @@ def test_smith_matches_the_reference_on_random_matrices():
     assert len(matrices) == 200
     for A in matrices:
         m, n = len(A), len(A[0])
-        assert _smith_with_transforms(A, m, n) == smith_reference(A, m, n)[:3]
+        assert smith_transforms(A, m, n) == smith_reference(A, m, n)[:3]
 
 
-def test_smith_matches_the_reference_on_fixture_matrices(monkeypatch):
-    """Every matrix the bundled pipelines hand to the routine: the
-    integer kernels, extreme-ray bases and simplex ray matrices of four
-    enumerations, and the boundaries of three H1 computations."""
+# whether each caller of _smith appends U's columns and V's rows
+APPENDS = {"_integer_kernel": (False, True), "_parallelepiped": (True, False),
+           "_extreme_rays": (True, True), "h1": (True, True)}
+
+
+@pytest.fixture(scope="module")
+def fixture_smith_calls():
+    """Every call the bundled pipelines make to _smith, as (caller,
+    rows as passed, m, n): the integer kernels, extreme-ray bases and
+    simplex ray matrices of four enumerations, and the boundaries of
+    three H1 computations."""
     seen = []
 
-    def recording(A, m, n):
-        seen.append(([list(row) for row in A], m, n))
-        return _smith_with_transforms(A, m, n)
+    def recording(rows, m, n):
+        seen.append((sys._getframe(1).f_code.co_name,
+                     [dict(row) for row in rows], m, n))
+        return _smith(rows, m, n)
 
-    monkeypatch.setattr(hilbert, "_smith_with_transforms", recording)
-    monkeypatch.setattr(homology, "_smith_with_transforms", recording)
-    t10, t12, pair, st = (fig8_complement(), fig8_closed(),
-                          disconnected_pair(), solid_torus())
-    for system in (t10.matching_system,
-                   restrict_to_link(t12.matching_system, t12, fig8_link()),
-                   restrict_to_link(pair.matching_system, pair,
-                                    disconnected_link()),
-                   st.matching_system):
-        enumerate_fundamental(system, admissible_only=True)
-    h1(t10)
-    h1(st)
-    h1(t12, strict=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hilbert, "_smith", recording)
+        mp.setattr(homology, "_smith", recording)
+        t10, t12, pair, st = (fig8_complement(), fig8_closed(),
+                              disconnected_pair(), solid_torus())
+        for system in (t10.matching_system,
+                       restrict_to_link(t12.matching_system, t12,
+                                        fig8_link()),
+                       restrict_to_link(pair.matching_system, pair,
+                                        disconnected_link()),
+                       st.matching_system):
+            enumerate_fundamental(system, admissible_only=True)
+        h1(t10)
+        h1(st)
+        h1(t12, strict=False)
+    return [(caller, rows, [[row.get(j, 0) for j in range(n)]
+                            for row in rows[:m]], m, n)
+            for caller, rows, m, n in seen]
+
+
+def test_smith_matches_the_reference_on_fixture_matrices(
+        fixture_smith_calls):
     # 11 kernels, bases and boundaries, and 267 simplices
-    assert len(seen) == 278
-    assert (124, 130) in {(m, n) for _, m, n in seen}
-    for A, m, n in seen:
-        assert _smith_with_transforms(A, m, n) == smith_reference(A, m, n)[:3]
+    assert len(fixture_smith_calls) == 278
+    assert (124, 130) in {(m, n) for *_, m, n in fixture_smith_calls}
+    for caller, rows, A, m, n in fixture_smith_calls:
+        # each caller appends exactly the transforms it reads
+        u, v = APPENDS[caller]
+        assert [{c: x for c, x in row.items() if c >= n}
+                for row in rows[:m]] == [{n + i: 1} if u else {}
+                                         for i in range(m)]
+        assert rows[m:] == ([{j: 1} for j in range(n)] if v else [])
+        assert smith_transforms(A, m, n) == smith_reference(A, m, n)[:3]
+
+
+def test_partial_augmentation_changes_nothing(fixture_smith_calls):
+    """Only block entries choose _smith's operations, so appending U
+    alone or V alone gives the S and the transform of appending both."""
+    matrices = [(A, len(A), len(A[0]))
+                for A in smith_test_matrices(random.Random(9))]
+    matrices += [(A, m, n) for _, _, A, m, n in fixture_smith_calls]
+    assert len(matrices) == 478
+    for A, m, n in matrices:
+        S, U, V = smith_transforms(A, m, n)
+        assert smith_transforms(A, m, n, v=False) == (S, U, None)
+        assert smith_transforms(A, m, n, u=False) == (S, None, V)
 
 
 def test_boundary_composition_is_zero(tri10, tri12):
@@ -455,11 +505,11 @@ def test_h1_matches_the_reference(monkeypatch):
 def test_h1_builds_no_surface_data_and_one_smith_form(monkeypatch):
     calls = []
 
-    def recording(A, m, n):
+    def recording(rows, m, n):
         calls.append((m, n))
-        return _smith_with_transforms(A, m, n)
+        return _smith(rows, m, n)
 
-    monkeypatch.setattr(homology, "_smith_with_transforms", recording)
+    monkeypatch.setattr(homology, "_smith", recording)
     tri = fig8_complement()
     h1(tri)
     assert "matching_system" not in tri.__dict__
