@@ -86,22 +86,18 @@ def build_matching_system_2d(surf: SurfaceTriangulation) -> MatchingSystem:
     """
     surf.require_valid()
     equations = []
-    labels = []
-    for (i, (u, v)), (j, image), vmap in surf.interior_pairs():
+    for (i, (u, v)), (j, _), vmap in surf.interior_pairs():
         equations.append((
             CURVE_BLOCK * i + u,
             CURVE_BLOCK * i + v,
             CURVE_BLOCK * j + vmap[u],
             CURVE_BLOCK * j + vmap[v],
         ))
-        labels.append(f"{surf.format_spot(i, (u, v))} ~ "
-                      f"{surf.format_spot(j, (vmap[u], vmap[v]))}")
     return MatchingSystem(
         variable_count=CURVE_BLOCK * surf.size,
         equations=tuple(equations),
         forced_zeros=frozenset(),
-        quad_triples=(),
-        equation_labels=tuple(labels))
+        quad_triples=())
 
 
 @dataclass(frozen=True)

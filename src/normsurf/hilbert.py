@@ -31,14 +31,14 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import IntegerOverflow, ResourceLimitExceeded
 from .homology import _smith, _sparse
-from .matching import MatchingSystem, NormalVector, is_admissible
+from .matching import MatchingSystem, NormalVector
 from .union_find import UnionFind
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
@@ -1002,21 +1002,3 @@ def enumerate_fundamental(
         system_fingerprint=system_fingerprint(sys),
         candidates_examined=budget.examined,
         elapsed=budget.elapsed)
-
-
-def filter_admissible(fs: FundamentalSet) -> FundamentalSet:
-    """Keep only vectors with at most one nonzero quad type per block.
-
-    Blocks are the fixed 7-slot tetrahedron layout of matching.BLOCK
-    (quads in slots 4..6), read by is_admissible; the system's own
-    quad_triples are not consulted, so on a system whose triples lie
-    elsewhere this is not the admissible part that admissible_only
-    enumerates.
-
-    An admissible solution's summands are themselves solutions below it
-    coordinatewise, hence admissible too, so the admissible members of
-    the Hilbert basis are exactly the fundamental admissible surfaces.
-    """
-    return replace(
-        fs, vectors=tuple(v for v in fs.vectors if is_admissible(v)))
-

@@ -422,20 +422,15 @@ def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
     Each step traversing an edge class along its orientation counts
     +1, against it -1; steps may cancel.
     """
-    resolve_link(tri, LinkSpec(components=(cycle,)),
-                 require_two_components=False)
-    skel = tri.skeleton
+    (comp,) = resolve_link(tri, LinkSpec(components=(cycle,)),
+                           require_two_components=False)
     coeffs: dict[int, int] = {}
-    for tet_name, (u, v) in cycle.edges:
-        t = tri.index(tet_name)
-        key = (t, (min(u, v), max(u, v)))
-        ec = skel.edge_classes[skel.edge_class_of[key]]
-        if ec.inverted:
+    for index, sign in comp.edges:
+        if tri.skeleton.edge_classes[index].inverted:
             raise HomologyError(
-                f"edge class {ec.index} is glued to itself reversed "
+                f"edge class {index} is glued to itself reversed "
                 "and cannot be oriented")
-        step = 1 if ec.directions[key] == (u, v) else -1
-        coeffs[ec.index] = coeffs.get(ec.index, 0) + step
+        coeffs[index] = coeffs.get(index, 0) + sign
     return coeffs
 
 

@@ -58,7 +58,6 @@ class MatchingSystem:
     equations: tuple[tuple[int, int, int, int], ...]
     forced_zeros: frozenset[int]
     quad_triples: tuple[tuple[int, int, int], ...]
-    equation_labels: tuple[str, ...]
 
     def read(self, v: Sequence) -> tuple:
         """v's entries, the integral ones as ints. Raises VectorError on
@@ -87,12 +86,9 @@ def build_matching_system(tri: Triangulation) -> MatchingSystem:
     """
     tri.require_valid()
     equations = []
-    labels = []
     for (i, face), (j, jface), vmap in tri.interior_pairs():
         d_a = omitted_vertex(face)
         d_b = omitted_vertex(jface)
-        image = tuple(vmap[x] for x in face)
-        label = f"{tri.format_spot(i, face)} ~ {tri.format_spot(j, image)}"
         for x in face:
             equations.append((
                 BLOCK * i + x,
@@ -100,15 +96,13 @@ def build_matching_system(tri: Triangulation) -> MatchingSystem:
                 BLOCK * j + vmap[x],
                 BLOCK * j + quad_offset(vmap[x], d_b),
             ))
-            labels.append(f"{label} : corner {x}")
     return MatchingSystem(
         variable_count=BLOCK * tri.size,
         equations=tuple(equations),
         forced_zeros=frozenset(),
         quad_triples=tuple(
             (BLOCK * t + 4, BLOCK * t + 5, BLOCK * t + 6)
-            for t in range(tri.size)),
-        equation_labels=tuple(labels))
+            for t in range(tri.size)))
 
 
 def is_solution(sys: MatchingSystem, v: Sequence[int]) -> bool:
@@ -147,10 +141,9 @@ def restrict_to_link(
     normal surfaces are disjoint from vertices anyway. The link may have
     any number of components.
     """
-    resolved = resolve_link(tri, link, require_two_components=False)
     zeros = set(sys.forced_zeros)
-    for cycle in resolved.edge_cycles:
-        for class_index in cycle:
+    for comp in resolve_link(tri, link, require_two_components=False):
+        for class_index, _ in comp.edges:
             for (t, (a, b)) in tri.skeleton.edge_classes[class_index].members:
                 zeros.add(BLOCK * t + a)
                 zeros.add(BLOCK * t + b)

@@ -46,7 +46,6 @@ from .matching import (
 )
 from .triangulation import (
     FACES,
-    IdealVertex,
     LinkSpec,
     Skeleton,
     Triangulation,
@@ -325,28 +324,23 @@ def separates(tri: Triangulation, v: Sequence[int], link: LinkSpec) -> bool:
     """Do the two link components end up in different regions?
 
     The vector must have zero weight on every edge class an EdgeCycle
-    component traverses (the surface may not touch the link).
+    component traverses (the surface may not touch the link). Each
+    component then lies in the region of its vertex classes, as an
+    uncrossed edge lies in the region of its ends.
     """
     resolved = resolve_link(tri, link)
     graph = complement_regions(tri, v)
-
-    cycles = iter(resolved.edge_cycles)
-    vertices = iter(resolved.vertex_components)
     homes = []
-    for comp in resolved.components:
-        if isinstance(comp, IdealVertex):
-            homes.append(graph.vertex_region[next(vertices)])
-            continue
-        classes = next(cycles)
-        missing = [c for c in classes if c not in graph.edge_region]
+    for comp in resolved:
+        missing = [c for c, _ in comp.edges if c not in graph.edge_region]
         if missing:
             raise VectorError(
                 "surface touches the link: nonzero weight on edge "
                 f"class(es) {missing}")
-        where = {graph.edge_region[c] for c in classes}
+        where = {graph.vertex_region[vc] for vc in comp.vertex_classes}
         if len(where) != 1:
             raise NormSurfError(
-                "internal inconsistency: one edge cycle meets regions "
+                "internal inconsistency: one link component meets regions "
                 f"{sorted(where)}")
         homes.append(where.pop())
     return homes[0] != homes[1]

@@ -561,18 +561,12 @@ class LinkSpec:
     components: tuple[LinkComponent, ...]
 
 
-@dataclass
-class ResolvedLink:
-    """Link components resolved against a skeleton.
+@dataclass(frozen=True)
+class ResolvedComponent:
+    """One link component resolved against a skeleton (see resolve_link)."""
 
-    edge_cycles holds, per EdgeCycle component, the tuple of edge class
-    indices; vertex_components holds, per IdealVertex component, the
-    vertex class index. component_kinds preserves input order.
-    """
-
-    components: tuple[LinkComponent, ...]
-    edge_cycles: tuple[tuple[int, ...], ...]
-    vertex_components: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    vertex_classes: frozenset[int]
 
 
 def resolve_link(
@@ -580,8 +574,14 @@ def resolve_link(
     link: LinkSpec,
     *,
     require_two_components: bool = True,
-) -> ResolvedLink:
+) -> tuple[ResolvedComponent, ...]:
     """Validate a link against a triangulation and resolve its classes.
+
+    Returns one record per component, in input order. Its edges hold,
+    per step of an EdgeCycle, the step's edge class index and sign: +1
+    along the class's direction, -1 against it (empty for an
+    IdealVertex). Its vertex_classes are the vertex classes the
+    component meets.
 
     Checks: exactly two components (unless waived), every reference
     names a real tetrahedron vertex or edge, every EdgeCycle closes up
@@ -593,25 +593,19 @@ def resolve_link(
         raise TriangulationError(
             f"link must have exactly 2 components, got {len(link.components)}")
 
-    edge_cycles = []
-    vertex_components = []
-    used_edge_classes: list[set[int]] = []
-    used_vertex_classes: list[set[int]] = []
-
+    resolved = []
     for comp in link.components:
         if isinstance(comp, IdealVertex):
             t = tri.index(comp.tet)
             if not (_is_label(comp.vertex) and 0 <= comp.vertex <= 3):
                 raise TriangulationError(
                     f"vertex label must be in 0..3, got {comp.vertex}")
-            vc = skel.vertex_class_of[(t, comp.vertex)]
-            vertex_components.append(vc)
-            used_edge_classes.append(set())
-            used_vertex_classes.append({vc})
+            resolved.append(ResolvedComponent(
+                (), frozenset({skel.vertex_class_of[(t, comp.vertex)]})))
         elif isinstance(comp, EdgeCycle):
             if not comp.edges:
                 raise TriangulationError("edge cycle must be nonempty")
-            classes = []
+            edges = []
             heads = []
             tails = []
             for tet_name, (u, v) in comp.edges:
@@ -620,7 +614,10 @@ def resolve_link(
                                      for x in (u, v)):
                     raise TriangulationError(
                         f"bad edge reference {tet_name}({u}{v})")
-                classes.append(skel.edge_class_of[(t, (min(u, v), max(u, v)))])
+                key = (t, (min(u, v), max(u, v)))
+                ec = skel.edge_classes[skel.edge_class_of[key]]
+                sign = 1 if ec.directions[key] == (u, v) else -1
+                edges.append((ec.index, sign))
                 tails.append(skel.vertex_class_of[(t, u)])
                 heads.append(skel.vertex_class_of[(t, v)])
             n = len(comp.edges)
@@ -630,25 +627,20 @@ def resolve_link(
                         "edge cycle does not close up: step "
                         f"{k} ends at vertex class {heads[k]} but step "
                         f"{(k + 1) % n} starts at {tails[(k + 1) % n]}")
-            edge_cycles.append(tuple(classes))
-            used_edge_classes.append(set(classes))
-            used_vertex_classes.append(set(heads) | set(tails))
+            # closed up, so the heads are the tails
+            resolved.append(ResolvedComponent(tuple(edges), frozenset(heads)))
         else:
             raise TriangulationError(f"unknown link component {comp!r}")
 
-    for a in range(len(link.components)):
-        for b in range(a + 1, len(link.components)):
-            if used_edge_classes[a] & used_edge_classes[b]:
+    for a, first in enumerate(resolved):
+        for second in resolved[a + 1:]:
+            if {c for c, _ in first.edges} & {c for c, _ in second.edges}:
                 raise TriangulationError(
                     "link components are not disjoint: shared edge class")
-            if used_vertex_classes[a] & used_vertex_classes[b]:
+            if first.vertex_classes & second.vertex_classes:
                 raise TriangulationError(
                     "link components are not disjoint: shared vertex class")
-
-    return ResolvedLink(
-        components=link.components,
-        edge_cycles=tuple(edge_cycles),
-        vertex_components=tuple(vertex_components))
+    return tuple(resolved)
 
 
 # -- serialization ---------------------------------------------------------
@@ -727,16 +719,9 @@ def serialize_link(link: LinkSpec) -> str:
 
 
 def parse_link_component(text: str) -> LinkComponent:
-    """Read a standalone component file: {"edgeCycle": [...]} or
-    {"idealVertex": {"tet": ..., "vertex": ...}}."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise TriangulationError("component file must be a JSON object")
-    for key in ("edgeCycle", "idealVertex"):
-        if key in doc:
-            return _component_from_dict({key: doc[key]})
-    raise TriangulationError(
-        'component file must contain "edgeCycle" or "idealVertex"')
+    """Read a standalone component file, one component as a link file
+    lists it: {"edgeCycle": [...]} or {"idealVertex": {...}}."""
+    return _component_from_dict(_load_json(text))
 
 
 def serialize_link_component(comp: LinkComponent) -> str:
@@ -745,10 +730,10 @@ def serialize_link_component(comp: LinkComponent) -> str:
 
 def parse_cycle(text: str) -> EdgeCycle:
     """Read a standalone cycle file: {"edgeCycle": [...]}."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict) or "edgeCycle" not in doc:
+    comp = parse_link_component(text)
+    if not isinstance(comp, EdgeCycle):
         raise TriangulationError('cycle file must be {"edgeCycle": [...]}')
-    return _component_from_dict({"edgeCycle": doc["edgeCycle"]})
+    return comp
 
 
 def serialize_cycle(cycle: EdgeCycle) -> str:

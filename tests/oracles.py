@@ -9,6 +9,7 @@ produced the same answer, not one computation ran twice.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -393,6 +394,21 @@ def decomposes_over(vector, basis):
     return go(tuple(vector))
 
 
+def filter_admissible(fs):
+    """fs keeping only vectors with at most one nonzero quad type per
+    block, in the fixed 7-slot layout (quads in slots 4..6) rather than
+    a system's quad_triples.
+
+    An admissible solution's summands are themselves solutions below it
+    coordinatewise, hence admissible too, so the admissible members of
+    the Hilbert basis are exactly the fundamental admissible surfaces.
+    """
+    return replace(fs, vectors=tuple(
+        v for v in fs.vectors
+        if all(sum(1 for x in _block(v, t)[4:] if x) <= 1
+               for t in range(len(v) // 7))))
+
+
 def random_quad_system(rng, max_vars=8, forced_allowed=True):
     """Random small homogeneous system in the library's equation shape."""
     from normsurf.matching import MatchingSystem
@@ -410,8 +426,7 @@ def random_quad_system(rng, max_vars=8, forced_allowed=True):
         variable_count=n,
         equations=tuple(eqs),
         forced_zeros=forced,
-        quad_triples=(),
-        equation_labels=tuple(f"e{m}" for m in range(len(eqs))))
+        quad_triples=())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -49,8 +50,46 @@ COMMANDS = {
                 "--from", "A:0,1", "--to", "B:1,2"],
 }
 
+# sha256 of the human-readable output of each command, on the same files;
+# fundamental's elapsed seconds are masked.
+HUMAN_DIGESTS = {
+    "curve2d":
+        "a7c4bd9de648a5b9413436029ec019abc72c527dbda7ff29b8cf92c613dcf2c7",
+    "curve2d-not-connected":
+        "23d4121fdf9f4857318adbaac85779b7ba6f8ee47efd2fa40f038cb92f14740c",
+    "curve2d-same-edge":
+        "eb2d8e86d1099c9d391ed1fee1b1c1b218ff1ca2158ed36073382cd9a5c7be14",
+    "fundamental":
+        "4d4ec3fb7c3ebaebbc62640d68cc13676159b5d187706dc51afbc18cb93b5812",
+    "homology":
+        "1d084c1c970d54454a81177d5509e787cd8351db74e6e873d8364513f8469bd5",
+    "homology-lenient":
+        "2365857d4c8fe61fd93ffafb48bafbf5efd968c0ffa8061045d216fe4a3fd765",
+    "homology-not-null":
+        "8fd9177b3d514006c41784216cb2c0c891d0e1a00456e07dfee98ed35c51c3c8",
+    "skeleton":
+        "c30eea0e6407a737ea8210ec65da1b0820c26ca6b6524c3ae143f0360498b903",
+    "split-witness":
+        "e5e41299e33bb673832e6c69cf8ef35966a1086034e85c493bea40643e0e3591",
+    "validate":
+        "0c042d78889d65192946656f0ab24936f4c68df6ed87945029d54d5b4049a185",
+}
 
-# Input files whose values have the wrong JSON type.
+HUMAN_COMMANDS = {
+    **COMMANDS,
+    "homology-not-null": ["homology", "fig8_10tet.json",
+                          "--cycle", "fig8_pushoff.json"],
+    "homology-lenient": ["homology", "fig8_12tet.json", "--lenient"],
+    "split-witness": ["split-check", "disconnected_pair.json",
+                      "--link", "disconnected_link.json"],
+    "curve2d-same-edge": ["curve2d", "connect", "square_surface.json",
+                          "--from", "A:0,1", "--to", "A:1,0"],
+    "curve2d-not-connected": ["curve2d", "connect", "two_triangles.json",
+                              "--from", "A:0,1", "--to", "B:0,1"],
+}
+
+
+# Input files whose values have the wrong JSON type or shape.
 MALFORMED = {
     "face_not_list.json": {"tetrahedra": ["a"], "gluings": [
         {"tet": "a", "face": 5, "to": {"tet": "a", "verts": [0, 1, 2]}}]},
@@ -64,6 +103,12 @@ MALFORMED = {
     "link_tet_not_name.json": {"components": [
         {"idealVertex": {"tet": ["h1"], "vertex": 0}},
         {"edgeCycle": [{"tet": "b1*", "edge": [1, 3]}]}]},
+    # component files with more than the one key a link entry holds
+    "cycle_and_vertex.json": {
+        "edgeCycle": [{"tet": "b1*", "edge": [1, 2]}],
+        "idealVertex": {"tet": "h1", "vertex": 0}},
+    "knot_extra_key.json": {
+        "idealVertex": {"tet": "h1", "vertex": 0}, "note": "the knot"},
 }
 
 
@@ -77,6 +122,8 @@ def fixture_dir(tmp_path_factory):
     for name, doc in MALFORMED.items():
         (d / name).write_text(json.dumps(doc))
     (d / "not_utf8.json").write_bytes(b"\xff\xfe{}")
+    (d / "two_triangles.json").write_text(
+        '{"triangles": ["A", "B"], "gluings": []}')
     (d / "pushoff_link.json").write_text(serialize_link(
         LinkSpec(components=(fig8_pushoff_cycle(),))))
     return d
@@ -116,6 +163,14 @@ def test_fundamental_takes_a_one_component_link(capsys, fixture_dir):
     assert code == 0, err
     assert (hashlib.sha256(out.encode()).hexdigest()
             == JSON_DIGESTS["fundamental"])
+
+
+@pytest.mark.parametrize("name", sorted(HUMAN_DIGESTS))
+def test_human_output_bytes(capsys, fixture_dir, name):
+    code, out, err = run_cli(capsys, fixture_dir, HUMAN_COMMANDS[name])
+    assert code == 0, err
+    out = re.sub(r"candidates, [0-9.]+s\)", "candidates, *s)", out)
+    assert hashlib.sha256(out.encode()).hexdigest() == HUMAN_DIGESTS[name]
 
 
 def test_emit_fixtures_lists_every_file(capsys, tmp_path):
@@ -162,6 +217,11 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["homology", "fig8_12tet.json"], "Use --lenient to compute"),
     (["split-check", "fig8_12tet.json", "--link", "pushoff_link.json"],
      "error: link must have exactly 2 components"),
+    (["homology", "fig8_10tet.json", "--cycle", "cycle_and_vertex.json"],
+     "error: each link component must be"),
+    (["unknot", "fig8_12tet.json", "--knot", "knot_extra_key.json",
+      "--pushoff", "fig8_longitude.json", "--homology-tri", "fig8_10tet.json"],
+     "error: each link component must be"),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

@@ -22,14 +22,15 @@ import normsurf
 from normsurf import fixtures, hilbert
 from normsurf.errors import IntegerOverflow, ResourceLimitExceeded
 from normsurf.hilbert import (_Budget, _extreme_rays, _integer_kernel,
-                              enumerate_fundamental, filter_admissible)
+                              enumerate_fundamental)
 from normsurf.matching import (BLOCK, MatchingSystem, is_admissible,
                                is_solution, quad_offset, restrict_to_link)
 from normsurf.triangulation import LinkSpec
 
 from oracles import (admissible_by_completion, bounded_solutions,
                      brute_force_solutions, cone_extreme_rays,
-                     decomposes_over, hilbert_by_subset_cover,
+                     decomposes_over, filter_admissible,
+                     hilbert_by_subset_cover,
                      lift_reference, minimal_nonzero, random_quad_system)
 
 from tables import reference_solutions
@@ -38,8 +39,7 @@ from tables import reference_solutions
 def plain_system(n, equations, forced=frozenset()):
     return MatchingSystem(
         variable_count=n, equations=tuple(equations),
-        forced_zeros=frozenset(forced), quad_triples=(),
-        equation_labels=tuple(f"e{i}" for i in range(len(equations))))
+        forced_zeros=frozenset(forced), quad_triples=())
 
 
 def test_empty_system_basis_is_unit_vectors():
@@ -153,8 +153,7 @@ def test_admissible_only_equals_filtered_full_basis():
             variable_count=n, equations=tuple(eqs),
             forced_zeros=frozenset(),
             quad_triples=tuple((7 * t + 4, 7 * t + 5, 7 * t + 6)
-                               for t in range(n_blocks)),
-            equation_labels=tuple(f"e{i}" for i in range(len(eqs))))
+                               for t in range(n_blocks)))
         full = enumerate_fundamental(sys)
         only = enumerate_fundamental(sys, admissible_only=True)
         assert only.vectors == filter_admissible(full).vectors
@@ -379,9 +378,8 @@ def test_twin_equations_change_nothing(restricted12):
                    for twin in ((i, j, k, l), (k, l, i, j))]
         runs = []
         for equations in (sys.equations, twice, negated):
-            fs = enumerate_fundamental(replace(
-                sys, equations=tuple(equations),
-                equation_labels=tuple(map(str, range(len(equations))))))
+            fs = enumerate_fundamental(
+                replace(sys, equations=tuple(equations)))
             runs.append((fs.vectors, fs.candidates_examined))
         assert runs[0] == runs[1] == runs[2]
 

@@ -285,6 +285,14 @@ def test_bounding_certificate(tri10, skel10):
     assert s.bounding(cycle_chain(tri10, fig8_pushoff_cycle())) is None
 
 
+def test_cycle_chain_refuses_inverted_edge_classes():
+    # edge 01 is glued to itself reversed, so it closes up as a loop
+    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
+                        infer_reciprocals=True)
+    with pytest.raises(HomologyError, match="glued to itself reversed"):
+        cycle_chain(tri, EdgeCycle(edges=(("s", (0, 1)),)))
+
+
 def test_class_arithmetic(tri10, skel10):
     s = h1(tri10)
     a = loop_class(tri10, s, "p", (1, 0))

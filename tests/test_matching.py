@@ -26,13 +26,16 @@ def test_system_shapes(tri10, tri12, sys12):
     assert sys10.forced_zeros == frozenset()
 
 
-def _generated_by_gluing(sys):
-    """Group generated equations by their gluing label, sides as sets."""
+def _generated_by_gluing(tri, sys):
+    """Group generated equations by their gluing, labelled as the
+    listing labels it, sides as sets; each interior pair gives three
+    equations in turn."""
     out = {}
-    for eq, label in zip(sys.equations, sys.equation_labels):
-        gluing = label.rsplit(" : ", 1)[0]
-        out.setdefault(gluing, set()).add(
-            (frozenset(eq[:2]), frozenset(eq[2:])))
+    for n, ((i, face), (j, _), vmap) in enumerate(tri.interior_pairs()):
+        image = tuple(vmap[x] for x in face)
+        label = f"{tri.format_spot(i, face)} ~ {tri.format_spot(j, image)}"
+        out[label] = {(frozenset(eq[:2]), frozenset(eq[2:]))
+                      for eq in sys.equations[3 * n:3 * n + 3]}
     return out
 
 
@@ -46,7 +49,7 @@ def _printed_sides(tri, eqs):
 
 def test_equations_match_reference_listing(tri12, sys12):
     """Every reference item except the misprinted one matches literally."""
-    generated = _generated_by_gluing(sys12)
+    generated = _generated_by_gluing(tri12, sys12)
     for n, (label, eqs) in enumerate(PRINTED_EQUATIONS, 1):
         if n == 7:
             continue
@@ -57,7 +60,7 @@ def test_item7_misprint_is_real_and_corrected(tri12, sys12):
     """Item 7 as printed names the wrong tetrahedron on its left sides;
     with the row label corrected the generated equations match exactly.
     """
-    generated = _generated_by_gluing(sys12)
+    generated = _generated_by_gluing(tri12, sys12)
     label, printed = PRINTED_EQUATIONS[6]
     clabel, corrected = PRINTED_ITEM7_CORRECTED
     assert label == clabel
@@ -65,12 +68,8 @@ def test_item7_misprint_is_real_and_corrected(tri12, sys12):
     assert generated[label] == _printed_sides(tri12, corrected)
 
 
-def test_generation_order_follows_listing(sys12):
-    seen = []
-    for label in sys12.equation_labels:
-        gluing = label.rsplit(" : ", 1)[0]
-        if gluing not in seen:
-            seen.append(gluing)
+def test_generation_order_follows_listing(tri12, sys12):
+    seen = list(_generated_by_gluing(tri12, sys12))
     want = [label for label, _ in PRINTED_EQUATIONS]
     assert seen[:21] == want[:21]
     assert set(seen[21:]) == set(want[21:])

@@ -46,6 +46,12 @@ def test_first_reference_solution(tri12):
     assert surface_cell_counts(tri12, v) == (18, 47, 29, 0, 1, 0)
 
 
+def test_separates_refuses_surfaces_touching_the_link(tri12):
+    # every triangle at every corner crosses the link's edge cycle
+    with pytest.raises(VectorError, match="surface touches the link"):
+        separates(tri12, all_triangles_vector(tri12), fig8_link())
+
+
 def test_second_reference_solution(tri12):
     v = reference_solutions(tri12)[1]
     r = analyze(tri12, v)

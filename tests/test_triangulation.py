@@ -197,24 +197,42 @@ def test_parse_link_component_rejects_unknown_shape():
         parse_link_component('{"somethingElse": 1}')
 
 
+@pytest.mark.parametrize("parse", [parse_link_component, parse_cycle])
+@pytest.mark.parametrize("extra", [
+    {"idealVertex": {"tet": "h1", "vertex": 0}},
+    {"note": "parallel loop"},
+])
+def test_component_files_hold_one_key(parse, extra):
+    # a component or cycle file is read as one entry of a link file
+    doc = {"edgeCycle": [{"tet": "b1*", "edge": [1, 2]}], **extra}
+    with pytest.raises(TriangulationError,
+                       match="^each link component must be"):
+        parse(json.dumps(doc))
+    with pytest.raises(TriangulationError,
+                       match="^each link component must be"):
+        parse_link(json.dumps({"components": [doc]}))
+
+
+def test_cycle_file_must_hold_an_edge_cycle():
+    with pytest.raises(TriangulationError, match="^cycle file must be"):
+        parse_cycle(serialize_link_component(IdealVertex("h1", 0)))
+
+
 def test_resolve_link(tri12, skel12):
     link = fig8_link()
-    resolved = resolve_link(tri12, link)
-    assert resolved.components == link.components
-    assert len(resolved.vertex_components) == 1
-    assert len(resolved.edge_cycles) == 1
+    vertex, cycle = resolve_link(tri12, link)
+    assert vertex.edges == () and len(vertex.vertex_classes) == 1
     # the cycle resolves to the ten-member class
-    (classes,) = resolved.edge_cycles
     t = tri12.index("b1*")
-    assert classes == (skel12.edge_class_of[(t, (1, 3))],)
+    assert [c for c, _ in cycle.edges] == [skel12.edge_class_of[(t, (1, 3))]]
 
 
 def test_resolve_link_requires_two_components(tri12):
     single = LinkSpec(components=(IdealVertex("h1", 0),))
     with pytest.raises(TriangulationError, match="exactly 2 components"):
         resolve_link(tri12, single)
-    resolved = resolve_link(tri12, single, require_two_components=False)
-    assert len(resolved.vertex_components) == 1
+    (vertex,) = resolve_link(tri12, single, require_two_components=False)
+    assert vertex.edges == () and len(vertex.vertex_classes) == 1
 
 
 def test_resolve_link_rejects_bad_references(tri12):
@@ -226,6 +244,13 @@ def test_resolve_link_rejects_bad_references(tri12):
                                      EdgeCycle(edges=())))
     with pytest.raises(TriangulationError):
         resolve_link(tri12, bad_cycle)
+
+
+def test_resolve_link_rejects_shared_edge_classes(tri12):
+    link = LinkSpec(components=(EdgeCycle(edges=(("b1*", (1, 3)),)),
+                                EdgeCycle(edges=(("b1*", (3, 1)),))))
+    with pytest.raises(TriangulationError, match="shared edge class"):
+        resolve_link(tri12, link)
 
 
 def test_resolve_link_vertex_label_must_be_int(tri12):
