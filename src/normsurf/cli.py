@@ -10,12 +10,19 @@ Output is human-readable by default; --json emits a byte-deterministic
 document (sorted keys, two-space indent) and `fundamental --tsv` lists
 one vector per row with seven columns per tetrahedron in file order.
 Exit codes: 0 = success or verdict produced, 2 = invalid input,
-3 = resource cap exceeded (UNKNOWN verdict). Default resource caps can
-be set with NORMSURF_MAX_CANDIDATES and NORMSURF_TIME_BUDGET.
+3 = resource cap exceeded (UNKNOWN verdict).
 
-`build_config` returns the argparse namespace itself, with the command
-name, the output format and the two caps resolved and checked; each
-command reads its arguments straight off that namespace.
+Only the four commands that enumerate surfaces (`fundamental`,
+`split-check`, `unknot` and `curve2d connect`) take the resource caps
+--max-candidates and --time-budget; their defaults can be set with
+NORMSURF_MAX_CANDIDATES and NORMSURF_TIME_BUDGET, which the other
+commands do not read.
+
+`build_config` returns the argparse namespace itself, with the caps
+resolved and checked; `run` is the command's function. Each command
+reads its arguments straight off the namespace and returns its result
+as (JSON document, human-readable lines, exit code); `run(config, out,
+err)` writes the document under --json and the lines otherwise.
 """
 
 from __future__ import annotations
@@ -49,24 +56,18 @@ from .triangulation import (
 )
 
 
-def _env_caps() -> tuple[int, Optional[float]]:
-    max_candidates = DEFAULT_MAX_CANDIDATES
-    time_budget = None
-    raw = os.environ.get("NORMSURF_MAX_CANDIDATES")
-    if raw:
-        try:
-            max_candidates = int(raw)
-        except ValueError:
-            raise NormSurfError(
-                f"NORMSURF_MAX_CANDIDATES must be an integer, got {raw!r}")
-    raw = os.environ.get("NORMSURF_TIME_BUDGET")
-    if raw:
-        try:
-            time_budget = float(raw)
-        except ValueError:
-            raise NormSurfError(
-                f"NORMSURF_TIME_BUDGET must be a number, got {raw!r}")
-    return max_candidates, time_budget
+# A command's (JSON document, human-readable lines, exit code).
+Result = tuple[Optional[dict], list[str], int]
+
+
+def _env_cap(name: str, kind, what: str, default):
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        return kind(raw)
+    except ValueError:
+        raise NormSurfError(f"{name} must be {what}, got {raw!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,41 +76,45 @@ def _build_parser() -> argparse.ArgumentParser:
         description="normal surfaces on triangulated 3-manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tsv=False):
+    def command(group, name: str, run, help: str, *, caps=False, tsv=False):
+        """A subcommand bound to its function, with its output flags and,
+        when it enumerates surfaces, the resource caps."""
+        p = group.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--json", action="store_true",
                        help="machine-readable, byte-deterministic output")
         if tsv:
             p.add_argument("--tsv", action="store_true",
                            help="one vector per row, 7 columns per tetrahedron")
-        p.add_argument("--max-candidates", type=int, default=None,
-                       help="enumeration candidate cap")
-        p.add_argument("--time-budget", type=float, default=None,
-                       help="enumeration wall-clock cap in seconds")
+        if caps:
+            p.add_argument("--max-candidates", type=int, default=None,
+                           help="enumeration candidate cap")
+            p.add_argument("--time-budget", type=float, default=None,
+                           help="enumeration wall-clock cap in seconds")
+        return p
 
-    p = sub.add_parser("validate", help="check a triangulation file")
+    p = command(sub, "validate", _cmd_validate, "check a triangulation file")
     p.add_argument("triangulation")
-    common(p)
 
-    p = sub.add_parser("skeleton", help="vertex/edge/face classes")
+    p = command(sub, "skeleton", _cmd_skeleton, "vertex/edge/face classes")
     p.add_argument("triangulation")
-    common(p)
 
-    p = sub.add_parser("fundamental",
-                       help="enumerate fundamental normal surfaces")
+    p = command(sub, "fundamental", _cmd_fundamental,
+                "enumerate fundamental normal surfaces", caps=True, tsv=True)
     p.add_argument("triangulation")
     p.add_argument("--link", help="restrict surfaces away from this link")
     p.add_argument("--include-inadmissible", action="store_true",
                    help="list the full Hilbert basis, not only admissible "
                         "vectors; it can exceed any budget, as on the "
                         "10-tet complement")
-    common(p, tsv=True)
 
-    p = sub.add_parser("split-check", help="decide whether a link is split")
+    p = command(sub, "split-check", _cmd_split_check,
+                "decide whether a link is split", caps=True)
     p.add_argument("triangulation")
     p.add_argument("--link", required=True)
-    common(p)
 
-    p = sub.add_parser("unknot", help="decide knottedness via a 0-pushoff")
+    p = command(sub, "unknot", _cmd_unknot,
+                "decide knottedness via a 0-pushoff", caps=True)
     p.add_argument("triangulation")
     p.add_argument("--knot", required=True,
                    help="component file (edgeCycle or idealVertex)")
@@ -120,45 +125,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homology-tri",
                    help="verify the pushoff on this triangulation instead "
                         "(e.g. the bounded complement)")
-    common(p)
 
-    p = sub.add_parser("homology", help="integer first homology")
+    p = command(sub, "homology", _cmd_homology, "integer first homology")
     p.add_argument("triangulation")
     p.add_argument("--cycle", help="edge-cycle file; report its class")
     p.add_argument("--lenient", action="store_true",
                    help="compute even when ideal vertex classes distort H1")
-    common(p)
 
     p2d = sub.add_parser("curve2d", help="normal curves on surfaces")
     sub2d = p2d.add_subparsers(dest="subcommand", required=True)
-    p = sub2d.add_parser("connect",
-                         help="is there a normal path between two boundary points?")
+    p = command(sub2d, "connect", _cmd_curve2d_connect,
+                "is there a normal path between two boundary points?",
+                caps=True)
     p.add_argument("surface")
     p.add_argument("--from", dest="edge_from", required=True,
                    metavar="TRI:U,V", help='boundary edge, e.g. "A:0,1"')
     p.add_argument("--to", dest="edge_to", required=True, metavar="TRI:U,V")
-    common(p)
 
-    p = sub.add_parser("emit-fixtures", help="write the bundled fixture files")
+    p = command(sub, "emit-fixtures", _cmd_emit_fixtures,
+                "write the bundled fixture files")
     p.add_argument("directory")
-    common(p)
     return parser
 
 
 def build_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    """Parse arguments (argparse errors exit 2). On the namespace,
-    command names the subcommand ("curve2d-connect" for curve2d
-    connect), output is "human", "json" or "tsv", and max_candidates
-    and time_budget fall back to the environment, then the defaults."""
+    """Parse arguments (argparse errors exit 2). On a command that takes
+    the caps, max_candidates and time_budget fall back to the
+    environment, then the defaults, and must be positive."""
     args = _build_parser().parse_args(argv)
-    env_max, env_time = _env_caps()
-    if args.command == "curve2d":
-        args.command = f"curve2d-{args.subcommand}"
-    args.output = "json" if args.json else "human"
-    if getattr(args, "tsv", False):
-        if args.json:
-            raise NormSurfError("--json and --tsv are mutually exclusive")
-        args.output = "tsv"
+    caps = hasattr(args, "max_candidates")
+    if caps:
+        env_max = _env_cap("NORMSURF_MAX_CANDIDATES", int, "an integer",
+                           DEFAULT_MAX_CANDIDATES)
+        env_time = _env_cap("NORMSURF_TIME_BUDGET", float, "a number", None)
+    if args.json and getattr(args, "tsv", False):
+        raise NormSurfError("--json and --tsv are mutually exclusive")
+    if not caps:
+        return args
     if args.max_candidates is None:
         args.max_candidates = env_max
     if args.max_candidates <= 0:
@@ -172,10 +175,6 @@ def build_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 
 
 # -- shared formatting -------------------------------------------------------
-
-
-def _emit_json(doc, out: TextIO) -> None:
-    out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_triangulation(path: str) -> Triangulation:
@@ -210,10 +209,28 @@ def _h1_text(summary) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _verdict_result(tri: Triangulation, verdict: Verdict,
+                    witness_label: str) -> Result:
+    doc = {
+        "answer": verdict.answer,
+        "searchedCount": verdict.searched_count,
+        "witness": _witness_doc(tri, verdict.witness),
+        "diagnostics": verdict.diagnostics,
+    }
+    lines = [f"verdict: {verdict.answer}",
+             f"searched: {verdict.searched_count} admissible fundamental "
+             f"surfaces"]
+    if verdict.witness is not None:
+        lines.append(f"{witness_label}: {_blocks_line(tri, verdict.witness)}")
+    if verdict.diagnostics:
+        lines.append(f"diagnostics: {verdict.diagnostics}")
+    return doc, lines, 3 if verdict.answer == UNKNOWN else 0
+
+
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_validate(args: argparse.Namespace) -> Result:
     tri = _load_triangulation(args.triangulation)
     problems = validate(tri)
     boundary = len(tri.boundary_facets())
@@ -224,56 +241,49 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
         "boundaryFaces": boundary,
         "connected": tri.is_connected(),
     }
-    if args.output == "json":
-        _emit_json(doc, out)
-    elif problems:
-        for p in problems:
-            print(f"INVALID: {p}", file=out)
-    else:
-        shape = "connected" if doc["connected"] else "disconnected"
-        print(f"valid: {tri.size} tetrahedra, {boundary} boundary "
-              f"faces, {shape}", file=out)
-    return 0 if not problems else 2
+    if problems:
+        return doc, [f"INVALID: {p}" for p in problems], 2
+    shape = "connected" if doc["connected"] else "disconnected"
+    return doc, [f"valid: {tri.size} tetrahedra, {boundary} boundary "
+                 f"faces, {shape}"], 0
 
 
-def _cmd_skeleton(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_skeleton(args: argparse.Namespace) -> Result:
     tri = _load_triangulation(args.triangulation)
     skel = tri.skeleton
     faces = len(tri.interior_pairs()) + len(tri.boundary_facets())
     euler = (len(skel.vertex_classes) - len(skel.edge_classes)
              + faces - tri.size)
-    if args.output == "json":
-        _emit_json({
-            "tetrahedra": tri.size,
-            "faceClasses": faces,
-            "eulerCharacteristic": euler,
-            "vertexClasses": [
-                {"degree": vc.degree, "boundary": vc.boundary,
-                 "members": [f"{tri.name(t)}({x})" for t, x in vc.members]}
-                for vc in skel.vertex_classes],
-            "edgeClasses": [
-                {"degree": ec.degree, "boundary": ec.boundary,
-                 "inverted": ec.inverted,
-                 "members": [tri.format_spot(t, e) for t, e in ec.members]}
-                for ec in skel.edge_classes],
-        }, out)
-        return 0
-    print(f"{tri.size} tetrahedra, {len(skel.vertex_classes)} vertex "
-          f"classes, {len(skel.edge_classes)} edge classes, "
-          f"{faces} face classes; euler characteristic {euler}", file=out)
+    doc = {
+        "tetrahedra": tri.size,
+        "faceClasses": faces,
+        "eulerCharacteristic": euler,
+        "vertexClasses": [
+            {"degree": vc.degree, "boundary": vc.boundary,
+             "members": [f"{tri.name(t)}({x})" for t, x in vc.members]}
+            for vc in skel.vertex_classes],
+        "edgeClasses": [
+            {"degree": ec.degree, "boundary": ec.boundary,
+             "inverted": ec.inverted,
+             "members": [tri.format_spot(t, e) for t, e in ec.members]}
+            for ec in skel.edge_classes],
+    }
+    lines = [f"{tri.size} tetrahedra, {len(skel.vertex_classes)} vertex "
+             f"classes, {len(skel.edge_classes)} edge classes, "
+             f"{faces} face classes; euler characteristic {euler}"]
     for vc in skel.vertex_classes:
         kind = "boundary" if vc.boundary else "interior"
-        print(f"vertex class {vc.index}: degree {vc.degree}, {kind}", file=out)
+        lines.append(f"vertex class {vc.index}: degree {vc.degree}, {kind}")
     for ec in skel.edge_classes:
         kind = "boundary" if ec.boundary else "interior"
         flags = ", inverted" if ec.inverted else ""
         members = " ".join(tri.format_spot(t, e) for t, e in ec.members)
-        print(f"edge class {ec.index}: degree {ec.degree}, {kind}{flags}: "
-              f"{members}", file=out)
-    return 0
+        lines.append(f"edge class {ec.index}: degree {ec.degree}, "
+                     f"{kind}{flags}: {members}")
+    return doc, lines, 0
 
 
-def _cmd_fundamental(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_fundamental(args: argparse.Namespace) -> Result:
     tri = _load_triangulation(args.triangulation)
     system = tri.matching_system
     if args.link:
@@ -284,84 +294,59 @@ def _cmd_fundamental(args: argparse.Namespace, out: TextIO) -> int:
         max_candidates=args.max_candidates,
         time_budget=args.time_budget,
         admissible_only=not args.include_inadmissible)
+    if args.tsv:
+        header = "\t".join(variable_name(tri, i)
+                           for i in range(system.variable_count))
+        return None, [header, *("\t".join(map(str, v))
+                                for v in fs.vectors)], 0
     # Inadmissible vectors have no surface reading, so skip analysis then.
     reports = {}
     if not args.include_inadmissible:
         reports = {v: analyze(tri, v) for v in fs.vectors}
-    if args.output == "json":
-        _emit_json({
-            "variableCount": system.variable_count,
-            "equationCount": len(system.equations),
-            "forcedZeros": sorted(
-                variable_name(tri, i) for i in system.forced_zeros),
-            "admissibleOnly": not args.include_inadmissible,
-            "count": len(fs.vectors),
-            "candidatesExamined": fs.candidates_examined,
-            "vectors": [
-                {"vector": list(v), "blocks": _blocks_doc(tri, v),
-                 **({"analysis": {
-                     "euler": reports[v].euler,
-                     "closed": reports[v].closed,
-                     "components": reports[v].components,
-                     "boundaryCircles": reports[v].boundary_circles,
-                 }} if v in reports else {})}
-                for v in fs.vectors],
-        }, out)
-        return 0
-    if args.output == "tsv":
-        header = [variable_name(tri, i)
-                  for i in range(system.variable_count)]
-        print("\t".join(header), file=out)
-        for v in fs.vectors:
-            print("\t".join(map(str, v)), file=out)
-        return 0
+    doc = {
+        "variableCount": system.variable_count,
+        "equationCount": len(system.equations),
+        "forcedZeros": sorted(
+            variable_name(tri, i) for i in system.forced_zeros),
+        "admissibleOnly": not args.include_inadmissible,
+        "count": len(fs.vectors),
+        "candidatesExamined": fs.candidates_examined,
+        "vectors": [
+            {"vector": list(v), "blocks": _blocks_doc(tri, v),
+             **({"analysis": {
+                 "euler": reports[v].euler,
+                 "closed": reports[v].closed,
+                 "components": reports[v].components,
+                 "boundaryCircles": reports[v].boundary_circles,
+             }} if v in reports else {})}
+            for v in fs.vectors],
+    }
     kind = "Hilbert basis vectors" if args.include_inadmissible \
         else "admissible fundamental surfaces"
-    print(f"{len(system.equations)} equations, {system.variable_count} "
-          f"variables, {len(system.forced_zeros)} forced zeros", file=out)
-    print(f"{len(fs.vectors)} {kind} "
-          f"({fs.candidates_examined} candidates, {fs.elapsed:.2f}s)", file=out)
+    lines = [f"{len(system.equations)} equations, {system.variable_count} "
+             f"variables, {len(system.forced_zeros)} forced zeros",
+             f"{len(fs.vectors)} {kind} "
+             f"({fs.candidates_examined} candidates, {fs.elapsed:.2f}s)"]
     for n, v in enumerate(fs.vectors, 1):
         line = f"#{n} {_blocks_line(tri, v)}"
         if v in reports:
             r = reports[v]
             shape = "closed" if r.closed else f"{r.boundary_circles} circles"
             line += (f"  chi={r.euler} components={r.components} {shape}")
-        print(line, file=out)
-    return 0
+        lines.append(line)
+    return doc, lines, 0
 
 
-def _report_verdict(args: argparse.Namespace, out: TextIO, tri: Triangulation,
-                    verdict: Verdict, witness_label: str) -> int:
-    if args.output == "json":
-        _emit_json({
-            "answer": verdict.answer,
-            "searchedCount": verdict.searched_count,
-            "witness": _witness_doc(tri, verdict.witness),
-            "diagnostics": verdict.diagnostics,
-        }, out)
-    else:
-        print(f"verdict: {verdict.answer}", file=out)
-        print(f"searched: {verdict.searched_count} admissible fundamental "
-              f"surfaces", file=out)
-        if verdict.witness is not None:
-            print(f"{witness_label}: {_blocks_line(tri, verdict.witness)}",
-                  file=out)
-        if verdict.diagnostics:
-            print(f"diagnostics: {verdict.diagnostics}", file=out)
-    return 3 if verdict.answer == UNKNOWN else 0
-
-
-def _cmd_split_check(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_split_check(args: argparse.Namespace) -> Result:
     tri = _load_triangulation(args.triangulation)
     link = parse_link(Path(args.link).read_text())
     verdict = split_link_check(
         tri, link, max_candidates=args.max_candidates,
         time_budget=args.time_budget)
-    return _report_verdict(args, out, tri, verdict, "witness")
+    return _verdict_result(tri, verdict, "witness")
 
 
-def _cmd_unknot(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_unknot(args: argparse.Namespace) -> Result:
     tri = _load_triangulation(args.triangulation)
     knot = parse_link_component(Path(args.knot).read_text())
     pushoff = parse_link_component(Path(args.pushoff).read_text())
@@ -374,10 +359,10 @@ def _cmd_unknot(args: argparse.Namespace, out: TextIO) -> int:
         homology_tri=homology_tri,
         max_candidates=args.max_candidates,
         time_budget=args.time_budget)
-    return _report_verdict(args, out, tri, verdict, "splitting sphere")
+    return _verdict_result(tri, verdict, "splitting sphere")
 
 
-def _cmd_homology(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_homology(args: argparse.Namespace) -> Result:
     tri = _load_triangulation(args.triangulation)
     try:
         summary = h1(tri, strict=not args.lenient)
@@ -414,15 +399,10 @@ def _cmd_homology(args: argparse.Namespace, out: TextIO) -> int:
                 f"cycle class: {tuple(cls.values)} with orders "
                 f"{tuple(cls.orders)} - NOT null-homologous, so not a "
                 f"0-pushoff")
-    if args.output == "json":
-        _emit_json(doc, out)
-    else:
-        for line in lines:
-            print(line, file=out)
-    return 0
+    return doc, lines, 0
 
 
-def _cmd_curve2d_connect(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_curve2d_connect(args: argparse.Namespace) -> Result:
     surf = curves2d.parse_surface(Path(args.surface).read_text())
 
     def edge_ref(spec: str):
@@ -441,18 +421,16 @@ def _cmd_curve2d_connect(args: argparse.Namespace, out: TextIO) -> int:
         surf, edge_ref(args.edge_from), edge_ref(args.edge_to),
         max_candidates=args.max_candidates,
         time_budget=args.time_budget)
-    if args.output == "json":
-        _emit_json({"connected": witness is not None,
-                    "witness": _witness_doc(surf, witness)}, out)
-    elif witness is None:
-        print("not connected: the boundary points lie on different "
-              "components", file=out)
+    doc = {"connected": witness is not None,
+           "witness": _witness_doc(surf, witness)}
+    if witness is None:
+        line = ("not connected: the boundary points lie on different "
+                "components")
     elif not any(witness):
-        print("connected along the shared boundary edge (empty curve)",
-              file=out)
+        line = "connected along the shared boundary edge (empty curve)"
     else:
-        print(f"connected: {_blocks_line(surf, witness)}", file=out)
-    return 0
+        line = f"connected: {_blocks_line(surf, witness)}"
+    return doc, [line], 0
 
 
 FIXTURE_FILES = (
@@ -474,7 +452,7 @@ FIXTURE_FILES = (
 )
 
 
-def _cmd_emit_fixtures(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_emit_fixtures(args: argparse.Namespace) -> Result:
     directory = Path(args.directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -482,30 +460,15 @@ def _cmd_emit_fixtures(args: argparse.Namespace, out: TextIO) -> int:
         path = directory / name
         path.write_text(render())
         written.append(str(path))
-    if args.output == "json":
-        _emit_json({"written": written}, out)
-    else:
-        for path in written:
-            print(f"wrote {path}", file=out)
-    return 0
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "skeleton": _cmd_skeleton,
-    "fundamental": _cmd_fundamental,
-    "split-check": _cmd_split_check,
-    "unknot": _cmd_unknot,
-    "homology": _cmd_homology,
-    "curve2d-connect": _cmd_curve2d_connect,
-    "emit-fixtures": _cmd_emit_fixtures,
-}
+    return {"written": written}, [f"wrote {path}" for path in written], 0
 
 
 def run(config: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    """Execute one command; report errors on err and return the exit code."""
+    """Execute one command and write its result on out (the JSON
+    document under --json, else the lines); report errors on err.
+    Returns the exit code."""
     try:
-        return _COMMANDS[config.command](config, out)
+        doc, lines, code = config.run(config)
     except ResourceLimitExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=err)
         return 3
@@ -517,6 +480,11 @@ def run(config: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     except (NormSurfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    if config.json:
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    else:
+        out.writelines(f"{line}\n" for line in lines)
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

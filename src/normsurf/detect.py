@@ -64,8 +64,6 @@ class Verdict:
 def _is_splitting_sphere(tri: Triangulation, v: NormalVector,
                          link: LinkSpec) -> bool:
     """Does v describe a connected closed sphere separating the link?"""
-    if not any(v):
-        return False
     report = analyze(tri, v)
     if not (report.closed and report.components == 1 and report.euler == 2):
         return False

@@ -420,8 +420,11 @@ def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
     """Edge-class coefficients of a closed edge walk.
 
     Each step traversing an edge class along its orientation counts
-    +1, against it -1; steps may cancel.
+    +1, against it -1; steps may cancel. Any other link component,
+    such as an ideal vertex, carries no chain and raises HomologyError.
     """
+    if not isinstance(cycle, EdgeCycle):
+        raise HomologyError(f"a cycle must be an edge cycle, got {cycle!r}")
     (comp,) = resolve_link(tri, LinkSpec(components=(cycle,)),
                            require_two_components=False)
     coeffs: dict[int, int] = {}

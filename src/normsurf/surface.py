@@ -47,7 +47,6 @@ from .matching import (
 from .triangulation import (
     FACES,
     LinkSpec,
-    Skeleton,
     Triangulation,
     corner_stack,
     face_omitting,
@@ -102,9 +101,6 @@ class _TetPattern:
         self.tet = tet
         self.tri = tuple(block[:4])
         quads = [(k, block[k]) for k in (4, 5, 6) if block[k] > 0]
-        if len(quads) > 1:
-            raise VectorError(
-                f"two quad types in tetrahedron block {tet}")
         self.qoff, self.q = quads[0] if quads else (None, 0)
 
     def arc_count(self, x: int, d: int) -> int:
@@ -142,8 +138,13 @@ class _TetPattern:
         return corner_stack(regions + sides, disks + quads)
 
 
-def _patterns(tri: Triangulation, v: Sequence[int]) -> list[_TetPattern]:
-    """Validate the vector as an admissible solution; split by tet."""
+def _patterns(tri: Triangulation, v: Sequence[int]
+              ) -> tuple[list[_TetPattern], list[int]]:
+    """Validate the vector as an admissible solution; split it by tet
+    and weigh each edge class. A solution crosses every member of a
+    class equally often, so its first member gives the class weight.
+    Raises TriangulationError when the vector crosses an edge class
+    glued to itself reversed."""
     sys = tri.matching_system
     v = sys.read(v)
     if any(x < 0 for x in v):
@@ -155,21 +156,17 @@ def _patterns(tri: Triangulation, v: Sequence[int]) -> list[_TetPattern]:
     if not is_admissible(v):
         raise VectorError(
             "inadmissible vector: two quad types in one tetrahedron")
-    return [_TetPattern(t, v[BLOCK * t: BLOCK * (t + 1)])
+    pats = [_TetPattern(t, v[BLOCK * t: BLOCK * (t + 1)])
             for t in range(tri.size)]
-
-
-def _edge_class_weights(tri: Triangulation, skel: Skeleton,
-                        pats: list[_TetPattern]) -> list[int]:
     weights = []
-    for ec in skel.edge_classes:
-        per_member = {pats[t].edge_weight(a, b) for t, (a, b) in ec.members}
-        if len(per_member) != 1:
-            raise VectorError(
-                f"edge class {ec.index} has inconsistent crossing counts "
-                f"{sorted(per_member)}; vector is not a solution")
-        weights.append(per_member.pop())
-    return weights
+    for ec in tri.skeleton.edge_classes:
+        t, (a, b) = ec.members[0]
+        weights.append(pats[t].edge_weight(a, b))
+        if ec.inverted and weights[-1]:
+            raise TriangulationError(
+                f"edge class {ec.index} is glued to itself reversed; "
+                "surfaces crossing it are not supported")
+    return pats, weights
 
 
 def _stacks(pats: list[_TetPattern]) -> dict:
@@ -188,15 +185,7 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
     interior faces; boundary circles are the components of the
     boundary curve on `tri.boundary_surface`.
     """
-    pats = _patterns(tri, v)
-    skel = tri.skeleton
-    edge_weights = _edge_class_weights(tri, skel, pats)
-    for ec in skel.edge_classes:
-        if ec.inverted and edge_weights[ec.index]:
-            raise TriangulationError(
-                f"edge class {ec.index} is glued to itself reversed; "
-                "surfaces crossing it are not supported")
-
+    pats, edge_weights = _patterns(tri, v)
     vertices = sum(edge_weights)
     disk_count = sum(sum(p.tri) + p.q for p in pats)
 
@@ -268,7 +257,7 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     every interior face piece between consecutive arcs; the result is
     the connectivity of the surface complement.
     """
-    pats = _patterns(tri, v)
+    pats, weights = _patterns(tri, v)
     skel = tri.skeleton
     stacks = _stacks(pats)
     cells = tri.join_stacks(stacks, 0)
@@ -295,7 +284,7 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
 
     edge_region: dict[int, int] = {}
     for ec in skel.edge_classes:
-        if any(pats[t].edge_weight(a, b) for t, (a, b) in ec.members):
+        if weights[ec.index]:
             continue
         # an uncrossed edge lies in the region of either end
         where = {home(t, a) for t, (a, _) in ec.members}

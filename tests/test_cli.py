@@ -109,6 +109,18 @@ MALFORMED = {
         "idealVertex": {"tet": "h1", "vertex": 0}},
     "knot_extra_key.json": {
         "idealVertex": {"tet": "h1", "vertex": 0}, "note": "the knot"},
+    "top_not_object.json": ["a"],
+    "no_tetrahedra.json": {"tetrahedra": [], "gluings": []},
+    "gluings_not_list.json": {"tetrahedra": ["a"], "gluings": {}},
+    "gluing_no_target.json": {"tetrahedra": ["a"], "gluings": [
+        {"tet": "a", "face": [0, 1, 2]}]},
+    "metadata_not_object.json": {"tetrahedra": ["a"], "gluings": [],
+                                 "metadata": ["note"]},
+    "empty_cycle.json": {"edgeCycle": []},
+    "cycle_step_no_edge.json": {"edgeCycle": [{"tet": "b1*"}]},
+    "vertex_no_label.json": {"idealVertex": {"tet": "h1"}},
+    "components_not_list.json": {"components": {"knot": {
+        "idealVertex": {"tet": "h1", "vertex": 0}}}},
 }
 
 
@@ -222,6 +234,34 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["unknot", "fig8_12tet.json", "--knot", "knot_extra_key.json",
       "--pushoff", "fig8_longitude.json", "--homology-tri", "fig8_10tet.json"],
      "error: each link component must be"),
+    # the resource caps belong to the four enumerating commands only
+    (["validate", "fig8_10tet.json", "--max-candidates", "5"],
+     "unrecognized arguments: --max-candidates 5"),
+    (["homology", "fig8_10tet.json", "--time-budget", "1"],
+     "unrecognized arguments: --time-budget 1"),
+    (["curve2d", "connect", "square_surface.json",
+      "--from", "A:0,x", "--to", "B:1,2"],
+     "error: edge vertices must be integers"),
+    (["skeleton", "bad.json"], "error: invalid triangulation: self-gluing"),
+    (["validate", "top_not_object.json"],
+     "error: top-level value must be an object"),
+    (["validate", "no_tetrahedra.json"],
+     'error: "tetrahedra" must be a nonempty list'),
+    (["validate", "gluings_not_list.json"],
+     'error: "gluings" must be a list'),
+    (["validate", "gluing_no_target.json"],
+     "error: gluing record 0 is malformed"),
+    (["validate", "metadata_not_object.json"],
+     'error: "metadata" must be an object'),
+    (["homology", "fig8_10tet.json", "--cycle", "empty_cycle.json"],
+     'error: "edgeCycle" must be a nonempty list'),
+    (["homology", "fig8_10tet.json", "--cycle", "cycle_step_no_edge.json"],
+     "error: bad edge cycle step"),
+    (["unknot", "fig8_12tet.json", "--knot", "vertex_no_label.json",
+      "--pushoff", "fig8_longitude.json", "--homology-tri", "fig8_10tet.json"],
+     "error: bad idealVertex component"),
+    (["split-check", "fig8_12tet.json", "--link", "components_not_list.json"],
+     'error: "components" must be a list'),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)
@@ -232,7 +272,7 @@ def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
 def test_time_budget_env_must_be_a_number(capsys, fixture_dir,
                                          monkeypatch):
     monkeypatch.setenv("NORMSURF_TIME_BUDGET", "abc")
-    code, out, err = run_cli(capsys, fixture_dir, COMMANDS["validate"])
+    code, out, err = run_cli(capsys, fixture_dir, COMMANDS["split-check"])
     assert code == 2
     assert "error: NORMSURF_TIME_BUDGET must be a number" in err
 
@@ -240,9 +280,22 @@ def test_time_budget_env_must_be_a_number(capsys, fixture_dir,
 def test_time_budget_env_must_be_positive(capsys, fixture_dir,
                                           monkeypatch):
     monkeypatch.setenv("NORMSURF_TIME_BUDGET", "nan")
-    code, out, err = run_cli(capsys, fixture_dir, COMMANDS["validate"])
+    code, out, err = run_cli(capsys, fixture_dir, COMMANDS["split-check"])
     assert code == 2
     assert "error: time-budget must be positive" in err
+
+
+def test_commands_that_do_not_enumerate_ignore_cap_env(
+        capsys, fixture_dir, monkeypatch, tmp_path):
+    monkeypatch.setenv("NORMSURF_MAX_CANDIDATES", "abc")
+    monkeypatch.setenv("NORMSURF_TIME_BUDGET", "abc")
+    for argv in [COMMANDS["validate"], COMMANDS["skeleton"],
+                 COMMANDS["homology"], ["emit-fixtures", str(tmp_path)]]:
+        code, out, err = run_cli(capsys, fixture_dir, argv)
+        assert (code, err) == (0, ""), argv
+    code, out, err = run_cli(capsys, fixture_dir, COMMANDS["split-check"])
+    assert code == 2
+    assert "error: NORMSURF_MAX_CANDIDATES must be an integer" in err
 
 
 def test_max_candidates_env_and_override(capsys, fixture_dir, monkeypatch):

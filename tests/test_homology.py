@@ -28,7 +28,7 @@ from normsurf.homology import (_smith, _sparse, chain_complex, cycle_chain,
                                edge_cycle_class, h1, verify_zero_pushoff)
 from normsurf.matching import restrict_to_link, vertex_link_vector
 from normsurf.surface import analyze
-from normsurf.triangulation import (EdgeCycle, Triangulation,
+from normsurf.triangulation import (EdgeCycle, IdealVertex, Triangulation,
                                     parse_triangulation,
                                     serialize_triangulation)
 
@@ -291,6 +291,20 @@ def test_cycle_chain_refuses_inverted_edge_classes():
                         infer_reciprocals=True)
     with pytest.raises(HomologyError, match="glued to itself reversed"):
         cycle_chain(tri, EdgeCycle(edges=(("s", (0, 1)),)))
+
+
+def test_chain_complex_refuses_inverted_edge_classes():
+    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
+                        infer_reciprocals=True)
+    with pytest.raises(HomologyError, match="glued to itself reversed"):
+        chain_complex(tri)
+
+
+def test_ideal_vertex_is_no_cycle(tri10):
+    # an ideal vertex carries no edge chain, so it cannot be verified
+    # as a pushoff; read as the empty chain it would pass as null
+    with pytest.raises(HomologyError, match="must be an edge cycle"):
+        verify_zero_pushoff(tri10, IdealVertex("p", 0))
 
 
 def test_class_arithmetic(tri10, skel10):

@@ -22,7 +22,7 @@ from normsurf.matching import (all_triangles_vector, haken_sum,
                                vertex_link_vector)
 from normsurf.surface import (analyze, complement_regions,
                               euler_coefficients, separates)
-from normsurf.triangulation import Triangulation
+from normsurf.triangulation import IdealVertex, LinkSpec, Triangulation
 
 from oracles import (boundary_curve, surface_cell_counts,
                      trace_curve_components)
@@ -225,6 +225,11 @@ def test_inverted_edge_class_policy():
     with pytest.raises(TriangulationError, match="reversed"):
         analyze(tri, (1, 1, 0, 0, 0, 0, 0))
     assert analyze(tri, (0, 0, 0, 0, 0, 0, 0)).weight == 0
+    # separation reads the same surfaces, so it refuses them too
+    link = LinkSpec(components=(IdealVertex("s", 0), IdealVertex("s", 2)))
+    for v in [(1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]:
+        with pytest.raises(TriangulationError, match="reversed"):
+            separates(tri, v, link)
 
 
 def test_euler_characteristic_and_closedness_are_linear(

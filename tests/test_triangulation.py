@@ -253,6 +253,25 @@ def test_resolve_link_rejects_shared_edge_classes(tri12):
         resolve_link(tri12, link)
 
 
+def test_resolve_link_rejects_shared_vertex_classes(tri12):
+    knot = IdealVertex("h1", 0)
+    with pytest.raises(TriangulationError, match="shared vertex class"):
+        resolve_link(tri12, LinkSpec(components=(knot, knot)))
+
+
+def test_resolve_link_rejects_open_cycles():
+    # the four vertices of a lone tetrahedron lie in four classes
+    link = LinkSpec(components=(EdgeCycle(edges=(("tet", (0, 1)),)),))
+    with pytest.raises(TriangulationError, match="does not close up"):
+        resolve_link(single_tet(), link, require_two_components=False)
+
+
+def test_resolve_link_rejects_unknown_components(tri12):
+    link = LinkSpec(components=("h1", fig8_link().components[1]))
+    with pytest.raises(TriangulationError, match="unknown link component"):
+        resolve_link(tri12, link)
+
+
 def test_resolve_link_vertex_label_must_be_int(tri12):
     link = LinkSpec(components=(IdealVertex("h1", True),))
     with pytest.raises(TriangulationError,
