@@ -27,11 +27,11 @@ from typing import Iterable, Optional
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
 from .hilbert import DEFAULT_MAX_CANDIDATES, FundamentalSet, enumerate_fundamental
 from .homology import verify_zero_pushoff
-from .matching import (BLOCK, NormalVector, quad_offsets_crossing,
-                       restrict_to_link)
-from .surface import analyze, euler_coefficients, separates
+from .matching import (BLOCK, NormalVector, _arcs, _crossing,
+                       euler_coefficients, restrict_to_link)
+from .surface import analyze, separates
 from .triangulation import (EdgeCycle, LinkComponent, LinkSpec, Triangulation,
-                            resolve_link)
+                            omitted_vertex, resolve_link)
 
 SPLIT = "SPLIT"
 NOT_SPLIT = "NOT_SPLIT"
@@ -74,7 +74,7 @@ class _Screen:
     """Linear tests that rule a surface out before analyze runs.
 
     On an admissible solution v, analyze(tri, v).euler is euler . v
-    (surface.euler_coefficients), and the surface is closed exactly
+    (matching.euler_coefficients), and the surface is closed exactly
     when v is zero on boundary_meeting_variables(tri). admits(v, chi,
     closed) is False only when those settle that the report differs in
     chi or closedness, so callers skip analyze for v with no change in
@@ -89,8 +89,7 @@ class _Screen:
         self.inverted = sorted({
             BLOCK * t + k
             for ec in tri.skeleton.edge_classes if ec.inverted
-            for t, (a, b) in ec.members
-            for k in (a, b, *quad_offsets_crossing(a, b))})
+            for t, (a, b) in ec.members for k in _crossing(a, b)})
 
     def admits(self, v: NormalVector, chi: int, closed: bool) -> bool:
         if any(v[i] for i in self.inverted):
@@ -208,18 +207,14 @@ def unknot_via_pushoff(
 def boundary_meeting_variables(tri: Triangulation) -> frozenset[int]:
     """Indices of disk-type variables whose disks touch the boundary.
 
-    A triangle type at vertex x meets a boundary face exactly when that
-    face contains x; a quadrilateral leaves an arc on all four faces of
-    its tetrahedron, so every quad type of a tetrahedron with any
-    boundary face qualifies.
+    These are the types leaving an arc at some corner of a boundary
+    face: the triangles at its three corners and, since a quadrilateral
+    leaves an arc on all four faces of its tetrahedron, all three quad
+    types.
     """
-    meeting: set[int] = set()
-    for (t, face) in tri.boundary_facets():
-        for x in face:
-            meeting.add(BLOCK * t + x)
-        for q in (4, 5, 6):
-            meeting.add(BLOCK * t + q)
-    return frozenset(meeting)
+    return frozenset(
+        BLOCK * t + k for t, face in tri.boundary_facets() for x in face
+        for k in _arcs(x, omitted_vertex(face)))
 
 
 def filter_unknotting_disks(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import HomologyError
-from .matching import BLOCK
+from .matching import BLOCK, euler_coefficients
 from .triangulation import (
     EdgeCycle,
     LinkSpec,
@@ -243,7 +243,6 @@ def _nonmaterial_vertex_classes(tri: Triangulation,
     characteristic is the Euler form (exact on admissible vectors) on
     its corner triangles: 1 for a disk, 2 for a sphere.
     """
-    from .surface import euler_coefficients  # surface imports hilbert
     chi = euler_coefficients(tri)
     return tuple(
         vc.index for vc in skel.vertex_classes

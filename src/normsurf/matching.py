@@ -8,11 +8,18 @@ quadrilaterals separating the vertex pair {0, m} from the complementary
 pair. Matching equations force arc counts of the two sides of every
 interior face gluing to agree, three equations (one per face corner)
 per gluing.
+
+This module owns the incidences of disk types with the skeleton:
+`_crossing` names the disk types crossing an edge and `_arcs` those
+leaving an arc at a face corner. The matching equations, the link
+restriction, the Euler form (`euler_coefficients`), and the surface
+reading in `surface` and `detect` all count through these two.
 """
 
 from __future__ import annotations
 
 import numbers
+from functools import cache
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -35,10 +42,21 @@ def quad_offset(a: int, b: int) -> int:
     return 3 + (6 - a - b)
 
 
-def quad_offsets_crossing(a: int, b: int) -> tuple[int, int]:
-    """Block offsets of the two quad types whose disks cross edge {a, b}."""
+@cache
+def _crossing(a: int, b: int) -> tuple[int, ...]:
+    """Block offsets of the disk types crossing edge {a, b}: the
+    triangles at a and b and the two quad types putting a and b on
+    opposite sides."""
     skip = quad_offset(a, b)
-    return tuple(k for k in (4, 5, 6) if k != skip)  # type: ignore[return-value]
+    return (a, b, *(k for k in (4, 5, 6) if k != skip))
+
+
+@cache
+def _arcs(x: int, d: int) -> tuple[int, int]:
+    """Block offsets of the disk types leaving an arc at corner x of the
+    face omitting d: the triangle at x and the quad type separating
+    {x, d} from the other two corners."""
+    return x, quad_offset(x, d)
 
 
 def variable_name(tri: Triangulation, index: int) -> str:
@@ -81,8 +99,9 @@ def build_matching_system(tri: Triangulation) -> MatchingSystem:
         t^A_x + q^A_{x,dA} = t^B_{s(x)} + q^B_{s(x),dB}
 
     since on that face the arcs cutting off corner x come from the
-    triangles at x plus the quads separating x from the omitted vertex.
-    Each Triangulation keeps the result as its `matching_system`.
+    triangles at x plus the quads separating x from the omitted vertex
+    (`_arcs`). Each Triangulation keeps the result as its
+    `matching_system`.
     """
     tri.require_valid()
     equations = []
@@ -90,12 +109,9 @@ def build_matching_system(tri: Triangulation) -> MatchingSystem:
         d_a = omitted_vertex(face)
         d_b = omitted_vertex(jface)
         for x in face:
-            equations.append((
-                BLOCK * i + x,
-                BLOCK * i + quad_offset(x, d_a),
-                BLOCK * j + vmap[x],
-                BLOCK * j + quad_offset(vmap[x], d_b),
-            ))
+            equations.append(
+                tuple(BLOCK * i + k for k in _arcs(x, d_a))
+                + tuple(BLOCK * j + k for k in _arcs(vmap[x], d_b)))
     return MatchingSystem(
         variable_count=BLOCK * tri.size,
         equations=tuple(equations),
@@ -136,40 +152,61 @@ def restrict_to_link(
 
     Every member edge {a, b} of every edge class traversed by an
     EdgeCycle component pins to zero the four disk types crossing that
-    edge in its tetrahedron: the triangles at a and b and the two quad
-    types not separating {a, b}. Vertex components add nothing, since
-    normal surfaces are disjoint from vertices anyway. The link may have
-    any number of components.
+    edge in its tetrahedron (`_crossing`). Vertex components add
+    nothing, since normal surfaces are disjoint from vertices anyway.
+    The link may have any number of components.
     """
     zeros = set(sys.forced_zeros)
     for comp in resolve_link(tri, link, require_two_components=False):
         for class_index, _ in comp.edges:
             for (t, (a, b)) in tri.skeleton.edge_classes[class_index].members:
-                zeros.add(BLOCK * t + a)
-                zeros.add(BLOCK * t + b)
-                for q in quad_offsets_crossing(a, b):
-                    zeros.add(BLOCK * t + q)
+                zeros.update(BLOCK * t + k for k in _crossing(a, b))
     return replace(sys, forced_zeros=frozenset(zeros))
 
 
 def haken_sum(a: Sequence[int], b: Sequence[int]) -> NormalVector:
     """Coordinate-wise sum of two quad-compatible admissible vectors.
 
-    Raises when the vectors put different nonzero quad types in the
-    same tetrahedron, since the two disk families could not be resolved
-    into an embedded surface.
+    Raises when either vector or their sum is not admissible: the sum
+    then has two quad types in one tetrahedron, and its disks could not
+    be resolved into an embedded surface.
     """
     if len(a) != len(b):
         raise VectorError(f"length mismatch: {len(a)} vs {len(b)}")
-    if len(a) % BLOCK != 0:
-        raise VectorError(f"vector length {len(a)} is not a multiple of {BLOCK}")
-    for base in range(0, len(a), BLOCK):
-        qa = {k for k in (4, 5, 6) if a[base + k] != 0}
-        qb = {k for k in (4, 5, 6) if b[base + k] != 0}
-        if qa and qb and qa != qb:
-            raise VectorError(
-                f"quadrilateral type conflict in tetrahedron block {base // BLOCK}")
-    return tuple(x + y for x, y in zip(a, b))
+    s = tuple(x + y for x, y in zip(a, b))
+    if not (is_admissible(a) and is_admissible(b) and is_admissible(s)):
+        raise VectorError(
+            "quadrilateral type conflict: the vectors or their sum put two "
+            "quad types in one tetrahedron")
+    return s
+
+
+def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
+    """Integer coefficients c with c . v == surface.analyze(tri, v).euler
+    for every admissible solution v.
+
+    analyze counts chi = V - E + F over the surface's cells:
+      - F = sum(v): each variable counts +1 as a disk.
+      - V is the sum of the edge-class weights. For a solution all
+        members of a class are crossed equally often, so each class
+        counts the disks crossing its representative (least) member:
+        +1 for each type in `_crossing`.
+      - E counts each arc once: on one side of every interior pair and
+        on every boundary facet, -1 for each type in `_arcs` at each
+        face corner.
+    """
+    c = [1] * (BLOCK * tri.size)
+    for ec in tri.skeleton.edge_classes:
+        t, (a, b) = min(ec.members)
+        for k in _crossing(a, b):
+            c[BLOCK * t + k] += 1
+    faces = [spot for spot, _, _ in tri.interior_pairs()]
+    for t, face in faces + list(tri.boundary_facets()):
+        d = omitted_vertex(face)
+        for x in face:
+            for k in _arcs(x, d):
+                c[BLOCK * t + k] -= 1
+    return tuple(c)
 
 
 def tet_block(v: Sequence[int], tet: int) -> tuple[int, ...]:

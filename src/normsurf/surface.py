@@ -10,6 +10,9 @@ the complementary region decomposition behind separation tests.
 Components and regions are joined by `Gluing.join_stacks` over the
 corner stacks below; boundary circles are the components of the
 boundary curve on `boundary_surface` (`curves2d.curve_components`).
+Which disk types cross an edge or leave an arc at a face corner is
+read from `matching` (`_crossing`, `_arcs`), as the matching equations
+and the Euler form read it.
 
 Conventions (shared with the matching equations):
   - On a face, the arcs cutting off corner x are nested and indexed by
@@ -37,13 +40,7 @@ from typing import Sequence
 
 from .curves2d import curve_components
 from .errors import NormSurfError, TriangulationError, VectorError
-from .matching import (
-    BLOCK,
-    is_admissible,
-    is_solution,
-    quad_offset,
-    quad_offsets_crossing,
-)
+from .matching import BLOCK, _arcs, _crossing, is_admissible, is_solution
 from .triangulation import (
     FACES,
     LinkSpec,
@@ -94,55 +91,37 @@ class RegionGraph:
     edge_region: dict[int, int]
 
 
-class _TetPattern:
-    """Disk pattern of one tetrahedron of an admissible vector."""
-
-    def __init__(self, tet: int, block: Sequence[int]):
-        self.tet = tet
-        self.tri = tuple(block[:4])
-        quads = [(k, block[k]) for k in (4, 5, 6) if block[k] > 0]
-        self.qoff, self.q = quads[0] if quads else (None, 0)
-
-    def arc_count(self, x: int, d: int) -> int:
-        """Arcs cutting off corner x on the face omitting d."""
-        n = self.tri[x]
-        if self.qoff == quad_offset(x, d):
-            n += self.q
-        return n
-
-    def edge_weight(self, a: int, b: int) -> int:
-        w = self.tri[a] + self.tri[b]
-        if self.qoff in quad_offsets_crossing(a, b):
-            w += self.q
-        return w
-
-    def stack(self, x: int, d: int) -> list:
-        """Regions and disks met, in turn, walking from corner x across
-        the face omitting d (layout in the module docstring)."""
-        t, n = self.tet, self.tri[x]
-        regions: list[Region] = [("v", t, x, k) for k in range(n)]
-        disks: list[Disk] = [("tri", t, x, i) for i in range(1, n + 1)]
-        if not self.q:
-            return corner_stack(regions + [("c", t)], disks)
-        # the two vertex pairs the quads separate, the one with 0 first
-        first = (0, self.qoff - 3)
-        second = tuple(v for v in (1, 2, 3) if v not in first)
-        sides = [("s", t, first), *(("q", t, j) for j in range(1, self.q)),
-                 ("s", t, second)]
-        quads = [("quad", t, j) for j in range(1, self.q + 1)]
-        if x not in first:
-            sides, quads = sides[::-1], quads[::-1]
-        if self.qoff != quad_offset(x, d):
-            # the quads miss this corner; x's side holds the face centre
-            sides, quads = sides[:1], []
-        return corner_stack(regions + sides, disks + quads)
+def _stack(t: int, block: tuple[int, ...], x: int, d: int) -> list:
+    """Regions and disks met, in turn, walking from corner x of tet t
+    (disk counts `block`) across the face omitting d (layout in the
+    module docstring)."""
+    n = block[x]
+    regions: list[Region] = [("v", t, x, k) for k in range(n)]
+    disks: list[Disk] = [("tri", t, x, i) for i in range(1, n + 1)]
+    q = max(block[4:])  # an admissible block has at most one quad type
+    if not q:
+        return corner_stack(regions + [("c", t)], disks)
+    qoff = block.index(q, 4)
+    # the two vertex pairs the quads separate, the one with 0 first
+    first = (0, qoff - 3)
+    second = tuple(v for v in (1, 2, 3) if v not in first)
+    sides = [("s", t, first), *(("q", t, j) for j in range(1, q)),
+             ("s", t, second)]
+    quads = [("quad", t, j) for j in range(1, q + 1)]
+    if x not in first:
+        sides, quads = sides[::-1], quads[::-1]
+    if qoff not in _arcs(x, d):
+        # the quads miss this corner; x's side holds the face centre
+        sides, quads = sides[:1], []
+    return corner_stack(regions + sides, disks + quads)
 
 
 def _patterns(tri: Triangulation, v: Sequence[int]
-              ) -> tuple[list[_TetPattern], list[int]]:
-    """Validate the vector as an admissible solution; split it by tet
-    and weigh each edge class. A solution crosses every member of a
-    class equally often, so its first member gives the class weight.
+              ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Validate the vector as an admissible solution; split it into
+    per-tet blocks and weigh each edge class. A solution crosses every
+    member of a class equally often, so its first member gives the
+    class weight.
     Raises TriangulationError when the vector crosses an edge class
     glued to itself reversed."""
     sys = tri.matching_system
@@ -156,24 +135,23 @@ def _patterns(tri: Triangulation, v: Sequence[int]
     if not is_admissible(v):
         raise VectorError(
             "inadmissible vector: two quad types in one tetrahedron")
-    pats = [_TetPattern(t, v[BLOCK * t: BLOCK * (t + 1)])
-            for t in range(tri.size)]
+    blocks = [v[BLOCK * t: BLOCK * (t + 1)] for t in range(tri.size)]
     weights = []
     for ec in tri.skeleton.edge_classes:
         t, (a, b) = ec.members[0]
-        weights.append(pats[t].edge_weight(a, b))
+        weights.append(sum(blocks[t][k] for k in _crossing(a, b)))
         if ec.inverted and weights[-1]:
             raise TriangulationError(
                 f"edge class {ec.index} is glued to itself reversed; "
                 "surfaces crossing it are not supported")
-    return pats, weights
+    return blocks, weights
 
 
-def _stacks(pats: list[_TetPattern]) -> dict:
+def _stacks(blocks: list[tuple[int, ...]]) -> dict:
     """Each corner stack by (tet, x, face); every disk and region is in
     some."""
-    return {(p.tet, x, face): p.stack(x, omitted_vertex(face))
-            for p in pats for face in FACES for x in face}
+    return {(t, x, face): _stack(t, block, x, omitted_vertex(face))
+            for t, block in enumerate(blocks) for face in FACES for x in face}
 
 
 def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
@@ -185,66 +163,30 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
     interior faces; boundary circles are the components of the
     boundary curve on `tri.boundary_surface`.
     """
-    pats, edge_weights = _patterns(tri, v)
+    blocks, edge_weights = _patterns(tri, v)
     vertices = sum(edge_weights)
-    disk_count = sum(sum(p.tri) + p.q for p in pats)
+    disk_count = sum(map(sum, blocks))
 
-    disks = tri.join_stacks(_stacks(pats), 1)
-    arcs = sum(pats[t].arc_count(x, omitted_vertex(face))
-               for (t, face), _, _ in tri.interior_pairs() for x in face)
-    curve = [pats[t].arc_count(x, omitted_vertex(face))
-             for t, face in tri.boundary_facets() for x in face]
-    arcs += sum(curve)
+    def arcs(t: int, face: tuple) -> list[int]:
+        """Arcs at each corner of tet t's face."""
+        d = omitted_vertex(face)
+        return [sum(blocks[t][k] for k in _arcs(x, d)) for x in face]
+
+    disks = tri.join_stacks(_stacks(blocks), 1)
+    curve = [n for t, face in tri.boundary_facets() for n in arcs(t, face)]
+    arc_count = sum(curve) + sum(
+        sum(arcs(t, face)) for (t, face), _, _ in tri.interior_pairs())
 
     components = len(disks.groups()) if disk_count else 0
     circles = curve_components(tri.boundary_surface, curve)
     return SurfaceReport(
         weight=vertices,
         edge_weights=tuple(edge_weights),
-        euler=vertices - arcs + disk_count,
+        euler=vertices - arc_count + disk_count,
         components=components,
         closed=circles == 0,
         boundary_circles=circles,
         disk_count=disk_count)
-
-
-def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
-    """Integer coefficients c with c . v == analyze(tri, v).euler for
-    every admissible solution v.
-
-    analyze counts chi = V - E + F over the surface's cells:
-      - F = sum(v): each variable counts +1 as a disk.
-      - V is the sum of the edge-class weights. For a solution all
-        members of a class are crossed equally often, so each class
-        counts the crossing count of its representative (least) member:
-        the edge {a, b} of tetrahedron t is crossed by t_a + t_b
-        triangles plus the quads of the two types separating a from b.
-      - E counts each arc once: on one side of every interior pair and
-        on every boundary facet, each arc counting -1. The face of t
-        omitting d carries at corner x the t_x triangles plus the quads
-        of the type quad_offset(x, d).
-    These are _TetPattern's edge_weight and arc_count, which are linear
-    in the block as long as it has at most one quad type, as every
-    admissible vector does. So c_i is the count at the unit vector e_i:
-    1 + (its crossings of representative edges) - (its arcs).
-    """
-    units = [_TetPattern(0, [int(k == i) for k in range(BLOCK)])
-             for i in range(BLOCK)]
-    c = [1] * (BLOCK * tri.size)
-
-    def add(t: int, counts) -> None:
-        for i, count in enumerate(counts):
-            c[BLOCK * t + i] += count
-
-    for ec in tri.skeleton.edge_classes:
-        t, (a, b) = min(ec.members)
-        add(t, (u.edge_weight(a, b) for u in units))
-    faces = [spot for spot, _, _ in tri.interior_pairs()]
-    for t, face in faces + list(tri.boundary_facets()):
-        d = omitted_vertex(face)
-        for x in face:
-            add(t, (-u.arc_count(x, d) for u in units))
-    return tuple(c)
 
 
 def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
@@ -257,9 +199,9 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     every interior face piece between consecutive arcs; the result is
     the connectivity of the surface complement.
     """
-    pats, weights = _patterns(tri, v)
+    blocks, weights = _patterns(tri, v)
     skel = tri.skeleton
-    stacks = _stacks(pats)
+    stacks = _stacks(blocks)
     cells = tri.join_stacks(stacks, 0)
 
     grouped = cells.groups()

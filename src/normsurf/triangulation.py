@@ -400,11 +400,7 @@ class Triangulation(Gluing):
                 head, tail = ec.directions[t, edge]
                 ends.setdefault(ec.index, []).append(
                     (names[-1], (face.index(head), face.index(tail))))
-        for ec, found in ends.items():
-            if len(found) != 2:
-                raise TriangulationError(
-                    f"boundary edge class {ec} lies on {len(found)} "
-                    "boundary faces, not 2")
+        # a boundary edge class is a path of face gluings: two ends
         records = [(a, pair, b, image)
                    for (a, pair), (b, image) in ends.values()]
         return SurfaceTriangulation(names, records, infer_reciprocals=True)

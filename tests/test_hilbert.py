@@ -105,6 +105,12 @@ def test_nan_time_budget_is_refused():
         enumerate_fundamental(sys, time_budget=float("nan"))
 
 
+def test_candidate_cap_must_be_positive():
+    sys = plain_system(4, [(0, 1, 2, 3)])
+    with pytest.raises(ValueError, match="positive"):
+        enumerate_fundamental(sys, max_candidates=0)
+
+
 def test_random_systems_match_brute_force():
     """Quick version of the deep oracle run in the acceptance suite."""
     rng = random.Random(1)

@@ -1,5 +1,7 @@
 """Matching systems: equation generation, vectors, sums, restriction."""
 
+import itertools
+
 import pytest
 
 from normsurf.errors import VectorError
@@ -9,7 +11,9 @@ from normsurf.matching import (BLOCK, all_triangles_vector,
                                is_admissible, is_solution, tet_block,
                                variable_name, vertex_link_vector,
                                zero_vector)
+from normsurf.matching import _arcs, _crossing, quad_offset
 
+from oracles import _arc_count, _edge_w
 from tables import (PRINTED_EQUATIONS, PRINTED_ITEM7_CORRECTED,
                     RESTRICTED_FORCED_ZERO_NAMES, reference_solutions)
 
@@ -128,6 +132,50 @@ def test_is_admissible():
     assert is_admissible((0, 0, 0, 0, 3, 0, 0))
     assert not is_admissible((0, 0, 0, 0, 1, 1, 0))
     assert is_admissible(zero_vector(build_matching_system(single_tet())))
+
+
+def test_is_admissible_refuses_partial_blocks():
+    with pytest.raises(VectorError, match="not a multiple"):
+        is_admissible((0,) * 8)
+
+
+def test_haken_sum_refuses_inadmissible_vectors():
+    """Two quad types in one tetrahedron make the sum inadmissible,
+    also when the other summand adds no quad at all."""
+    two_quads = (0, 0, 0, 0, 1, 1, 0)
+    for other in ((0,) * 7, (0, 0, 0, 0, 1, 0, 0), two_quads):
+        for a, b in ((two_quads, other), (other, two_quads)):
+            with pytest.raises(VectorError, match="quad"):
+                haken_sum(a, b)
+
+
+def test_haken_sum_refuses_length_mismatch():
+    with pytest.raises(VectorError, match="length mismatch"):
+        haken_sum((0,) * 7, (0,) * 14)
+
+
+def test_quad_offset():
+    edges = ((0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2))
+    assert [quad_offset(a, b) for a, b in edges] == [4, 5, 6, 4, 5, 6]
+    assert [quad_offset(b, a) for a, b in edges] == [4, 5, 6, 4, 5, 6]
+    for a, b in ((2, 2), (0, 4)):
+        with pytest.raises(ValueError, match="not a tetrahedron edge"):
+            quad_offset(a, b)
+
+
+def test_incidences_match_oracle():
+    """Summed over _crossing and _arcs, every admissible block with
+    entries up to 2 gives the oracle's independently stated edge
+    weights and face-corner arc counts."""
+    for tris in itertools.product(range(3), repeat=4):
+        for quad, q in itertools.product((4, 5, 6), range(3)):
+            block = tris + tuple(q if k == quad else 0 for k in (4, 5, 6))
+            for a, b in itertools.combinations(range(4), 2):
+                assert sum(block[k] for k in _crossing(a, b)) \
+                    == _edge_w(block, a, b)
+            for x, d in itertools.permutations(range(4), 2):
+                assert sum(block[k] for k in _arcs(x, d)) \
+                    == _arc_count(block, x, d)
 
 
 def test_restriction_forces_expected_zeros(tri12, restricted12):

@@ -17,11 +17,10 @@ from normsurf.curves2d import analyze_curve
 from normsurf.detect import boundary_meeting_variables
 from normsurf.errors import TriangulationError, VectorError
 from normsurf.fixtures import fig8_link, single_tet, square_surface
-from normsurf.matching import (all_triangles_vector, haken_sum,
-                               is_admissible, is_solution,
+from normsurf.matching import (all_triangles_vector, euler_coefficients,
+                               haken_sum, is_admissible, is_solution,
                                vertex_link_vector)
-from normsurf.surface import (analyze, complement_regions,
-                              euler_coefficients, separates)
+from normsurf.surface import analyze, complement_regions, separates
 from normsurf.triangulation import IdealVertex, LinkSpec, Triangulation
 
 from oracles import (boundary_curve, surface_cell_counts,
@@ -186,6 +185,11 @@ def test_error_paths(tri12):
     st = single_tet()
     with pytest.raises(VectorError, match="two quad types"):
         analyze(st, (0, 0, 0, 0, 1, 1, 0))
+
+
+def test_negative_entries_are_refused():
+    with pytest.raises(VectorError, match="negative"):
+        analyze(single_tet(), (-1, 0, 0, 0, 0, 0, 0))
 
 
 def test_vector_entries_are_read_one_way(tri12, torus_tri):
