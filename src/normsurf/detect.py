@@ -27,11 +27,12 @@ from typing import Iterable, Optional
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
 from .hilbert import DEFAULT_MAX_CANDIDATES, FundamentalSet, enumerate_fundamental
 from .homology import verify_zero_pushoff
-from .matching import (BLOCK, NormalVector, _arcs, _crossing,
-                       euler_coefficients, restrict_to_link)
+from .matching import (NormalVector, boundary_meeting_variables,
+                       edge_crossing_variables, euler_coefficients,
+                       restrict_to_link)
 from .surface import analyze, separates
 from .triangulation import (EdgeCycle, LinkComponent, LinkSpec, Triangulation,
-                            omitted_vertex, resolve_link)
+                            resolve_link)
 
 SPLIT = "SPLIT"
 NOT_SPLIT = "NOT_SPLIT"
@@ -73,11 +74,11 @@ def _is_splitting_sphere(tri: Triangulation, v: NormalVector,
 class _Screen:
     """Linear tests that rule a surface out before analyze runs.
 
-    On an admissible solution v, analyze(tri, v).euler is euler . v
-    (matching.euler_coefficients), and the surface is closed exactly
-    when v is zero on boundary_meeting_variables(tri). admits(v, chi,
-    closed) is False only when those settle that the report differs in
-    chi or closedness, so callers skip analyze for v with no change in
+    On an admissible solution v, analyze(tri, v).euler is the Euler
+    form euler . v, and the surface is closed exactly when v is zero
+    on boundary_meeting_variables(tri). admits(v, chi, closed) is False
+    only when those settle that the report differs in chi or
+    closedness, so callers skip analyze for v with no change in
     outcome. A vector crossing an edge class glued to itself reversed
     is always admitted, so that analyze still raises
     TriangulationError on it.
@@ -87,9 +88,9 @@ class _Screen:
         self.euler = euler_coefficients(tri)
         self.boundary = sorted(boundary_meeting_variables(tri))
         self.inverted = sorted({
-            BLOCK * t + k
-            for ec in tri.skeleton.edge_classes if ec.inverted
-            for t, (a, b) in ec.members for k in _crossing(a, b)})
+            i for ec, crossing in zip(tri.skeleton.edge_classes,
+                                      edge_crossing_variables(tri))
+            if ec.inverted for i in crossing})
 
     def admits(self, v: NormalVector, chi: int, closed: bool) -> bool:
         if any(v[i] for i in self.inverted):
@@ -202,19 +203,6 @@ def unknot_via_pushoff(
         max_candidates=max_candidates, time_budget=time_budget)
     mapping = {SPLIT: UNKNOTTED, NOT_SPLIT: KNOTTED, UNKNOWN: UNKNOWN}
     return replace(verdict, answer=mapping[verdict.answer])
-
-
-def boundary_meeting_variables(tri: Triangulation) -> frozenset[int]:
-    """Indices of disk-type variables whose disks touch the boundary.
-
-    These are the types leaving an arc at some corner of a boundary
-    face: the triangles at its three corners and, since a quadrilateral
-    leaves an arc on all four faces of its tetrahedron, all three quad
-    types.
-    """
-    return frozenset(
-        BLOCK * t + k for t, face in tri.boundary_facets() for x in face
-        for k in _arcs(x, omitted_vertex(face)))
 
 
 def filter_unknotting_disks(

@@ -4,9 +4,9 @@ The solution set of a matching system is the monoid of nonnegative
 integer vectors satisfying homogeneous equations v_i + v_j = v_k + v_l
 and a set of forced zeros. Its fundamental solutions are the nonzero
 members that are not the sum of two nonzero members; equivalently the
-minimal nonzero members under coordinatewise order, since the solution
-set is closed downward in that order. This module enumerates them in
-two ways:
+minimal nonzero members under coordinatewise order, since the
+difference of two comparable solutions is a solution (the set is not
+closed downward). This module enumerates them in two ways:
 
   - The admissible members (admissible_only=True), primally: the
     double description gives the solution cone's admissible rays; the

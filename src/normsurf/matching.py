@@ -12,8 +12,11 @@ per gluing.
 This module owns the incidences of disk types with the skeleton:
 `_crossing` names the disk types crossing an edge and `_arcs` those
 leaving an arc at a face corner. The matching equations, the link
-restriction, the Euler form (`euler_coefficients`), and the surface
-reading in `surface` and `detect` all count through these two.
+restriction and every linear reading of a vector as a surface count
+through these two: the edge-class weights (`edge_crossing_variables`),
+the boundary curve (`boundary_arc_variables`, whose union
+`boundary_meeting_variables` is zero exactly on closed surfaces) and
+the Euler characteristic (`euler_coefficients`).
 """
 
 from __future__ import annotations
@@ -181,31 +184,57 @@ def haken_sum(a: Sequence[int], b: Sequence[int]) -> NormalVector:
     return s
 
 
-def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
-    """Integer coefficients c with c . v == surface.analyze(tri, v).euler
-    for every admissible solution v.
+def edge_crossing_variables(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
+    """Per edge class, the variables crossing its least member. A
+    solution crosses all members of a class equally often, so summed
+    over v these are the class weights."""
+    return tuple(
+        tuple(BLOCK * t + k for k in _crossing(a, b))
+        for t, (a, b) in (ec.members[0] for ec in tri.skeleton.edge_classes))
 
-    analyze counts chi = V - E + F over the surface's cells:
-      - F = sum(v): each variable counts +1 as a disk.
-      - V is the sum of the edge-class weights. For a solution all
-        members of a class are crossed equally often, so each class
-        counts the disks crossing its representative (least) member:
-        +1 for each type in `_crossing`.
-      - E counts each arc once: on one side of every interior pair and
-        on every boundary facet, -1 for each type in `_arcs` at each
-        face corner.
+
+def _corner_arcs(spots) -> tuple[tuple[int, ...], ...]:
+    """Per corner of each (tet, face) spot, the arc-leaving variables."""
+    return tuple(
+        tuple(BLOCK * t + k for k in _arcs(x, omitted_vertex(face)))
+        for t, face in spots for x in face)
+
+
+def boundary_arc_variables(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
+    """Per boundary-facet corner, in `boundary_facets` order, the
+    variables leaving an arc there: summed over v, the boundary curve
+    on `tri.boundary_surface`."""
+    return _corner_arcs(tri.boundary_facets())
+
+
+def boundary_meeting_variables(tri: Triangulation) -> frozenset[int]:
+    """The variables leaving an arc on a boundary face: its corner
+    triangles and all three quads. A nonnegative vector carries a
+    closed surface exactly when it is zero on them."""
+    return frozenset(i for arc in boundary_arc_variables(tri) for i in arc)
+
+
+def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
+    """The Euler form c, which defines `surface.analyze`'s `euler` as
+    c . v. On an admissible solution v it is chi = V - E + F, by this
+    cell count:
+      - F = sum(v): +1 per variable, as a disk.
+      - V: a class's crossing points are its least member's, as glued
+        edges are crossed equally often and their points identified
+        one to one: +1 per `edge_crossing_variables` entry. (A class
+        glued to itself reversed pairs its points up instead; surfaces
+        crossing one are refused wherever surfaces are read.)
+      - E: -1 per `_arcs` entry of each arc, counted once: on one side
+        of every interior pair and at every boundary-facet corner.
     """
     c = [1] * (BLOCK * tri.size)
-    for ec in tri.skeleton.edge_classes:
-        t, (a, b) = min(ec.members)
-        for k in _crossing(a, b):
-            c[BLOCK * t + k] += 1
-    faces = [spot for spot, _, _ in tri.interior_pairs()]
-    for t, face in faces + list(tri.boundary_facets()):
-        d = omitted_vertex(face)
-        for x in face:
-            for k in _arcs(x, d):
-                c[BLOCK * t + k] -= 1
+    for crossing in edge_crossing_variables(tri):
+        for i in crossing:
+            c[i] += 1
+    interior = _corner_arcs(spot for spot, _, _ in tri.interior_pairs())
+    for arc in interior + boundary_arc_variables(tri):
+        for i in arc:
+            c[i] -= 1
     return tuple(c)
 
 

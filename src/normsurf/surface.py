@@ -2,17 +2,15 @@
 
 An admissible solution vector describes an embedded normal surface:
 per tetrahedron, t_v parallel triangles cutting off each vertex v and
-a stack of parallel quadrilaterals of at most one type. This module
-rebuilds the surface's cell structure - crossing points on edges, arcs
-on faces, elementary disks - to compute edge weights, the Euler
-characteristic, connected components and boundary circles, and builds
-the complementary region decomposition behind separation tests.
-Components and regions are joined by `Gluing.join_stacks` over the
-corner stacks below; boundary circles are the components of the
-boundary curve on `boundary_surface` (`curves2d.curve_components`).
-Which disk types cross an edge or leave an arc at a face corner is
-read from `matching` (`_crossing`, `_arcs`), as the matching equations
-and the Euler form read it.
+a stack of parallel quadrilaterals of at most one type. Its edge
+weights, its boundary curve and its Euler characteristic are linear in
+the vector, read as `matching` states them (`edge_crossing_variables`,
+`boundary_arc_variables`, `euler_coefficients`). This module rebuilds
+the rest from the surface's pieces: connected components and boundary
+circles, and the complementary region decomposition behind separation
+tests. Components and regions are joined by `Gluing.join_stacks` over
+the corner stacks (`_stacks`); boundary circles are the components of
+the boundary curve on `boundary_surface` (`curves2d.curve_components`).
 
 Conventions (shared with the matching equations):
   - On a face, the arcs cutting off corner x are nested and indexed by
@@ -40,7 +38,9 @@ from typing import Sequence
 
 from .curves2d import curve_components
 from .errors import NormSurfError, TriangulationError, VectorError
-from .matching import BLOCK, _arcs, _crossing, is_admissible, is_solution
+from .matching import (BLOCK, boundary_arc_variables, edge_crossing_variables,
+                       euler_coefficients, is_admissible, is_solution,
+                       quad_offset)
 from .triangulation import (
     FACES,
     LinkSpec,
@@ -51,7 +51,6 @@ from .triangulation import (
     resolve_link,
 )
 
-Disk = tuple
 Region = tuple
 
 
@@ -91,38 +90,10 @@ class RegionGraph:
     edge_region: dict[int, int]
 
 
-def _stack(t: int, block: tuple[int, ...], x: int, d: int) -> list:
-    """Regions and disks met, in turn, walking from corner x of tet t
-    (disk counts `block`) across the face omitting d (layout in the
-    module docstring)."""
-    n = block[x]
-    regions: list[Region] = [("v", t, x, k) for k in range(n)]
-    disks: list[Disk] = [("tri", t, x, i) for i in range(1, n + 1)]
-    q = max(block[4:])  # an admissible block has at most one quad type
-    if not q:
-        return corner_stack(regions + [("c", t)], disks)
-    qoff = block.index(q, 4)
-    # the two vertex pairs the quads separate, the one with 0 first
-    first = (0, qoff - 3)
-    second = tuple(v for v in (1, 2, 3) if v not in first)
-    sides = [("s", t, first), *(("q", t, j) for j in range(1, q)),
-             ("s", t, second)]
-    quads = [("quad", t, j) for j in range(1, q + 1)]
-    if x not in first:
-        sides, quads = sides[::-1], quads[::-1]
-    if qoff not in _arcs(x, d):
-        # the quads miss this corner; x's side holds the face centre
-        sides, quads = sides[:1], []
-    return corner_stack(regions + sides, disks + quads)
-
-
 def _patterns(tri: Triangulation, v: Sequence[int]
-              ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Validate the vector as an admissible solution; split it into
-    per-tet blocks and weigh each edge class. A solution crosses every
-    member of a class equally often, so its first member gives the
-    class weight.
-    Raises TriangulationError when the vector crosses an edge class
+              ) -> tuple[tuple[int, ...], list[int]]:
+    """The vector read as an admissible solution, and its edge-class
+    weights. Raises TriangulationError when it crosses an edge class
     glued to itself reversed."""
     sys = tri.matching_system
     v = sys.read(v)
@@ -135,58 +106,78 @@ def _patterns(tri: Triangulation, v: Sequence[int]
     if not is_admissible(v):
         raise VectorError(
             "inadmissible vector: two quad types in one tetrahedron")
-    blocks = [v[BLOCK * t: BLOCK * (t + 1)] for t in range(tri.size)]
-    weights = []
-    for ec in tri.skeleton.edge_classes:
-        t, (a, b) = ec.members[0]
-        weights.append(sum(blocks[t][k] for k in _crossing(a, b)))
-        if ec.inverted and weights[-1]:
+    weights = [sum(v[i] for i in crossing)
+               for crossing in edge_crossing_variables(tri)]
+    for ec, w in zip(tri.skeleton.edge_classes, weights):
+        if ec.inverted and w:
             raise TriangulationError(
                 f"edge class {ec.index} is glued to itself reversed; "
                 "surfaces crossing it are not supported")
-    return blocks, weights
+    return v, weights
 
 
-def _stacks(blocks: list[tuple[int, ...]]) -> dict:
+def _stacks(v: tuple[int, ...]) -> dict:
     """Each corner stack by (tet, x, face); every disk and region is in
-    some."""
-    return {(t, x, face): _stack(t, block, x, omitted_vertex(face))
-            for t, block in enumerate(blocks) for face in FACES for x in face}
+    some. Per tetrahedron the quad walk from vertex 0's side (the face
+    centre if there are no quads) and each corner's run of vertex
+    regions and triangles are built once: corner x's stack is its run,
+    then the walk from x's side, cut to x's side where the quads miss x.
+    """
+    stacks = {}
+    for t in range(len(v) // BLOCK):
+        block = v[BLOCK * t: BLOCK * (t + 1)]
+        q = max(block[4:])  # an admissible block has at most one quad type
+        qoff = block.index(q, 4)
+        # the two vertex pairs the quads separate, the one with 0 first
+        first = (0, qoff - 3)
+        second = tuple(x for x in (1, 2, 3) if x not in first)
+        walk = corner_stack(
+            [("s", t, first), *(("q", t, j) for j in range(1, q)),
+             ("s", t, second)],
+            [("quad", t, j) for j in range(1, q + 1)]) if q else [("c", t)]
+        # no quads: the one-entry walk survives reversing and cutting
+        runs = [corner_stack([("v", t, x, k) for k in range(n)],
+                             [("tri", t, x, k) for k in range(1, n + 1)])
+                for x, n in enumerate(block[:4])]
+        for face in FACES:
+            for x in face:
+                side = walk if x in first else walk[::-1]
+                if quad_offset(x, omitted_vertex(face)) != qoff:
+                    side = side[:1]
+                stacks[t, x, face] = runs[x] + side
+    return stacks
 
 
 def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
     """Edge weights, Euler characteristic, components, and boundary.
 
-    The Euler characteristic is the global cell count V - E + F of the
-    surface: V crossing points with edges, E arcs on faces, F
-    elementary disks. Components join disks glued arc-to-arc across
+    The Euler form (`euler_coefficients`) defines `euler` as its value
+    on v; the cell count in its docstring proves that this is the
+    surface's V - E + F. Components join disks glued arc-to-arc across
     interior faces; boundary circles are the components of the
-    boundary curve on `tri.boundary_surface`.
+    boundary curve (`boundary_arc_variables`) on `tri.boundary_surface`.
     """
-    blocks, edge_weights = _patterns(tri, v)
-    vertices = sum(edge_weights)
-    disk_count = sum(map(sum, blocks))
-
-    def arcs(t: int, face: tuple) -> list[int]:
-        """Arcs at each corner of tet t's face."""
-        d = omitted_vertex(face)
-        return [sum(blocks[t][k] for k in _arcs(x, d)) for x in face]
-
-    disks = tri.join_stacks(_stacks(blocks), 1)
-    curve = [n for t, face in tri.boundary_facets() for n in arcs(t, face)]
-    arc_count = sum(curve) + sum(
-        sum(arcs(t, face)) for (t, face), _, _ in tri.interior_pairs())
-
-    components = len(disks.groups()) if disk_count else 0
+    v, edge_weights = _patterns(tri, v)
+    disk_count = sum(v)
+    disks = tri.join_stacks(_stacks(v), 1)
+    curve = [sum(v[i] for i in arc) for arc in boundary_arc_variables(tri)]
     circles = curve_components(tri.boundary_surface, curve)
     return SurfaceReport(
-        weight=vertices,
+        weight=sum(edge_weights),
         edge_weights=tuple(edge_weights),
-        euler=vertices - arc_count + disk_count,
-        components=components,
+        euler=sum(c * x for c, x in zip(euler_coefficients(tri), v)),
+        components=len(disks.groups()) if disk_count else 0,
         closed=circles == 0,
         boundary_circles=circles,
         disk_count=disk_count)
+
+
+def _one_region(where: set[int], what: str) -> int:
+    """The one region in where, which holds the regions `what` meets."""
+    if len(where) != 1:
+        raise NormSurfError(
+            f"internal inconsistency: {what} meets regions {sorted(where)}")
+    return where.pop()
 
 
 def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
@@ -199,9 +190,9 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     every interior face piece between consecutive arcs; the result is
     the connectivity of the surface complement.
     """
-    blocks, weights = _patterns(tri, v)
+    v, weights = _patterns(tri, v)
     skel = tri.skeleton
-    stacks = _stacks(blocks)
+    stacks = _stacks(v)
     cells = tri.join_stacks(stacks, 0)
 
     grouped = cells.groups()
@@ -215,26 +206,13 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
         """The region of vertex x of tet t: entry 0 of any stack at x."""
         return locate(stacks[t, x, face_omitting(x ^ 1)][0])
 
-    vertex_region = []
-    for vc in skel.vertex_classes:
-        where = {home(t, x) for t, x in vc.members}
-        if len(where) != 1:
-            raise NormSurfError(
-                f"internal inconsistency: vertex class {vc.index} meets "
-                f"regions {sorted(where)}")
-        vertex_region.append(where.pop())
-
-    edge_region: dict[int, int] = {}
-    for ec in skel.edge_classes:
-        if weights[ec.index]:
-            continue
-        # an uncrossed edge lies in the region of either end
-        where = {home(t, a) for t, (a, _) in ec.members}
-        if len(where) != 1:
-            raise NormSurfError(
-                f"internal inconsistency: edge class {ec.index} meets "
-                f"regions {sorted(where)}")
-        edge_region[ec.index] = where.pop()
+    vertex_region = tuple(
+        _one_region({home(t, x) for t, x in vc.members},
+                    f"vertex class {vc.index}") for vc in skel.vertex_classes)
+    edge_region = {  # an uncrossed edge lies in the region of either end
+        ec.index: _one_region({home(t, a) for t, (a, _) in ec.members},
+                              f"edge class {ec.index}")
+        for ec in skel.edge_classes if not weights[ec.index]}
 
     adjacency = set()
     for s in stacks.values():
@@ -247,7 +225,7 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     return RegionGraph(
         regions=tuple(range(len(roots))),
         adjacency=frozenset(adjacency),
-        vertex_region=tuple(vertex_region),
+        vertex_region=vertex_region,
         edge_region=edge_region)
 
 
@@ -268,10 +246,7 @@ def separates(tri: Triangulation, v: Sequence[int], link: LinkSpec) -> bool:
             raise VectorError(
                 "surface touches the link: nonzero weight on edge "
                 f"class(es) {missing}")
-        where = {graph.vertex_region[vc] for vc in comp.vertex_classes}
-        if len(where) != 1:
-            raise NormSurfError(
-                "internal inconsistency: one link component meets regions "
-                f"{sorted(where)}")
-        homes.append(where.pop())
+        homes.append(_one_region(
+            {graph.vertex_region[vc] for vc in comp.vertex_classes},
+            "one link component"))
     return homes[0] != homes[1]

@@ -7,6 +7,8 @@ keyed-in copy of the ten-tetrahedron gluing table so that transcription
 slips in the fixtures module cannot silently confirm themselves.
 """
 
+from itertools import permutations
+
 # ---------------------------------------------------------------------------
 # Reference matching equations for the twelve-tetrahedron fixture.
 #
@@ -259,6 +261,30 @@ RAW_TEN_TET = {
     ("b2*", (0, 2, 3)): ("9", (2, 0, 1)),
 }
 RAW_TET_ORDER = ("p", "p'", "1", "3", "4bar", "6bar", "9", "c", "b1*", "b2*")
+
+
+# ---------------------------------------------------------------------------
+# One-tetrahedron gluings.
+
+def one_tet_two_face_gluings():
+    """Every gluing of one tetrahedron's face to another, up to reciprocity."""
+    faces = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    seen = set()
+    out = []
+    for fa in faces:
+        for fb in faces:
+            if fa == fb:
+                continue
+            for img in permutations(fb):
+                back = {b: a for a, b in zip(fa, img)}
+                recip = (fb, tuple(back[x] for x in fb))
+                key = min((fa, img), recip)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(("s", fa, "s", img))
+    assert len(out) <= 36
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """Split-link search and the unknot check built on top of it."""
 
 import sys
-from itertools import permutations
 
 import pytest
 
 from normsurf import detect, matching, surface, triangulation
-from normsurf.detect import (boundary_meeting_variables,
-                             filter_unknotting_disks, split_link_check,
+from normsurf.detect import (filter_unknotting_disks, split_link_check,
                              unknot_via_pushoff)
 from normsurf.errors import HomologyError, TriangulationError
 from normsurf.fixtures import (disconnected_link, disconnected_pair,
@@ -15,7 +13,8 @@ from normsurf.fixtures import (disconnected_link, disconnected_pair,
                                fig8_pushoff_cycle, single_tet, solid_torus)
 from normsurf.hilbert import enumerate_fundamental
 from normsurf.homology import cycle_chain, h1
-from normsurf.matching import (build_matching_system, is_admissible,
+from normsurf.matching import (boundary_meeting_variables,
+                               build_matching_system, is_admissible,
                                vertex_link_vector)
 from normsurf.surface import analyze, separates
 from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
@@ -24,7 +23,8 @@ from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
 
 from oracles import surface_cell_counts
 from tables import (SOLID_TORUS_FUNDAMENTALS, SOLID_TORUS_MERIDIAN,
-                    SOLID_TORUS_MERIDIAN_PATTERN, SOLID_TORUS_RECORD)
+                    SOLID_TORUS_MERIDIAN_PATTERN, SOLID_TORUS_RECORD,
+                    one_tet_two_face_gluings)
 
 
 def test_knot_is_not_split(tri12):
@@ -228,27 +228,6 @@ def test_filter_disks_complement(tri10, fund10):
     spheres = [v for v in fund10.vectors
                if analyze(tri10, v).euler == 2]
     assert not set(map(tuple, disks)) & set(map(tuple, spheres))
-
-
-def one_tet_two_face_gluings():
-    """Every gluing of one tetrahedron's face to another, up to reciprocity."""
-    faces = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-    seen = set()
-    out = []
-    for fa in faces:
-        for fb in faces:
-            if fa == fb:
-                continue
-            for img in permutations(fb):
-                back = {b: a for a, b in zip(fa, img)}
-                recip = (fb, tuple(back[x] for x in fb))
-                key = min((fa, img), recip)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(("s", fa, "s", img))
-    assert len(out) <= 36
-    return out
 
 
 def test_solid_torus_is_the_expected_gluing():

@@ -1,19 +1,23 @@
 """Matching systems: equation generation, vectors, sums, restriction."""
 
 import itertools
+import random
 
 import pytest
 
 from normsurf.errors import VectorError
-from normsurf.fixtures import fig8_link, single_tet
+from normsurf.fixtures import (disconnected_pair, fig8_closed,
+                               fig8_complement, fig8_link, single_tet,
+                               solid_torus)
 from normsurf.matching import (BLOCK, all_triangles_vector,
-                               build_matching_system, haken_sum,
+                               boundary_arc_variables, build_matching_system,
+                               edge_crossing_variables, haken_sum,
                                is_admissible, is_solution, tet_block,
                                variable_name, vertex_link_vector,
                                zero_vector)
 from normsurf.matching import _arcs, _crossing, quad_offset
 
-from oracles import _arc_count, _edge_w
+from oracles import _arc_count, _edge_w, boundary_curve
 from tables import (PRINTED_EQUATIONS, PRINTED_ITEM7_CORRECTED,
                     RESTRICTED_FORCED_ZERO_NAMES, reference_solutions)
 
@@ -166,16 +170,32 @@ def test_quad_offset():
 def test_incidences_match_oracle():
     """Summed over _crossing and _arcs, every admissible block with
     entries up to 2 gives the oracle's independently stated edge
-    weights and face-corner arc counts."""
-    for tris in itertools.product(range(3), repeat=4):
-        for quad, q in itertools.product((4, 5, 6), range(3)):
-            block = tris + tuple(q if k == quad else 0 for k in (4, 5, 6))
-            for a, b in itertools.combinations(range(4), 2):
-                assert sum(block[k] for k in _crossing(a, b)) \
-                    == _edge_w(block, a, b)
-            for x, d in itertools.permutations(range(4), 2):
-                assert sum(block[k] for k in _arcs(x, d)) \
-                    == _arc_count(block, x, d)
+    weights and face-corner arc counts. On every bundled triangulation,
+    seeded vectors of such blocks, summed over edge_crossing_variables
+    and boundary_arc_variables, give the oracle's weight of each edge
+    class's least member and its boundary curve."""
+    blocks = [tris + tuple(q if k == quad else 0 for k in (4, 5, 6))
+              for tris in itertools.product(range(3), repeat=4)
+              for quad, q in itertools.product((4, 5, 6), range(3))]
+    for block in blocks:
+        for a, b in itertools.combinations(range(4), 2):
+            assert sum(block[k] for k in _crossing(a, b)) \
+                == _edge_w(block, a, b)
+        for x, d in itertools.permutations(range(4), 2):
+            assert sum(block[k] for k in _arcs(x, d)) \
+                == _arc_count(block, x, d)
+    rng = random.Random(19)
+    for tri in (single_tet(), solid_torus(), disconnected_pair(),
+                fig8_complement(), fig8_closed()):
+        crossing = edge_crossing_variables(tri)
+        arcs = boundary_arc_variables(tri)
+        least = [min(ec.members) for ec in tri.skeleton.edge_classes]
+        for _ in range(40):
+            v = sum((rng.choice(blocks) for _ in range(tri.size)), ())
+            assert [sum(v[i] for i in c) for c in crossing] == [
+                _edge_w(v[7 * t: 7 * t + 7], a, b) for t, (a, b) in least]
+            assert tuple(sum(v[i] for i in arc) for arc in arcs) \
+                == boundary_curve(tri, v)
 
 
 def test_restriction_forces_expected_zeros(tri12, restricted12):

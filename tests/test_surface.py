@@ -8,24 +8,27 @@ surface code.
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from normsurf.curves2d import analyze_curve
-from normsurf.detect import boundary_meeting_variables
 from normsurf.errors import TriangulationError, VectorError
 from normsurf.fixtures import fig8_link, single_tet, square_surface
-from normsurf.matching import (all_triangles_vector, euler_coefficients,
+from normsurf.hilbert import enumerate_fundamental
+from normsurf.matching import (all_triangles_vector,
+                               boundary_meeting_variables, euler_coefficients,
                                haken_sum, is_admissible, is_solution,
                                vertex_link_vector)
 from normsurf.surface import analyze, complement_regions, separates
-from normsurf.triangulation import IdealVertex, LinkSpec, Triangulation
+from normsurf.triangulation import (IdealVertex, LinkSpec, Triangulation,
+                                    validate)
 
-from oracles import (boundary_curve, surface_cell_counts,
+from oracles import (_edge_w, boundary_curve, surface_cell_counts,
                      trace_curve_components)
-from tables import reference_solutions
+from tables import one_tet_two_face_gluings, reference_solutions
 
 
 def cells(report):
@@ -239,10 +242,17 @@ def test_inverted_edge_class_policy():
 def test_euler_characteristic_and_closedness_are_linear(
         tri10, fund10, tri12, fund_restricted, disc_tri, fund_pair,
         torus_tri, fund_torus):
-    """On every admissible fundamental vector of four systems, and on
-    the admissible sums of seeded pairs of them, euler_coefficients
-    gives analyze's Euler characteristic, and zero weight on the
-    boundary-meeting variables means closed."""
+    """The Euler form (euler_coefficients) gives the oracle's Euler
+    characteristic, and zero weight on the boundary-meeting variables
+    means the oracle finds no boundary circle, on:
+      - every admissible fundamental vector of four systems, and the
+        admissible sums of seeded pairs of them;
+      - every valid one-tetrahedron gluing with an edge class glued to
+        itself reversed, where the split screen relies on the form too:
+        its admissible fundamental vectors and their admissible
+        pairwise sums, keeping those that miss the reversed classes
+        (analyze refuses the others).
+    """
     cases = [
         (tri10, fund10.vectors),
         (tri12, fund_restricted.vectors),
@@ -250,21 +260,44 @@ def test_euler_characteristic_and_closedness_are_linear(
         (torus_tri, fund_torus.vectors),
     ]
     rng = random.Random(4)
-    sums = 0
+    checked = []
     for tri, vectors in cases:
+        pairs = [rng.sample(vectors, 2) for _ in range(40)]
+        summed = [tuple(x + y for x, y in zip(a, b)) for a, b in pairs]
+        checked += [(tri, v) for v in list(vectors) + summed
+                    if is_admissible(v)]
+    assert [len(vs) for _, vs in cases] == [110, 3, 54, 4]
+    assert len(checked) == 171 + 82
+
+    inverted = []
+    for record in one_tet_two_face_gluings():
+        tri = Triangulation(("s",), [record], infer_reciprocals=True)
+        if validate(tri):
+            continue
+        reversed_edges = [m for ec in tri.skeleton.edge_classes
+                          if ec.inverted for m in ec.members]
+        if not reversed_edges:
+            continue
+        inverted.append(tri)
+        vectors = enumerate_fundamental(tri.matching_system,
+                                        admissible_only=True).vectors
+        summed = [tuple(x + y for x, y in zip(a, b))
+                  for a, b in itertools.combinations_with_replacement(
+                      vectors, 2)]
+        checked += [
+            (tri, v) for v in list(vectors) + summed
+            if is_admissible(v) and not any(
+                _edge_w(v[7 * t: 7 * t + 7], a, b)
+                for t, (a, b) in reversed_edges)]
+    assert (len(inverted), len(checked)) == (6, 253 + 30)
+
+    for tri, v in checked:
         c = euler_coefficients(tri)
         assert len(c) == 7 * tri.size
         boundary = boundary_meeting_variables(tri)
-        pairs = [rng.sample(vectors, 2) for _ in range(40)]
-        summed = [tuple(x + y for x, y in zip(a, b)) for a, b in pairs]
-        summed = [v for v in summed if is_admissible(v)]
-        sums += len(summed)
-        for v in list(vectors) + summed:
-            r = analyze(tri, v)
-            assert sum(a * x for a, x in zip(c, v)) == r.euler
-            assert (not any(v[i] for i in boundary)) == r.closed
-    assert [len(vs) for _, vs in cases] == [110, 3, 54, 4]
-    assert sums > 60
+        _, _, _, chi, _, circles = surface_cell_counts(tri, v)
+        assert sum(a * x for a, x in zip(c, v)) == chi
+        assert (not any(v[i] for i in boundary)) == (circles == 0)
 
 
 # sha256 of the lines test_surface_reading_is_pinned builds: per vector,
