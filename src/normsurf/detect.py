@@ -8,6 +8,11 @@ the admissible fundamental solutions, and scan them for a connected
 closed surface of Euler characteristic 2 that separates the components.
 Finding one proves SPLIT; exhausting the list proves NOT_SPLIT.
 
+Both decisions read one screened scan (`_screened`): a surface's Euler
+characteristic and closedness are linear in its vector, so they rule
+vectors out before analyze runs. That holds only on admissible vectors;
+an inadmissible one carries no surface, and the scan passes over it.
+
 Unknot detection reduces to the split question. A knot is trivial
 exactly when the two-component link formed by the knot and a parallel
 copy with zero framing (a 0-pushoff, a parallel loop that is
@@ -22,15 +27,15 @@ check and takes responsibility for the framing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
 from .hilbert import DEFAULT_MAX_CANDIDATES, FundamentalSet, enumerate_fundamental
 from .homology import verify_zero_pushoff
 from .matching import (NormalVector, boundary_meeting_variables,
                        edge_crossing_variables, euler_coefficients,
-                       restrict_to_link)
-from .surface import analyze, separates
+                       is_admissible, restrict_to_link)
+from .surface import SurfaceReport, analyze, separates
 from .triangulation import (EdgeCycle, LinkComponent, LinkSpec, Triangulation,
                             resolve_link)
 
@@ -62,41 +67,27 @@ class Verdict:
     diagnostics: Optional[str] = None
 
 
-def _is_splitting_sphere(tri: Triangulation, v: NormalVector,
-                         link: LinkSpec) -> bool:
-    """Does v describe a connected closed sphere separating the link?"""
-    report = analyze(tri, v)
-    if not (report.closed and report.components == 1 and report.euler == 2):
-        return False
-    return separates(tri, v, link)
-
-
-class _Screen:
-    """Linear tests that rule a surface out before analyze runs.
-
-    On an admissible solution v, analyze(tri, v).euler is the Euler
-    form euler . v, and the surface is closed exactly when v is zero
-    on boundary_meeting_variables(tri). admits(v, chi, closed) is False
-    only when those settle that the report differs in chi or
-    closedness, so callers skip analyze for v with no change in
-    outcome. A vector crossing an edge class glued to itself reversed
-    is always admitted, so that analyze still raises
-    TriangulationError on it.
-    """
-
-    def __init__(self, tri: Triangulation):
-        self.euler = euler_coefficients(tri)
-        self.boundary = sorted(boundary_meeting_variables(tri))
-        self.inverted = sorted({
-            i for ec, crossing in zip(tri.skeleton.edge_classes,
-                                      edge_crossing_variables(tri))
-            if ec.inverted for i in crossing})
-
-    def admits(self, v: NormalVector, chi: int, closed: bool) -> bool:
-        if any(v[i] for i in self.inverted):
-            return True
-        return (sum(c * x for c, x in zip(self.euler, v)) == chi
-                and closed != any(v[i] for i in self.boundary))
+def _screened(tri: Triangulation, vectors: Iterable[NormalVector],
+              chi: int, closed: bool
+              ) -> Iterator[tuple[int, NormalVector, SurfaceReport]]:
+    """(position, v, analyze(tri, v)) for each admissible v that may
+    carry a surface of Euler characteristic chi, closed or not as asked:
+    there analyze's euler is the Euler form times v, and the surface is
+    closed exactly when v is zero on boundary_meeting_variables. A v
+    crossing an edge class glued to itself reversed always goes through,
+    so that analyze raises TriangulationError on it."""
+    euler = euler_coefficients(tri)
+    boundary = sorted(boundary_meeting_variables(tri))
+    inverted = sorted({
+        i for ec, crossing in zip(tri.skeleton.edge_classes,
+                                  edge_crossing_variables(tri))
+        if ec.inverted for i in crossing})
+    for position, v in enumerate(vectors):
+        if is_admissible(v) and (
+                any(v[i] for i in inverted)
+                or (sum(c * x for c, x in zip(euler, v)) == chi
+                    and closed != any(v[i] for i in boundary))):
+            yield position, v, analyze(tri, v)
 
 
 def split_link_check(
@@ -135,14 +126,13 @@ def split_link_check(
             diagnostics=(
                 f"fundamental enumeration exceeded its budget after "
                 f"{exc.candidates} candidates: {exc}"))
-    screen = _Screen(tri)
-    searched = 0
-    for v in fs.vectors:
-        searched += 1
-        if (screen.admits(v, 2, closed=True)
-                and _is_splitting_sphere(tri, v, link)):
-            return Verdict(answer=SPLIT, witness=v, searched_count=searched)
-    return Verdict(answer=NOT_SPLIT, witness=None, searched_count=searched)
+    for position, v, report in _screened(tri, fs.vectors, 2, closed=True):
+        if (report.closed and report.components == 1 and report.euler == 2
+                and separates(tri, v, link)):
+            return Verdict(answer=SPLIT, witness=v,
+                           searched_count=position + 1)
+    return Verdict(answer=NOT_SPLIT, witness=None,
+                   searched_count=len(fs.vectors))
 
 
 def _require_null_pushoff(tri: Triangulation, pushoff: LinkComponent,
@@ -216,8 +206,9 @@ def filter_unknotting_disks(
     characteristic 1, exactly one boundary circle) and whose
     boundary-meeting variables are zero outside longitude_pattern, the
     caller-supplied set of variable indices allowed to carry the disk's
-    boundary curve. Raises TriangulationError when the triangulation is
-    closed, since then no properly embedded disk with boundary exists.
+    boundary curve; inadmissible vectors carry no surface and are passed
+    over. Raises TriangulationError when the triangulation is closed,
+    since then no properly embedded disk with boundary exists.
     """
     tri.require_valid()
     if not tri.boundary_facets():
@@ -225,14 +216,7 @@ def filter_unknotting_disks(
             "triangulation is closed: no boundary for a disk to end on")
     allowed = frozenset(longitude_pattern)
     banned = boundary_meeting_variables(tri) - allowed
-    screen = _Screen(tri)
-    disks = []
-    for v in fs.vectors:
-        if (any(v[i] for i in banned)
-                or not screen.admits(v, 1, closed=False)):
-            continue
-        report = analyze(tri, v)
-        if (report.euler == 1 and report.components == 1
-                and not report.closed and report.boundary_circles == 1):
-            disks.append(v)
-    return disks
+    offered = (v for v in fs.vectors if not any(v[i] for i in banned))
+    return [v for _, v, report in _screened(tri, offered, 1, closed=False)
+            if (report.euler, report.components, report.closed,
+                report.boundary_circles) == (1, 1, False, 1)]

@@ -185,8 +185,6 @@ class _Reduction:
             a rule."""
             while work:
                 k = work.pop()
-                if k not in eqs:
-                    continue
                 acc: dict[int, int] = {}
                 for var, c in eqs[k].items():
                     r = uf.find(var)

@@ -733,4 +733,6 @@ def parse_cycle(text: str) -> EdgeCycle:
 
 
 def serialize_cycle(cycle: EdgeCycle) -> str:
-    return _dump_json(_component_to_dict(cycle))
+    if not isinstance(cycle, EdgeCycle):
+        raise TriangulationError("a cycle file holds an edge cycle only")
+    return serialize_link_component(cycle)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from normsurf.fixtures import (disconnected_link, disconnected_pair,
@@ -5,12 +7,28 @@ from normsurf.fixtures import (disconnected_link, disconnected_pair,
                                solid_torus)
 from normsurf.hilbert import enumerate_fundamental
 from normsurf.matching import build_matching_system, restrict_to_link
-from normsurf.triangulation import compute_skeleton
+from normsurf.triangulation import Triangulation, compute_skeleton
 
 
 @pytest.fixture(scope="session")
 def tri10():
     return fig8_complement()
+
+
+@pytest.fixture(scope="session")
+def doubled10(tri10):
+    """Two disjoint copies of the ten-tetrahedron complement, names
+    prefixed "A." and "B." as in fixtures.disconnected_pair."""
+    doc = json.loads(tri10.to_json())
+    names, gluings = [], []
+    for prefix in ("A.", "B."):
+        names += [prefix + n for n in doc["tetrahedra"]]
+        gluings += [{"tet": prefix + g["tet"], "face": g["face"],
+                     "to": {"tet": prefix + g["to"]["tet"],
+                            "verts": g["to"]["verts"]}}
+                    for g in doc["gluings"]]
+    return Triangulation.from_json(
+        json.dumps({"tetrahedra": names, "gluings": gluings}))
 
 
 @pytest.fixture(scope="session")

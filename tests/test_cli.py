@@ -9,7 +9,8 @@ import pytest
 from normsurf import cli
 from normsurf.cli import main
 from normsurf.fixtures import fig8_pushoff_cycle
-from normsurf.triangulation import LinkSpec, serialize_link
+from normsurf.triangulation import (LinkSpec, serialize_link,
+                                    serialize_triangulation)
 
 # sha256 of the --json output of each command, run on the files that
 # `emit-fixtures` writes. Any change to these bytes is a change to the
@@ -183,6 +184,17 @@ def test_human_output_bytes(capsys, fixture_dir, name):
     assert code == 0, err
     out = re.sub(r"candidates, [0-9.]+s\)", "candidates, *s)", out)
     assert hashlib.sha256(out.encode()).hexdigest() == HUMAN_DIGESTS[name]
+
+
+def test_homology_of_two_complements_has_free_rank_two(capsys, tmp_path,
+                                                       doubled10):
+    (tmp_path / "doubled.json").write_text(serialize_triangulation(doubled10))
+    code, out, err = run_cli(capsys, tmp_path, ["homology", "doubled.json"])
+    assert (code, out) == (0, "H1 = Z^2\n"), err
+    code, out, err = run_cli(capsys, tmp_path,
+                             ["homology", "doubled.json", "--json"])
+    assert code == 0, err
+    assert json.loads(out)["freeRank"] == 2
 
 
 def test_emit_fixtures_lists_every_file(capsys, tmp_path):

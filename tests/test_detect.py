@@ -218,6 +218,26 @@ def test_screened_disk_filter_keeps_every_disk(tri10, fund10):
         assert disks == disks_by_analysis(tri, fs, allowed)
 
 
+def test_disk_filter_passes_over_inadmissible_vectors():
+    # the Euler form and the boundary test read a surface only off an
+    # admissible vector, so a full Hilbert basis must give the disks
+    # of its admissible members
+    compared = 0
+    for record in one_tet_two_face_gluings():
+        tri = Triangulation(("s",), [record], infer_reciprocals=True)
+        if validate(tri) or any(
+                ec.inverted for ec in tri.skeleton.edge_classes):
+            continue
+        allowed = boundary_meeting_variables(tri)
+        full = enumerate_fundamental(tri.matching_system)
+        admissible = enumerate_fundamental(tri.matching_system,
+                                           admissible_only=True)
+        assert (filter_unknotting_disks(tri, full, allowed)
+                == filter_unknotting_disks(tri, admissible, allowed))
+        compared += 1
+    assert compared == 30
+
+
 def test_filter_disks_complement(tri10, fund10):
     allowed = boundary_meeting_variables(tri10)
     disks = filter_unknotting_disks(tri10, fund10, allowed)

@@ -8,8 +8,9 @@ import pytest
 
 import normsurf
 from normsurf.errors import TriangulationError
-from normsurf.fixtures import (disconnected_pair, fig8_link, single_tet,
-                               solid_torus)
+from normsurf.fixtures import (disconnected_pair, fig8_link,
+                               fig8_longitude_cycle, fig8_pushoff_cycle,
+                               single_tet, solid_torus)
 from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
                                     Triangulation, compute_skeleton,
                                     parse_cycle, parse_link,
@@ -190,6 +191,13 @@ def test_link_round_trip():
 def test_cycle_round_trip():
     cyc = EdgeCycle(edges=(("b1*", (1, 3)), ("p", (0, 2))))
     assert parse_cycle(serialize_cycle(cyc)) == cyc
+    for cyc in (fig8_pushoff_cycle(), fig8_longitude_cycle()):
+        assert parse_cycle(serialize_cycle(cyc)) == cyc
+
+
+def test_serialize_cycle_refuses_what_parse_cycle_refuses():
+    with pytest.raises(TriangulationError, match="edge cycle only"):
+        serialize_cycle(IdealVertex("h1", 0))
 
 
 def test_parse_link_component_rejects_unknown_shape():
@@ -216,6 +224,11 @@ def test_component_files_hold_one_key(parse, extra):
 def test_cycle_file_must_hold_an_edge_cycle():
     with pytest.raises(TriangulationError, match="^cycle file must be"):
         parse_cycle(serialize_link_component(IdealVertex("h1", 0)))
+
+
+def test_repr_counts_simplices_and_directed_gluings(doubled10):
+    assert repr(doubled10) == (
+        "Triangulation(20 tetrahedra, 76 directed gluings)")
 
 
 def test_resolve_link(tri12, skel12):
