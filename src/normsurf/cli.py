@@ -14,12 +14,10 @@ Exit codes: 0 = success or verdict produced, 2 = invalid input,
 
 Only the four commands that enumerate surfaces (`fundamental`,
 `split-check`, `unknot` and `curve2d connect`) take the resource caps
---max-candidates and --time-budget; their defaults can be set with
-NORMSURF_MAX_CANDIDATES and NORMSURF_TIME_BUDGET, which the other
-commands do not read.
+--max-candidates and --time-budget.
 
 `build_config` returns the argparse namespace itself, with the caps
-resolved and checked; `run` is the command's function. Each command
+checked; `run` is the command's function. Each command
 reads its arguments straight off the namespace and returns its result
 as (JSON document, human-readable lines, exit code); `run(config, out,
 err)` writes the document under --json and the lines otherwise.
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -60,16 +57,6 @@ from .triangulation import (
 Result = tuple[Optional[dict], list[str], int]
 
 
-def _env_cap(name: str, kind, what: str, default):
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return kind(raw)
-    except ValueError:
-        raise NormSurfError(f"{name} must be {what}, got {raw!r}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normsurf",
@@ -87,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tsv", action="store_true",
                            help="one vector per row, 7 columns per tetrahedron")
         if caps:
-            p.add_argument("--max-candidates", type=int, default=None,
+            p.add_argument("--max-candidates", type=int,
+                           default=DEFAULT_MAX_CANDIDATES,
                            help="enumeration candidate cap")
             p.add_argument("--time-budget", type=float, default=None,
                            help="enumeration wall-clock cap in seconds")
@@ -150,24 +138,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def build_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse arguments (argparse errors exit 2). On a command that takes
-    the caps, max_candidates and time_budget fall back to the
-    environment, then the defaults, and must be positive."""
+    the caps, max_candidates and time_budget must be positive."""
     args = _build_parser().parse_args(argv)
-    caps = hasattr(args, "max_candidates")
-    if caps:
-        env_max = _env_cap("NORMSURF_MAX_CANDIDATES", int, "an integer",
-                           DEFAULT_MAX_CANDIDATES)
-        env_time = _env_cap("NORMSURF_TIME_BUDGET", float, "a number", None)
     if args.json and getattr(args, "tsv", False):
         raise NormSurfError("--json and --tsv are mutually exclusive")
-    if not caps:
+    if not hasattr(args, "max_candidates"):
         return args
-    if args.max_candidates is None:
-        args.max_candidates = env_max
     if args.max_candidates <= 0:
         raise NormSurfError("max-candidates must be positive")
-    if args.time_budget is None:
-        args.time_budget = env_time
     # "not > 0" also refuses NaN, which no deadline would ever pass
     if args.time_budget is not None and not args.time_budget > 0:
         raise NormSurfError("time-budget must be positive")

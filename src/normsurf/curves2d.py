@@ -127,13 +127,15 @@ def _stack(v: Sequence[int], tri: int, x: int, edge: tuple[int, int]
     return corner_stack(regions, arcs)
 
 
-def curve_components(surf: SurfaceTriangulation, v: Sequence[int]) -> int:
+def curve_components(surf: SurfaceTriangulation, v: Sequence[int],
+                     parity: int = 1) -> int:
     """Components of the curve of solution vector v, which is not
     checked: arcs crossing glued edges at the same point are joined by
-    one corner-stack walk (`Gluing.join_stacks`)."""
+    one corner-stack walk (`Gluing.join_stacks`). At parity 0 the walk
+    joins regions instead: the pieces the curve cuts the surface into."""
     stacks = {(i, x, edge): _stack(v, i, x, edge)
               for i in range(surf.size) for edge in EDGES_2D for x in edge}
-    return len(surf.join_stacks(stacks, 1).groups())
+    return len(surf.join_stacks(stacks, parity).groups())
 
 
 def analyze_curve(surf: SurfaceTriangulation, v: Sequence[int]

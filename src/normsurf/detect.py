@@ -13,15 +13,17 @@ characteristic and closedness are linear in its vector, so they rule
 vectors out before analyze runs. That holds only on admissible vectors;
 an inadmissible one carries no surface, and the scan passes over it.
 
-Unknot detection reduces to the split question. A knot is trivial
-exactly when the two-component link formed by the knot and a parallel
-copy with zero framing (a 0-pushoff, a parallel loop that is
-null-homologous in the knot complement) is split. The framing matters:
-with any other framing the two components link, and the pair is
-non-split even for a trivial knot, so a KNOTTED verdict would be
-unsound. unknot_via_pushoff therefore refuses to run until the pushoff
-has been verified null-homologous or the caller explicitly waives the
-check and takes responsibility for the framing.
+The paper's two unknot algorithms are unknot_via_pushoff and
+filter_unknotting_disks. The first uses that a knot is trivial exactly
+when it is split from a parallel copy with zero framing (a 0-pushoff);
+with any other framing the two link even for a trivial knot, so it runs
+only on a pushoff verified null-homologous, unless the caller waives
+the check. That check is necessary, not sufficient: it does not verify
+that the pushoff is parallel to the knot, and a Hopf link in S^3 (where
+every cycle is null) or a small triangle far from the knot passes it
+and gets a wrong verdict. The second uses that a knot is trivial
+exactly when its complement has a compressing disk, and then a
+fundamental one (Haken 1961).
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
+from .curves2d import curve_components
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
 from .hilbert import DEFAULT_MAX_CANDIDATES, FundamentalSet, enumerate_fundamental
 from .homology import verify_zero_pushoff
-from .matching import (NormalVector, boundary_meeting_variables,
-                       edge_crossing_variables, euler_coefficients,
-                       is_admissible, restrict_to_link)
+from .matching import (NormalVector, boundary_arc_variables,
+                       boundary_meeting_variables, edge_crossing_variables,
+                       euler_coefficients, is_admissible, restrict_to_link)
 from .surface import SurfaceReport, analyze, separates
 from .triangulation import (EdgeCycle, LinkComponent, LinkSpec, Triangulation,
                             resolve_link)
@@ -195,28 +198,35 @@ def unknot_via_pushoff(
     return replace(verdict, answer=mapping[verdict.answer])
 
 
-def filter_unknotting_disks(
-    tri: Triangulation,
-    fs: FundamentalSet,
-    longitude_pattern: Iterable[int],
-) -> list[NormalVector]:
-    """Fundamental disks whose boundary stays inside a permitted pattern.
+def filter_unknotting_disks(tri: Triangulation, fs: FundamentalSet
+                            ) -> list[NormalVector]:
+    """Fundamental disks whose boundary does not separate the boundary.
 
     Keeps the vectors that describe a single disk (one component, Euler
-    characteristic 1, exactly one boundary circle) and whose
-    boundary-meeting variables are zero outside longitude_pattern, the
-    caller-supplied set of variable indices allowed to carry the disk's
-    boundary curve; inadmissible vectors carry no surface and are passed
-    over. Raises TriangulationError when the triangulation is closed,
-    since then no properly embedded disk with boundary exists.
+    characteristic 1, one boundary circle) whose boundary curve, as
+    `analyze` reads it, leaves `tri.boundary_surface` in as many pieces
+    as the uncut surface has. A simple closed curve on a torus is
+    essential exactly when it does not separate, so on a torus boundary
+    these are exactly the compressing disks in fs. On other boundaries
+    every kept disk compresses, but one with a separating essential
+    boundary (genus >= 2) is not found. Inadmissible vectors carry no
+    surface and are passed over. Raises VectorError on a vector of the
+    wrong length, and TriangulationError when the triangulation is
+    invalid or closed.
     """
     tri.require_valid()
     if not tri.boundary_facets():
         raise TriangulationError(
             "triangulation is closed: no boundary for a disk to end on")
-    allowed = frozenset(longitude_pattern)
-    banned = boundary_meeting_variables(tri) - allowed
-    offered = (v for v in fs.vectors if not any(v[i] for i in banned))
-    return [v for _, v, report in _screened(tri, offered, 1, closed=False)
+    for v in fs.vectors:
+        tri.matching_system.read(v)
+
+    def pieces(v: NormalVector) -> int:
+        curve = [sum(v[i] for i in arc) for arc in boundary_arc_variables(tri)]
+        return curve_components(tri.boundary_surface, curve, parity=0)
+
+    uncut = pieces((0,) * tri.matching_system.variable_count)
+    return [v for _, v, report in _screened(tri, fs.vectors, 1, closed=False)
             if (report.euler, report.components, report.closed,
-                report.boundary_circles) == (1, 1, False, 1)]
+                report.boundary_circles) == (1, 1, False, 1)
+            and pieces(v) == uncut]

@@ -227,6 +227,29 @@ def trace_curve_components(surf, v):
     return len(uf.groups()) if arcs else 0
 
 
+def trace_curve_regions(surf, v):
+    """Pieces the curve of v cuts surf into. Along an edge (x, y) of
+    triangle i, segment s (from x's end) lies in the region beyond the
+    s-th arc cutting off x, in the centre, or beyond an arc cutting off
+    y; glued edges share their segments, reversed when the edge is."""
+    def region(i, edge, s):
+        x, y = edge
+        ax, ay = v[3 * i + x], v[3 * i + y]
+        if s == ax:
+            return (i, "centre")
+        return (i, x, s) if s < ax else (i, y, ax + ay - s)
+
+    uf = UF([(i, "centre") for i in range(surf.triangle_count)]
+            + [(i, x, k) for i in range(surf.triangle_count)
+               for x in range(3) for k in range(v[3 * i + x])])
+    for (i, e), (j, je), vmap in surf.interior_pairs():
+        total = v[3 * i + e[0]] + v[3 * i + e[1]]
+        for s in range(total + 1):
+            js = s if vmap[e[0]] == je[0] else total - s
+            uf.union(region(i, e, s), region(j, je, js))
+    return len(uf.groups())
+
+
 def triangle_component_uf(surf):
     """Flood fill of triangles across interior edge gluings."""
     uf = UF(range(surf.triangle_count))

@@ -298,5 +298,3 @@ SOLID_TORUS_FUNDAMENTALS = {
     (1, 1, 1, 1, 0, 0, 0): "vertex-link disk",
 }
 SOLID_TORUS_MERIDIAN = (0, 0, 1, 1, 0, 1, 0)
-# boundary-meeting variable support of the meridian disk
-SOLID_TORUS_MERIDIAN_PATTERN = frozenset({2, 3, 5})

@@ -7,7 +7,7 @@ import pytest
 from normsurf import detect, matching, surface, triangulation
 from normsurf.detect import (filter_unknotting_disks, split_link_check,
                              unknot_via_pushoff)
-from normsurf.errors import HomologyError, TriangulationError
+from normsurf.errors import HomologyError, TriangulationError, VectorError
 from normsurf.fixtures import (disconnected_link, disconnected_pair,
                                fig8_closed, fig8_link, fig8_longitude_cycle,
                                fig8_pushoff_cycle, single_tet, solid_torus)
@@ -16,15 +16,14 @@ from normsurf.homology import cycle_chain, h1
 from normsurf.matching import (boundary_meeting_variables,
                                build_matching_system, is_admissible,
                                vertex_link_vector)
-from normsurf.surface import analyze, separates
+from normsurf.surface import analyze, complement_regions, separates
 from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
                                     Triangulation, compute_skeleton,
                                     validate)
 
-from oracles import surface_cell_counts
+from oracles import boundary_curve, surface_cell_counts, trace_curve_regions
 from tables import (SOLID_TORUS_FUNDAMENTALS, SOLID_TORUS_MERIDIAN,
-                    SOLID_TORUS_MERIDIAN_PATTERN, SOLID_TORUS_RECORD,
-                    one_tet_two_face_gluings)
+                    SOLID_TORUS_RECORD, one_tet_two_face_gluings)
 
 
 def test_knot_is_not_split(tri12):
@@ -179,75 +178,105 @@ def test_boundary_meeting_variables():
 
 def test_filter_disks_rejects_closed(tri12, fund_restricted):
     with pytest.raises(TriangulationError, match="closed"):
-        filter_unknotting_disks(tri12, fund_restricted, range(84))
+        filter_unknotting_disks(tri12, fund_restricted)
+
+
+def is_disk(report):
+    return (report.euler, report.components, report.closed,
+            report.boundary_circles) == (1, 1, False, 1)
+
+
+def disks_by_analysis(tri, fs):
+    """filter_unknotting_disks without the linear screen: every nonzero
+    admissible vector goes through analyze, and a disk is kept when its
+    boundary curve leaves the boundary in as many pieces as it had."""
+    surf = tri.boundary_surface
+    uncut = trace_curve_regions(surf, [0] * (3 * surf.size))
+    return [v for v in fs.vectors
+            if any(v) and is_admissible(v) and is_disk(analyze(tri, v))
+            and trace_curve_regions(surf, boundary_curve(tri, v)) == uncut]
 
 
 def test_filter_disks_single_tet():
+    # all seven fundamentals are disks, but a ball has no compressing
+    # disk: each boundary curve separates the boundary sphere
     st = single_tet()
     fs = enumerate_fundamental(build_matching_system(st),
                                admissible_only=True)
     assert len(fs.vectors) == 7
-    disks = filter_unknotting_disks(st, fs, range(7))
-    assert disks == list(fs.vectors)
-    assert filter_unknotting_disks(st, fs, ()) == []
-
-
-def disks_by_analysis(tri, fs, allowed):
-    """filter_unknotting_disks without the linear screen: every vector
-    off the banned variables goes through analyze."""
-    banned = boundary_meeting_variables(tri) - frozenset(allowed)
-    out = []
-    for v in fs.vectors:
-        if not any(v) or any(v[i] for i in banned):
-            continue
-        r = analyze(tri, v)
-        if (r.euler, r.components, r.closed, r.boundary_circles) == (
-                1, 1, False, 1):
-            out.append(v)
-    return out
+    assert all(is_disk(analyze(st, v)) for v in fs.vectors)
+    assert filter_unknotting_disks(st, fs) == disks_by_analysis(st, fs) == []
 
 
 def test_screened_disk_filter_keeps_every_disk(tri10, fund10):
     st = solid_torus()
     fs_st = enumerate_fundamental(build_matching_system(st),
                                   admissible_only=True)
-    for tri, fs, count in ((tri10, fund10, 1), (st, fs_st, 2)):
-        allowed = boundary_meeting_variables(tri)
-        disks = filter_unknotting_disks(tri, fs, allowed)
+    for tri, fs, count in ((tri10, fund10, 0), (st, fs_st, 1)):
+        disks = filter_unknotting_disks(tri, fs)
         assert len(disks) == count
-        assert disks == disks_by_analysis(tri, fs, allowed)
+        assert disks == disks_by_analysis(tri, fs)
+
+
+def one_tet_complements():
+    """The 30 valid one-tet two-face gluings without an inverted edge
+    class, with their admissible fundamental sets."""
+    out = []
+    for record in one_tet_two_face_gluings():
+        tri = Triangulation(("s",), [record], infer_reciprocals=True)
+        if validate(tri) or any(
+                ec.inverted for ec in tri.skeleton.edge_classes):
+            continue
+        out.append((tri, enumerate_fundamental(tri.matching_system,
+                                               admissible_only=True)))
+    assert len(out) == 30
+    return out
 
 
 def test_disk_filter_passes_over_inadmissible_vectors():
     # the Euler form and the boundary test read a surface only off an
     # admissible vector, so a full Hilbert basis must give the disks
     # of its admissible members
-    compared = 0
-    for record in one_tet_two_face_gluings():
-        tri = Triangulation(("s",), [record], infer_reciprocals=True)
-        if validate(tri) or any(
-                ec.inverted for ec in tri.skeleton.edge_classes):
-            continue
-        allowed = boundary_meeting_variables(tri)
+    for tri, admissible in one_tet_complements():
         full = enumerate_fundamental(tri.matching_system)
-        admissible = enumerate_fundamental(tri.matching_system,
-                                           admissible_only=True)
-        assert (filter_unknotting_disks(tri, full, allowed)
-                == filter_unknotting_disks(tri, admissible, allowed))
-        compared += 1
-    assert compared == 30
+        assert (filter_unknotting_disks(tri, full)
+                == filter_unknotting_disks(tri, admissible))
+
+
+def test_kept_disks_are_the_nonseparating_ones():
+    # a disk is kept exactly when cutting along it leaves the one-tet
+    # complement connected
+    kept = dropped = 0
+    for tri, fs in one_tet_complements():
+        disks = filter_unknotting_disks(tri, fs)
+        assert disks == disks_by_analysis(tri, fs)
+        for v in fs.vectors:
+            if is_disk(analyze(tri, v)):
+                regions = len(complement_regions(tri, v).regions)
+                assert regions == (1 if v in disks else 2)
+                kept += v in disks
+                dropped += v not in disks
+    assert (kept, dropped) == (12, 42)
+
+
+def test_disk_filter_refuses_vectors_of_another_triangulation(tri10,
+                                                              fund10):
+    st = solid_torus()
+    fs_st = enumerate_fundamental(build_matching_system(st),
+                                  admissible_only=True)
+    with pytest.raises(VectorError, match="has 7 entries, system has 70"):
+        filter_unknotting_disks(tri10, fs_st)
+    with pytest.raises(VectorError, match="has 70 entries, system has 7"):
+        filter_unknotting_disks(st, fund10)
 
 
 def test_filter_disks_complement(tri10, fund10):
-    allowed = boundary_meeting_variables(tri10)
-    disks = filter_unknotting_disks(tri10, fund10, allowed)
-    for v in disks:
-        r = analyze(tri10, v)
-        assert (r.euler, r.components, r.boundary_circles) == (1, 1, 1)
-        assert not r.closed
-    spheres = [v for v in fund10.vectors
-               if analyze(tri10, v).euler == 2]
-    assert not set(map(tuple, disks)) & set(map(tuple, spheres))
+    # the one fundamental disk of the figure-eight knot complement has an
+    # inessential boundary, so the disk algorithm alone says KNOTTED
+    disks = [v for v in fund10.vectors if is_disk(analyze(tri10, v))]
+    assert len(disks) == 1
+    assert len(complement_regions(tri10, disks[0]).regions) == 2
+    assert filter_unknotting_disks(tri10, fund10) == []
 
 
 def test_solid_torus_is_the_expected_gluing():
@@ -291,8 +320,7 @@ def test_solid_torus_meridian_is_the_unknotting_disk():
     tri = solid_torus()
     fs = enumerate_fundamental(build_matching_system(tri),
                                admissible_only=True)
-    disks = filter_unknotting_disks(tri, fs, SOLID_TORUS_MERIDIAN_PATTERN)
-    assert disks == [SOLID_TORUS_MERIDIAN]
+    assert filter_unknotting_disks(tri, fs) == [SOLID_TORUS_MERIDIAN]
     r = analyze(tri, SOLID_TORUS_MERIDIAN)
     assert (r.euler, r.components, r.boundary_circles) == (1, 1, 1)
 
