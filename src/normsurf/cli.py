@@ -33,7 +33,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import curves2d, fixtures
 from .detect import UNKNOWN, Verdict, split_link_check, unknot_via_pushoff
-from .errors import HomologyError, NormSurfError, ResourceLimitExceeded
+from .errors import NormSurfError, ResourceLimitExceeded
 from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
 from .homology import cycle_chain, h1
 from .matching import restrict_to_link, variable_name
@@ -111,14 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--waive-pushoff-check", action="store_true",
                    help="skip the null-homology verification of the pushoff")
     p.add_argument("--homology-tri",
-                   help="verify the pushoff on this triangulation instead "
-                        "(e.g. the bounded complement)")
+                   help="verify the pushoff on this triangulation, not "
+                        "on the input truncated at its ideal vertices")
 
     p = command(sub, "homology", _cmd_homology, "integer first homology")
     p.add_argument("triangulation")
     p.add_argument("--cycle", help="edge-cycle file; report its class")
-    p.add_argument("--lenient", action="store_true",
-                   help="compute even when ideal vertex classes distort H1")
 
     p2d = sub.add_parser("curve2d", help="normal curves on surfaces")
     sub2d = p2d.add_subparsers(dest="subcommand", required=True)
@@ -328,13 +326,11 @@ def _cmd_unknot(args: argparse.Namespace) -> Result:
     tri = _load_triangulation(args.triangulation)
     knot = parse_link_component(Path(args.knot).read_text())
     pushoff = parse_link_component(Path(args.pushoff).read_text())
-    homology_tri = None
-    if args.homology_tri:
-        homology_tri = _load_triangulation(args.homology_tri)
     verdict = unknot_via_pushoff(
         tri, knot, pushoff,
         waive_pushoff_check=args.waive_pushoff_check,
-        homology_tri=homology_tri,
+        homology_tri=(_load_triangulation(args.homology_tri)
+                      if args.homology_tri else None),
         max_candidates=args.max_candidates,
         time_budget=args.time_budget)
     return _verdict_result(tri, verdict, "splitting sphere")
@@ -342,11 +338,7 @@ def _cmd_unknot(args: argparse.Namespace) -> Result:
 
 def _cmd_homology(args: argparse.Namespace) -> Result:
     tri = _load_triangulation(args.triangulation)
-    try:
-        summary = h1(tri, strict=not args.lenient)
-    except HomologyError as exc:  # the refusal names h1's own parameter
-        raise NormSurfError(
-            str(exc).replace("strict=False", "--lenient")) from None
+    summary = h1(tri)
     doc: dict = {
         "freeRank": summary.free_rank,
         "torsion": list(summary.torsion),
@@ -355,9 +347,8 @@ def _cmd_homology(args: argparse.Namespace) -> Result:
     }
     lines = [f"H1 = {_h1_text(summary)}"]
     if summary.complex.nonmaterial_vertex_classes:
-        lines.append(
-            "warning: non-material vertex classes "
-            f"{list(summary.complex.nonmaterial_vertex_classes)} distort H1")
+        lines.append("truncated at non-material vertex classes "
+                     f"{list(summary.complex.nonmaterial_vertex_classes)}")
     if args.cycle:
         cycle = parse_cycle(Path(args.cycle).read_text())
         chain = cycle_chain(tri, cycle)
@@ -369,8 +360,7 @@ def _cmd_homology(args: argparse.Namespace) -> Result:
             "null": cls.is_null,
         }
         if cls.is_null:
-            bounding = summary.bounding(chain)
-            doc["cycle"]["boundsVisibly"] = bounding is not None
+            doc["cycle"]["boundsVisibly"] = summary.bounding(chain) is not None
             lines.append("cycle class: 0 (null-homologous; valid 0-pushoff)")
         else:
             lines.append(

@@ -142,10 +142,9 @@ def _require_null_pushoff(tri: Triangulation, pushoff: LinkComponent,
                           homology_tri: Optional[Triangulation]) -> None:
     """Verify the pushoff bounds in homology, or explain how to proceed.
 
-    Verification runs on homology_tri when given, else on tri itself.
-    Passing the uncapped complement as homology_tri is the usual route
-    when tri is a closed extension whose cone vertices would distort
-    (or, in strict mode, block) the homology computation.
+    Verification runs on homology_tri when given, else on tri, whose
+    H1 h1 takes in the knot exterior. It does not test that the
+    pushoff runs parallel to the knot (see the module docstring).
     """
     if not isinstance(pushoff, EdgeCycle):
         raise HomologyError(
@@ -158,8 +157,7 @@ def _require_null_pushoff(tri: Triangulation, pushoff: LinkComponent,
     except HomologyError as exc:
         raise HomologyError(
             f"could not verify the pushoff is null-homologous: {exc} "
-            "(verify on a bounded complement via homology_tri=..., or "
-            "pass waive_pushoff_check=True)") from exc
+            "(pass waive_pushoff_check=True to proceed unverified)") from exc
     if not ok:
         raise HomologyError(
             "pushoff is not null-homologous, so it is not a 0-framed "
@@ -186,8 +184,9 @@ def unknot_via_pushoff(
     verdict: SPLIT becomes UNKNOTTED, NOT_SPLIT becomes KNOTTED, UNKNOWN
     stays UNKNOWN. The conclusion is only sound for a 0-framed pushoff,
     so unless waive_pushoff_check is set, the pushoff must first pass
-    verify_zero_pushoff on homology_tri (or on tri when homology_tri is
-    omitted); failure raises HomologyError.
+    verify_zero_pushoff on tri (truncated at the knot's ideal vertex)
+    or on homology_tri when given; failure raises HomologyError. A
+    Hopf link's second component or a small far triangle passes.
     """
     if not waive_pushoff_check:
         _require_null_pushoff(tri, pushoff, homology_tri)

@@ -37,10 +37,8 @@ TEN_TET_ROWS: dict[str, tuple] = {
     "b2*": (("b1*", (0, 3, 2)), ("1", (3, 0, 1)), ("9", (2, 0, 1)), None),
 }
 
-# Closed extension: cap the two boundary faces with tetrahedra h1, h2.
+# Closed extension: cap the boundary faces b1*(123), b2*(123) with h1, h2.
 CLOSING_ROWS: dict[str, tuple] = {
-    "b1*": (("1", (2, 0, 1)), ("4bar", (3, 0, 1)), ("b2*", (0, 2, 1)), ("h1", (3, 2, 1))),
-    "b2*": (("b1*", (0, 3, 2)), ("1", (3, 0, 1)), ("9", (2, 0, 1)), ("h2", (1, 2, 3))),
     "h1": (("h2", (0, 1, 2)), ("h2", (0, 3, 2)), ("h2", (0, 3, 1)), ("b1*", (3, 2, 1))),
     "h2": (("h1", (0, 1, 2)), ("h1", (0, 3, 2)), ("h1", (0, 3, 1)), ("b2*", (1, 2, 3))),
 }
@@ -87,7 +85,8 @@ def fig8_pushoff_cycle() -> EdgeCycle:
 def fig8_longitude_cycle() -> EdgeCycle:
     """The boundary edge b1*(12), a null-homologous loop parallel to
     the knot: a true 0-framed longitude, with an explicit bounding
-    2-chain in the complement, so it passes verify_zero_pushoff there."""
+    2-chain in the complement, so it passes verify_zero_pushoff there
+    and on the closed extension."""
     return EdgeCycle(edges=(("b1*", (1, 2)),))
 
 

@@ -14,6 +14,13 @@ form S = U x V gives the group, U a cycle's class, V a bounding 2-chain.
 It comes from _smith, the one exact integer elimination, shared with
 hilbert; its docstring defines the layout of appended transforms.
 
+H1 is the manifold's, truncated at non-material vertex classes (links
+neither spheres nor disks): on the closed figure-eight extension, the
+knot exterior. If no edge class has both ends there, projecting each
+cell away from its one corner there retracts the truncation onto the
+cells that miss them: the face basis keeps those, and cut edge classes
+(an end there) carry no 1-chain.
+
 Orientation conventions:
   - Each edge class is oriented by its lexicographically least member
     (tetrahedron index first, then the sorted vertex pair), pointing
@@ -50,10 +57,9 @@ class ChainComplex:
 
     boundary1 maps edge classes to vertex classes (rows indexed by
     vertex class, columns by edge class); boundary2 maps face classes
-    to edge classes. face_basis lists one representative spot per face
-    class in first-seen order. nonmaterial_vertex_classes flags vertex
-    classes whose link is neither a sphere nor a disk; homology of the
-    complex does not match the homology of a manifold near those.
+    to edge classes. nonmaterial_vertex_classes have links neither
+    spheres nor disks; cut_edges end at one, and face_basis lists one
+    spot per face class with no corner at one, in first-seen order.
     """
 
     skeleton: Skeleton
@@ -61,6 +67,7 @@ class ChainComplex:
     boundary1: Matrix
     boundary2: Matrix
     nonmaterial_vertex_classes: tuple[int, ...]
+    cut_edges: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -254,22 +261,26 @@ def chain_complex(tri: Triangulation) -> ChainComplex:
     """Boundary matrices of the quotient complex.
 
     Raises HomologyError when an edge class is glued to itself
-    reversed; such a class cannot be oriented and the quotient is not
-    a complex of the kind handled here.
+    reversed (checked first: it cannot be oriented), or has both ends
+    at non-material vertex classes (no projection retracts it).
     """
     skel = tri.skeleton
-    for ec in skel.edge_classes:
-        if ec.inverted:
-            raise HomologyError(
-                f"edge class {ec.index} is glued to itself reversed "
-                "and cannot be oriented")
+    nonmaterial = _nonmaterial_vertex_classes(tri, skel)
+    for ec in sorted(skel.edge_classes, key=lambda ec: not ec.inverted):
+        t, (u, v) = ec.members[0]
+        if ec.inverted or {skel.vertex_class_of[(t, u)],
+                           skel.vertex_class_of[(t, v)]} <= set(nonmaterial):
+            raise HomologyError(f"edge class {ec.index} " + (
+                "is glued to itself reversed and cannot be oriented"
+                if ec.inverted else "has both ends at non-material classes"))
 
-    n_v = len(skel.vertex_classes)
-    n_e = len(skel.edge_classes)
+    n_v, n_e = len(skel.vertex_classes), len(skel.edge_classes)
 
     sources = {spot for spot, _, _ in tri.interior_pairs()}
-    face_basis = [spot for spot in tri.facet_spots()
-                  if spot in sources or tri.glued_to(*spot) is None]
+    face_basis = [(t, face) for t, face in tri.facet_spots()
+                  if ((t, face) in sources or tri.glued_to(t, face) is None)
+                  and all(skel.vertex_class_of[(t, x)] not in nonmaterial
+                          for x in face)]
 
     d1 = [[0] * n_e for _ in range(n_v)]
     for ec in skel.edge_classes:
@@ -291,7 +302,9 @@ def chain_complex(tri: Triangulation) -> ChainComplex:
         face_basis=tuple(face_basis),
         boundary1=tuple(tuple(r) for r in d1),
         boundary2=tuple(tuple(r) for r in d2),
-        nonmaterial_vertex_classes=_nonmaterial_vertex_classes(tri, skel))
+        nonmaterial_vertex_classes=nonmaterial,
+        cut_edges=frozenset(e for n in nonmaterial
+                            for e, x in enumerate(d1[n]) if x))
 
 
 @dataclass(frozen=True)
@@ -300,8 +313,8 @@ class H1Summary:
 
     The group is Z^free_rank plus one finite cyclic factor per torsion
     entry. class_of turns any 1-cycle (coefficients over the oriented
-    edge classes) into canonical H1 coordinates; bounding returns an
-    explicit 2-chain with that boundary whenever the cycle is null.
+    edge classes, 0 on cut_edges) into canonical coordinates; bounding
+    returns an explicit 2-chain with that boundary when it is null.
     """
 
     free_rank: int
@@ -318,6 +331,8 @@ class H1Summary:
         if len(chain) != n_e:
             raise HomologyError(
                 f"chain has {len(chain)} coefficients, expected {n_e}")
+        if any(chain[e] for e in self.complex.cut_edges):
+            raise HomologyError("chain runs along a cut edge class")
         if any(_matvec(self.complex.boundary1, chain)):
             raise HomologyError("chain is not a 1-cycle")
         return _matvec(self._transform,
@@ -364,27 +379,16 @@ def _coefficient(x) -> int:
     return int(x)
 
 
-def h1(tri: Triangulation, *, strict: bool = True) -> H1Summary:
-    """First integer homology of the quotient complex.
-
-    In strict mode (the default) the computation refuses complexes
-    with a non-material vertex: a vertex class whose link is not a
-    sphere or disk, where the quotient complex stops modeling a
-    manifold. Pass strict=False to compute the complex's own H1
-    anyway.
-    """
+def h1(tri: Triangulation) -> H1Summary:
+    """First integer homology of the manifold truncated at its
+    non-material vertex classes (see the module docstring). Raises
+    HomologyError as chain_complex does."""
     cc = chain_complex(tri)
-    if strict and cc.nonmaterial_vertex_classes:
-        raise HomologyError(
-            "vertex class(es) "
-            f"{list(cc.nonmaterial_vertex_classes)} have non-sphere, "
-            "non-disk links; their cone points distort H1. Use "
-            "strict=False to compute the complex's homology anyway")
 
-    # the edges outside a spanning forest index the fundamental cycles
+    # uncut edges outside a spanning forest index the fundamental cycles
     forest = UnionFind(range(len(cc.boundary1)))
     cycle_edges = []
-    for e in range(len(cc.skeleton.edge_classes)):
+    for e in sorted(set(range(len(cc.skeleton.edge_classes))) - cc.cut_edges):
         ends = [forest.find(i) for i, row in enumerate(cc.boundary1)
                 if row[e]]
         if ends and ends[0] != ends[1]:
@@ -420,7 +424,9 @@ def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
 
     Each step traversing an edge class along its orientation counts
     +1, against it -1; steps may cancel. Any other link component,
-    such as an ideal vertex, carries no chain and raises HomologyError.
+    such as an ideal vertex, carries no chain and raises HomologyError,
+    as does a walk through a non-material vertex class: its class would
+    depend on the arc across the truncation that closes it.
     """
     if not isinstance(cycle, EdgeCycle):
         raise HomologyError(f"a cycle must be an edge cycle, got {cycle!r}")
@@ -433,11 +439,12 @@ def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
                 f"edge class {index} is glued to itself reversed "
                 "and cannot be oriented")
         coeffs[index] = coeffs.get(index, 0) + sign
+    if comp.vertex_classes.intersection(
+            _nonmaterial_vertex_classes(tri, tri.skeleton)):
+        raise HomologyError("the walk visits a non-material vertex class")
     return coeffs
 
 
 def verify_zero_pushoff(tri: Triangulation, cycle: EdgeCycle) -> bool:
     """True iff the closed edge walk is null-homologous."""
-    s = h1(tri)
-    chain = cycle_chain(tri, cycle)
-    return s.class_of(chain).is_null
+    return h1(tri).class_of(cycle_chain(tri, cycle)).is_null

@@ -579,10 +579,11 @@ def resolve_link(
     IdealVertex). Its vertex_classes are the vertex classes the
     component meets.
 
-    Checks: exactly two components (unless waived), every reference
-    names a real tetrahedron vertex or edge, every EdgeCycle closes up
-    through the vertex classes, and components are disjoint (no shared
-    edge class, no shared vertex class).
+    Checks: every reference names a real tetrahedron vertex or edge,
+    every EdgeCycle closes up through the vertex classes, and components
+    are disjoint (no shared edge or vertex class). Unless waived, as for
+    a chain or a restriction, the link has two components, and each
+    EdgeCycle's steps use distinct edge and vertex classes.
     """
     skel = tri.skeleton
     if require_two_components and len(link.components) != 2:
@@ -623,6 +624,10 @@ def resolve_link(
                         "edge cycle does not close up: step "
                         f"{k} ends at vertex class {heads[k]} but step "
                         f"{(k + 1) % n} starts at {tails[(k + 1) % n]}")
+            if require_two_components and n > min(
+                    len(set(heads)), len({c for c, _ in edges})):
+                raise TriangulationError("edge cycle is not a simple closed "
+                                         "curve: it repeats a class")
             # closed up, so the heads are the tails
             resolved.append(ResolvedComponent(tuple(edges), frozenset(heads)))
         else:

@@ -11,7 +11,7 @@ produced the same answer, not one computation ran twice.
 import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -670,20 +670,11 @@ class H1Reference:
     """H1 of the quotient complex. Chains are lists over edge classes;
     class_of gives (values, orders) as the library's H1Class does."""
 
-    def __init__(self, tri, strict):
+    def __init__(self, tri):
         skel = tri.skeleton
         n_v, n_e = len(skel.vertex_classes), len(skel.edge_classes)
-        self.nonmaterial = []
-        for vc in skel.vertex_classes:
-            v = [0] * (7 * tri.size)
-            for t, x in vc.members:
-                v[7 * t + x] = 1
-            _, _, _, chi, comps, circles = surface_cell_counts(tri, v)
-            if comps != 1 or (chi, circles) not in ((2, 0), (1, 1)):
-                self.nonmaterial.append(vc.index)
-        if strict and self.nonmaterial:
-            raise ValueError(f"non-material vertex classes "
-                             f"{self.nonmaterial}")
+        self.nonmaterial = [vc.index for vc in skel.vertex_classes
+                            if not _is_material(tri, vc.members)]
 
         self.face_basis = []
         seen = set()
@@ -748,10 +739,173 @@ class H1Reference:
         return tuple(sum(a * b for a, b in zip(row, c)) for row in self.V)
 
 
-def h1_reference(tri, strict=True):
-    """H1Reference of the triangulation; in strict mode a vertex class
-    whose link is neither a sphere nor a disk raises ValueError."""
-    return H1Reference(tri, strict)
+def h1_reference(tri):
+    """H1Reference of the triangulation."""
+    return H1Reference(tri)
+
+
+def _is_material(tri, corners):
+    """Whether the link of the vertex class with these corners is one
+    sphere or one disk, by counting the cells of its corner triangles."""
+    v = [0] * (7 * tri.size)
+    for t, x in corners:
+        v[7 * t + x] = 1
+    _, _, _, chi, comps, circles = surface_cell_counts(tri, v)
+    return comps == 1 and (chi, circles) in ((2, 0), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# First homology of the manifold truncated at its non-material vertex
+# classes, from the truncated cell complex itself rather than from a
+# retraction onto the cells that miss those classes.
+
+class TruncatedH1Reference:
+    """H1 of the triangulation with a small cone neighbourhood of each
+    non-material vertex class cut away. Each edge end at such a class
+    becomes a vertex, each face corner there an edge (an arc), and each
+    tetrahedron corner there a triangle; an edge cut at both ends raises
+    ValueError, as does an edge glued to itself reversed.
+
+    Chains are dicts from directed edges (t, (u, v)) to coefficients.
+    cycles is a basis of the 1-cycles on the edges that miss those
+    classes.
+    """
+
+    def __init__(self, tri):
+        n = tri.size
+        corners = UF((t, x) for t in range(n) for x in range(4))
+        directed = UF((t, (u, v)) for t in range(n)
+                      for u in range(4) for v in range(4) if u != v)
+        # (t, x, y, z): at corner x, from the cut on xy to the cut on xz
+        arcs = UF((t, x, y, z) for t in range(n) for x in range(4)
+                  for y in range(4) for z in range(4)
+                  if len({x, y, z}) == 3)
+        faces = UF((t, f) for t in range(n) for f in _FACES)
+        for (ta, fa), (tb, fb), vmap in tri.interior_pairs():
+            faces.union((ta, fa), (tb, fb))
+            for x in fa:
+                corners.union((ta, x), (tb, vmap[x]))
+                for y in fa:
+                    if y != x:
+                        directed.union((ta, (x, y)),
+                                       (tb, (vmap[x], vmap[y])))
+                        z = (set(fa) - {x, y}).pop()
+                        arcs.union((ta, x, y, z),
+                                   (tb, vmap[x], vmap[y], vmap[z]))
+        cut = {root for root, members in corners.groups().items()
+               if not _is_material(tri, members)}
+
+        def at_cut(t, x):
+            return corners.find((t, x)) in cut
+
+        def oriented(uf, item, reverse):
+            """(class, sign): a class is the lesser of the two roots of
+            an item and its reverse, and the sign says which it is."""
+            a, b = uf.find(item), uf.find(reverse)
+            if a == b:
+                raise ValueError(f"{item} is glued to itself reversed")
+            return min(a, b), 1 if a < b else -1
+
+        def edge(t, u, v):
+            return oriented(directed, (t, (u, v)), (t, (v, u)))
+
+        def arc(t, x, y, z):
+            return oriented(arcs, (t, x, y, z), (t, x, z, y))
+
+        def end(t, u, v):
+            # the vertex at v of the directed edge u -> v
+            return ("cut", edge(t, u, v)[0]) if at_cut(t, v) \
+                else corners.find((t, v))
+
+        ends, kept = {}, set()  # kept: the edges that miss the cut
+        for t in range(n):
+            for u, v in combinations(range(4), 2):
+                if at_cut(t, u) and at_cut(t, v):
+                    raise ValueError(f"edge {t}({u}{v}) is cut at both ends")
+                e, sign = edge(t, u, v)
+                tail, head = end(t, v, u), end(t, u, v)
+                ends[e] = (tail, head) if sign > 0 else (head, tail)
+                if not (at_cut(t, u) or at_cut(t, v)):
+                    kept.add(e)
+        cut_corners = [(t, x) for t in range(n) for x in range(4)
+                       if at_cut(t, x)]
+        for t, x in cut_corners:
+            for y, z in permutations(set(range(4)) - {x}, 2):
+                a, sign = arc(t, x, y, z)
+                pair = ("cut", edge(t, x, y)[0]), ("cut", edge(t, x, z)[0])
+                ends[a] = pair if sign > 0 else pair[::-1]
+        edges = {e: i for i, e in enumerate(ends)}
+        vertices = {p: i for i, p in enumerate(dict.fromkeys(
+            p for pair in ends.values() for p in pair))}
+        self._edges, self._edge = edges, edge
+
+        def boundary(cells):
+            col = [0] * len(edges)
+            for e, sign in cells:
+                col[edges[e]] += sign
+            return col
+
+        columns = []
+        for t, (i, j, k) in faces.groups():
+            x, y, z = next((r for r in ((i, j, k), (j, k, i), (k, i, j))
+                            if at_cut(t, r[0])), (i, j, k))
+            cells = [edge(t, x, y), edge(t, y, z), edge(t, z, x)]
+            if at_cut(t, x):  # a quadrilateral, closed by the arc at x
+                cells.append(arc(t, x, z, y))
+            columns.append(boundary(cells))
+        for t, x in cut_corners:
+            a, b, c = sorted(set(range(4)) - {x})
+            columns.append(boundary([arc(t, x, a, b), arc(t, x, b, c),
+                                     arc(t, x, c, a)]))
+
+        d1 = [[0] * len(edges) for _ in vertices]
+        for e, (tail, head) in ends.items():
+            d1[vertices[head]][edges[e]] += 1
+            d1[vertices[tail]][edges[e]] -= 1
+        d2 = [list(row) for row in zip(*columns)]
+        assert not any(sum(a * b for a, b in zip(row, col))
+                       for row in d1 for col in columns)
+
+        n_v, n_e, n_f = len(vertices), len(edges), len(columns)
+        S1, _, _, _ = smith_reference(d1, n_v, n_e)
+        r1 = sum(1 for i in range(min(n_v, n_e)) if S1[i][i])
+        S, self._U, _, _ = smith_reference(d2, n_e, n_f)
+        self._diag = [S[i][i] for i in range(min(n_e, n_f)) if S[i][i]]
+        self.free_rank = n_e - r1 - len(self._diag)
+        self.torsion = tuple(d for d in self._diag if d > 1)
+
+        # cycles on the edges that miss the cut classes: d1's kernel there
+        kept = sorted(kept)
+        sub = [[row[edges[e]] for e in kept] for row in d1]
+        S0, _, V0, _ = smith_reference(sub, n_v, len(kept))
+        r0 = sum(1 for i in range(min(n_v, len(kept))) if S0[i][i])
+        self.cycles = [{e: row[j] for e, row in zip(kept, V0) if row[j]}
+                       for j in range(r0, len(kept))]
+        self._face_cut = {(t, f): any(at_cut(t, x) for x in f)
+                          for t in range(n) for f in _FACES}
+
+    def vector(self, chain):
+        """The chain as a list over this complex's edges."""
+        out = [0] * len(self._edges)
+        for (t, (u, v)), c in chain.items():
+            e, sign = self._edge(t, u, v)
+            out[self._edges[e]] += sign * c
+        return out
+
+    def is_null(self, chain):
+        w = [sum(a * b for a, b in zip(row, self.vector(chain)))
+             for row in self._U]
+        r = len(self._diag)
+        return not any(w[r:]) and not any(
+            x % d for x, d in zip(w, self._diag))
+
+    def face_boundary(self, spot):
+        """The boundary of a face missing the cut classes, as vector
+        gives it; a face with a corner there raises ValueError."""
+        t, (i, j, k) = spot
+        if self._face_cut[(t, (i, j, k))]:
+            raise ValueError(f"face {spot} has a corner at a cut class")
+        return self.vector({(t, (i, j)): 1, (t, (j, k)): 1, (t, (k, i)): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,30 @@ def one_tet_two_face_gluings():
     return out
 
 
+def one_tet_closed_gluings():
+    """Every closed one-tetrahedron triangulation, labelled: each of the
+    three pairings of the four faces, with each of the six vertex maps
+    on each pair, as a pair of gluing records."""
+    faces = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    out = []
+    for fb, fc, fd in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
+        for img in permutations(faces[fb]):
+            for img2 in permutations(faces[fd]):
+                out.append([("t", faces[0], "t", img),
+                            ("t", faces[fc], "t", img2)])
+    assert len(out) == 108
+    return out
+
+
+# What h1 makes of one_tet_closed_gluings, counted by outcome: refused for
+# an edge class glued to itself reversed, or for one with both ends at
+# non-material vertex classes, else by torsion (no gluing has free rank):
+# S^3, L(4,1) and L(5,2).
+ONE_TET_CLOSED_CENSUS = {"glued to itself reversed": 69,
+                         "both ends at non-material": 12,
+                         (): 15, (4,): 6, (5,): 6}
+
+
 # ---------------------------------------------------------------------------
 # One-tetrahedron solid torus: frozen facts from the exhaustive search
 # over all two-face self-gluings (rerun by test_detect).

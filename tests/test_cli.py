@@ -9,7 +9,8 @@ import pytest
 from normsurf import cli
 from normsurf.cli import main
 from normsurf.fixtures import fig8_pushoff_cycle
-from normsurf.triangulation import (LinkSpec, serialize_link,
+from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
+                                    serialize_cycle, serialize_link,
                                     serialize_triangulation)
 
 # sha256 of the --json output of each command, run on the files that
@@ -64,10 +65,10 @@ HUMAN_DIGESTS = {
         "4d4ec3fb7c3ebaebbc62640d68cc13676159b5d187706dc51afbc18cb93b5812",
     "homology":
         "1d084c1c970d54454a81177d5509e787cd8351db74e6e873d8364513f8469bd5",
-    "homology-lenient":
-        "2365857d4c8fe61fd93ffafb48bafbf5efd968c0ffa8061045d216fe4a3fd765",
     "homology-not-null":
         "8fd9177b3d514006c41784216cb2c0c891d0e1a00456e07dfee98ed35c51c3c8",
+    "homology-truncated":
+        "c68f561fc31a7ccaef05233e9000483ba76d896fe61cd0130aaa5a33f9781900",
     "skeleton":
         "c30eea0e6407a737ea8210ec65da1b0820c26ca6b6524c3ae143f0360498b903",
     "split-witness":
@@ -80,7 +81,7 @@ HUMAN_COMMANDS = {
     **COMMANDS,
     "homology-not-null": ["homology", "fig8_10tet.json",
                           "--cycle", "fig8_pushoff.json"],
-    "homology-lenient": ["homology", "fig8_12tet.json", "--lenient"],
+    "homology-truncated": ["homology", "fig8_12tet.json"],
     "split-witness": ["split-check", "disconnected_pair.json",
                       "--link", "disconnected_link.json"],
     "curve2d-same-edge": ["curve2d", "connect", "square_surface.json",
@@ -139,6 +140,13 @@ def fixture_dir(tmp_path_factory):
         '{"triangles": ["A", "B"], "gluings": []}')
     (d / "pushoff_link.json").write_text(serialize_link(
         LinkSpec(components=(fig8_pushoff_cycle(),))))
+    # out along an edge of the ideal vertex and back; the same along p(01)
+    (d / "there_and_back.json").write_text(serialize_cycle(
+        EdgeCycle(edges=(("h1", (0, 1)), ("h1", (1, 0))))))
+    walk = EdgeCycle(edges=(("p", (0, 1)), ("p", (1, 0))))
+    (d / "walk.json").write_text(serialize_cycle(walk))
+    (d / "walk_link.json").write_text(serialize_link(LinkSpec(
+        components=(IdealVertex("h1", 0), walk))))
     return d
 
 
@@ -197,6 +205,38 @@ def test_homology_of_two_complements_has_free_rank_two(capsys, tmp_path,
     assert json.loads(out)["freeRank"] == 2
 
 
+def test_unknot_verifies_the_pushoff_on_its_own_input(capsys, fixture_dir):
+    # the 12-tet's H1 is taken with its ideal vertex truncated: the knot
+    # exterior, where the longitude bounds and b1*(13) does not
+    argv = COMMANDS["unknot"][:-2] + ["--json"]
+    code, out, err = run_cli(capsys, fixture_dir, argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["answer"], doc["searchedCount"]) == ("KNOTTED", 12)
+    code, out, err = run_cli(capsys, fixture_dir, [
+        "unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
+        "--pushoff", "fig8_pushoff.json"])
+    assert code == 2 and "not null-homologous" in err
+    code, out, err = run_cli(capsys, fixture_dir, [
+        "homology", "fig8_12tet.json", "--cycle", "fig8_pushoff.json",
+        "--json"])
+    assert code == 0, err
+    assert json.loads(out)["cycle"]["null"] is False
+
+
+def test_doubled_back_walk_is_no_link_component(capsys, fixture_dir):
+    # p(01) then p(10): its chain is 0, so it passes as a null pushoff,
+    # but it is no simple closed curve, so no link component
+    for argv in (["split-check", "fig8_12tet.json", "--link",
+                  "walk_link.json"],
+                 ["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
+                  "--pushoff", "walk.json",
+                  "--homology-tri", "fig8_10tet.json"]):
+        code, out, err = run_cli(capsys, fixture_dir, argv)
+        assert (code, out) == (2, ""), argv
+        assert "not a simple closed curve" in err
+
+
 def test_emit_fixtures_lists_every_file(capsys, tmp_path):
     capsys.readouterr()
     assert main(["emit-fixtures", str(tmp_path), "--json"]) == 0
@@ -219,7 +259,8 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["validate", "missing.json"], "error: "),
     (["split-check", "fig8_12tet.json", "--link", "fig8_knot.json"],
      "error: link file must be"),
-    (["homology", "fig8_12tet.json"], "error: vertex class(es)"),
+    (["homology", "fig8_12tet.json", "--lenient"],
+     "unrecognized arguments: --lenient"),
     (["curve2d", "connect", "square_surface.json",
       "--from", "A:0", "--to", "B:1,2"], "error: edge must look like"),
     (["split-check", "fig8_12tet.json", "--link", "fig8_link.json",
@@ -238,7 +279,8 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["fundamental", "fig8_12tet.json", "--time-budget", "nan"],
      "error: time-budget must be positive"),
     (["validate", "not_utf8.json"], "error: "),
-    (["homology", "fig8_12tet.json"], "Use --lenient to compute"),
+    (["homology", "fig8_12tet.json", "--cycle", "there_and_back.json"],
+     "error: the walk visits a non-material vertex class"),
     (["split-check", "fig8_12tet.json", "--link", "pushoff_link.json"],
      "error: link must have exactly 2 components"),
     (["homology", "fig8_10tet.json", "--cycle", "cycle_and_vertex.json"],

@@ -12,7 +12,7 @@ from normsurf.fixtures import (disconnected_link, disconnected_pair,
                                fig8_closed, fig8_link, fig8_longitude_cycle,
                                fig8_pushoff_cycle, single_tet, solid_torus)
 from normsurf.hilbert import enumerate_fundamental
-from normsurf.homology import cycle_chain, h1
+from normsurf.homology import cycle_chain, h1, verify_zero_pushoff
 from normsurf.matching import (boundary_meeting_variables,
                                build_matching_system, is_admissible,
                                vertex_link_vector)
@@ -125,8 +125,9 @@ def test_budget_gives_unknown(tri12):
 
 def test_unknot_requires_verified_pushoff(tri12, tri10):
     knot, pushoff = fig8_link().components
-    # the closed fixture cannot verify on its own (lenient H1 collapses)
-    with pytest.raises(HomologyError, match="could not verify"):
+    # on the closed fixture, truncated at the knot, the pushoff is the
+    # generator of the exterior's H1
+    with pytest.raises(HomologyError, match="not null-homologous"):
         unknot_via_pushoff(tri12, knot, pushoff)
     # verified against the complement, the pushoff is visibly non-null
     with pytest.raises(HomologyError, match="not null-homologous"):
@@ -148,6 +149,24 @@ def test_unknot_with_true_longitude(tri12, tri10):
                                  homology_tri=tri10)
     assert verdict.answer == "KNOTTED"
     assert verdict.witness is None
+
+
+def test_unknot_verifies_the_longitude_on_the_closed_fixture(tri12):
+    knot = fig8_link().components[0]
+    verdict = unknot_via_pushoff(tri12, knot, fig8_longitude_cycle())
+    assert (verdict.answer, verdict.searched_count) == ("KNOTTED", 12)
+
+
+def test_doubled_back_walk_is_no_link_component(tri12, tri10):
+    # p(01) then p(10) has chain 0 and passes the null-homology check,
+    # but it is no simple closed curve, so no link component
+    knot = fig8_link().components[0]
+    walk = EdgeCycle(edges=(("p", (0, 1)), ("p", (1, 0))))
+    assert verify_zero_pushoff(tri10, walk)
+    with pytest.raises(TriangulationError, match="not a simple closed"):
+        split_link_check(tri12, LinkSpec(components=(knot, walk)))
+    with pytest.raises(TriangulationError, match="not a simple closed"):
+        unknot_via_pushoff(tri12, knot, walk, homology_tri=tri10)
 
 
 def test_unknot_ideal_vertex_pushoff_rejected(tri12):

@@ -32,9 +32,10 @@ from normsurf.triangulation import (EdgeCycle, IdealVertex, Triangulation,
                                     parse_triangulation,
                                     serialize_triangulation)
 
-from oracles import UF, h1_reference, smith_reference
+from oracles import UF, TruncatedH1Reference, h1_reference, smith_reference
 from tables import (DIRECTED_LOOP_VALUES, LONGITUDE_CLASS_MEMBERS,
-                    RAW_TEN_TET, RAW_TET_ORDER)
+                    ONE_TET_CLOSED_CENSUS, RAW_TEN_TET, RAW_TET_ORDER,
+                    one_tet_closed_gluings)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -160,7 +161,7 @@ def fixture_smith_calls():
             enumerate_fundamental(system, admissible_only=True)
         h1(t10)
         h1(st)
-        h1(t12, strict=False)
+        h1(t12)
     return [(caller, rows, [[row.get(j, 0) for j in range(n)]
                             for row in rows[:m]], m, n)
             for caller, rows, m, n in seen]
@@ -224,16 +225,38 @@ def test_complement_h1_is_infinite_cyclic(tri10):
     assert s.complex.nonmaterial_vertex_classes == ()
 
 
-def test_closed_fixture_needs_lenient_mode(tri12, skel12):
-    with pytest.raises(HomologyError, match="strict=False"):
-        h1(tri12)
-    s = h1(tri12, strict=False)
-    assert (s.free_rank, s.torsion) == (0, ())
+def test_closed_fixture_h1_is_the_exterior(tri12, skel12):
+    # truncated at its ideal vertex, whose link is a torus, the closed
+    # fixture is the knot exterior: the longitude bounds, the pushoff
+    # generates
+    s = h1(tri12)
+    assert (s.free_rank, s.torsion) == (1, ())
     assert s.complex.nonmaterial_vertex_classes == (1,)
     vc = skel12.vertex_classes[1]
     assert vc.degree == 2
     link = analyze(tri12, vertex_link_vector(tri12, 1))
     assert link.euler == 0 and link.closed
+    assert verify_zero_pushoff(tri12, fig8_longitude_cycle())
+    pushoff = s.class_of(cycle_chain(tri12, fig8_pushoff_cycle()))
+    assert pushoff.values in ((1,), (-1,))
+
+
+def test_chains_through_the_truncation_are_refused(tri12, skel12):
+    s = h1(tri12)
+    cut = {ec.index for ec in skel12.edge_classes
+           for t, edge in ec.members[:1]
+           if 1 in {skel12.vertex_class_of[(t, x)] for x in edge}}
+    assert cut and s.complex.cut_edges == cut
+    for e in cut:
+        with pytest.raises(HomologyError, match="cut edge class"):
+            s.class_of({e: 1})
+        with pytest.raises(HomologyError, match="cut edge class"):
+            s.bounding({e: 1})
+    # out along a cut edge and back: the chain is 0, but which arc
+    # across the truncation closes the walk is not given
+    there_and_back = EdgeCycle(edges=(("h1", (0, 1)), ("h1", (1, 0))))
+    with pytest.raises(HomologyError, match="non-material vertex class"):
+        cycle_chain(tri12, there_and_back)
 
 
 def test_directed_loop_values(tri10, skel10):
@@ -461,42 +484,66 @@ LENS_GLUINGS = {
 }
 
 
+def relabellings(gen, base):
+    """bench/gen.py's relabellings of base, seeds 0-9."""
+    names = [base.name(t) for t in range(base.size)]
+    return [(f"{base.size}-tet seed {seed}",
+             gen.relabel(base, gen.random_relabelling(names,
+                                                      random.Random(seed))))
+            for seed in range(10)]
+
+
 def h1_oracle_inputs(gen):
-    """(name, triangulation, strict) for every input h1 is checked on
-    against h1_reference: the fixtures, two lens spaces, and bench/gen.py's
-    relabellings, seeds 0-9, of the 10-tet complement and of its 12-tet
-    closed extension."""
-    out = [("10-tet", fig8_complement(), True),
-           ("single tet", single_tet(), True),
-           ("solid torus", solid_torus(), True),
-           ("12-tet", fig8_closed(), False),
-           ("pair", disconnected_pair(), False)]
-    out += [(name, Triangulation(("t",), gluings, infer_reciprocals=True),
-             True) for name, gluings in LENS_GLUINGS.items()]
-    for base, strict in ((fig8_complement(), True), (fig8_closed(), False)):
-        names = [base.name(t) for t in range(base.size)]
-        for seed in range(10):
-            relabelling = gen.random_relabelling(names, random.Random(seed))
-            out.append((f"{base.size}-tet seed {seed}",
-                        gen.relabel(base, relabelling), strict))
+    """(name, triangulation) for every input h1 is checked on against
+    h1_reference, each without a non-material vertex class: the
+    fixtures, two lens spaces, and the 10-tet complement's
+    relabellings."""
+    out = [("10-tet", fig8_complement()),
+           ("single tet", single_tet()),
+           ("solid torus", solid_torus())]
+    out += [(name, Triangulation(("t",), gluings, infer_reciprocals=True))
+            for name, gluings in LENS_GLUINGS.items()]
+    return out + relabellings(gen, fig8_complement())
+
+
+def truncated_inputs(gen):
+    """(name, triangulation) for the inputs with an ideal vertex class:
+    the 12-tet closed extension, the pair, and the 12-tet's
+    relabellings."""
+    return ([("12-tet", fig8_closed()), ("pair", disconnected_pair())]
+            + relabellings(gen, fig8_closed()))
+
+
+@pytest.fixture
+def gen(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("gen")
+
+
+def library_chain(skel, chain):
+    """A chain over directed edges (t, (u, v)) as edge-class
+    coefficients."""
+    out = [0] * len(skel.edge_classes)
+    for (t, (u, v)), c in chain.items():
+        key = (t, (min(u, v), max(u, v)))
+        ec = skel.edge_classes[skel.edge_class_of[key]]
+        out[ec.index] += c if ec.directions[key] == (u, v) else -c
     return out
 
 
-def test_h1_matches_the_reference(monkeypatch):
+def test_h1_matches_the_reference(gen):
     """free_rank, torsion, the material test, the face basis, and the
     class and bounding 2-chain of every loop and of seeded integer
     combinations of loops and of the reference's cycle basis."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    gen = importlib.import_module("gen")
     rng = random.Random(13)
     forests = 0
     torsion = {}
-    for name, tri, strict in h1_oracle_inputs(gen):
-        s, ref = h1(tri, strict=strict), h1_reference(tri, strict)
+    for name, tri in h1_oracle_inputs(gen):
+        s, ref = h1(tri), h1_reference(tri)
         torsion[name] = s.torsion
         cc = s.complex
         assert (s.free_rank, s.torsion) == (ref.free_rank, ref.torsion), name
-        assert list(cc.nonmaterial_vertex_classes) == ref.nonmaterial, name
+        assert list(cc.nonmaterial_vertex_classes) == ref.nonmaterial == []
         assert list(cc.face_basis) == ref.face_basis, name
         assert [list(r) for r in cc.boundary2] == ref.d2, name
         n_e = len(cc.skeleton.edge_classes)
@@ -518,10 +565,63 @@ def test_h1_matches_the_reference(monkeypatch):
             if w is not None:
                 assert [sum(a * b for a, b in zip(row, w))
                         for row in cc.boundary2] == chain, name
-    # the single tet, the 12-tet, the pair and the 12-tet's relabellings
-    # have edges between distinct vertex classes: the forest has edges
-    assert forests == 13
+    # only the single tet has edges between distinct vertex classes
+    assert forests == 1
     assert torsion["L(4,1)"] == (4,) and torsion["L(5,2)"] == (5,)
+
+
+def test_h1_matches_the_truncation_oracle(gen):
+    """Rank, torsion, and the nullity of seeded cycles against H1 of
+    the explicitly truncated complex, and every bounding 2-chain has
+    the cycle as its boundary there."""
+    rng = random.Random(17)
+    nulls = 0
+    for name, tri in truncated_inputs(gen) + h1_oracle_inputs(gen):
+        s, ref = h1(tri), TruncatedH1Reference(tri)
+        assert (s.free_rank, s.torsion) == (ref.free_rank, ref.torsion), name
+        cycles = list(ref.cycles)
+        for _ in range(20):
+            combo = {}
+            for c in ref.cycles:
+                k = rng.randint(-2, 2)
+                for e, x in c.items():
+                    combo[e] = combo.get(e, 0) + k * x
+            cycles.append(combo)
+        for chain in cycles:
+            got = s.class_of(library_chain(tri.skeleton, chain))
+            assert got.is_null == ref.is_null(chain), name
+            w = s.bounding(library_chain(tri.skeleton, chain))
+            assert (w is None) != got.is_null, name
+            if w is not None:
+                nulls += 1
+                boundary = [0] * len(ref.vector(chain))
+                for x, spot in zip(w, s.complex.face_basis):
+                    for i, y in enumerate(ref.face_boundary(spot)):
+                        boundary[i] += x * y
+                assert boundary == ref.vector(chain), name
+    assert nulls
+
+
+def test_one_tet_closed_census():
+    """h1 refuses what the truncation oracle refuses, and agrees with it
+    on the rest."""
+    seen = {}
+    for records in one_tet_closed_gluings():
+        tri = Triangulation(("t",), records, infer_reciprocals=True)
+        try:
+            s = h1(tri)
+        except HomologyError as exc:
+            key = next(k for k in ONE_TET_CLOSED_CENSUS
+                       if isinstance(k, str) and k in str(exc))
+            with pytest.raises(ValueError):
+                TruncatedH1Reference(tri)
+        else:
+            ref = TruncatedH1Reference(tri)
+            assert (ref.free_rank, ref.torsion) == (s.free_rank, s.torsion)
+            assert s.free_rank == 0
+            key = s.torsion
+        seen[key] = seen.get(key, 0) + 1
+    assert seen == ONE_TET_CLOSED_CENSUS
 
 
 def test_h1_builds_no_surface_data_and_one_smith_form(monkeypatch):

@@ -248,6 +248,24 @@ def test_resolve_link_requires_two_components(tri12):
     assert vertex.edges == () and len(vertex.vertex_classes) == 1
 
 
+def test_link_cycles_are_simple_closed_curves(tri12):
+    knot = IdealVertex("h1", 0)
+    # back along the same edge class; two loops at one vertex class
+    for steps in ((("p", (0, 1)), ("p", (1, 0))),
+                  (("p", (0, 1)), ("3", (3, 2)))):
+        walk = EdgeCycle(edges=steps)
+        with pytest.raises(TriangulationError,
+                           match="not a simple closed curve"):
+            resolve_link(tri12, LinkSpec(components=(knot, walk)))
+        # a chain or a restriction takes any closed walk
+        (comp,) = resolve_link(tri12, LinkSpec(components=(walk,)),
+                               require_two_components=False)
+        assert len(comp.edges) == 2 and len(comp.vertex_classes) == 1
+    # a one-step loop is a simple closed curve
+    loop = EdgeCycle(edges=(("p", (0, 1)),))
+    assert len(resolve_link(tri12, LinkSpec(components=(knot, loop)))) == 2
+
+
 def test_resolve_link_rejects_bad_references(tri12):
     bad_tet = LinkSpec(components=(IdealVertex("nope", 0),
                                    EdgeCycle(edges=(("p", (1, 0)),))))
