@@ -361,7 +361,7 @@ def _cmd_homology(args: argparse.Namespace) -> Result:
         }
         if cls.is_null:
             doc["cycle"]["boundsVisibly"] = summary.bounding(chain) is not None
-            lines.append("cycle class: 0 (null-homologous; valid 0-pushoff)")
+            lines.append("cycle class: 0 (null-homologous)")
         else:
             lines.append(
                 f"cycle class: {tuple(cls.values)} with orders "

@@ -8,10 +8,9 @@ the admissible fundamental solutions, and scan them for a connected
 closed surface of Euler characteristic 2 that separates the components.
 Finding one proves SPLIT; exhausting the list proves NOT_SPLIT.
 
-Both decisions read one screened scan (`_screened`): a surface's Euler
-characteristic and closedness are linear in its vector, so they rule
-vectors out before analyze runs. That holds only on admissible vectors;
-an inadmissible one carries no surface, and the scan passes over it.
+Both decisions read one screened scan (`_screened`) of an admissible
+enumeration: a surface's Euler characteristic and closedness are
+linear in its vector, so they rule vectors out before analyze runs.
 
 The paper's two unknot algorithms are unknot_via_pushoff and
 filter_unknotting_disks. The first uses that a knot is trivial exactly
@@ -33,13 +32,13 @@ from typing import Iterable, Iterator, Optional
 
 from .curves2d import curve_components
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
-from .hilbert import DEFAULT_MAX_CANDIDATES, FundamentalSet, enumerate_fundamental
+from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
 from .homology import verify_zero_pushoff
 from .matching import (NormalVector, boundary_arc_variables,
                        boundary_meeting_variables, edge_crossing_variables,
-                       euler_coefficients, is_admissible, restrict_to_link)
+                       euler_coefficients, restrict_to_link)
 from .surface import SurfaceReport, analyze, separates
-from .triangulation import (EdgeCycle, LinkComponent, LinkSpec, Triangulation,
+from .triangulation import (LinkComponent, LinkSpec, Triangulation,
                             resolve_link)
 
 SPLIT = "SPLIT"
@@ -73,9 +72,9 @@ class Verdict:
 def _screened(tri: Triangulation, vectors: Iterable[NormalVector],
               chi: int, closed: bool
               ) -> Iterator[tuple[int, NormalVector, SurfaceReport]]:
-    """(position, v, analyze(tri, v)) for each admissible v that may
-    carry a surface of Euler characteristic chi, closed or not as asked:
-    there analyze's euler is the Euler form times v, and the surface is
+    """(position, v, analyze(tri, v)) for each v, all admissible, that
+    may carry a surface of Euler characteristic chi, closed or not as
+    asked: analyze's euler is the Euler form times v, and the surface is
     closed exactly when v is zero on boundary_meeting_variables. A v
     crossing an edge class glued to itself reversed always goes through,
     so that analyze raises TriangulationError on it."""
@@ -86,8 +85,7 @@ def _screened(tri: Triangulation, vectors: Iterable[NormalVector],
                                   edge_crossing_variables(tri))
         if ec.inverted for i in crossing})
     for position, v in enumerate(vectors):
-        if is_admissible(v) and (
-                any(v[i] for i in inverted)
+        if (any(v[i] for i in inverted)
                 or (sum(c * x for c, x in zip(euler, v)) == chi
                     and closed != any(v[i] for i in boundary))):
             yield position, v, analyze(tri, v)
@@ -146,11 +144,6 @@ def _require_null_pushoff(tri: Triangulation, pushoff: LinkComponent,
     H1 h1 takes in the knot exterior. It does not test that the
     pushoff runs parallel to the knot (see the module docstring).
     """
-    if not isinstance(pushoff, EdgeCycle):
-        raise HomologyError(
-            "cannot verify that an ideal-vertex pushoff is "
-            "null-homologous; pass waive_pushoff_check=True to proceed "
-            "with an unverified pushoff")
     target = homology_tri if homology_tri is not None else tri
     try:
         ok = verify_zero_pushoff(target, pushoff)
@@ -197,28 +190,26 @@ def unknot_via_pushoff(
     return replace(verdict, answer=mapping[verdict.answer])
 
 
-def filter_unknotting_disks(tri: Triangulation, fs: FundamentalSet
-                            ) -> list[NormalVector]:
+def filter_unknotting_disks(tri: Triangulation) -> list[NormalVector]:
     """Fundamental disks whose boundary does not separate the boundary.
 
-    Keeps the vectors that describe a single disk (one component, Euler
-    characteristic 1, one boundary circle) whose boundary curve, as
-    `analyze` reads it, leaves `tri.boundary_surface` in as many pieces
-    as the uncut surface has. A simple closed curve on a torus is
-    essential exactly when it does not separate, so on a torus boundary
-    these are exactly the compressing disks in fs. On other boundaries
-    every kept disk compresses, but one with a separating essential
-    boundary (genus >= 2) is not found. Inadmissible vectors carry no
-    surface and are passed over. Raises VectorError on a vector of the
-    wrong length, and TriangulationError when the triangulation is
-    invalid or closed.
+    Enumerates the admissible fundamental surfaces of tri and keeps
+    those that are a single disk (one component, Euler characteristic
+    1, one boundary circle) whose boundary curve, as `analyze` reads
+    it, leaves `tri.boundary_surface` in as many pieces as the uncut
+    surface has. A simple closed curve on a torus is essential exactly
+    when it does not separate, so on a torus boundary these are exactly
+    the fundamental compressing disks. On other boundaries every kept
+    disk compresses, but one with a separating essential boundary
+    (genus >= 2) is not found. Raises TriangulationError when the
+    triangulation is invalid or closed, and ResourceLimitExceeded when
+    enumeration overruns its default candidate cap.
     """
     tri.require_valid()
     if not tri.boundary_facets():
         raise TriangulationError(
             "triangulation is closed: no boundary for a disk to end on")
-    for v in fs.vectors:
-        tri.matching_system.read(v)
+    fs = enumerate_fundamental(tri.matching_system, admissible_only=True)
 
     def pieces(v: NormalVector) -> int:
         curve = [sum(v[i] for i in arc) for arc in boundary_arc_variables(tri)]

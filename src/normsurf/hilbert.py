@@ -459,13 +459,13 @@ def _interaction_components(
 # -- admissible-only search --------------------------------------------------
 
 
-def _integer_kernel(A: Sequence[Sequence[int]], n: int
+def _integer_kernel(A: Sequence[dict[int, int]], n: int
                     ) -> list[tuple[int, ...]]:
-    """A basis of the integer kernel of the m x n matrix A: the columns
-    of the Smith column transform past the rank, each primitive. Only
-    the rows of V are appended to A's."""
+    """A basis of the integer kernel of the m x n matrix of sparse rows
+    A: the columns of the Smith column transform past the rank, each
+    primitive. Only the rows of V are appended to copies of A's."""
     m = len(A)
-    rows = [_sparse(row) for row in A] + [{j: 1} for j in range(n)]
+    rows = [dict(row) for row in A] + [{j: 1} for j in range(n)]
     rank = len(_smith(rows, m, n))
     return [tuple(row.get(j, 0) for row in rows[m:]) for j in range(rank, n)]
 
@@ -751,7 +751,7 @@ def _admissible_rays(sys: MatchingSystem, budget: _Budget
     for eq in equations:
         row = {col_of[v]: c for v, c in eq.items() if v in col_of}
         if row:
-            A.append([row.get(col, 0) for col in range(len(active))])
+            A.append(row)
     kernel = _integer_kernel(A, len(active))
     if not kernel:
         return [], [], []

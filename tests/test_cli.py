@@ -64,7 +64,7 @@ HUMAN_DIGESTS = {
     "fundamental":
         "4d4ec3fb7c3ebaebbc62640d68cc13676159b5d187706dc51afbc18cb93b5812",
     "homology":
-        "1d084c1c970d54454a81177d5509e787cd8351db74e6e873d8364513f8469bd5",
+        "5ce93ff9273ba814297c480150d451acb06305d58a72ade2af5cdae9f15e24b2",
     "homology-not-null":
         "8fd9177b3d514006c41784216cb2c0c891d0e1a00456e07dfee98ed35c51c3c8",
     "homology-truncated":
@@ -205,6 +205,17 @@ def test_homology_of_two_complements_has_free_rank_two(capsys, tmp_path,
     assert json.loads(out)["freeRank"] == 2
 
 
+def test_null_cycle_is_not_called_a_pushoff(capsys, fixture_dir):
+    # null-homology does not make a 0-pushoff: p(01) p(10) is null, but
+    # no link takes it as a component
+    code, out, err = run_cli(capsys, fixture_dir,
+                             ["homology", "fig8_12tet.json",
+                              "--cycle", "walk.json"])
+    assert code == 0, err
+    assert "cycle class: 0 (null-homologous)" in out.splitlines()
+    assert "pushoff" not in out
+
+
 def test_unknot_verifies_the_pushoff_on_its_own_input(capsys, fixture_dir):
     # the 12-tet's H1 is taken with its ideal vertex truncated: the knot
     # exterior, where the longitude bounds and b1*(13) does not
@@ -316,6 +327,10 @@ def test_human_output_exit_zero(capsys, fixture_dir):
      "error: bad idealVertex component"),
     (["split-check", "fig8_12tet.json", "--link", "components_not_list.json"],
      'error: "components" must be a list'),
+    (["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
+      "--pushoff", "there_and_back.json"],
+     "error: could not verify the pushoff is null-homologous: the walk "
+     "visits a non-material vertex class"),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

@@ -281,7 +281,8 @@ def test_integer_kernel_matches_sympy():
         m = rng.randint(1, 5)
         n = rng.randint(1, 7)
         A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        kernel = _integer_kernel(A, n)
+        kernel = _integer_kernel(
+            [{j: x for j, x in enumerate(row) if x} for row in A], n)
         assert len(kernel) == len(sympy.Matrix(A).nullspace())
         if not kernel:
             continue
