@@ -25,10 +25,8 @@ closed downward). This module enumerates them in two ways:
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -51,11 +49,9 @@ _INT64_MAX = (1 << 63) - 1
 class FundamentalSet:
     """The complete fundamental solution list of one system.
 
-    vectors are full-length, lexicographically sorted. The fingerprint
-    identifies the generating system so downstream callers can detect
-    set/system mismatches. elapsed is the wall time of the search, and
-    candidates_examined its work, the total charged to the candidate
-    budget, which counts for each path:
+    vectors are full-length, lexicographically sorted. elapsed is the
+    wall time of the search, and candidates_examined its work, the
+    total charged to the candidate budget, which counts for each path:
       - admissible: the pairs and rays of each double description step,
         then each face's rays and each distinct simplex's index, the
         number of its parallelepiped points, zero included;
@@ -64,19 +60,8 @@ class FundamentalSet:
     """
 
     vectors: tuple[NormalVector, ...]
-    system_fingerprint: str
     candidates_examined: int
     elapsed: float
-
-
-def system_fingerprint(sys: MatchingSystem) -> str:
-    doc = {
-        "variables": sys.variable_count,
-        "equations": sorted(sys.equations),
-        "zeros": sorted(sys.forced_zeros),
-    }
-    blob = json.dumps(doc, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 class _Budget:
@@ -530,9 +515,9 @@ def _adjacent_pairs(tight: np.ndarray, positive: np.ndarray,
     """The pairs (p, q) of pos x neg, in row-major order, whose
     combination respects the groups and which are adjacent.
 
-    Works through blocks of pos against blocks of neg, and checks
-    adjacency against blocks of rays, so that no broadcast temporary
-    holds more than about _CHUNK elements.
+    Works through blocks of pos against blocks of neg, and checks which
+    pairs are adjacent against blocks of rays, so that no
+    broadcast temporary holds more than about _CHUNK elements.
     """
     width = tight.shape[1]
     loose = ~tight
@@ -997,6 +982,5 @@ def enumerate_fundamental(
         solutions = _enumerate_dual(red, budget)
     return FundamentalSet(
         vectors=tuple(sorted(set(solutions))),
-        system_fingerprint=system_fingerprint(sys),
         candidates_examined=budget.examined,
         elapsed=budget.elapsed)

@@ -414,11 +414,6 @@ def h1(tri: Triangulation) -> H1Summary:
                           for row in rows[k:]))
 
 
-def edge_cycle_class(tri: Triangulation, chain: Chain) -> H1Class:
-    """H1 class of an integer combination of oriented edge classes."""
-    return h1(tri).class_of(chain)
-
-
 def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
     """Edge-class coefficients of a closed edge walk.
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .curves2d import curve_components
-from .errors import NormSurfError, TriangulationError, VectorError
+from .errors import TriangulationError, VectorError
 from .matching import (BLOCK, boundary_arc_variables, edge_crossing_variables,
                        euler_coefficients, is_admissible, is_solution,
                        quad_offset)
@@ -77,15 +77,12 @@ class SurfaceReport:
 class RegionGraph:
     """Complementary regions left after cutting along the surface.
 
-    regions are consecutive identifiers. adjacency holds unordered
-    pairs of distinct regions that meet along some elementary disk (a
-    disk with the same region on both sides contributes nothing).
-    vertex_region locates every vertex class; edge_region locates every
-    edge class the surface does not cross.
+    regions are consecutive identifiers. vertex_region locates every
+    vertex class; edge_region locates every edge class the surface does
+    not cross.
     """
 
     regions: tuple[int, ...]
-    adjacency: frozenset[tuple[int, int]]
     vertex_region: tuple[int, ...]
     edge_region: dict[int, int]
 
@@ -172,14 +169,6 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
         disk_count=disk_count)
 
 
-def _one_region(where: set[int], what: str) -> int:
-    """The one region in where, which holds the regions `what` meets."""
-    if len(where) != 1:
-        raise NormSurfError(
-            f"internal inconsistency: {what} meets regions {sorted(where)}")
-    return where.pop()
-
-
 def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     """Regions the surface cuts the underlying space into.
 
@@ -206,25 +195,16 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
         """The region of vertex x of tet t: entry 0 of any stack at x."""
         return locate(stacks[t, x, face_omitting(x ^ 1)][0])
 
-    vertex_region = tuple(
-        _one_region({home(t, x) for t, x in vc.members},
-                    f"vertex class {vc.index}") for vc in skel.vertex_classes)
-    edge_region = {  # an uncrossed edge lies in the region of either end
-        ec.index: _one_region({home(t, a) for t, (a, _) in ec.members},
-                              f"edge class {ec.index}")
-        for ec in skel.edge_classes if not weights[ec.index]}
-
-    adjacency = set()
-    for s in stacks.values():
-        # a disk's two neighbours in a stack are the regions it parts
-        for near, far in zip(s[::2], s[2::2]):
-            s0, s1 = locate(near), locate(far)
-            if s0 != s1:
-                adjacency.add((min(s0, s1), max(s0, s1)))
+    # glued corners line up entry for entry, so a vertex class meets one
+    # region; read each class at its first member
+    vertex_region = tuple(home(*vc.members[0]) for vc in skel.vertex_classes)
+    edge_region = {  # no quad parts the ends of an uncrossed edge
+        ec.index: home(t, a)
+        for ec in skel.edge_classes if not weights[ec.index]
+        for t, (a, _) in ec.members[:1]}
 
     return RegionGraph(
         regions=tuple(range(len(roots))),
-        adjacency=frozenset(adjacency),
         vertex_region=vertex_region,
         edge_region=edge_region)
 
@@ -246,7 +226,5 @@ def separates(tri: Triangulation, v: Sequence[int], link: LinkSpec) -> bool:
             raise VectorError(
                 "surface touches the link: nonzero weight on edge "
                 f"class(es) {missing}")
-        homes.append(_one_region(
-            {graph.vertex_region[vc] for vc in comp.vertex_classes},
-            "one link component"))
+        homes.append(graph.vertex_region[min(comp.vertex_classes)])
     return homes[0] != homes[1]

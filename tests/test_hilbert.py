@@ -69,15 +69,9 @@ def test_two_term_equality_merges_variables():
     assert fs.vectors == ((1, 0, 1, 0),)
 
 
-def test_vectors_are_lex_sorted_and_fingerprint_stable():
-    sys = plain_system(4, [(0, 1, 2, 3)])
-    a = enumerate_fundamental(sys)
-    b = enumerate_fundamental(sys)
+def test_vectors_are_lex_sorted():
+    a = enumerate_fundamental(plain_system(4, [(0, 1, 2, 3)]))
     assert a.vectors == tuple(sorted(a.vectors))
-    assert a.system_fingerprint == b.system_fingerprint
-    other = plain_system(4, [(0, 2, 1, 3)])
-    assert (enumerate_fundamental(other).system_fingerprint
-            != a.system_fingerprint)
 
 
 def test_candidate_cap_raises():

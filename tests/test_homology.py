@@ -25,7 +25,7 @@ from normsurf.fixtures import (disconnected_link, disconnected_pair,
                                single_tet, solid_torus)
 from normsurf.hilbert import enumerate_fundamental
 from normsurf.homology import (_smith, _sparse, chain_complex, cycle_chain,
-                               edge_cycle_class, h1, verify_zero_pushoff)
+                               h1, verify_zero_pushoff)
 from normsurf.matching import restrict_to_link, vertex_link_vector
 from normsurf.surface import analyze
 from normsurf.triangulation import (EdgeCycle, IdealVertex, Triangulation,
@@ -352,12 +352,6 @@ def test_non_cycle_and_bad_chain_raise():
         s.class_of([1, 0])
     with pytest.raises(HomologyError, match="no edge class"):
         s.class_of({99: 1})
-
-
-def test_edge_cycle_class_convenience(tri10):
-    cls = edge_cycle_class(
-        tri10, cycle_chain(tri10, fig8_longitude_cycle()))
-    assert cls.is_null
 
 
 def test_relabel_invariance(tri10, skel10):

@@ -22,9 +22,10 @@ from normsurf.matching import (all_triangles_vector,
                                boundary_meeting_variables, euler_coefficients,
                                haken_sum, is_admissible, is_solution,
                                vertex_link_vector)
-from normsurf.surface import analyze, complement_regions, separates
-from normsurf.triangulation import (IdealVertex, LinkSpec, Triangulation,
-                                    validate)
+from normsurf.surface import (_stacks, analyze, complement_regions,
+                              separates)
+from normsurf.triangulation import (FACES, IdealVertex, LinkSpec,
+                                    Triangulation, resolve_link, validate)
 
 from oracles import (_edge_w, boundary_curve, surface_cell_counts,
                      trace_curve_components)
@@ -105,7 +106,6 @@ def test_single_tet_corner_disk():
     assert not r.closed
     graph = complement_regions(st, v)
     assert len(graph.regions) == 2
-    assert graph.adjacency == frozenset({(0, 1)})
     assert surface_cell_counts(st, v) == cells(r)
 
 
@@ -301,11 +301,10 @@ def test_euler_characteristic_and_closedness_are_linear(
 
 
 # sha256 of the lines test_surface_reading_is_pinned builds: per vector,
-# every SurfaceReport field, the RegionGraph (regions, sorted adjacency,
-# vertex regions, sorted edge regions) and, where the system has a link,
-# separates.
+# every SurfaceReport field, the RegionGraph (regions, vertex regions,
+# sorted edge regions) and, where the system has a link, separates.
 SURFACE_SHA256 = (
-    "005afb869207a0ac9b91db727000fb787d2077c08ed95fca18a7e4c18fc5c7aa")
+    "6643b03ef233c8b6140d5f3b6f0011328b0896d76856e7d6d731a4adaf36397b")
 
 
 def test_surface_reading_is_pinned(tri10, fund10, tri12, fund_restricted,
@@ -329,14 +328,61 @@ def test_surface_reading_is_pinned(tri10, fund10, tri12, fund_restricted,
             r = analyze(tri, v)
             g = complement_regions(tri, v)
             row = [list(v), list(dataclasses.astuple(r)), list(g.regions),
-                   sorted(g.adjacency), list(g.vertex_region),
-                   sorted(g.edge_region.items())]
+                   list(g.vertex_region), sorted(g.edge_region.items())]
             if link is not None:
                 row.append(separates(tri, v, link))
             lines.append(json.dumps(row))
     assert len(lines) == 368
     blob = "\n".join(lines).encode()
     assert hashlib.sha256(blob).hexdigest() == SURFACE_SHA256
+
+
+def test_each_class_meets_one_region(tri10, fund10, tri12, fund_restricted,
+                                     disc_tri, disc_link, fund_pair,
+                                     torus_tri, fund_torus):
+    """complement_regions reads each class at its first member. That is
+    sound because each of these starts in one cell of the joined stack
+    entries: every stack at every corner of a vertex class; the stacks
+    at both ends of every member of an uncrossed edge class; and, when
+    the surface misses the link, the stacks at a link component's
+    vertex classes."""
+    cases = [
+        (tri10, fund10.vectors, None),
+        (tri12, fund_restricted.vectors, fig8_link()),
+        (disc_tri, fund_pair.vectors, disc_link),
+        (torus_tri, fund_torus.vectors, None),
+    ]
+
+    def one(where):
+        assert len(where) == 1
+        return where.pop()
+
+    checked = [0, 0, 0]
+    for tri, vectors, link in cases:
+        skel = tri.skeleton
+        comps = resolve_link(tri, link) if link is not None else ()
+        for v in vectors:
+            stacks = _stacks(v)
+            cells = tri.join_stacks(stacks, 0)
+
+            def home(t, x):
+                return one({cells.find(stacks[t, x, f][0])
+                            for f in FACES if x in f})
+
+            vertex_cell = [one({home(t, x) for t, x in vc.members})
+                           for vc in skel.vertex_classes]
+            weights = analyze(tri, v).edge_weights
+            for ec in skel.edge_classes:
+                if not weights[ec.index]:
+                    one({home(t, x) for t, pair in ec.members for x in pair})
+                    checked[1] += 1
+            for comp in comps:
+                if not any(weights[c] for c, _ in comp.edges):
+                    one({vertex_cell[vc] for vc in comp.vertex_classes})
+                    checked[2] += 1
+            checked[0] += len(vertex_cell)
+    # vertex classes, uncrossed edge classes, missed link components
+    assert checked == [336, 970, 114]
 
 
 def test_boundary_circles_are_the_boundary_curve_components(

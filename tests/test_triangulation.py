@@ -2,6 +2,7 @@
 
 import ast
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -368,3 +369,12 @@ def test_package_reads_no_bench_alias():
             if isinstance(node, ast.Attribute) and node.attr in BENCH_ALIASES:
                 uses.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert uses == []
+
+
+def test_all_lists_every_public_binding():
+    """The package's imports and __all__ name the same objects, so a
+    deletion that edits one list and not the other fails here."""
+    public = [name for name, value in vars(normsurf).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)]
+    assert sorted(normsurf.__all__) == sorted(public)
