@@ -41,11 +41,9 @@ from .surface import analyze
 from .triangulation import (
     Gluing,
     Triangulation,
-    parse_cycle,
     parse_link,
     parse_link_component,
     parse_triangulation,
-    serialize_cycle,
     serialize_link,
     serialize_link_component,
     serialize_triangulation,
@@ -350,7 +348,7 @@ def _cmd_homology(args: argparse.Namespace) -> Result:
         lines.append("truncated at non-material vertex classes "
                      f"{list(summary.complex.nonmaterial_vertex_classes)}")
     if args.cycle:
-        cycle = parse_cycle(Path(args.cycle).read_text())
+        cycle = parse_link_component(Path(args.cycle).read_text())
         chain = cycle_chain(tri, cycle)
         cls = summary.class_of(chain)
         doc["cycle"] = {
@@ -407,8 +405,10 @@ FIXTURE_FILES = (
     ("fig8_link.json", lambda: serialize_link(fixtures.fig8_link())),
     ("fig8_knot.json", lambda: serialize_link_component(
         fixtures.fig8_link().components[0])),
-    ("fig8_pushoff.json", lambda: serialize_cycle(fixtures.fig8_pushoff_cycle())),
-    ("fig8_longitude.json", lambda: serialize_cycle(fixtures.fig8_longitude_cycle())),
+    ("fig8_pushoff.json", lambda: serialize_link_component(
+        fixtures.fig8_pushoff_cycle())),
+    ("fig8_longitude.json", lambda: serialize_link_component(
+        fixtures.fig8_longitude_cycle())),
     ("single_tet.json", lambda: serialize_triangulation(fixtures.single_tet())),
     ("solid_torus.json", lambda: serialize_triangulation(fixtures.solid_torus())),
     ("square_surface.json", lambda: curves2d.serialize_surface(

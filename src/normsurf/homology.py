@@ -76,8 +76,8 @@ class H1Class:
 
     values and orders run in parallel: coordinate i lives in Z when
     orders[i] == 0 and in Z/orders[i] otherwise, already reduced to
-    the range 0..orders[i]-1. Classes from the same H1Summary can be
-    added and scaled.
+    the range 0..orders[i]-1. To add or scale classes, add or scale
+    their chains: `H1Summary.class_of` is linear.
     """
 
     values: tuple[int, ...]
@@ -86,26 +86,6 @@ class H1Class:
     @property
     def is_null(self) -> bool:
         return not any(self.values)
-
-    def _combine(self, values: Sequence[int]) -> "H1Class":
-        return H1Class(
-            values=tuple(v % d if d else v
-                         for v, d in zip(values, self.orders)),
-            orders=self.orders)
-
-    def __add__(self, other: "H1Class") -> "H1Class":
-        if self.orders != other.orders:
-            raise HomologyError("classes come from different groups")
-        return self._combine([a + b
-                              for a, b in zip(self.values, other.values)])
-
-    def __mul__(self, k: int) -> "H1Class":
-        return self._combine([k * v for v in self.values])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "H1Class":
-        return self._combine([-v for v in self.values])
 
 
 def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:

@@ -238,14 +238,6 @@ def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
     return tuple(c)
 
 
-def tet_block(v: Sequence[int], tet: int) -> tuple[int, ...]:
-    return tuple(v[BLOCK * tet: BLOCK * tet + BLOCK])
-
-
-def zero_vector(sys: MatchingSystem) -> NormalVector:
-    return (0,) * sys.variable_count
-
-
 def all_triangles_vector(tri: Triangulation) -> NormalVector:
     """One triangle at every corner: the union of all vertex links."""
     block = (1, 1, 1, 1, 0, 0, 0)

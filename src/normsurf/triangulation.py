@@ -83,6 +83,13 @@ def _load_json(text: str):
             f"{exc.msg}") from None
 
 
+def _only_keys(obj: dict, keys: Iterable[str], what: str) -> None:
+    """A misspelt key must not read as a missing optional one."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise TriangulationError(f"unknown keys {unknown} in {what}")
+
+
 def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -280,6 +287,7 @@ class Gluing:
         if not isinstance(doc, dict):
             raise TriangulationError("top-level value must be an object")
         plural, simplex, facet = cls.JSON_KEYS
+        _only_keys(doc, (plural, "gluings", "metadata"), f"{cls.KIND} file")
         names = doc.get(plural)
         if not isinstance(names, list) or not names:
             raise TriangulationError(
@@ -298,6 +306,8 @@ class Gluing:
                     f"gluing record {k} is malformed; expected "
                     f'{{"{simplex}", "{facet}", '
                     f'"to": {{"{simplex}", "verts"}}}}') from None
+            _only_keys(rec, (simplex, facet, "to"), f"gluing record {k}")
+            _only_keys(to, (simplex, "verts"), f'"to" of gluing record {k}')
         metadata = doc.get("metadata")
         if metadata is not None and not isinstance(metadata, dict):
             raise TriangulationError('"metadata" must be an object')
@@ -681,6 +691,7 @@ def _component_from_dict(obj) -> LinkComponent:
                     f"bad edge cycle step {step!r}") from None
             if not (_is_label(u) and _is_label(v)):
                 raise TriangulationError(f"bad edge cycle step {step!r}")
+            _only_keys(step, ("tet", "edge"), f"edge cycle step {step!r}")
             edges.append((tet, (u, v)))
         return EdgeCycle(edges=tuple(edges))
     if "idealVertex" in obj:
@@ -692,6 +703,7 @@ def _component_from_dict(obj) -> LinkComponent:
                 f"bad idealVertex component {iv!r}") from None
         if not _is_label(comp.vertex):
             raise TriangulationError(f"bad idealVertex component {iv!r}")
+        _only_keys(iv, ("tet", "vertex"), f"idealVertex component {iv!r}")
         return comp
     raise TriangulationError(f"unknown link component keys {sorted(obj)}")
 
@@ -708,6 +720,7 @@ def parse_link(text: str) -> LinkSpec:
     doc = _load_json(text)
     if not isinstance(doc, dict) or "components" not in doc:
         raise TriangulationError('link file must be {"components": [...]}')
+    _only_keys(doc, ("components",), "link file")
     comps = doc["components"]
     if not isinstance(comps, list):
         raise TriangulationError('"components" must be a list')
@@ -721,23 +734,11 @@ def serialize_link(link: LinkSpec) -> str:
 
 def parse_link_component(text: str) -> LinkComponent:
     """Read a standalone component file, one component as a link file
-    lists it: {"edgeCycle": [...]} or {"idealVertex": {...}}."""
+    lists it: {"edgeCycle": [...]} or {"idealVertex": {...}}. A cycle,
+    such as a pushoff, is read as a component too."""
     return _component_from_dict(_load_json(text))
 
 
 def serialize_link_component(comp: LinkComponent) -> str:
     return _dump_json(_component_to_dict(comp))
 
-
-def parse_cycle(text: str) -> EdgeCycle:
-    """Read a standalone cycle file: {"edgeCycle": [...]}."""
-    comp = parse_link_component(text)
-    if not isinstance(comp, EdgeCycle):
-        raise TriangulationError('cycle file must be {"edgeCycle": [...]}')
-    return comp
-
-
-def serialize_cycle(cycle: EdgeCycle) -> str:
-    if not isinstance(cycle, EdgeCycle):
-        raise TriangulationError("a cycle file holds an edge cycle only")
-    return serialize_link_component(cycle)

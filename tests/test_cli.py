@@ -10,7 +10,7 @@ from normsurf import cli
 from normsurf.cli import main
 from normsurf.fixtures import fig8_pushoff_cycle
 from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
-                                    serialize_cycle, serialize_link,
+                                    serialize_link, serialize_link_component,
                                     serialize_triangulation)
 
 # sha256 of the --json output of each command, run on the files that
@@ -123,6 +123,18 @@ MALFORMED = {
     "vertex_no_label.json": {"idealVertex": {"tet": "h1"}},
     "components_not_list.json": {"components": {"knot": {
         "idealVertex": {"tet": "h1", "vertex": 0}}}},
+    # one unknown key per kind of object in an input file
+    "record_extra_key.json": {"tetrahedra": ["a"], "gluings": [
+        {"tet": "a", "face": [0, 1, 2], "faces": [],
+         "to": {"tet": "a", "verts": [0, 1, 3]}}]},
+    "to_extra_key.json": {"tetrahedra": ["a"], "gluings": [
+        {"tet": "a", "face": [0, 1, 2],
+         "to": {"tet": "a", "verts": [0, 1, 3], "vert": []}}]},
+    "surface_extra_key.json": {"triangles": ["A"], "gluing": []},
+    "step_extra_key.json": {"edgeCycle": [
+        {"tet": "b1*", "edge": [1, 3], "edges": []}]},
+    "vertex_extra_key.json": {"idealVertex": {
+        "tet": "h1", "vertex": 0, "vertx": 1}},
 }
 
 
@@ -138,13 +150,21 @@ def fixture_dir(tmp_path_factory):
     (d / "not_utf8.json").write_bytes(b"\xff\xfe{}")
     (d / "two_triangles.json").write_text(
         '{"triangles": ["A", "B"], "gluings": []}')
+    # the solid torus with "gluing" for "gluings"; fig8_link.json with
+    # an extra top-level key
+    torus = json.loads((d / "solid_torus.json").read_text())
+    torus["gluing"] = torus.pop("gluings")
+    (d / "torus_misspelt.json").write_text(json.dumps(torus))
+    link = json.loads((d / "fig8_link.json").read_text())
+    (d / "link_extra_key.json").write_text(
+        json.dumps({**link, "component": []}))
     (d / "pushoff_link.json").write_text(serialize_link(
         LinkSpec(components=(fig8_pushoff_cycle(),))))
     # out along an edge of the ideal vertex and back; the same along p(01)
-    (d / "there_and_back.json").write_text(serialize_cycle(
+    (d / "there_and_back.json").write_text(serialize_link_component(
         EdgeCycle(edges=(("h1", (0, 1)), ("h1", (1, 0))))))
     walk = EdgeCycle(edges=(("p", (0, 1)), ("p", (1, 0))))
-    (d / "walk.json").write_text(serialize_cycle(walk))
+    (d / "walk.json").write_text(serialize_link_component(walk))
     (d / "walk_link.json").write_text(serialize_link(LinkSpec(
         components=(IdealVertex("h1", 0), walk))))
     return d
@@ -331,6 +351,24 @@ def test_human_output_exit_zero(capsys, fixture_dir):
       "--pushoff", "there_and_back.json"],
      "error: could not verify the pushoff is null-homologous: the walk "
      "visits a non-material vertex class"),
+    (["homology", "fig8_12tet.json", "--cycle", "fig8_knot.json"],
+     "error: a cycle must be an edge cycle"),
+    (["validate", "torus_misspelt.json"],
+     "error: unknown keys ['gluing'] in triangulation file"),
+    (["split-check", "fig8_12tet.json", "--link", "link_extra_key.json"],
+     "error: unknown keys ['component'] in link file"),
+    (["validate", "record_extra_key.json"],
+     "error: unknown keys ['faces'] in gluing record 0"),
+    (["validate", "to_extra_key.json"],
+     "error: unknown keys ['vert'] in \"to\" of gluing record 0"),
+    (["curve2d", "connect", "surface_extra_key.json",
+      "--from", "A:0,1", "--to", "A:1,2"],
+     "error: unknown keys ['gluing'] in surface triangulation file"),
+    (["homology", "fig8_10tet.json", "--cycle", "step_extra_key.json"],
+     "error: unknown keys ['edges'] in edge cycle step"),
+    (["unknot", "fig8_12tet.json", "--knot", "vertex_extra_key.json",
+      "--pushoff", "fig8_longitude.json", "--homology-tri", "fig8_10tet.json"],
+     "error: unknown keys ['vertx'] in idealVertex component"),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

@@ -276,7 +276,7 @@ def test_pushoff_is_generator_not_double(tri10, skel10):
     vertical = loop_class(tri10, s, "4bar", (0, 3))
     pushoff = loop_class(tri10, s, "b1*", (1, 3))
     assert vertical.is_null
-    assert vertical.values != (2 * gen).values
+    assert vertical.values != tuple(2 * v for v in gen.values)
     assert pushoff.values == gen.values
     assert not pushoff.is_null
 
@@ -330,18 +330,15 @@ def test_ideal_vertex_is_no_cycle(tri10):
         verify_zero_pushoff(tri10, IdealVertex("p", 0))
 
 
-def test_class_arithmetic(tri10, skel10):
+def test_class_of_is_additive(tri10, skel10):
+    # H1 = Z, so the class of a walk is the sum of its steps' classes
     s = h1(tri10)
     a = loop_class(tri10, s, "p", (1, 0))
     b = loop_class(tri10, s, "3", (3, 2))
     both = cycle_chain(tri10, EdgeCycle(edges=(("p", (1, 0)),
                                                ("3", (3, 2)))))
-    assert (a + b).values == s.class_of(both).values
-    assert (a + (-a)).is_null
-    assert (3 * a).values == (a + a + a).values
-    other = h1(single_tet())
-    with pytest.raises(HomologyError, match="different groups"):
-        a + other.class_of({})
+    assert s.class_of(both).values == tuple(
+        x + y for x, y in zip(a.values, b.values))
 
 
 def test_non_cycle_and_bad_chain_raise():

@@ -2,22 +2,23 @@
 
 import ast
 import json
+import re
 import types
 from pathlib import Path
 
 import pytest
 
 import normsurf
+from normsurf.curves2d import parse_surface
 from normsurf.errors import TriangulationError
 from normsurf.fixtures import (disconnected_pair, fig8_link,
                                fig8_longitude_cycle, fig8_pushoff_cycle,
                                single_tet, solid_torus)
 from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
                                     Triangulation, compute_skeleton,
-                                    parse_cycle, parse_link,
-                                    parse_link_component,
+                                    parse_link, parse_link_component,
                                     parse_triangulation, resolve_link,
-                                    serialize_cycle, serialize_link,
+                                    serialize_link,
                                     serialize_link_component,
                                     serialize_triangulation, validate)
 
@@ -191,14 +192,9 @@ def test_link_round_trip():
 
 def test_cycle_round_trip():
     cyc = EdgeCycle(edges=(("b1*", (1, 3)), ("p", (0, 2))))
-    assert parse_cycle(serialize_cycle(cyc)) == cyc
+    assert parse_link_component(serialize_link_component(cyc)) == cyc
     for cyc in (fig8_pushoff_cycle(), fig8_longitude_cycle()):
-        assert parse_cycle(serialize_cycle(cyc)) == cyc
-
-
-def test_serialize_cycle_refuses_what_parse_cycle_refuses():
-    with pytest.raises(TriangulationError, match="edge cycle only"):
-        serialize_cycle(IdealVertex("h1", 0))
+        assert parse_link_component(serialize_link_component(cyc)) == cyc
 
 
 def test_parse_link_component_rejects_unknown_shape():
@@ -206,25 +202,71 @@ def test_parse_link_component_rejects_unknown_shape():
         parse_link_component('{"somethingElse": 1}')
 
 
-@pytest.mark.parametrize("parse", [parse_link_component, parse_cycle])
+def _with_key(doc, path, key):
+    """doc with `key` added to the object at `path`, a list of keys
+    and indices from the top."""
+    obj = doc
+    for step in path:
+        obj = obj[step]
+    obj[key] = []
+    return doc
+
+
+def _solid_torus_doc():
+    return json.loads(serialize_triangulation(solid_torus()))
+
+
+def _link_doc():
+    return json.loads(serialize_link(fig8_link()))
+
+
+@pytest.mark.parametrize("parse, doc, message", [
+    # "gluing" for "gluings": read as missing, it made the file a lone
+    # tetrahedron with four boundary faces
+    (parse_triangulation,
+     {"tetrahedra": ["s"], "gluing": _solid_torus_doc()["gluings"]},
+     "unknown keys ['gluing'] in triangulation file"),
+    (parse_triangulation,
+     _with_key(_solid_torus_doc(), ("gluings", 0), "Face"),
+     "unknown keys ['Face'] in gluing record 0"),
+    (parse_triangulation,
+     _with_key(_solid_torus_doc(), ("gluings", 1, "to"), "vert"),
+     "unknown keys ['vert'] in \"to\" of gluing record 1"),
+    (parse_surface, {"triangles": ["A"], "gluings": [], "metadat": {}},
+     "unknown keys ['metadat'] in surface triangulation file"),
+    (parse_link, _with_key(_link_doc(), (), "component"),
+     "unknown keys ['component'] in link file"),
+    (parse_link, _with_key(_link_doc(), ("components", 1, "edgeCycle", 0),
+                           "edges"),
+     "unknown keys ['edges'] in edge cycle step"),
+    (parse_link, _with_key(_link_doc(), ("components", 0, "idealVertex"),
+                           "vertx"),
+     "unknown keys ['vertx'] in idealVertex component"),
+    (parse_link_component,
+     {"idealVertex": {"tet": "h1", "vertex": 0, "vertx": 1}},
+     "unknown keys ['vertx'] in idealVertex component"),
+])
+def test_input_files_refuse_unknown_keys(parse, doc, message):
+    # a misspelt key is refused, not read as a missing optional one
+    with pytest.raises(TriangulationError, match="^" + re.escape(message)):
+        parse(json.dumps(doc))
+
+
+def parse_link_entry(text):
+    return parse_link(json.dumps({"components": [json.loads(text)]}))
+
+
+@pytest.mark.parametrize("parse", [parse_link_component, parse_link_entry])
 @pytest.mark.parametrize("extra", [
     {"idealVertex": {"tet": "h1", "vertex": 0}},
     {"note": "parallel loop"},
 ])
 def test_component_files_hold_one_key(parse, extra):
-    # a component or cycle file is read as one entry of a link file
+    # a component file is read as one entry of a link file
     doc = {"edgeCycle": [{"tet": "b1*", "edge": [1, 2]}], **extra}
     with pytest.raises(TriangulationError,
                        match="^each link component must be"):
         parse(json.dumps(doc))
-    with pytest.raises(TriangulationError,
-                       match="^each link component must be"):
-        parse_link(json.dumps({"components": [doc]}))
-
-
-def test_cycle_file_must_hold_an_edge_cycle():
-    with pytest.raises(TriangulationError, match="^cycle file must be"):
-        parse_cycle(serialize_link_component(IdealVertex("h1", 0)))
 
 
 def test_repr_counts_simplices_and_directed_gluings(doubled10):
