@@ -34,9 +34,8 @@ from .curves2d import curve_components
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
 from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
 from .homology import verify_zero_pushoff
-from .matching import (NormalVector, boundary_arc_variables,
-                       boundary_meeting_variables, edge_crossing_variables,
-                       euler_coefficients, restrict_to_link)
+from .matching import (NormalVector, boundary_meeting_variables,
+                       edge_crossing_variables, restrict_to_link)
 from .surface import SurfaceReport, analyze, separates
 from .triangulation import (LinkComponent, LinkSpec, Triangulation,
                             resolve_link)
@@ -78,7 +77,7 @@ def _screened(tri: Triangulation, vectors: Iterable[NormalVector],
     closed exactly when v is zero on boundary_meeting_variables. A v
     crossing an edge class glued to itself reversed always goes through,
     so that analyze raises TriangulationError on it."""
-    euler = euler_coefficients(tri)
+    euler = tri.euler_coefficients
     boundary = sorted(boundary_meeting_variables(tri))
     inverted = sorted({
         i for ec, crossing in zip(tri.skeleton.edge_classes,
@@ -212,7 +211,8 @@ def filter_unknotting_disks(tri: Triangulation) -> list[NormalVector]:
     fs = enumerate_fundamental(tri.matching_system, admissible_only=True)
 
     def pieces(v: NormalVector) -> int:
-        curve = [sum(v[i] for i in arc) for arc in boundary_arc_variables(tri)]
+        curve = [sum(v[i] for i in arc)
+                 for arc in tri.boundary_arc_variables]
         return curve_components(tri.boundary_surface, curve, parity=0)
 
     uncut = pieces((0,) * tri.matching_system.variable_count)

@@ -21,6 +21,8 @@ closed downward). This module enumerates them in two ways:
     pay here: on the 3x3 grid query of curves2d, triangulating the
     whole cone took 19.6 s (93 rays, 56,888 simplices, 24,303
     parallelepiped points) against 0.057 s for the completion search.
+    Its minimality tests compare rows packed several columns to a
+    uint64 word, a few words per pair of rows (_dominated).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .matching import MatchingSystem, NormalVector
 from .union_find import UnionFind
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
-# elements a broadcast temporary may hold
+# elements a broadcast temporary may hold (bytes, for _dominated's words)
 _CHUNK = 1 << 15
 _INT64_MAX = (1 << 63) - 1
 
@@ -280,6 +282,10 @@ def _count_matches(rows: np.ndarray, anchors: np.ndarray,
     holds more than about _CHUNK elements (one row and one anchor when
     a single row is longer than that). The budget's deadline is checked
     before each block.
+
+    _dominated calls it only for values too far apart to pack, with
+    w-wide boolean temporaries of about _CHUNK bytes; its packed test
+    keeps its own blocks, sized in bytes of uint64.
     """
     counts = np.zeros(len(rows), dtype=np.intp)
     span = max(1, _CHUNK // max(1, anchors.shape[1]))
@@ -295,9 +301,72 @@ def _count_matches(rows: np.ndarray, anchors: np.ndarray,
 
 def _dominated(rows: np.ndarray, anchors: np.ndarray,
                budget: _Budget) -> np.ndarray:
-    """For each row, the number of anchor rows it is coordinatewise >=."""
-    return _count_matches(rows, anchors, lambda r, a: (r >= a).all(2),
-                          budget)
+    """For each row, the number of anchor rows it is coordinatewise >=.
+
+    Both int64 arrays are packed into uint64 words and compared a whole
+    word at a time, several fields to a word (L. Lamport, "Multiple
+    byte processing with full-word instructions", CACM 18, 1975):
+      - bits is the bit length of the range max - min of both arrays.
+        Each column gets a field of bits + 1 bits, per = 64 // (bits + 1)
+        of them to a word: column j in word j // per, at bit
+        s = (bits + 1) * (j % per).
+      - A row's word is the sum of (x + 2**bits) * 2**s over its
+        fields, and an anchor's the sum of a * 2**s, both modulo 2**64;
+        the fields past the last column hold 2**bits in a row, 0 in an
+        anchor.
+      - Their difference is the sum of (2**bits + r - a) * 2**s, and as
+        |r - a| < 2**bits, each 2**bits + r - a lies in
+        (0, 2**(bits + 1)): no borrow crosses a field, the sum is below
+        2**64 and so exact, and a field's top bit, its guard, is set
+        exactly when r >= a. So a row is >= an anchor exactly when the
+        AND of their word differences has every guard bit set.
+    Packing is one unsigned matrix product, whose wraparound modulo
+    2**64 cancels in the differences.
+
+    Past bits = 62 the columns are compared one by one through
+    _count_matches: bits = 63 would still pack, one field to a word,
+    but then a word saves nothing over a column, and a range of 2**63
+    or more (bits = 64) leaves no room for a guard bit.
+
+    The rows are packed once and the anchors one block at a time, both
+    word-major. Blocks are sized in bytes: no packed anchor block and
+    no k x m uint64 temporary of a block of rows against it holds more
+    than about _CHUNK bytes. The budget's deadline is checked before
+    each block.
+    """
+    ends = [int(end) for a in (rows, anchors) if a.size
+            for end in (a.min(), a.max())]
+    bits = (max(ends, default=0) - min(ends, default=0)).bit_length()
+    if bits > 62:
+        return _count_matches(rows, anchors, lambda r, a: (r >= a).all(2),
+                              budget)
+    field = bits + 1
+    per = 64 // field
+    words = -(-rows.shape[1] // per) or 1
+    col = np.arange(rows.shape[1])
+    place = np.zeros((words, rows.shape[1]), dtype=np.uint64)
+    place[col // per, col] = np.uint64(1) << (col % per * field).astype(
+        np.uint64)
+    guards = np.uint64(sum(1 << (bits + field * i) for i in range(per)))
+
+    def pack(block):
+        return place @ np.asarray(block, dtype=np.int64).view(np.uint64).T
+
+    packed_rows = pack(rows)
+    packed_rows += guards
+    counts = np.zeros(len(rows), dtype=np.intp)
+    span = max(1, _CHUNK // (8 * words))
+    for at in range(0, len(anchors), span):
+        block = pack(anchors[at:at + span])
+        step = max(1, _CHUNK // (8 * block.shape[1]))
+        for lo in range(0, len(rows), step):
+            budget.check_time()
+            kept = packed_rows[0, lo:lo + step, None] - block[0]
+            for w in range(1, words):
+                kept &= packed_rows[w, lo:lo + step, None] - block[w]
+            kept &= guards
+            counts[lo:lo + step] += (kept == guards).sum(1)
+    return counts
 
 
 def _minimal_rows(rows: np.ndarray, budget: _Budget) -> np.ndarray:

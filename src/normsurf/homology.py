@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import HomologyError
-from .matching import BLOCK, euler_coefficients
+from .matching import BLOCK
 from .triangulation import (
     EdgeCycle,
     LinkSpec,
@@ -230,7 +230,7 @@ def _nonmaterial_vertex_classes(tri: Triangulation,
     characteristic is the Euler form (exact on admissible vectors) on
     its corner triangles: 1 for a disk, 2 for a sphere.
     """
-    chi = euler_coefficients(tri)
+    chi = tri.euler_coefficients
     return tuple(
         vc.index for vc in skel.vertex_classes
         if sum(chi[BLOCK * t + v] for t, v in vc.members)

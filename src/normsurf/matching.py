@@ -211,7 +211,7 @@ def boundary_meeting_variables(tri: Triangulation) -> frozenset[int]:
     """The variables leaving an arc on a boundary face: its corner
     triangles and all three quads. A nonnegative vector carries a
     closed surface exactly when it is zero on them."""
-    return frozenset(i for arc in boundary_arc_variables(tri) for i in arc)
+    return frozenset(i for arc in tri.boundary_arc_variables for i in arc)
 
 
 def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
@@ -232,7 +232,7 @@ def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
         for i in crossing:
             c[i] += 1
     interior = _corner_arcs(spot for spot, _, _ in tri.interior_pairs())
-    for arc in interior + boundary_arc_variables(tri):
+    for arc in interior + tri.boundary_arc_variables:
         for i in arc:
             c[i] -= 1
     return tuple(c)

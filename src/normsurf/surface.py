@@ -38,9 +38,8 @@ from typing import Sequence
 
 from .curves2d import curve_components
 from .errors import TriangulationError, VectorError
-from .matching import (BLOCK, boundary_arc_variables, edge_crossing_variables,
-                       euler_coefficients, is_admissible, is_solution,
-                       quad_offset)
+from .matching import (BLOCK, edge_crossing_variables, is_admissible,
+                       is_solution, quad_offset)
 from .triangulation import (
     FACES,
     LinkSpec,
@@ -157,12 +156,12 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
     v, edge_weights = _patterns(tri, v)
     disk_count = sum(v)
     disks = tri.join_stacks(_stacks(v), 1)
-    curve = [sum(v[i] for i in arc) for arc in boundary_arc_variables(tri)]
+    curve = [sum(v[i] for i in arc) for arc in tri.boundary_arc_variables]
     circles = curve_components(tri.boundary_surface, curve)
     return SurfaceReport(
         weight=sum(edge_weights),
         edge_weights=tuple(edge_weights),
-        euler=sum(c * x for c, x in zip(euler_coefficients(tri), v)),
+        euler=sum(c * x for c, x in zip(tri.euler_coefficients, v)),
         components=len(disks.groups()) if disk_count else 0,
         closed=circles == 0,
         boundary_circles=circles,

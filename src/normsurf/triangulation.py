@@ -370,7 +370,10 @@ class Triangulation(Gluing):
 
     Besides the shared gluing data it keeps, each computed on first use,
     its skeleton (`compute_skeleton`), its matching system
-    (`matching.build_matching_system`) and its `boundary_surface`.
+    (`matching.build_matching_system`), the linear forms that read a
+    vector's Euler characteristic and boundary curve
+    (`matching.euler_coefficients`, `matching.boundary_arc_variables`)
+    and its `boundary_surface`.
     """
 
     DIM = 3
@@ -389,6 +392,16 @@ class Triangulation(Gluing):
     def matching_system(self) -> MatchingSystem:
         from . import matching  # matching imports this module
         return matching.build_matching_system(self)
+
+    @cached_property
+    def euler_coefficients(self) -> tuple[int, ...]:
+        from . import matching
+        return matching.euler_coefficients(self)
+
+    @cached_property
+    def boundary_arc_variables(self) -> tuple[tuple[int, ...], ...]:
+        from . import matching
+        return matching.boundary_arc_variables(self)
 
     @cached_property
     def boundary_surface(self) -> SurfaceTriangulation:

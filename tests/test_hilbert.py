@@ -427,15 +427,52 @@ def pairwise_minimal(rows):
 
 @pytest.mark.parametrize("chunk", [hilbert._CHUNK, 8])
 def test_dominance_kernel_matches_pairwise_comparison(chunk, monkeypatch):
-    # a chunk of 8 elements splits every block of rows
+    # a chunk of 8 elements (8 bytes, for packed words) splits every
+    # block of rows
     monkeypatch.setattr(hilbert, "_CHUNK", chunk)
     rng = random.Random(5)
-    for _ in range(60):
-        width = rng.randint(1, 5)
+
+    def small(width):
         # entries 0..3 so that duplicate and zero rows occur
-        rows, anchors = ([[rng.randint(0, 3) for _ in range(width)]
-                          for _ in range(rng.randint(0, 40))]
-                         for _ in range(2))
+        return [[rng.randint(0, 3) for _ in range(width)]
+                for _ in range(rng.randint(0, 40))]
+
+    def augment(rows):
+        # value-augmented rows [v, -v, row], as _lift_equation builds
+        return [[v, -v] + row for row in rows for v in [rng.randint(-4, 4)]]
+
+    def near(rows):
+        # random rows lowered here and there, now and then raised, so
+        # that wide rows still dominate some anchors
+        return [[x - (rng.random() < 0.3) + (rng.random() < 0.01)
+                 for x in rng.choice(rows)] for _ in rows]
+
+    def inputs():
+        for _ in range(60):
+            width = rng.randint(1, 5)
+            yield width, small(width), small(width)
+            yield width + 2, augment(small(width)), augment(small(width))
+        for _ in range(10):
+            # 30-40 columns span several words
+            width = rng.randint(30, 40)
+            rows = small(width)
+            yield width, rows, near(rows)
+            rows = augment(small(width - 2))
+            yield width, rows, near(rows)
+        for _ in range(20):
+            width = rng.randint(1, 5)
+            # entries 0..3 mapped in order onto values whose ends both
+            # occur: a range of 2**62 - 1 packs one column to a word,
+            # and ones of 2**63 - 1 and 2**64 - 1 are compared column by
+            # column
+            for values in ([-2 ** 61, -1, 0, 2 ** 61 - 1],
+                           [-2 ** 62, -5, 7, 2 ** 62 - 1],
+                           [-2 ** 63, -5, 7, 2 ** 63 - 1]):
+                yield width, *([[values[x] for x in row] for row in
+                                small(width) + [[0] * width, [3] * width]]
+                               for _ in range(2))
+
+    for width, rows, anchors in inputs():
         arr = np.array(rows, dtype=np.int64).reshape(-1, width)
         assert hilbert._minimal_rows(arr, _Budget(1, None)).tolist() == \
             [list(r) for r in pairwise_minimal(rows)]
