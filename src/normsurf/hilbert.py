@@ -13,7 +13,8 @@ closed downward). This module enumerates them in two ways:
     faces that coherent quad choices cut out cover every admissible
     solution; each face is triangulated on its rays, and its Hilbert
     basis read off the simplices' fundamental parallelepipeds
-    (_enumerate_admissible_primal).
+    (_enumerate_admissible_primal), once per interaction component
+    (_summands).
   - The full basis (and systems without quad triples), by completion
     search: equations are imposed one at a time on a generating set,
     after reductions that shrink but do not change the monoid up to
@@ -31,7 +32,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -493,21 +494,34 @@ def _hilbert_sequential(A: np.ndarray, budget: _Budget) -> np.ndarray:
 
 
 def _interaction_components(
-    nvars: int, equations: list[dict[int, int]]
-) -> list[tuple[list[int], list[dict[int, int]]]]:
-    """Split reduced variables into independent blocks."""
-    uf = UnionFind(range(nvars))
-    for eq in equations:
-        cols = list(eq)
-        for c in cols[1:]:
-            uf.union(cols[0], c)
-    eq_of: dict[int, list[dict[int, int]]] = {}
-    for eq in equations:
-        eq_of.setdefault(uf.find(next(iter(eq))), []).append(eq)
-    comps = []
-    for root, members in sorted(uf.groups().items(), key=lambda kv: kv[1][0]):
-        comps.append((members, eq_of.get(root, [])))
-    return comps
+    columns: Iterable[int], groups: Sequence[Iterable[int]]
+) -> list[tuple[list[int], list]]:
+    """The classes of `columns` under "one group holds both", as
+    (members, held) in order of least member: the sorted columns and
+    the groups inside them, in input order. Groups are nonempty subsets
+    of `columns`: the dual path passes its reduced equations, the
+    admissible path each equation's and quad triple's active support.
+
+    When each equation is a group, the solution monoid is the direct
+    sum of the components' monoids: a solution restricted to a component
+    is a solution, and the sum of its restrictions. So a fundamental
+    solution has one nonzero restriction, and the Hilbert basis is the
+    union of the components' bases, zero-padded. With the quad triples
+    as groups, each triple lies in one component, so admissibility too
+    is checked per component. Enumerated a component at a time, a direct
+    sum costs exactly the sum of its summands' work.
+    """
+    uf = UnionFind(columns)
+    for group in groups:
+        first, *rest = group
+        for c in rest:
+            uf.union(first, c)
+    held: dict[int, list] = {}
+    for group in groups:
+        held.setdefault(uf.find(next(iter(group))), []).append(group)
+    return [(members, held.get(root, []))
+            for root, members in sorted(uf.groups().items(),
+                                        key=lambda kv: kv[1][0])]
 
 
 # -- admissible-only search --------------------------------------------------
@@ -977,6 +991,12 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
     simplex's index (its parallelepiped's lattice points, zero included)
     before the points are built; the triangulation checks the deadline
     at every step.
+
+    enumerate_fundamental calls this once per interaction component
+    (_summands). Run whole on a direct sum, the cone is the product of
+    the summands' cones, its faces products and its simplices joins;
+    run per component, the basis is the union of the summands' and the
+    work the sum of theirs (_interaction_components).
     """
     kernel_rays, normals, patterns = _admissible_rays(sys, budget)
     if not kernel_rays:
@@ -1000,13 +1020,31 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
     return [tuple(row) for row in rows.tolist()]
 
 
+def _summands(sys: MatchingSystem) -> list[MatchingSystem]:
+    """sys as a direct sum: per interaction component of its variables
+    not forced to zero, sys with every other variable forced to zero;
+    [sys] itself when there is at most one component."""
+    zero = sys.forced_zeros
+    groups = [[v for v in group if v not in zero] for group in
+              itertools.chain(map(_quadruple_to_row, sys.equations),
+                              sys.quad_triples)]
+    components = _interaction_components(
+        (v for v in range(sys.variable_count) if v not in zero),
+        [group for group in groups if group])
+    if len(components) <= 1:
+        return [sys]
+    variables = frozenset(range(sys.variable_count))
+    return [replace(sys, forced_zeros=variables.difference(members))
+            for members, _ in components]
+
+
 def _enumerate_dual(red: _Reduction, budget: _Budget
                     ) -> list[tuple[int, ...]]:
     """Full Hilbert basis of a reduced system by sequential lifting."""
     blocks = []
     # a column in no equation is a component of its own, whose only
     # fundamental solution is its unit vector
-    for members, eqs in _interaction_components(len(red.columns),
+    for members, eqs in _interaction_components(range(len(red.columns)),
                                                 red.equations):
         local = {col: k for k, col in enumerate(members)}
         A = np.zeros((len(eqs), len(members)), dtype=np.int64)
@@ -1040,10 +1078,17 @@ def enumerate_fundamental(
     enumerated (see _enumerate_admissible_primal), which is usually far
     cheaper. Otherwise, and for systems without quad triples, the
     completion search runs on the whole system.
+
+    Both paths go one interaction component at a time on one budget:
+    a system whose variables split into blocks that no equation or quad
+    triple joins is the direct sum of the blocks, so its basis is the
+    union of theirs and candidates_examined the sum of their work
+    (_interaction_components, _summands).
     """
     budget = _Budget(max_candidates, time_budget)
     if admissible_only and sys.quad_triples:
-        solutions = _enumerate_admissible_primal(sys, budget)
+        solutions = [v for part in _summands(sys)
+                     for v in _enumerate_admissible_primal(part, budget)]
     else:
         red = _Reduction(sys.variable_count,
                          [_quadruple_to_row(eq) for eq in sys.equations],

@@ -208,13 +208,19 @@ class Gluing:
     def boundary_facets(self) -> list[Spot]:
         return [spot for spot in self.facet_spots() if spot not in self._glue]
 
-    def interior_pairs(self) -> list[tuple[Spot, Spot, dict[int, int]]]:
+    def interior_pairs(self) -> tuple[tuple[Spot, Spot, dict[int, int]], ...]:
         """One entry per interior facet class, in first-seen file order.
 
         Each entry is (source spot, target spot, vertex bijection on the
         source facet). The source is the earlier (simplex, facet) in
         simplex/file order, so generated equation order is reproducible.
+        A gluing never changes after construction, so the entries are
+        built once per object; callers must not modify them.
         """
+        return self._interior_pairs
+
+    @cached_property
+    def _interior_pairs(self) -> tuple[tuple[Spot, Spot, dict[int, int]], ...]:
         seen: set[Spot] = set()
         pairs = []
         for spot in self.facet_spots():
@@ -225,7 +231,7 @@ class Gluing:
             seen.add(spot)
             seen.add(target)
             pairs.append((spot, target, dict(zip(spot[1], image))))
-        return pairs
+        return tuple(pairs)
 
     def join_stacks(self, stacks: Mapping[tuple, Sequence], parity: int
                     ) -> UnionFind:

@@ -248,11 +248,16 @@ def test_admissible_basis_is_the_admissible_part_of_the_full_one(
 
 
 def test_triangulated_faces_match_the_subset_cover(monkeypatch):
+    # the cover is taken over the whole cone, the enumeration goes one
+    # interaction component at a time
     found = count_indexed_simplices(monkeypatch)
     rng = random.Random(19)
+    indexed = 0
     for _ in range(150):
         sys = doubled_system(rng)
+        before = len(found)
         only = enumerate_fundamental(sys, admissible_only=True).vectors
+        indexed += len(found) > before
         _, normals, patterns = hilbert._admissible_rays(
             sys, _Budget(10 ** 9, None))
         cover = set()
@@ -260,7 +265,7 @@ def test_triangulated_faces_match_the_subset_cover(monkeypatch):
             cover |= hilbert_by_subset_cover(
                 [v for r, v in enumerate(normals) if face >> r & 1])
         assert set(only) == cover, sys
-    assert len(found) >= 30
+    assert indexed >= 22
 
 
 def test_restricted_fixture_has_exactly_the_three_reference_solutions(
@@ -392,7 +397,7 @@ def test_twin_equations_change_nothing(restricted12):
 PINNED_WORK = {
     "10-tet admissible": (226_693, 110),
     "restricted 12-tet full": (11_468, 54),
-    "restricted pair admissible": (231_141, 54),
+    "restricted pair admissible": (230_448, 54),
     "solid torus full": (18, 5),
     "solid torus admissible": (15, 4),
     "square surface": (14, 6),
@@ -415,6 +420,69 @@ def test_total_work_is_pinned(fund10, restricted12, disc_tri, disc_link):
     }
     assert {name: (fs.candidates_examined, len(fs.vectors))
             for name, fs in runs.items()} == PINNED_WORK
+
+
+def direct_sum(*systems):
+    """The systems side by side, each one's variables numbered after
+    those of the systems before it."""
+    at, equations, zeros, triples = 0, [], set(), []
+    for sys in systems:
+        equations += [tuple(at + i for i in eq) for eq in sys.equations]
+        zeros |= {at + i for i in sys.forced_zeros}
+        triples += [tuple(at + q for q in t) for t in sys.quad_triples]
+        at += sys.variable_count
+    return MatchingSystem(variable_count=at, equations=tuple(equations),
+                          forced_zeros=frozenset(zeros),
+                          quad_triples=tuple(triples))
+
+
+def padded_union(systems, sets):
+    """The vectors of each system's FundamentalSet, zero-padded to their
+    place in direct_sum(*systems), sorted."""
+    widths = [sys.variable_count for sys in systems]
+    return tuple(sorted(
+        (0,) * sum(widths[:k]) + v + (0,) * sum(widths[k + 1:])
+        for k, fs in enumerate(sets) for v in fs.vectors))
+
+
+def test_direct_sum_of_two_ten_tets_costs_twice_one(tri10, fund10):
+    # whole, the sum's cone is a product of two 10-tet cones, and the
+    # enumeration passes this cap at 455,416 candidates
+    work = PINNED_WORK["10-tet admissible"][0]
+    system = tri10.matching_system
+    fs = enumerate_fundamental(direct_sum(system, system),
+                               admissible_only=True,
+                               max_candidates=453_386)
+    assert len(fs.vectors) == 220
+    assert fs.vectors == padded_union([system] * 2, [fund10] * 2)
+    assert fs.candidates_examined == 2 * work == 453_386
+
+
+def test_direct_sum_with_the_solid_torus_adds_its_work(tri10, fund10,
+                                                       torus_tri, fund_torus):
+    systems = [tri10.matching_system, torus_tri.matching_system]
+    fs = enumerate_fundamental(direct_sum(*systems), admissible_only=True)
+    assert fs.vectors == padded_union(systems, [fund10, fund_torus])
+    assert (len(fs.vectors), fs.candidates_examined) == \
+        (114, 226_708) == (110 + 4, 226_693 + 15)
+
+
+def test_direct_sum_basis_and_work_are_those_of_the_summands():
+    rng = random.Random(29)
+    for _ in range(40):
+        summands = [
+            with_quad_triples(rng, random_quad_system(rng, max_vars=9))
+            if rng.random() < 0.5 else doubled_system(rng)
+            for _ in range(rng.randint(2, 3))]
+        for admissible_only in (True, False):
+            alone = [enumerate_fundamental(sys,
+                                           admissible_only=admissible_only)
+                     for sys in summands]
+            fs = enumerate_fundamental(direct_sum(*summands),
+                                       admissible_only=admissible_only)
+            assert fs.vectors == padded_union(summands, alone), summands
+            assert fs.candidates_examined == sum(
+                part.candidates_examined for part in alone), summands
 
 
 def pairwise_minimal(rows):
@@ -718,21 +786,27 @@ TEN_TET_RAYS_SHA256 = \
     "3009727d4d7758845baa2fce9801c48d3aad96915d735be0383f0666d3777fdc"
 TEN_TET_RAYS_CHARGED = 226_061
 
-# the same pins for the link-restricted systems, recorded with the
-# Python-int ray arithmetic the array version replaced:
-# (rays, candidates charged, sha256 of the ordered ray list)
+# the same pins for the link-restricted systems, one entry per
+# _extreme_rays call: (rays, candidates charged, sha256 of the ordered
+# ray list). The 12-tet's was recorded with the Python-int ray
+# arithmetic the array version replaced.
 RESTRICTED_RAYS = {
-    # d = 33, 130 inequality rows: the double description of split-pair
-    "pair": (54, 230_820,
-             "d4113c21170a2264fb8ced488ce25e4fc658acae45392e6b65ed7c40cb216407"),
-    "12-tet": (3, 64,
-               "2577da253c7f4c63b961795871b5f6beb28ea9236571cc4acfb71934016ee997"),
+    # split-pair's two interaction components: d = 25 with 84 inequality
+    # rows, then d = 8 with 46, one figure-eight's restricted 12-tet
+    "pair": [
+        (51, 230_143,
+         "62d0e09b85fa604f0fa8cb051e7054bffadb7db4a24807cd2ec5cf6e662442ad"),
+        (3, 64,
+         "2577da253c7f4c63b961795871b5f6beb28ea9236571cc4acfb71934016ee997")],
+    "12-tet": [
+        (3, 64,
+         "2577da253c7f4c63b961795871b5f6beb28ea9236571cc4acfb71934016ee997")],
 }
 
 
 def recorded_double_description(system, monkeypatch):
-    """(rays, candidates charged) of the one _extreme_rays call that the
-    admissible enumeration of system makes."""
+    """(rays, candidates charged) of each _extreme_rays call that the
+    admissible enumeration of system makes, in order."""
     calls = []
 
     def recording(ineq, budget, block_rows=()):
@@ -743,8 +817,7 @@ def recorded_double_description(system, monkeypatch):
 
     monkeypatch.setattr(hilbert, "_extreme_rays", recording)
     enumerate_fundamental(system, admissible_only=True)
-    [call] = calls
-    return call
+    return calls
 
 
 def rays_sha256(rays):
@@ -752,8 +825,8 @@ def rays_sha256(rays):
 
 
 def test_ten_tet_double_description_is_pinned(tri10, monkeypatch):
-    rays, charged = recorded_double_description(tri10.matching_system,
-                                                monkeypatch)
+    [(rays, charged)] = recorded_double_description(tri10.matching_system,
+                                                    monkeypatch)
     assert len(rays) == 100
     assert charged == TEN_TET_RAYS_CHARGED
     assert rays_sha256(rays) == TEN_TET_RAYS_SHA256
@@ -765,8 +838,9 @@ def test_restricted_double_description_is_pinned(name, restricted12,
                                                  monkeypatch):
     system = restricted12 if name == "12-tet" else restrict_to_link(
         disc_tri.matching_system, disc_tri, disc_link)
-    rays, charged = recorded_double_description(system, monkeypatch)
-    assert (len(rays), charged, rays_sha256(rays)) == RESTRICTED_RAYS[name]
+    assert [(len(rays), charged, rays_sha256(rays)) for rays, charged in
+            recorded_double_description(system, monkeypatch)] == \
+        RESTRICTED_RAYS[name]
 
 
 # On the 10-tet the bound 2 * M**2 * N on a step's values starts at 1,120
@@ -778,8 +852,8 @@ def test_double_description_past_int64_switches_to_python_ints(
     # numpy integer arrays wrap silently, so only the same rays at a lower
     # limit show that the switch comes before any value could wrap
     monkeypatch.setattr(hilbert, "_INT64_MAX", limit)
-    rays, charged = recorded_double_description(tri10.matching_system,
-                                                monkeypatch)
+    [(rays, charged)] = recorded_double_description(tri10.matching_system,
+                                                    monkeypatch)
     assert charged == TEN_TET_RAYS_CHARGED
     assert rays_sha256(rays) == TEN_TET_RAYS_SHA256
     assert all(type(x) is int for ray in rays for x in ray)

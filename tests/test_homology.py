@@ -169,9 +169,10 @@ def fixture_smith_calls():
 
 def test_smith_matches_the_reference_on_fixture_matrices(
         fixture_smith_calls):
-    # 11 kernels, bases and boundaries, and 267 simplices
-    assert len(fixture_smith_calls) == 278
-    assert (124, 130) in {(m, n) for *_, m, n in fixture_smith_calls}
+    # 13 kernels, bases and boundaries, and 268 simplices; the largest
+    # kernel is that of split-pair's larger interaction component
+    assert len(fixture_smith_calls) == 281
+    assert (72, 84) in {(m, n) for *_, m, n in fixture_smith_calls}
     for caller, rows, A, m, n in fixture_smith_calls:
         # each caller appends exactly the transforms it reads
         u, v = APPENDS[caller]
@@ -188,7 +189,7 @@ def test_partial_augmentation_changes_nothing(fixture_smith_calls):
     matrices = [(A, len(A), len(A[0]))
                 for A in smith_test_matrices(random.Random(9))]
     matrices += [(A, m, n) for _, _, A, m, n in fixture_smith_calls]
-    assert len(matrices) == 478
+    assert len(matrices) == 481
     for A, m, n in matrices:
         S, U, V = smith_transforms(A, m, n)
         assert smith_transforms(A, m, n, v=False) == (S, U, None)
