@@ -238,7 +238,6 @@ def _cmd_skeleton(args: argparse.Namespace) -> Result:
             for vc in skel.vertex_classes],
         "edgeClasses": [
             {"degree": ec.degree, "boundary": ec.boundary,
-             "inverted": ec.inverted,
              "members": [tri.format_spot(t, e) for t, e in ec.members]}
             for ec in skel.edge_classes],
     }
@@ -250,10 +249,9 @@ def _cmd_skeleton(args: argparse.Namespace) -> Result:
         lines.append(f"vertex class {vc.index}: degree {vc.degree}, {kind}")
     for ec in skel.edge_classes:
         kind = "boundary" if ec.boundary else "interior"
-        flags = ", inverted" if ec.inverted else ""
         members = " ".join(tri.format_spot(t, e) for t, e in ec.members)
         lines.append(f"edge class {ec.index}: degree {ec.degree}, "
-                     f"{kind}{flags}: {members}")
+                     f"{kind}: {members}")
     return doc, lines, 0
 
 

@@ -35,7 +35,7 @@ from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
 from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
 from .homology import verify_zero_pushoff
 from .matching import (NormalVector, boundary_meeting_variables,
-                       edge_crossing_variables, restrict_to_link)
+                       restrict_to_link)
 from .surface import SurfaceReport, analyze, separates
 from .triangulation import (LinkComponent, LinkSpec, Triangulation,
                             resolve_link)
@@ -74,19 +74,14 @@ def _screened(tri: Triangulation, vectors: Iterable[NormalVector],
     """(position, v, analyze(tri, v)) for each v, all admissible, that
     may carry a surface of Euler characteristic chi, closed or not as
     asked: analyze's euler is the Euler form times v, and the surface is
-    closed exactly when v is zero on boundary_meeting_variables. A v
-    crossing an edge class glued to itself reversed always goes through,
-    so that analyze raises TriangulationError on it."""
+    closed exactly when v is zero on boundary_meeting_variables. The
+    form is exact because a valid triangulation glues no edge class to
+    itself reversed (`euler_coefficients`)."""
     euler = tri.euler_coefficients
     boundary = sorted(boundary_meeting_variables(tri))
-    inverted = sorted({
-        i for ec, crossing in zip(tri.skeleton.edge_classes,
-                                  edge_crossing_variables(tri))
-        if ec.inverted for i in crossing})
     for position, v in enumerate(vectors):
-        if (any(v[i] for i in inverted)
-                or (sum(c * x for c, x in zip(euler, v)) == chi
-                    and closed != any(v[i] for i in boundary))):
+        if (sum(c * x for c, x in zip(euler, v)) == chi
+                and closed != any(v[i] for i in boundary)):
             yield position, v, analyze(tri, v)
 
 

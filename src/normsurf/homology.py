@@ -240,19 +240,19 @@ def _nonmaterial_vertex_classes(tri: Triangulation,
 def chain_complex(tri: Triangulation) -> ChainComplex:
     """Boundary matrices of the quotient complex.
 
-    Raises HomologyError when an edge class is glued to itself
-    reversed (checked first: it cannot be oriented), or has both ends
-    at non-material vertex classes (no projection retracts it).
+    Every edge class of a valid triangulation is oriented (its
+    skeleton refuses one glued to itself reversed). Raises
+    HomologyError when an edge class has both ends at non-material
+    vertex classes (no projection retracts it).
     """
     skel = tri.skeleton
     nonmaterial = _nonmaterial_vertex_classes(tri, skel)
-    for ec in sorted(skel.edge_classes, key=lambda ec: not ec.inverted):
+    for ec in skel.edge_classes:
         t, (u, v) = ec.members[0]
-        if ec.inverted or {skel.vertex_class_of[(t, u)],
-                           skel.vertex_class_of[(t, v)]} <= set(nonmaterial):
-            raise HomologyError(f"edge class {ec.index} " + (
-                "is glued to itself reversed and cannot be oriented"
-                if ec.inverted else "has both ends at non-material classes"))
+        if {skel.vertex_class_of[(t, u)],
+                skel.vertex_class_of[(t, v)]} <= set(nonmaterial):
+            raise HomologyError(f"edge class {ec.index} has both ends at "
+                                "non-material classes")
 
     n_v, n_e = len(skel.vertex_classes), len(skel.edge_classes)
 
@@ -409,10 +409,6 @@ def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
                            require_two_components=False)
     coeffs: dict[int, int] = {}
     for index, sign in comp.edges:
-        if tri.skeleton.edge_classes[index].inverted:
-            raise HomologyError(
-                f"edge class {index} is glued to itself reversed "
-                "and cannot be oriented")
         coeffs[index] = coeffs.get(index, 0) + sign
     if comp.vertex_classes.intersection(
             _nonmaterial_vertex_classes(tri, tri.skeleton)):

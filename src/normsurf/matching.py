@@ -222,8 +222,8 @@ def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
       - V: a class's crossing points are its least member's, as glued
         edges are crossed equally often and their points identified
         one to one: +1 per `edge_crossing_variables` entry. (A class
-        glued to itself reversed pairs its points up instead; surfaces
-        crossing one are refused wherever surfaces are read.)
+        glued to itself reversed would pair its points up instead; a
+        valid triangulation has none.)
       - E: -1 per `_arcs` entry of each arc, counted once: on one side
         of every interior pair and at every boundary-facet corner.
     """

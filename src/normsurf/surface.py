@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .curves2d import curve_components
-from .errors import TriangulationError, VectorError
+from .errors import VectorError
 from .matching import (BLOCK, edge_crossing_variables, is_admissible,
                        is_solution, quad_offset)
 from .triangulation import (
@@ -89,8 +89,7 @@ class RegionGraph:
 def _patterns(tri: Triangulation, v: Sequence[int]
               ) -> tuple[tuple[int, ...], list[int]]:
     """The vector read as an admissible solution, and its edge-class
-    weights. Raises TriangulationError when it crosses an edge class
-    glued to itself reversed."""
+    weights."""
     sys = tri.matching_system
     v = sys.read(v)
     if any(x < 0 for x in v):
@@ -102,14 +101,8 @@ def _patterns(tri: Triangulation, v: Sequence[int]
     if not is_admissible(v):
         raise VectorError(
             "inadmissible vector: two quad types in one tetrahedron")
-    weights = [sum(v[i] for i in crossing)
+    return v, [sum(v[i] for i in crossing)
                for crossing in edge_crossing_variables(tri)]
-    for ec, w in zip(tri.skeleton.edge_classes, weights):
-        if ec.inverted and w:
-            raise TriangulationError(
-                f"edge class {ec.index} is glued to itself reversed; "
-                "surfaces crossing it are not supported")
-    return v, weights
 
 
 def _stacks(v: tuple[int, ...]) -> dict:

@@ -20,7 +20,7 @@ and for a `Triangulation` its skeleton, its matching system and its
 
 The skeleton computation closes vertices and edges under the gluing
 orbits, producing the vertex classes and edge classes of the underlying
-cell complex.
+cell complex, and refuses an edge class glued to itself reversed.
 The aliases `tetrahedra`, `tet_count` and, on surfaces,
 `triangle_count`, `boundary_edges` and `format_edge` are kept only for
 the benchmark scripts; the package uses the `Gluing` names.
@@ -264,8 +264,8 @@ class Gluing:
         return tuple(validate(self))
 
     def require_valid(self) -> None:
-        """Raise TriangulationError listing the gluing violations, if
-        any. They are looked for once per object."""
+        """Raise TriangulationError listing the violations `validate`
+        finds, if any. They are looked for once per object."""
         if self._problems:
             raise TriangulationError(
                 f"invalid {self.KIND}: " + "; ".join(self._problems))
@@ -340,13 +340,16 @@ class Gluing:
 
 
 def validate(gluing: Gluing) -> list[str]:
-    """Check gluing consistency; return a list of violations (empty = OK).
+    """Check a gluing; return a list of violations (empty = OK).
 
     Violations checked: a facet glued to itself, a gluing whose
     reciprocal is missing, and a gluing whose reciprocal is not the
     inverse bijection. Malformed records (unknown names, bad label
     tuples, two targets for one facet) cannot be represented and are
-    constructor errors.
+    constructor errors. On a Triangulation whose gluings pass,
+    `compute_skeleton` then refuses an edge class glued to itself
+    reversed, which no 3-manifold has (Burton, "Computational topology
+    with Regina", 2013): normal surface theory needs a manifold.
     """
     fmt = gluing.format_spot
     problems = []
@@ -368,6 +371,11 @@ def validate(gluing: Gluing) -> list[str]:
                 f"involution violation: {fmt(j, back_facet)} -> "
                 f"{fmt(*back)} is not the inverse of "
                 f"{fmt(i, facet)} -> {fmt(j, image)}")
+    if not problems and isinstance(gluing, Triangulation):
+        try:
+            gluing._unchecked_skeleton
+        except TriangulationError as exc:
+            problems.append(str(exc))
     return problems
 
 
@@ -392,6 +400,11 @@ class Triangulation(Gluing):
 
     @cached_property
     def skeleton(self) -> Skeleton:
+        self.require_valid()
+        return self._unchecked_skeleton
+
+    @cached_property
+    def _unchecked_skeleton(self) -> Skeleton:  # built by `validate`
         return compute_skeleton(self)
 
     @cached_property
@@ -455,15 +468,12 @@ class EdgeClass:
 
     members lists (tet, sorted vertex pair). directions maps each member
     to the ordered pair that traverses the class in its reference
-    direction (the sorted direction of the least member). inverted marks
-    classes that some gluing path maps onto themselves reversed; such a
-    class carries no consistent direction.
+    direction (the sorted direction of the least member).
     """
 
     index: int
     members: tuple[tuple[int, Edge], ...]
     boundary: bool
-    inverted: bool
     directions: dict[tuple[int, Edge], tuple[int, int]]
 
     @property
@@ -482,12 +492,12 @@ class Skeleton:
 def compute_skeleton(tri: Triangulation) -> Skeleton:
     """Vertex and edge classes under the gluing orbits.
 
-    Requires a valid triangulation. Edge orbits are tracked on directed
-    edges so each class gets a consistent orientation when one exists.
-    Each Triangulation keeps the result as its `skeleton`.
+    Edge orbits are tracked on directed edges so each class gets a
+    consistent orientation; a class that a gluing path maps onto itself
+    reversed has none and raises TriangulationError naming a member.
+    Gluings must be consistent (`validate`). Each Triangulation keeps
+    the result as its `skeleton`.
     """
-    tri.require_valid()
-
     corners = UnionFind((i, v) for i in range(tri.size) for v in range(4))
     directed = UnionFind()  # directed edges, added on first use
 
@@ -521,8 +531,8 @@ def compute_skeleton(tri: Triangulation) -> Skeleton:
         for m in members:
             vertex_class_of[m] = idx
 
-    # An edge's class is named by the orbits of its two directions; it
-    # is inverted exactly when they are one orbit. Edges are visited in
+    # An edge's class is named by the orbits of its two directions, one
+    # orbit if it is glued to itself reversed. Edges are visited in
     # sorted order, so classes come out ordered by their least member.
     edge_groups: dict[frozenset, list[tuple[int, Edge]]] = {}
     for i in range(tri.size):
@@ -533,17 +543,19 @@ def compute_skeleton(tri: Triangulation) -> Skeleton:
     edge_classes = []
     edge_class_of = {}
     for idx, (roots, members) in enumerate(edge_groups.items()):
-        inverted = len(roots) == 1
+        if len(roots) == 1:
+            raise TriangulationError(
+                f"edge class of {tri.format_spot(*members[0])} is glued "
+                "to itself reversed")
         forward = directed.find(members[0])
         directions = {
             (t, (a, b)): (a, b)
-            if inverted or directed.find((t, (a, b))) == forward else (b, a)
+            if directed.find((t, (a, b))) == forward else (b, a)
             for t, (a, b) in members}
         ec = EdgeClass(
             index=idx,
             members=tuple(members),
             boundary=any(m in boundary_edges for m in members),
-            inverted=inverted,
             directions=directions)
         edge_classes.append(ec)
         for m in members:

@@ -302,8 +302,9 @@ def one_tet_closed_gluings():
     return out
 
 
-# What h1 makes of one_tet_closed_gluings, counted by outcome: refused for
-# an edge class glued to itself reversed, or for one with both ends at
+# What h1 makes of one_tet_closed_gluings, counted by outcome: refused as
+# an invalid triangulation (TriangulationError) for an edge class glued to
+# itself reversed, or (HomologyError) for an edge class with both ends at
 # non-material vertex classes, else by torsion (no gluing has free rank):
 # S^3, L(4,1) and L(5,2).
 ONE_TET_CLOSED_CENSUS = {"glued to itself reversed": 69,

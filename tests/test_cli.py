@@ -20,7 +20,7 @@ JSON_DIGESTS = {
     "validate":
         "7e4532f1c697962810cc76e886d0ea2ad2e259b806673bc65da8344c481a5c2b",
     "skeleton":
-        "376a2ac076403a42acb1ed94180516ead28edc73c37acc2695871d73ea6b09a9",
+        "f7b8dd73635b4067f52ee3a942048ef9c4872139720fe6fb84b77fc8a0736d6b",
     "split-check":
         "b373d9b790854c9fd994efc32097c8fe3a8a482e8f656d3d01507a73ecaa3c7c",
     "unknot":
@@ -135,6 +135,10 @@ MALFORMED = {
         {"tet": "b1*", "edge": [1, 3], "edges": []}]},
     "vertex_extra_key.json": {"idealVertex": {
         "tet": "h1", "vertex": 0, "vertx": 1}},
+    # consistent gluings, but edge s(01) is glued to itself reversed
+    "reversed_edge.json": {"tetrahedra": ["s"], "gluings": [
+        {"tet": "s", "face": [0, 1, 2],
+         "to": {"tet": "s", "verts": [1, 0, 3]}}]},
 }
 
 
@@ -369,6 +373,12 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["unknot", "fig8_12tet.json", "--knot", "vertex_extra_key.json",
       "--pushoff", "fig8_longitude.json", "--homology-tri", "fig8_10tet.json"],
      "error: unknown keys ['vertx'] in idealVertex component"),
+    (["validate", "reversed_edge.json"],
+     "INVALID: edge class of s(01) is glued to itself reversed"),
+    (["skeleton", "reversed_edge.json"],
+     "error: invalid triangulation: edge class of s(01) is glued to itself "
+     "reversed"),
+    (["validate", "reversed_edge.json", "--json"], '"valid": false'),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from normsurf import detect, matching, surface, triangulation
+from normsurf import detect, hilbert, matching, surface, triangulation
 from normsurf.detect import (filter_unknotting_disks, split_link_check,
                              unknot_via_pushoff)
 from normsurf.errors import HomologyError, TriangulationError
@@ -71,14 +71,30 @@ def test_split_scan_analyzes_only_screened_vectors(monkeypatch, disc_tri,
     assert [args[1] for args in analyzed] == [verdict.witness]
 
 
-def test_split_scan_refuses_surfaces_crossing_inverted_edges():
-    # edge 01 is glued to itself reversed, and the first fundamental
-    # surface, a quad meeting the boundary, crosses it
-    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
-                        infer_reciprocals=True)
+def test_non_manifold_is_refused_before_enumeration(monkeypatch):
+    # edge s(01) is glued to itself reversed, so the gluing is no
+    # 3-manifold's; the first fundamental surface, a quad meeting the
+    # boundary, would cross it. Each entry point gets a fresh object, so
+    # none relies on a refusal cached by another.
+    def reversed_edge():
+        return Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
+                             infer_reciprocals=True)
+
     link = LinkSpec(components=(IdealVertex("s", 0), IdealVertex("s", 2)))
-    with pytest.raises(TriangulationError, match="reversed"):
-        split_link_check(tri, link)
+    enumerations = count_calls(monkeypatch, hilbert.enumerate_fundamental)
+    calls = [
+        lambda: split_link_check(reversed_edge(), link),
+        lambda: filter_unknotting_disks(reversed_edge()),
+        lambda: unknot_via_pushoff(reversed_edge(), *link.components,
+                                   waive_pushoff_check=True),
+        lambda: build_matching_system(reversed_edge()),
+    ]
+    for call in calls:
+        with pytest.raises(TriangulationError, match=(
+                r"invalid triangulation: edge class of s\(01\) is glued "
+                "to itself reversed")):
+            call()
+    assert enumerations == []
 
 
 def test_component_order_does_not_matter(tri12):
@@ -240,13 +256,12 @@ def test_screened_disk_filter_keeps_every_disk(tri10, fund10):
 
 
 def one_tet_complements():
-    """The 30 valid one-tet two-face gluings without an inverted edge
-    class, with their admissible fundamental sets."""
+    """The 30 valid one-tet two-face gluings (no edge class glued to
+    itself reversed), with their admissible fundamental sets."""
     out = []
     for record in one_tet_two_face_gluings():
         tri = Triangulation(("s",), [record], infer_reciprocals=True)
-        if validate(tri) or any(
-                ec.inverted for ec in tri.skeleton.edge_classes):
+        if validate(tri):
             continue
         out.append((tri, enumerate_fundamental(tri.matching_system,
                                                admissible_only=True)))
@@ -284,7 +299,7 @@ def test_solid_torus_is_the_expected_gluing():
     """An exhaustive scan over one-tet, one-gluing triangulations.
 
     The bundled solid torus is one of the records whose complex is
-    valid, oriented (no reversed self-gluing), connected along the
+    valid (no edge class glued to itself reversed), connected along the
     boundary, and has a single vertex class; the scan pins down the
     frozen record as such a gluing and its fundamental list as frozen.
     """
@@ -295,8 +310,6 @@ def test_solid_torus_is_the_expected_gluing():
         if validate(tri):
             continue
         skel = compute_skeleton(tri)
-        if any(ec.inverted for ec in skel.edge_classes):
-            continue
         if len(skel.vertex_classes) != 1:
             continue
         sys = build_matching_system(tri)

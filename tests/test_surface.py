@@ -8,7 +8,6 @@ surface code.
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import random
 
@@ -17,7 +16,6 @@ import pytest
 from normsurf.curves2d import analyze_curve
 from normsurf.errors import TriangulationError, VectorError
 from normsurf.fixtures import fig8_link, single_tet, square_surface
-from normsurf.hilbert import enumerate_fundamental
 from normsurf.matching import (all_triangles_vector,
                                boundary_meeting_variables, euler_coefficients,
                                haken_sum, is_admissible, is_solution,
@@ -25,11 +23,11 @@ from normsurf.matching import (all_triangles_vector,
 from normsurf.surface import (_stacks, analyze, complement_regions,
                               separates)
 from normsurf.triangulation import (FACES, IdealVertex, LinkSpec,
-                                    Triangulation, resolve_link, validate)
+                                    Triangulation, resolve_link)
 
-from oracles import (_edge_w, boundary_curve, surface_cell_counts,
+from oracles import (boundary_curve, surface_cell_counts,
                      trace_curve_components)
-from tables import one_tet_two_face_gluings, reference_solutions
+from tables import reference_solutions
 
 
 def cells(report):
@@ -226,17 +224,16 @@ def test_vector_entries_are_read_one_way(tri12, torus_tri):
 
 
 def test_inverted_edge_class_policy():
+    # edge s(01) is glued to itself reversed: the triangulation is
+    # refused whatever the vector, one of zero weight on it included
     tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
                         infer_reciprocals=True)
-    # weight on the inverted class is refused, zero weight is fine
-    with pytest.raises(TriangulationError, match="reversed"):
-        analyze(tri, (1, 1, 0, 0, 0, 0, 0))
-    assert analyze(tri, (0, 0, 0, 0, 0, 0, 0)).weight == 0
-    # separation reads the same surfaces, so it refuses them too
     link = LinkSpec(components=(IdealVertex("s", 0), IdealVertex("s", 2)))
-    for v in [(1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]:
-        with pytest.raises(TriangulationError, match="reversed"):
-            separates(tri, v, link)
+    for v in [(1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1), (0,) * 7]:
+        for read in (lambda: analyze(tri, v),
+                     lambda: separates(tri, v, link)):
+            with pytest.raises(TriangulationError, match="reversed"):
+                read()
 
 
 def test_euler_characteristic_and_closedness_are_linear(
@@ -244,14 +241,9 @@ def test_euler_characteristic_and_closedness_are_linear(
         torus_tri, fund_torus):
     """The Euler form (euler_coefficients) gives the oracle's Euler
     characteristic, and zero weight on the boundary-meeting variables
-    means the oracle finds no boundary circle, on:
-      - every admissible fundamental vector of four systems, and the
-        admissible sums of seeded pairs of them;
-      - every valid one-tetrahedron gluing with an edge class glued to
-        itself reversed, where the split screen relies on the form too:
-        its admissible fundamental vectors and their admissible
-        pairwise sums, keeping those that miss the reversed classes
-        (analyze refuses the others).
+    means the oracle finds no boundary circle, on every admissible
+    fundamental vector of four systems, and the admissible sums of
+    seeded pairs of them.
     """
     cases = [
         (tri10, fund10.vectors),
@@ -268,28 +260,6 @@ def test_euler_characteristic_and_closedness_are_linear(
                     if is_admissible(v)]
     assert [len(vs) for _, vs in cases] == [110, 3, 54, 4]
     assert len(checked) == 171 + 82
-
-    inverted = []
-    for record in one_tet_two_face_gluings():
-        tri = Triangulation(("s",), [record], infer_reciprocals=True)
-        if validate(tri):
-            continue
-        reversed_edges = [m for ec in tri.skeleton.edge_classes
-                          if ec.inverted for m in ec.members]
-        if not reversed_edges:
-            continue
-        inverted.append(tri)
-        vectors = enumerate_fundamental(tri.matching_system,
-                                        admissible_only=True).vectors
-        summed = [tuple(x + y for x, y in zip(a, b))
-                  for a, b in itertools.combinations_with_replacement(
-                      vectors, 2)]
-        checked += [
-            (tri, v) for v in list(vectors) + summed
-            if is_admissible(v) and not any(
-                _edge_w(v[7 * t: 7 * t + 7], a, b)
-                for t, (a, b) in reversed_edges)]
-    assert (len(inverted), len(checked)) == (6, 253 + 30)
 
     for tri, v in checked:
         c = euler_coefficients(tri)

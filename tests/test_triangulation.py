@@ -72,7 +72,6 @@ def test_skeleton_counts_10(tri10, skel10):
     assert vc.degree == 40 and vc.boundary
     assert len(skel10.edge_classes) == 12
     assert sum(ec.degree for ec in skel10.edge_classes) == 60
-    assert not any(ec.inverted for ec in skel10.edge_classes)
     assert len(list(tri10.interior_pairs())) == 19
 
 
@@ -81,7 +80,6 @@ def test_skeleton_counts_12(tri12, skel12):
     assert sorted(vc.degree for vc in skel12.vertex_classes) == [2, 46]
     assert len(skel12.edge_classes) == 13
     assert sum(ec.degree for ec in skel12.edge_classes) == 72
-    assert not any(ec.inverted for ec in skel12.edge_classes)
     assert len(list(tri12.interior_pairs())) == 24
 
 
@@ -119,11 +117,16 @@ def test_solid_torus_skeleton():
 def test_inverted_edge_class_detected():
     tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
                         infer_reciprocals=True)
-    assert validate(tri) == []
-    skel = compute_skeleton(tri)
-    inverted = [ec for ec in skel.edge_classes if ec.inverted]
-    assert [member_names(tri, ec) for ec in inverted] == [
-        frozenset({"s(01)"})]
+    # the gluings are consistent, but the one edge class of s(01) is
+    # glued to itself reversed, so no 3-manifold has this triangulation
+    message = "edge class of s(01) is glued to itself reversed"
+    assert validate(tri) == [message]
+    with pytest.raises(TriangulationError, match=re.escape(message)):
+        compute_skeleton(tri)
+    refusal = re.escape(f"invalid triangulation: {message}")
+    for refused in (tri.require_valid, lambda: tri.skeleton):
+        with pytest.raises(TriangulationError, match=refusal):
+            refused()
 
 
 def test_validate_self_gluing():
