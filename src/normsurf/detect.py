@@ -8,9 +8,12 @@ the admissible fundamental solutions, and scan them for a connected
 closed surface of Euler characteristic 2 that separates the components.
 Finding one proves SPLIT; exhausting the list proves NOT_SPLIT.
 
-Both decisions read one screened scan (`_screened`) of an admissible
-enumeration: a surface's Euler characteristic and closedness are
+Both decisions scan admissible solutions through one screen
+(`_screened`): a surface's Euler characteristic and closedness are
 linear in its vector, so they rule vectors out before analyze runs.
+The split check scans the vertex solutions of the double description
+first, and the fundamental solutions only when none of them splits
+(split_link_check); the disk filter scans the fundamental solutions.
 
 The paper's two unknot algorithms are unknot_via_pushoff and
 filter_unknotting_disks. The first uses that a knot is trivial exactly
@@ -28,11 +31,12 @@ fundamental one (Haken 1961).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .curves2d import curve_components
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
-from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
+from .hilbert import (DEFAULT_MAX_CANDIDATES, _Budget, _face_stage,
+                      _vertex_solutions, _vertex_stage, enumerate_fundamental)
 from .homology import verify_zero_pushoff
 from .matching import (NormalVector, boundary_meeting_variables,
                        restrict_to_link)
@@ -57,9 +61,21 @@ class Verdict:
     witness is present exactly when the answer is SPLIT or UNKNOTTED:
     the splitting sphere, re-verified to be an admissible solution that
     is closed, connected, has Euler characteristic 2, and separates the
-    link components. searched_count is the number of admissible
-    fundamental surfaces examined. diagnostics carries the resource
-    report for UNKNOWN verdicts.
+    link components. It is the lexicographically first splitting vertex
+    solution when one exists, and otherwise the first splitting
+    fundamental solution.
+
+    searched_count counts the surfaces examined, in the order scanned:
+      - SPLIT from a vertex solution: the vertex solutions up to and
+        including the witness;
+      - SPLIT from the fundamental scan: the fundamental solutions up to
+        and including the witness;
+      - NOT_SPLIT: all the admissible fundamental solutions;
+      - UNKNOWN: 0 when the double description ran out of budget, and
+        all the vertex solutions, none of them splitting, when the face
+        stage did.
+    diagnostics carries the resource report for UNKNOWN verdicts, and
+    names the stage that ran out.
     """
 
     answer: str
@@ -69,20 +85,35 @@ class Verdict:
 
 
 def _screened(tri: Triangulation, vectors: Iterable[NormalVector],
-              chi: int, closed: bool
+              chi: int, closed: bool, skip: Container[NormalVector] = ()
               ) -> Iterator[tuple[int, NormalVector, SurfaceReport]]:
     """(position, v, analyze(tri, v)) for each v, all admissible, that
     may carry a surface of Euler characteristic chi, closed or not as
     asked: analyze's euler is the Euler form times v, and the surface is
     closed exactly when v is zero on boundary_meeting_variables. The
     form is exact because a valid triangulation glues no edge class to
-    itself reversed (`euler_coefficients`)."""
+    itself reversed (`euler_coefficients`). Vectors in skip, which an
+    earlier scan has ruled out, keep their positions but are not
+    analyzed."""
     euler = tri.euler_coefficients
     boundary = sorted(boundary_meeting_variables(tri))
     for position, v in enumerate(vectors):
-        if (sum(c * x for c, x in zip(euler, v)) == chi
+        if (v not in skip and sum(c * x for c, x in zip(euler, v)) == chi
                 and closed != any(v[i] for i in boundary)):
             yield position, v, analyze(tri, v)
+
+
+def _first_splitting(tri: Triangulation, link: LinkSpec,
+                     vectors: Sequence[NormalVector],
+                     skip: Container[NormalVector] = ()) -> Optional[int]:
+    """The position of the first of vectors that is a connected closed
+    surface of Euler characteristic 2 separating the link components,
+    None when there is none (vectors in skip are passed over)."""
+    for position, v, report in _screened(tri, vectors, 2, True, skip):
+        if (report.closed and report.components == 1 and report.euler == 2
+                and separates(tri, v, link)):
+            return position
+    return None
 
 
 def split_link_check(
@@ -94,40 +125,65 @@ def split_link_check(
 ) -> Verdict:
     """Decide whether a two-component link is split.
 
-    Enumerates the admissible fundamental solutions of the matching
-    system restricted to surfaces disjoint from the link, in ascending
-    lexicographic order, and returns SPLIT with the first witness that
-    is closed, connected, has Euler characteristic 2, and separates the
-    two components. Exhausting the list without a witness proves
-    NOT_SPLIT, because a split link always admits a fundamental
-    splitting sphere. If enumeration overruns max_candidates or
-    time_budget the verdict is UNKNOWN with diagnostics: an incomplete
-    scan proves nothing either way. Every scanned vector counts in
-    searched_count, but analyze runs only on those that miss the
-    boundary and whose Euler characteristic, linear in the vector, is 2.
+    Searches the admissible solutions of the matching system restricted
+    to surfaces disjoint from the link for a splitting sphere: a
+    connected closed surface of Euler characteristic 2 that separates
+    the two components. The enumeration runs in the two stages of
+    hilbert's admissible path, on one budget:
+      - The vertex stage runs the double description once per summand.
+        Its vertex solutions are scanned in ascending lexicographic
+        order, and the first splitting sphere among them is returned as
+        SPLIT. Each is the primitive vector of an admissible ray; an
+        extreme ray's is fundamental, and a witness from any other ray
+        the block pruning keeps is sound too, as every witness is
+        re-verified.
+      - Only when none splits does the face stage run, on the same rays,
+        and the admissible fundamental solutions are scanned in
+        ascending lexicographic order, each vertex solution met again
+        passed over unanalyzed. The first splitting sphere is SPLIT;
+        exhausting the list proves NOT_SPLIT, because a split link
+        always admits a fundamental splitting sphere.
+    If either stage overruns max_candidates or time_budget the verdict
+    is UNKNOWN, with diagnostics that name the stage: an incomplete
+    scan proves nothing either way. analyze runs only on vectors that
+    miss the boundary and whose Euler characteristic, linear in the
+    vector, is 2.
 
     Raises TriangulationError when the triangulation is invalid or the
     link does not resolve to exactly two disjoint components.
     """
     resolve_link(tri, link)  # restrict_to_link takes any component count
     restricted = restrict_to_link(tri.matching_system, tri, link)
+    budget = _Budget(max_candidates, time_budget)
     try:
-        fs = enumerate_fundamental(
-            restricted, max_candidates=max_candidates,
-            time_budget=time_budget, admissible_only=True)
+        stage = _vertex_stage(restricted, budget)
     except ResourceLimitExceeded as exc:
         return Verdict(
             answer=UNKNOWN, witness=None, searched_count=0,
             diagnostics=(
-                f"fundamental enumeration exceeded its budget after "
+                f"the vertex stage (double description) exceeded its "
+                f"budget after {exc.candidates} candidates, before any "
+                f"surface was scanned: {exc}"))
+    vertices = _vertex_solutions(stage)
+    position = _first_splitting(tri, link, vertices)
+    if position is not None:
+        return Verdict(answer=SPLIT, witness=vertices[position],
+                       searched_count=position + 1)
+    try:
+        vectors = sorted(set(_face_stage(restricted, stage, budget)))
+    except ResourceLimitExceeded as exc:
+        return Verdict(
+            answer=UNKNOWN, witness=None, searched_count=len(vertices),
+            diagnostics=(
+                f"none of the {len(vertices)} vertex solutions splits; "
+                f"the face stage exceeded its budget after "
                 f"{exc.candidates} candidates: {exc}"))
-    for position, v, report in _screened(tri, fs.vectors, 2, closed=True):
-        if (report.closed and report.components == 1 and report.euler == 2
-                and separates(tri, v, link)):
-            return Verdict(answer=SPLIT, witness=v,
-                           searched_count=position + 1)
+    position = _first_splitting(tri, link, vectors, skip=set(vertices))
+    if position is not None:
+        return Verdict(answer=SPLIT, witness=vectors[position],
+                       searched_count=position + 1)
     return Verdict(answer=NOT_SPLIT, witness=None,
-                   searched_count=len(fs.vectors))
+                   searched_count=len(vectors))
 
 
 def _require_null_pushoff(tri: Triangulation, pushoff: LinkComponent,

@@ -8,13 +8,19 @@ minimal nonzero members under coordinatewise order, since the
 difference of two comparable solutions is a solution (the set is not
 closed downward). This module enumerates them in two ways:
 
-  - The admissible members (admissible_only=True), primally: the
-    double description gives the solution cone's admissible rays; the
-    faces that coherent quad choices cut out cover every admissible
-    solution; each face is triangulated on its rays, and its Hilbert
-    basis read off the simplices' fundamental parallelepipeds
-    (_enumerate_admissible_primal), once per interaction component
-    (_summands).
+  - The admissible members (admissible_only=True), primally, in two
+    stages over the interaction components (_summands):
+      - the vertex stage (_vertex_stage): the integer kernel and the
+        double description give each summand's admissible rays, whose
+        primitive vectors are the vertex solutions, each extreme one
+        fundamental;
+      - the face stage (_face_stage), on the vertex stage's own rays:
+        the faces that coherent quad choices cut out cover every
+        admissible solution; each face is triangulated on its rays, and
+        its Hilbert basis read off the simplices' fundamental
+        parallelepipeds.
+    detect.split_link_check scans the vertex solutions between the two
+    stages, and runs the face stage only when none of them splits.
   - The full basis (and systems without quad triples), by completion
     search: equations are imposed one at a time on a generating set,
     after reductions that shrink but do not change the monoid up to
@@ -960,9 +966,16 @@ def _parallelepiped(kernel_rays: Sequence[Sequence[int]],
     return points
 
 
-def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
-                                 ) -> list[tuple[int, ...]]:
-    """Admissible fundamental solutions from triangulated faces.
+# One summand's vertex stage, as _admissible_rays returns it: kernel
+# coordinates, normal coordinates and quad patterns of its rays.
+_Rays = tuple[list[tuple[int, ...]], list[tuple[int, ...]],
+              list[frozenset[int]]]
+
+
+def _face_basis(rays: _Rays, quad_triples: Sequence[tuple[int, int, int]],
+                budget: _Budget) -> list[tuple[int, ...]]:
+    """Admissible fundamental solutions of one summand, from triangulated
+    faces of its admissible rays.
 
     Every summand of a nonnegative combination is bounded by the total,
     so an extreme ray of the solution cone carrying two quad types in
@@ -991,21 +1004,15 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
     simplex's index (its parallelepiped's lattice points, zero included)
     before the points are built; the triangulation checks the deadline
     at every step.
-
-    enumerate_fundamental calls this once per interaction component
-    (_summands). Run whole on a direct sum, the cone is the product of
-    the summands' cones, its faces products and its simplices joins;
-    run per component, the basis is the union of the summands' and the
-    work the sum of theirs (_interaction_components).
     """
-    kernel_rays, normals, patterns = _admissible_rays(sys, budget)
+    kernel_rays, normals, patterns = rays
     if not kernel_rays:
         return []
     zero_masks = {sum(1 << r for r, x in enumerate(column) if not x)
                   for column in zip(*normals)}
     memo: dict[int, list[tuple[int, ...]]] = {}
     points: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for face in _faces(patterns, sys.quad_triples):
+    for face in _faces(patterns, quad_triples):
         members = _bits(face)
         budget.charge(len(members))
         rank = len(_independent([kernel_rays[r] for r in members]))
@@ -1018,6 +1025,51 @@ def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
     _require_int64(max(map(max, candidates)), "a normal coordinate")
     rows = _minimal_rows(np.array(candidates, dtype=np.int64), budget)
     return [tuple(row) for row in rows.tolist()]
+
+
+def _vertex_stage(sys: MatchingSystem, budget: _Budget) -> list[_Rays]:
+    """The vertex stage of the admissible search: the admissible rays of
+    each summand of sys (_summands), in order, on one budget. The double
+    description runs here, once per summand.
+
+    The rays' normal coordinates are the vertex solutions
+    (_vertex_solutions). A ray is primitive in kernel coordinates, and
+    the kernel basis is a basis of the lattice of integer solutions, so
+    its normal vector is the primitive solution on the ray. On an
+    extreme ray that vector is irreducible, as both terms of a sum equal
+    to it lie on the ray, so it is fundamental. With block pruning,
+    _extreme_rays may also return other group-respecting rays, whose
+    vectors need not be fundamental; a caller that takes a vertex
+    solution as a witness re-verifies it.
+    """
+    return [_admissible_rays(part, budget) for part in _summands(sys)]
+
+
+def _vertex_solutions(stage: Sequence[_Rays]) -> list[tuple[int, ...]]:
+    """The distinct normal vectors of the vertex stage's rays, sorted."""
+    return sorted({v for _, normals, _ in stage for v in normals})
+
+
+def _face_stage(sys: MatchingSystem, stage: Sequence[_Rays],
+                budget: _Budget) -> list[tuple[int, ...]]:
+    """The face stage of the admissible search: each summand's admissible
+    fundamental solutions from the vertex stage's rays (_face_basis),
+    concatenated."""
+    return [v for rays in stage
+            for v in _face_basis(rays, sys.quad_triples, budget)]
+
+
+def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
+                                 ) -> list[tuple[int, ...]]:
+    """Admissible fundamental solutions: the vertex stage, then the face
+    stage on its rays.
+
+    Run whole on a direct sum, the cone is the product of the summands'
+    cones, its faces products and its simplices joins; run per
+    interaction component, the basis is the union of the summands' and
+    the work the sum of theirs (_interaction_components).
+    """
+    return _face_stage(sys, _vertex_stage(sys, budget), budget)
 
 
 def _summands(sys: MatchingSystem) -> list[MatchingSystem]:
@@ -1075,20 +1127,21 @@ def enumerate_fundamental(
     without the full basis: faces of the solution cone that allow one
     quad choice per block cover the admissible solutions, and each face
     is triangulated and its simplices' fundamental parallelepipeds
-    enumerated (see _enumerate_admissible_primal), which is usually far
-    cheaper. Otherwise, and for systems without quad triples, the
-    completion search runs on the whole system.
+    enumerated, which is usually far cheaper. This is the vertex stage
+    then the face stage (_enumerate_admissible_primal). Otherwise, and
+    for systems without quad triples, the completion search runs on the
+    whole system.
 
     Both paths go one interaction component at a time on one budget:
     a system whose variables split into blocks that no equation or quad
     triple joins is the direct sum of the blocks, so its basis is the
     union of theirs and candidates_examined the sum of their work
-    (_interaction_components, _summands).
+    (_interaction_components, _summands). The admissible path runs the
+    double description of every block before it triangulates any face.
     """
     budget = _Budget(max_candidates, time_budget)
     if admissible_only and sys.quad_triples:
-        solutions = [v for part in _summands(sys)
-                     for v in _enumerate_admissible_primal(part, budget)]
+        solutions = _enumerate_admissible_primal(sys, budget)
     else:
         red = _Reduction(sys.variable_count,
                          [_quadruple_to_row(eq) for eq in sys.equations],

@@ -414,6 +414,16 @@ def test_resource_cap_exits_3(capsys, fixture_dir):
     assert err.startswith("resource cap exceeded:")
 
 
+def test_split_witness_within_a_cap_below_the_full_enumeration(
+        capsys, fixture_dir):
+    # the witness is a vertex solution, found before the face stage
+    # would pass the cap (the full enumeration charges 230,448)
+    argv = HUMAN_COMMANDS["split-witness"] + ["--max-candidates", "230300"]
+    code, out, _ = run_cli(capsys, fixture_dir, argv)
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: SPLIT"
+
+
 def test_out_of_memory_exits_3(capsys, fixture_dir, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 755. MiB for an array")

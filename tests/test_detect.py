@@ -127,6 +127,7 @@ def test_link_must_have_two_components(tri12, kept, monkeypatch):
         raise AssertionError("enumerated a one-component link")
 
     monkeypatch.setattr(detect, "enumerate_fundamental", never)
+    monkeypatch.setattr(detect, "_vertex_stage", never)
     lone = LinkSpec(components=(fig8_link().components[kept],))
     with pytest.raises(TriangulationError, match="exactly 2 components"):
         split_link_check(tri12, lone)
@@ -137,6 +138,74 @@ def test_budget_gives_unknown(tri12):
     assert verdict.answer == "UNKNOWN"
     assert verdict.witness is None
     assert "budget" in verdict.diagnostics
+
+
+# The split-pair witness: the vertex link sphere of copy A, every
+# coordinate 0 or 1. On disconnected_pair the double description of both
+# summands charges 230,207 candidates, and the whole admissible
+# enumeration 230,448.
+PAIR_WITNESS_SUPPORT = (
+    0, 1, 2, 3, 7, 8, 9, 10, 14, 15, 16, 17, 21, 22, 23, 24, 28, 29, 30, 31,
+    35, 36, 37, 38, 42, 43, 44, 45, 49, 50, 51, 52, 56, 57, 58, 59, 63, 64,
+    65, 66, 71, 72, 73, 78, 79, 80)
+
+
+@pytest.mark.parametrize("cap", [230_207, 230_300, 230_447])
+def test_split_found_among_vertex_solutions_within_the_cap(cap, disc_tri,
+                                                           disc_link):
+    # the witness is a vertex solution, so a cap that the double
+    # description fits but the face stage would pass still gives SPLIT
+    verdict = split_link_check(disc_tri, disc_link, max_candidates=cap)
+    assert (verdict.answer, verdict.searched_count) == ("SPLIT", 53)
+    assert [i for i, x in enumerate(verdict.witness) if x] == \
+        list(PAIR_WITNESS_SUPPORT)
+    assert set(verdict.witness) == {0, 1}
+
+
+def test_vertex_stage_overrun_is_unknown(disc_tri, disc_link):
+    verdict = split_link_check(disc_tri, disc_link, max_candidates=230_206)
+    assert (verdict.answer, verdict.witness, verdict.searched_count) == \
+        ("UNKNOWN", None, 0)
+    assert "vertex stage (double description) exceeded" in \
+        verdict.diagnostics
+    assert "230207 candidates" in verdict.diagnostics
+
+
+def test_face_stage_overrun_reports_the_vertex_scan(tri12):
+    # the restricted 12-tet's double description charges 64 candidates
+    # and its 3 vertex solutions do not split, so the first face passes
+    # the cap
+    verdict = split_link_check(tri12, fig8_link(), max_candidates=64)
+    assert (verdict.answer, verdict.witness, verdict.searched_count) == \
+        ("UNKNOWN", None, 3)
+    assert verdict.diagnostics.startswith(
+        "none of the 3 vertex solutions splits; the face stage exceeded")
+
+
+@pytest.mark.parametrize("decide", ["knot", "longitude", "pair in one copy"])
+def test_no_work_is_done_twice(decide, tri12, disc_tri, monkeypatch):
+    # "pair in one copy" puts the knot and its pushoff in copy A: copy B's
+    # vertex link sphere passes the screen in the vertex scan and fails
+    # separates, and is met again, unanalyzed, in the fundamental scan
+    tri, link, expected = {
+        "knot": (tri12, fig8_link(), ("NOT_SPLIT", 3)),
+        "longitude": (tri12, LinkSpec(components=(
+            fig8_link().components[0], fig8_longitude_cycle())),
+            ("NOT_SPLIT", 12)),
+        "pair in one copy": (disc_tri, LinkSpec(components=(
+            IdealVertex(tet="A.h1", vertex=0),
+            EdgeCycle(edges=(("A.b1*", (1, 3)),)))), ("NOT_SPLIT", 54)),
+    }[decide]
+    summands = len(hilbert._summands(
+        matching.restrict_to_link(tri.matching_system, tri, link)))
+    double_descriptions = count_calls(monkeypatch, hilbert._extreme_rays)
+    analyzed = count_calls(monkeypatch, surface.analyze)
+    verdict = split_link_check(tri, link)
+    assert (verdict.answer, verdict.searched_count) == expected
+    assert len(double_descriptions) == summands
+    vectors = [args[1] for args in analyzed]
+    assert len(vectors) == len(set(vectors))
+    assert len(vectors) == (decide == "pair in one copy")
 
 
 def test_unknot_requires_verified_pushoff(tri12, tri10):

@@ -182,6 +182,18 @@ def fixture_systems():
 
 
 @pytest.mark.parametrize("name", sorted(fixture_systems()))
+def test_vertex_solutions_are_fundamental(name):
+    # block pruning may keep group-respecting rays that are not extreme,
+    # whose vectors need not be fundamental; on the fixtures it keeps none
+    sys = fixture_systems()[name]
+    budget = _Budget(hilbert.DEFAULT_MAX_CANDIDATES, None)
+    vertices = hilbert._vertex_solutions(hilbert._vertex_stage(sys, budget))
+    fs = enumerate_fundamental(sys, admissible_only=True)
+    assert vertices and set(vertices) <= set(fs.vectors)
+    assert budget.examined < fs.candidates_examined
+
+
+@pytest.mark.parametrize("name", sorted(fixture_systems()))
 def test_admissible_basis_matches_the_completion_search(name):
     sys = fixture_systems()[name]
     assert sys.quad_triples
