@@ -192,8 +192,7 @@ def _verdict_result(tri: Triangulation, verdict: Verdict,
         "diagnostics": verdict.diagnostics,
     }
     lines = [f"verdict: {verdict.answer}",
-             f"searched: {verdict.searched_count} admissible fundamental "
-             f"surfaces"]
+             f"searched: {verdict.searched_count} admissible surfaces"]
     if verdict.witness is not None:
         lines.append(f"{witness_label}: {_blocks_line(tri, verdict.witness)}")
     if verdict.diagnostics:

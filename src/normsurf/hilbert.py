@@ -29,11 +29,15 @@ closed downward). This module enumerates them in two ways:
     whole cone took 19.6 s (93 rays, 56,888 simplices, 24,303
     parallelepiped points) against 0.057 s for the completion search.
     Its minimality tests compare rows packed several columns to a
-    uint64 word, a few words per pair of rows (_dominated).
+    uint64 word, a few words per pair of rows (_dominated). A test with
+    an empty side costs nothing, the packing layout is built once per
+    value range and width, and the self-test of _minimal_rows compares
+    each sorted row only with the rows up to it.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -288,11 +292,14 @@ def _count_matches(rows: np.ndarray, anchors: np.ndarray,
     rows against blocks of anchors, so that no broadcast temporary
     holds more than about _CHUNK elements (one row and one anchor when
     a single row is longer than that). The budget's deadline is checked
-    before each block.
+    before each block, so never when either side is empty.
 
     _dominated calls it only for values too far apart to pack, with
-    w-wide boolean temporaries of about _CHUNK bytes; its packed test
-    keeps its own blocks, sized in bytes of uint64.
+    both sides nonempty and w-wide boolean temporaries of about _CHUNK
+    bytes; it compares every row with every anchor, also for the
+    self-test of _minimal_rows, whose counts are the same either way.
+    _dominated's packed test keeps its own blocks, sized in bytes of
+    uint64.
     """
     counts = np.zeros(len(rows), dtype=np.intp)
     span = max(1, _CHUNK // max(1, anchors.shape[1]))
@@ -306,17 +313,38 @@ def _count_matches(rows: np.ndarray, anchors: np.ndarray,
     return counts
 
 
-def _dominated(rows: np.ndarray, anchors: np.ndarray,
-               budget: _Budget) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _layout(bits: int, columns: int) -> tuple[np.ndarray, np.uint64]:
+    """The packing layout of _dominated for values whose range has bit
+    length `bits`, in rows of `columns` columns: the words x columns
+    `place` matrix, whose product with a row's columns is its packed
+    words, and the guard word. `place` is cached and so read-only."""
+    field = bits + 1
+    per = 64 // field
+    words = -(-columns // per) or 1
+    col = np.arange(columns)
+    place = np.zeros((words, columns), dtype=np.uint64)
+    place[col // per, col] = np.uint64(1) << (col % per * field).astype(
+        np.uint64)
+    place.flags.writeable = False
+    return place, np.uint64(sum(1 << (bits + field * i) for i in range(per)))
+
+
+def _dominated(rows: np.ndarray, anchors: np.ndarray, budget: _Budget,
+               triangular: bool = False) -> np.ndarray:
     """For each row, the number of anchor rows it is coordinatewise >=.
 
-    Both int64 arrays are packed into uint64 words and compared a whole
-    word at a time, several fields to a word (L. Lamport, "Multiple
-    byte processing with full-word instructions", CACM 18, 1975):
-      - bits is the bit length of the range max - min of both arrays.
-        Each column gets a field of bits + 1 bits, per = 64 // (bits + 1)
-        of them to a word: column j in word j // per, at bit
-        s = (bits + 1) * (j % per).
+    When either side is empty every count is 0, and the zeros are
+    returned at once: no set-up is paid and the deadline is not checked.
+    Otherwise both int64 arrays are packed into uint64 words and
+    compared a whole word at a time, several fields to a word (L.
+    Lamport, "Multiple byte processing with full-word instructions",
+    CACM 18, 1975):
+      - bits is the bit length of the range max - min of both arrays
+        (of the rows alone when the anchors are the rows). Each column
+        gets a field of bits + 1 bits, per = 64 // (bits + 1) of them to
+        a word: column j in word j // per, at bit s = (bits + 1) *
+        (j % per).
       - A row's word is the sum of (x + 2**bits) * 2**s over its
         fields, and an anchor's the sum of a * 2**s, both modulo 2**64;
         the fields past the last column hold 2**bits in a row, 0 in an
@@ -328,12 +356,20 @@ def _dominated(rows: np.ndarray, anchors: np.ndarray,
         exactly when r >= a. So a row is >= an anchor exactly when the
         AND of their word differences has every guard bit set.
     Packing is one unsigned matrix product, whose wraparound modulo
-    2**64 cancels in the differences.
+    2**64 cancels in the differences. Its `place` matrix and the guard
+    word depend only on bits and the column count, and are built once
+    for each pair of them (_layout).
 
     Past bits = 62 the columns are compared one by one through
     _count_matches: bits = 63 would still pack, one field to a word,
     but then a word saves nothing over a column, and a range of 2**63
     or more (bits = 64) leaves no room for a guard bit.
+
+    triangular says that the anchors are the rows themselves, distinct
+    and in lexicographic order, as in _minimal_rows. Each block of rows
+    is then compared only with the anchors up to its own last row: a
+    row r >= a, r != a, is lexicographically after a, so no row is >=
+    a later one, and the counts are those of the full comparison.
 
     The rows are packed once and the anchors one block at a time, both
     word-major. Blocks are sized in bytes: no packed anchor block and
@@ -341,20 +377,16 @@ def _dominated(rows: np.ndarray, anchors: np.ndarray,
     than about _CHUNK bytes. The budget's deadline is checked before
     each block.
     """
-    ends = [int(end) for a in (rows, anchors) if a.size
+    if not len(rows) or not len(anchors):
+        return np.zeros(len(rows), dtype=np.intp)
+    ends = [int(end) for a in ((rows,) if anchors is rows else
+                               (rows, anchors)) if a.size
             for end in (a.min(), a.max())]
     bits = (max(ends, default=0) - min(ends, default=0)).bit_length()
     if bits > 62:
         return _count_matches(rows, anchors, lambda r, a: (r >= a).all(2),
                               budget)
-    field = bits + 1
-    per = 64 // field
-    words = -(-rows.shape[1] // per) or 1
-    col = np.arange(rows.shape[1])
-    place = np.zeros((words, rows.shape[1]), dtype=np.uint64)
-    place[col // per, col] = np.uint64(1) << (col % per * field).astype(
-        np.uint64)
-    guards = np.uint64(sum(1 << (bits + field * i) for i in range(per)))
+    place, guards = _layout(bits, rows.shape[1])
 
     def pack(block):
         return place @ np.asarray(block, dtype=np.int64).view(np.uint64).T
@@ -362,15 +394,17 @@ def _dominated(rows: np.ndarray, anchors: np.ndarray,
     packed_rows = pack(rows)
     packed_rows += guards
     counts = np.zeros(len(rows), dtype=np.intp)
-    span = max(1, _CHUNK // (8 * words))
+    span = max(1, _CHUNK // (8 * len(place)))
     for at in range(0, len(anchors), span):
         block = pack(anchors[at:at + span])
         step = max(1, _CHUNK // (8 * block.shape[1]))
-        for lo in range(0, len(rows), step):
+        for lo in range(at - at % step if triangular else 0, len(rows),
+                        step):
             budget.check_time()
-            kept = packed_rows[0, lo:lo + step, None] - block[0]
-            for w in range(1, words):
-                kept &= packed_rows[w, lo:lo + step, None] - block[w]
+            part = block[:, :lo + step - at] if triangular else block
+            kept = packed_rows[0, lo:lo + step, None] - part[0]
+            for w in range(1, len(place)):
+                kept &= packed_rows[w, lo:lo + step, None] - part[w]
             kept &= guards
             counts[lo:lo + step] += (kept == guards).sum(1)
     return counts
@@ -382,13 +416,15 @@ def _minimal_rows(rows: np.ndarray, budget: _Budget) -> np.ndarray:
 
     Sorting puts equal rows next to each other, so one comparison of
     neighbours deduplicates them; after that a row is minimal exactly
-    when the only row it is above is itself.
+    when the only row it is above is itself. As a row is above only
+    rows at or before it in this order, the self-test is triangular
+    (_dominated), about half the pairs of a full one.
     """
     rows = rows[np.lexsort(rows.T[::-1])]
     keep = rows.any(axis=1)
     keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
     rows = rows[keep]
-    return rows[_dominated(rows, rows, budget) == 1]
+    return rows[_dominated(rows, rows, budget, triangular=True) == 1]
 
 
 def _merge_antichain(antichain: np.ndarray, rows: np.ndarray,

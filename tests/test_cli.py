@@ -72,7 +72,7 @@ HUMAN_DIGESTS = {
     "skeleton":
         "c30eea0e6407a737ea8210ec65da1b0820c26ca6b6524c3ae143f0360498b903",
     "split-witness":
-        "e5e41299e33bb673832e6c69cf8ef35966a1086034e85c493bea40643e0e3591",
+        "811a93286262fba60ae7b84f39cf002ed1284ce8d3da5af5d4ded681483770b8",
     "validate":
         "0c042d78889d65192946656f0ab24936f4c68df6ed87945029d54d5b4049a185",
 }

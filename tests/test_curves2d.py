@@ -1,10 +1,13 @@
 """Normal curves on triangulated surfaces, checked against the oracles."""
 
+import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from normsurf import curves2d
 from normsurf.curves2d import (SurfaceTriangulation, analyze_curve,
                                build_matching_system_2d,
                                connect_boundary_points, parse_surface,
@@ -77,6 +80,35 @@ def test_connect_boundary_points_on_square():
         assert analyze_curve(surf, v).components == 1
     assert connect_boundary_points(surf, ("B", (1, 2)), ("B", (2, 1))) \
         == (0,) * 6
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# (candidates_examined, number of vectors) of the full basis behind
+# connect_boundary_points on bench/gen.py's 3 x 3 grids, built with
+# random.Random(1), and whether the query found a path: the two queries
+# the dual-basis workload times
+GRID_WORK = {
+    "grid_surface": (4_713, 113, True),
+    "disjoint_grids": (4_518, 103, False),
+}
+
+
+@pytest.mark.parametrize("make", sorted(GRID_WORK))
+def test_grid_queries_pin_the_completion_work(make, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    gen = importlib.import_module("gen")
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(enumerate_fundamental(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(curves2d, "enumerate_fundamental", spy)
+    doc, p, q = getattr(gen, make)(3, random.Random(1))
+    v = connect_boundary_points(parse_surface(json.dumps(doc)), p, q)
+    [fs] = seen
+    assert (fs.candidates_examined, len(fs.vectors), v is not None) == \
+        GRID_WORK[make]
 
 
 def test_connect_rejects_interior_edge():

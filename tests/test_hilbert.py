@@ -564,6 +564,55 @@ def test_dominance_kernel_matches_pairwise_comparison(chunk, monkeypatch):
             for r in rows]
 
 
+def test_minimal_rows_span_several_anchor_blocks():
+    # 24 columns of values below 40 pack 9 or 10 to a word, three words
+    # to a row, so an anchor block holds _CHUNK // 24 = 1,365 rows: the
+    # triangular self-test slices anchors in more than one block
+    rng = np.random.default_rng(11)
+    base = rng.integers(0, 20, size=(900, 24))
+    above = base[rng.integers(0, 900, size=1_100)] + \
+        (rng.random((1_100, 24)) < 0.1) * rng.integers(0, 20, size=(1_100, 24))
+    rows = np.vstack([above, base, base[:50], np.zeros((3, 24), np.int64)])
+    rng.shuffle(rows)
+    distinct = np.unique(rows[rows.any(1)], axis=0)
+    assert len(distinct) >= 1_500
+    assert len(hilbert._layout(int(rows.max()).bit_length(), 24)[0]) == 3
+    assert len(distinct) > hilbert._CHUNK // (8 * 3)
+    counts = np.concatenate([
+        (distinct[lo:lo + 64, None] >= distinct[None]).all(2).sum(1)
+        for lo in range(0, len(distinct), 64)])
+    expected = distinct[counts == 1]
+    assert 0 < len(expected) < len(distinct)
+    assert hilbert._minimal_rows(rows, _Budget(1, None)).tolist() == \
+        expected.tolist()
+
+
+def test_dominance_with_an_empty_side_needs_no_time():
+    budget = _Budget(1, None)
+    budget.deadline = time.monotonic() - 1
+    some = np.arange(12, dtype=np.int64).reshape(3, 4)
+    none = some[:0]
+    for rows, anchors in ((some, none), (none, some), (none, none)):
+        counts = hilbert._dominated(rows, anchors, budget)
+        assert counts.tolist() == [0] * len(rows)
+    assert hilbert._minimal_rows(np.zeros((2, 4), np.int64),
+                                 budget).shape == (0, 4)
+    with pytest.raises(ResourceLimitExceeded, match="time budget"):
+        hilbert._dominated(some, some, budget)
+
+
+def test_cached_packing_layout_is_read_only():
+    rows = np.arange(20, dtype=np.int64).reshape(4, 5)
+    expected = hilbert._dominated(rows, rows[::-1], _Budget(1, None))
+    key = int(rows.max()).bit_length(), 5
+    place = hilbert._layout(*key)[0]
+    assert hilbert._layout(*key)[0] is place
+    with pytest.raises(ValueError, match="read-only"):
+        place[0, 0] = 0
+    assert hilbert._dominated(rows, rows[::-1], _Budget(1, None)).tolist() \
+        == expected.tolist() == [1, 2, 3, 4]
+
+
 def test_lift_without_both_signs_keeps_the_zero_rows():
     H = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
                  dtype=np.int64)
