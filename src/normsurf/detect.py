@@ -11,8 +11,9 @@ Finding one proves SPLIT; exhausting the list proves NOT_SPLIT.
 Both decisions scan admissible solutions through one screen
 (`_screened`): a surface's Euler characteristic and closedness are
 linear in its vector, so they rule vectors out before analyze runs.
-The split check scans the vertex solutions of the double description
-first, and the fundamental solutions only when none of them splits
+The split check reads one generator (hilbert._admissible_stages): it
+scans the vertex solutions of the double description first, and
+resumes for the fundamental solutions only when none of them splits
 (split_link_check); the disk filter scans the fundamental solutions.
 
 The paper's two unknot algorithms are unknot_via_pushoff and
@@ -35,8 +36,8 @@ from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .curves2d import curve_components
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
-from .hilbert import (DEFAULT_MAX_CANDIDATES, _Budget, _face_stage,
-                      _vertex_solutions, _vertex_stage, enumerate_fundamental)
+from .hilbert import (DEFAULT_MAX_CANDIDATES, _Budget, _admissible_stages,
+                      enumerate_fundamental)
 from .homology import verify_zero_pushoff
 from .matching import (NormalVector, boundary_meeting_variables,
                        restrict_to_link)
@@ -128,8 +129,8 @@ def split_link_check(
     Searches the admissible solutions of the matching system restricted
     to surfaces disjoint from the link for a splitting sphere: a
     connected closed surface of Euler characteristic 2 that separates
-    the two components. The enumeration runs in the two stages of
-    hilbert's admissible path, on one budget:
+    the two components. One loop scans the two stages that hilbert's
+    admissible search yields (_admissible_stages), on one budget:
       - The vertex stage runs the double description once per summand.
         Its vertex solutions are scanned in ascending lexicographic
         order, and the first splitting sphere among them is returned as
@@ -144,10 +145,10 @@ def split_link_check(
         exhausting the list proves NOT_SPLIT, because a split link
         always admits a fundamental splitting sphere.
     If either stage overruns max_candidates or time_budget the verdict
-    is UNKNOWN, with diagnostics that name the stage: an incomplete
-    scan proves nothing either way. analyze runs only on vectors that
-    miss the boundary and whose Euler characteristic, linear in the
-    vector, is 2.
+    is UNKNOWN, with diagnostics that name the stage by how many stages
+    finished: an incomplete scan proves nothing either way. analyze runs
+    only on vectors that miss the boundary and whose Euler
+    characteristic, linear in the vector, is 2.
 
     Raises TriangulationError when the triangulation is invalid or the
     link does not resolve to exactly two disjoint components.
@@ -155,35 +156,27 @@ def split_link_check(
     resolve_link(tri, link)  # restrict_to_link takes any component count
     restricted = restrict_to_link(tri.matching_system, tri, link)
     budget = _Budget(max_candidates, time_budget)
+    scanned: list[list[NormalVector]] = []  # stages without a witness
     try:
-        stage = _vertex_stage(restricted, budget)
+        for vectors in _admissible_stages(restricted, budget):
+            position = _first_splitting(tri, link, vectors,
+                                        set(scanned[-1] if scanned else ()))
+            if position is not None:
+                return Verdict(answer=SPLIT, witness=vectors[position],
+                               searched_count=position + 1)
+            scanned.append(vectors)
     except ResourceLimitExceeded as exc:
+        searched = len(scanned[0]) if scanned else 0
+        overrun = f"exceeded its budget after {exc.candidates} candidates"
         return Verdict(
-            answer=UNKNOWN, witness=None, searched_count=0,
+            answer=UNKNOWN, witness=None, searched_count=searched,
             diagnostics=(
-                f"the vertex stage (double description) exceeded its "
-                f"budget after {exc.candidates} candidates, before any "
-                f"surface was scanned: {exc}"))
-    vertices = _vertex_solutions(stage)
-    position = _first_splitting(tri, link, vertices)
-    if position is not None:
-        return Verdict(answer=SPLIT, witness=vertices[position],
-                       searched_count=position + 1)
-    try:
-        vectors = sorted(set(_face_stage(restricted, stage, budget)))
-    except ResourceLimitExceeded as exc:
-        return Verdict(
-            answer=UNKNOWN, witness=None, searched_count=len(vertices),
-            diagnostics=(
-                f"none of the {len(vertices)} vertex solutions splits; "
-                f"the face stage exceeded its budget after "
-                f"{exc.candidates} candidates: {exc}"))
-    position = _first_splitting(tri, link, vectors, skip=set(vertices))
-    if position is not None:
-        return Verdict(answer=SPLIT, witness=vectors[position],
-                       searched_count=position + 1)
+                f"none of the {searched} vertex solutions splits; the face "
+                f"stage {overrun}: {exc}" if scanned else
+                f"the vertex stage (double description) {overrun}, before "
+                f"any surface was scanned: {exc}"))
     return Verdict(answer=NOT_SPLIT, witness=None,
-                   searched_count=len(vectors))
+                   searched_count=len(scanned[-1]))
 
 
 def _require_null_pushoff(tri: Triangulation, pushoff: LinkComponent,

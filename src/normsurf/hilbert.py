@@ -8,19 +8,19 @@ minimal nonzero members under coordinatewise order, since the
 difference of two comparable solutions is a solution (the set is not
 closed downward). This module enumerates them in two ways:
 
-  - The admissible members (admissible_only=True), primally, in two
-    stages over the interaction components (_summands):
-      - the vertex stage (_vertex_stage): the integer kernel and the
-        double description give each summand's admissible rays, whose
-        primitive vectors are the vertex solutions, each extreme one
-        fundamental;
-      - the face stage (_face_stage), on the vertex stage's own rays:
-        the faces that coherent quad choices cut out cover every
-        admissible solution; each face is triangulated on its rays, and
-        its Hilbert basis read off the simplices' fundamental
+  - The admissible members (admissible_only=True), primally, as two
+    stages over the interaction components (_summands) that one
+    generator yields (_admissible_stages):
+      - the vertex stage: the integer kernel and the double description
+        give each summand's admissible rays, whose primitive vectors
+        are the vertex solutions, each extreme one fundamental;
+      - the face stage, only when resumed, on the same rays: the faces
+        that coherent quad choices cut out cover every admissible
+        solution; each face is triangulated on its rays, and its
+        Hilbert basis read off the simplices' fundamental
         parallelepipeds.
-    detect.split_link_check scans the vertex solutions between the two
-    stages, and runs the face stage only when none of them splits.
+    detect.split_link_check scans each yield in turn, and
+    enumerate_fundamental takes the last.
   - The full basis (and systems without quad triples), by completion
     search: equations are imposed one at a time on a generating set,
     after reductions that shrink but do not change the monoid up to
@@ -43,7 +43,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -1002,16 +1002,12 @@ def _parallelepiped(kernel_rays: Sequence[Sequence[int]],
     return points
 
 
-# One summand's vertex stage, as _admissible_rays returns it: kernel
-# coordinates, normal coordinates and quad patterns of its rays.
-_Rays = tuple[list[tuple[int, ...]], list[tuple[int, ...]],
-              list[frozenset[int]]]
-
-
-def _face_basis(rays: _Rays, quad_triples: Sequence[tuple[int, int, int]],
+def _face_basis(kernel_rays: list[tuple[int, ...]],
+                normals: list[tuple[int, ...]], patterns: list[frozenset[int]],
+                quad_triples: Sequence[tuple[int, int, int]],
                 budget: _Budget) -> list[tuple[int, ...]]:
     """Admissible fundamental solutions of one summand, from triangulated
-    faces of its admissible rays.
+    faces of its admissible rays, as _admissible_rays returns them.
 
     Every summand of a nonnegative combination is bounded by the total,
     so an extreme ray of the solution cone carrying two quad types in
@@ -1041,7 +1037,6 @@ def _face_basis(rays: _Rays, quad_triples: Sequence[tuple[int, int, int]],
     before the points are built; the triangulation checks the deadline
     at every step.
     """
-    kernel_rays, normals, patterns = rays
     if not kernel_rays:
         return []
     zero_masks = {sum(1 << r for r, x in enumerate(column) if not x)
@@ -1063,49 +1058,33 @@ def _face_basis(rays: _Rays, quad_triples: Sequence[tuple[int, int, int]],
     return [tuple(row) for row in rows.tolist()]
 
 
-def _vertex_stage(sys: MatchingSystem, budget: _Budget) -> list[_Rays]:
-    """The vertex stage of the admissible search: the admissible rays of
-    each summand of sys (_summands), in order, on one budget. The double
-    description runs here, once per summand.
+def _admissible_stages(sys: MatchingSystem, budget: _Budget
+                       ) -> Iterator[list[tuple[int, ...]]]:
+    """The admissible search in two stages on one budget, each yielded
+    distinct and sorted:
+      - the vertex solutions, the normal vectors of the admissible rays
+        of each summand of sys (_summands), the double description
+        running once per summand;
+      - only when resumed, the admissible fundamental solutions, each
+        summand's read from the same rays (_face_basis).
 
-    The rays' normal coordinates are the vertex solutions
-    (_vertex_solutions). A ray is primitive in kernel coordinates, and
-    the kernel basis is a basis of the lattice of integer solutions, so
-    its normal vector is the primitive solution on the ray. On an
-    extreme ray that vector is irreducible, as both terms of a sum equal
-    to it lie on the ray, so it is fundamental. With block pruning,
-    _extreme_rays may also return other group-respecting rays, whose
-    vectors need not be fundamental; a caller that takes a vertex
-    solution as a witness re-verifies it.
-    """
-    return [_admissible_rays(part, budget) for part in _summands(sys)]
-
-
-def _vertex_solutions(stage: Sequence[_Rays]) -> list[tuple[int, ...]]:
-    """The distinct normal vectors of the vertex stage's rays, sorted."""
-    return sorted({v for _, normals, _ in stage for v in normals})
-
-
-def _face_stage(sys: MatchingSystem, stage: Sequence[_Rays],
-                budget: _Budget) -> list[tuple[int, ...]]:
-    """The face stage of the admissible search: each summand's admissible
-    fundamental solutions from the vertex stage's rays (_face_basis),
-    concatenated."""
-    return [v for rays in stage
-            for v in _face_basis(rays, sys.quad_triples, budget)]
-
-
-def _enumerate_admissible_primal(sys: MatchingSystem, budget: _Budget
-                                 ) -> list[tuple[int, ...]]:
-    """Admissible fundamental solutions: the vertex stage, then the face
-    stage on its rays.
+    A ray is primitive in kernel coordinates, and the kernel basis is a
+    basis of the lattice of integer solutions, so its normal vector is
+    the primitive solution on the ray. On an extreme ray that vector is
+    irreducible, as both terms of a sum equal to it lie on the ray, so
+    it is fundamental. With block pruning, _extreme_rays may also return
+    other group-respecting rays, whose vectors need not be fundamental;
+    a caller that takes a vertex solution as a witness re-verifies it.
 
     Run whole on a direct sum, the cone is the product of the summands'
     cones, its faces products and its simplices joins; run per
     interaction component, the basis is the union of the summands' and
     the work the sum of theirs (_interaction_components).
     """
-    return _face_stage(sys, _vertex_stage(sys, budget), budget)
+    stage = [_admissible_rays(part, budget) for part in _summands(sys)]
+    yield sorted({v for _, normals, _ in stage for v in normals})
+    yield sorted({v for rays in stage
+                  for v in _face_basis(*rays, sys.quad_triples, budget)})
 
 
 def _summands(sys: MatchingSystem) -> list[MatchingSystem]:
@@ -1163,8 +1142,8 @@ def enumerate_fundamental(
     without the full basis: faces of the solution cone that allow one
     quad choice per block cover the admissible solutions, and each face
     is triangulated and its simplices' fundamental parallelepipeds
-    enumerated, which is usually far cheaper. This is the vertex stage
-    then the face stage (_enumerate_admissible_primal). Otherwise, and
+    enumerated, which is usually far cheaper. This is the last stage of
+    the staged admissible search (_admissible_stages). Otherwise, and
     for systems without quad triples, the completion search runs on the
     whole system.
 
@@ -1177,13 +1156,13 @@ def enumerate_fundamental(
     """
     budget = _Budget(max_candidates, time_budget)
     if admissible_only and sys.quad_triples:
-        solutions = _enumerate_admissible_primal(sys, budget)
+        *_, vectors = _admissible_stages(sys, budget)
     else:
         red = _Reduction(sys.variable_count,
                          [_quadruple_to_row(eq) for eq in sys.equations],
                          sys.forced_zeros)
-        solutions = _enumerate_dual(red, budget)
+        vectors = sorted(set(_enumerate_dual(red, budget)))
     return FundamentalSet(
-        vectors=tuple(sorted(set(solutions))),
+        vectors=tuple(vectors),
         candidates_examined=budget.examined,
         elapsed=budget.elapsed)

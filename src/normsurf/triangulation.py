@@ -81,6 +81,9 @@ def _load_json(text: str):
         raise TriangulationError(
             f"syntax error at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # nesting past the recursion limit, or an over-long integer literal
+        raise TriangulationError(f"unreadable JSON: {exc}") from None
 
 
 def _only_keys(obj: dict, keys: Iterable[str], what: str) -> None:

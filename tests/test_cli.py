@@ -152,6 +152,12 @@ def fixture_dir(tmp_path_factory):
     for name, doc in MALFORMED.items():
         (d / name).write_text(json.dumps(doc))
     (d / "not_utf8.json").write_bytes(b"\xff\xfe{}")
+    # nesting past the recursion limit, and an integer past Python's digit
+    # limit in a label position, which is invalid even without the limit
+    (d / "deep_nesting.json").write_text("[" * 100_000)
+    (d / "long_integer.json").write_text(
+        '{"tetrahedra": ["a"], "gluings": [{"tet": "a", "face": [0, 1, '
+        + "9" * 5000 + '], "to": {"tet": "a", "verts": [0, 2, 1]}}]}')
     (d / "two_triangles.json").write_text(
         '{"triangles": ["A", "B"], "gluings": []}')
     # the solid torus with "gluing" for "gluings"; fig8_link.json with
@@ -379,6 +385,8 @@ def test_human_output_exit_zero(capsys, fixture_dir):
      "error: invalid triangulation: edge class of s(01) is glued to itself "
      "reversed"),
     (["validate", "reversed_edge.json", "--json"], '"valid": false'),
+    (["validate", "deep_nesting.json"], "error: unreadable JSON"),
+    (["validate", "long_integer.json"], "error: "),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

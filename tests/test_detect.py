@@ -127,7 +127,7 @@ def test_link_must_have_two_components(tri12, kept, monkeypatch):
         raise AssertionError("enumerated a one-component link")
 
     monkeypatch.setattr(detect, "enumerate_fundamental", never)
-    monkeypatch.setattr(detect, "_vertex_stage", never)
+    monkeypatch.setattr(detect, "_admissible_stages", never)
     lone = LinkSpec(components=(fig8_link().components[kept],))
     with pytest.raises(TriangulationError, match="exactly 2 components"):
         split_link_check(tri12, lone)
@@ -160,6 +160,30 @@ def test_split_found_among_vertex_solutions_within_the_cap(cap, disc_tri,
     assert [i for i, x in enumerate(verdict.witness) if x] == \
         list(PAIR_WITNESS_SUPPORT)
     assert set(verdict.witness) == {0, 1}
+
+
+def test_split_found_in_the_fundamental_scan(disc_tri, disc_link,
+                                             monkeypatch):
+    # with the witness (position 52 of both stages' 54 vectors) dropped
+    # from the vertex solutions, the vertex scan finds no splitting
+    # sphere and the fundamental scan finds it, analyzing nothing twice
+    def support(v):
+        return tuple(i for i, x in enumerate(v) if x)
+
+    stages = detect._admissible_stages
+
+    def witness_dropped(*args):
+        both = stages(*args)
+        yield [v for v in next(both) if support(v) != PAIR_WITNESS_SUPPORT]
+        yield from both
+
+    monkeypatch.setattr(detect, "_admissible_stages", witness_dropped)
+    analyzed = count_calls(monkeypatch, surface.analyze)
+    verdict = split_link_check(disc_tri, disc_link)
+    assert (verdict.answer, verdict.searched_count) == ("SPLIT", 53)
+    assert support(verdict.witness) == PAIR_WITNESS_SUPPORT
+    vectors = [args[1] for args in analyzed]
+    assert len(vectors) == len(set(vectors))
 
 
 def test_vertex_stage_overrun_is_unknown(disc_tri, disc_link):

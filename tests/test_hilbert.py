@@ -182,15 +182,32 @@ def fixture_systems():
 
 
 @pytest.mark.parametrize("name", sorted(fixture_systems()))
-def test_vertex_solutions_are_fundamental(name):
+def test_vertex_solutions_are_fundamental(name, monkeypatch):
     # block pruning may keep group-respecting rays that are not extreme,
     # whose vectors need not be fundamental; on the fixtures it keeps none
     sys = fixture_systems()[name]
+    face_bases = []
+    face_basis = hilbert._face_basis
+
+    def counted(*args):
+        face_bases.append(args)
+        return face_basis(*args)
+
+    monkeypatch.setattr(hilbert, "_face_basis", counted)
     budget = _Budget(hilbert.DEFAULT_MAX_CANDIDATES, None)
-    vertices = hilbert._vertex_solutions(hilbert._vertex_stage(sys, budget))
+    stages = hilbert._admissible_stages(sys, budget)
+    vertices = next(stages)
+    stages.close()
+    assert face_bases == []
     fs = enumerate_fundamental(sys, admissible_only=True)
     assert vertices and set(vertices) <= set(fs.vectors)
     assert budget.examined < fs.candidates_examined
+    # each stage is yielded sorted and distinct, the last is the basis
+    both = list(hilbert._admissible_stages(
+        sys, _Budget(hilbert.DEFAULT_MAX_CANDIDATES, None)))
+    assert both == [vertices, list(fs.vectors)]
+    assert all(stage == sorted(set(stage)) for stage in both)
+    assert face_bases
 
 
 @pytest.mark.parametrize("name", sorted(fixture_systems()))
@@ -970,8 +987,8 @@ def test_deadline_is_checked_inside_the_triangulation(tri10):
                 self.deadline = time.monotonic() - 1
 
     with pytest.raises(ResourceLimitExceeded) as raised:
-        hilbert._enumerate_admissible_primal(tri10.matching_system,
-                                             Expiring(10 ** 9, None))
+        list(hilbert._admissible_stages(tri10.matching_system,
+                                        Expiring(10 ** 9, None)))
     assert raised.value.candidates > TEN_TET_RAYS_CHARGED
     assert raised.traceback[-2].name == "_triangulate"
     with pytest.raises(ResourceLimitExceeded):
