@@ -106,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="component file (edgeCycle or idealVertex)")
     p.add_argument("--pushoff", required=True,
                    help="component file for the parallel copy")
-    p.add_argument("--waive-pushoff-check", action="store_true",
-                   help="skip the null-homology verification of the pushoff")
     p.add_argument("--homology-tri",
                    help="verify the pushoff on this triangulation, not "
                         "on the input truncated at its ideal vertices")
@@ -323,7 +321,6 @@ def _cmd_unknot(args: argparse.Namespace) -> Result:
     pushoff = parse_link_component(Path(args.pushoff).read_text())
     verdict = unknot_via_pushoff(
         tri, knot, pushoff,
-        waive_pushoff_check=args.waive_pushoff_check,
         homology_tri=(_load_triangulation(args.homology_tri)
                       if args.homology_tri else None),
         max_candidates=args.max_candidates,

@@ -20,8 +20,8 @@ The paper's two unknot algorithms are unknot_via_pushoff and
 filter_unknotting_disks. The first uses that a knot is trivial exactly
 when it is split from a parallel copy with zero framing (a 0-pushoff);
 with any other framing the two link even for a trivial knot, so it runs
-only on a pushoff verified null-homologous, unless the caller waives
-the check. That check is necessary, not sufficient: it does not verify
+only on a pushoff verified null-homologous, and there is no way to
+skip that check. It is necessary, not sufficient: it does not verify
 that the pushoff is parallel to the knot, and a Hopf link in S^3 (where
 every cycle is null) or a small triangle far from the knot passes it
 and gets a wrong verdict. The second uses that a knot is trivial
@@ -179,36 +179,11 @@ def split_link_check(
                    searched_count=len(scanned[-1]))
 
 
-def _require_null_pushoff(tri: Triangulation, pushoff: LinkComponent,
-                          homology_tri: Optional[Triangulation]) -> None:
-    """Verify the pushoff bounds in homology, or explain how to proceed.
-
-    Verification runs on homology_tri when given, else on tri, whose
-    H1 h1 takes in the knot exterior. It does not test that the
-    pushoff runs parallel to the knot (see the module docstring).
-    """
-    target = homology_tri if homology_tri is not None else tri
-    try:
-        ok = verify_zero_pushoff(target, pushoff)
-    except HomologyError as exc:
-        raise HomologyError(
-            f"could not verify the pushoff is null-homologous: {exc} "
-            "(pass waive_pushoff_check=True to proceed unverified)") from exc
-    if not ok:
-        raise HomologyError(
-            "pushoff is not null-homologous, so it is not a 0-framed "
-            "parallel copy; a KNOTTED verdict from it would be unsound. "
-            "Supply a null-homologous pushoff, or pass "
-            "waive_pushoff_check=True to take responsibility for the "
-            "framing")
-
-
 def unknot_via_pushoff(
     tri: Triangulation,
     knot: LinkComponent,
     pushoff: LinkComponent,
     *,
-    waive_pushoff_check: bool = False,
     homology_tri: Optional[Triangulation] = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     time_budget: Optional[float] = None,
@@ -219,13 +194,24 @@ def unknot_via_pushoff(
     0-pushoff) is split, so this wraps split_link_check and renames the
     verdict: SPLIT becomes UNKNOTTED, NOT_SPLIT becomes KNOTTED, UNKNOWN
     stays UNKNOWN. The conclusion is only sound for a 0-framed pushoff,
-    so unless waive_pushoff_check is set, the pushoff must first pass
-    verify_zero_pushoff on tri (truncated at the knot's ideal vertex)
-    or on homology_tri when given; failure raises HomologyError. A
-    Hopf link's second component or a small far triangle passes.
+    so the pushoff must first pass verify_zero_pushoff on tri (h1
+    truncates it at the knot's ideal vertex, leaving the exterior) or
+    on homology_tri when given; failure, or a pushoff that cannot be
+    checked, raises HomologyError. The check does not test that the
+    pushoff runs parallel to the knot: a Hopf link's second component
+    or a small far triangle passes.
     """
-    if not waive_pushoff_check:
-        _require_null_pushoff(tri, pushoff, homology_tri)
+    try:
+        null = verify_zero_pushoff(
+            tri if homology_tri is None else homology_tri, pushoff)
+    except HomologyError as exc:
+        raise HomologyError("could not verify the pushoff is "
+                            f"null-homologous: {exc}") from exc
+    if not null:
+        raise HomologyError(
+            "pushoff is not null-homologous, so it is not a 0-framed "
+            "parallel copy; a KNOTTED verdict from it would be unsound. "
+            "Supply a null-homologous pushoff")
     verdict = split_link_check(
         tri, LinkSpec(components=(knot, pushoff)),
         max_candidates=max_candidates, time_budget=time_budget)

@@ -57,7 +57,6 @@ def fig8_complement() -> Triangulation:
     """10-tetrahedron figure-eight knot complement, torus boundary."""
     return Triangulation(
         TEN_TET_NAMES, _records(TEN_TET_ROWS),
-        infer_reciprocals=True,
         metadata={"coordinates": COORDINATE_NOTE})
 
 
@@ -67,7 +66,6 @@ def fig8_closed() -> Triangulation:
     rows.update(CLOSING_ROWS)
     return Triangulation(
         TEN_TET_NAMES + ("h1", "h2"), _records(rows),
-        infer_reciprocals=True,
         metadata={"coordinates": COORDINATE_NOTE})
 
 
@@ -116,8 +114,7 @@ def solid_torus() -> Triangulation:
     Euler characteristic 1, one boundary circle, and cutting along it
     leaves a single ball, so its boundary curve is essential.
     """
-    return Triangulation(
-        ("s",), [("s", (0, 1, 2), "s", (1, 3, 0))], infer_reciprocals=True)
+    return Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 3, 0))])
 
 
 def disconnected_pair() -> Triangulation:
@@ -135,8 +132,7 @@ def disconnected_pair() -> Triangulation:
         for tet, face, to, verts in _records(rows):
             records.append((prefix + tet, face, prefix + to, verts))
     return Triangulation(
-        names, records, infer_reciprocals=True,
-        metadata={"coordinates": COORDINATE_NOTE})
+        names, records, metadata={"coordinates": COORDINATE_NOTE})
 
 
 def disconnected_link() -> LinkSpec:
@@ -156,6 +152,5 @@ def square_surface() -> SurfaceTriangulation:
     diagonal P0-P2. Four boundary edges remain: the square's sides
     A(01), A(12), B(12), B(02).
     """
-    return SurfaceTriangulation(
-        ("A", "B"), [("A", (0, 2), "B", (0, 1))], infer_reciprocals=True)
+    return SurfaceTriangulation(("A", "B"), [("A", (0, 2), "B", (0, 1))])
 

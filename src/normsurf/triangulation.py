@@ -21,9 +21,10 @@ and for a `Triangulation` its skeleton, its matching system and its
 The skeleton computation closes vertices and edges under the gluing
 orbits, producing the vertex classes and edge classes of the underlying
 cell complex, and refuses an edge class glued to itself reversed.
-The aliases `tetrahedra`, `tet_count` and, on surfaces,
-`triangle_count`, `boundary_edges` and `format_edge` are kept only for
-the benchmark scripts; the package uses the `Gluing` names.
+The aliases `tetrahedra`, `tet_count`, the ignored constructor keyword
+`infer_reciprocals` and, on surfaces, `triangle_count`,
+`boundary_edges` and `format_edge` are kept only for the benchmark
+scripts; the package uses the `Gluing` names.
 """
 
 from __future__ import annotations
@@ -100,11 +101,14 @@ def _dump_json(doc) -> str:
 class Gluing:
     """Immutable gluing data for a set of simplices of one dimension.
 
-    The gluing map is stored one direction per record as given; use
-    `infer_reciprocals=True` (the parsers do) to complete each record
-    with its inverse. Directly constructed objects may be incomplete or
-    inconsistent; `validate` reports that instead of the constructor
-    raising, so that broken inputs can be examined.
+    A gluing may be listed from either or both sides: each record is
+    completed with its inverse, so the gluing map is an involution once
+    built. The constructor refuses a malformed record (an unknown name,
+    a bad label tuple) and one that conflicts with another record or
+    with another record's inverse. What it lets through, a facet glued
+    to itself or a non-manifold skeleton, `validate` reports, so that
+    such inputs can be examined. `infer_reciprocals` is ignored (see
+    the module docstring).
 
     Subclasses set DIM (vertex labels run 0..DIM, a facet has DIM of
     them), FACETS (the sorted facets of one simplex), the nouns used in
@@ -123,7 +127,7 @@ class Gluing:
         names: Sequence[str],
         gluings: Iterable[GluingRecord] = (),
         *,
-        infer_reciprocals: bool = False,
+        infer_reciprocals: bool = True,
         metadata: Optional[Mapping] = None,
     ):
         names = tuple(names)
@@ -140,12 +144,11 @@ class Gluing:
         self._glue: dict[Spot, tuple[int, tuple[int, ...]]] = {}
         for simplex, facet, to_simplex, verts in gluings:
             self._add_record(simplex, facet, to_simplex, verts)
-        if infer_reciprocals:
-            for (i, facet), (j, image) in list(self._glue.items()):
-                back_facet = tuple(sorted(image))
-                back_image = tuple(facet[image.index(v)] for v in back_facet)
-                self._add_record(
-                    self.names[j], back_facet, self.names[i], back_image)
+        for (i, facet), (j, image) in list(self._glue.items()):
+            back_facet = tuple(sorted(image))
+            back_image = tuple(facet[image.index(v)] for v in back_facet)
+            self._add_record(
+                self.names[j], back_facet, self.names[i], back_image)
 
     def _check_labels(self, labels: Sequence[int], what: str
                       ) -> tuple[int, ...]:
@@ -320,7 +323,7 @@ class Gluing:
         metadata = doc.get("metadata")
         if metadata is not None and not isinstance(metadata, dict):
             raise TriangulationError('"metadata" must be an object')
-        return cls(names, records, infer_reciprocals=True, metadata=metadata)
+        return cls(names, records, metadata=metadata)
 
     def to_json(self) -> str:
         """Write the JSON format; both directions of each gluing are
@@ -345,35 +348,19 @@ class Gluing:
 def validate(gluing: Gluing) -> list[str]:
     """Check a gluing; return a list of violations (empty = OK).
 
-    Violations checked: a facet glued to itself, a gluing whose
-    reciprocal is missing, and a gluing whose reciprocal is not the
-    inverse bijection. Malformed records (unknown names, bad label
-    tuples, two targets for one facet) cannot be represented and are
-    constructor errors. On a Triangulation whose gluings pass,
-    `compute_skeleton` then refuses an edge class glued to itself
-    reversed, which no 3-manifold has (Burton, "Computational topology
-    with Regina", 2013): normal surface theory needs a manifold.
+    Violations checked: a facet glued to itself. On a Triangulation
+    without one, `compute_skeleton` then refuses an edge class glued to
+    itself reversed, which no 3-manifold has (Burton, "Computational
+    topology with Regina", 2013): normal surface theory needs a
+    manifold. Malformed and conflicting records, and so a gluing that
+    is not an involution, cannot be represented and are constructor
+    errors.
     """
-    fmt = gluing.format_spot
-    problems = []
-    for (i, facet), (j, image) in gluing._glue.items():
-        back_facet = tuple(sorted(image))
-        if (j, back_facet) == (i, facet):
-            problems.append(f"self-gluing: {gluing.FACET} {fmt(i, facet)} "
-                            "is glued to itself")
-            continue
-        back = gluing._glue.get((j, back_facet))
-        if back is None:
-            problems.append(
-                f"involution violation: {fmt(i, facet)} -> "
-                f"{fmt(j, image)} has no reciprocal gluing")
-            continue
-        expected = tuple(facet[image.index(v)] for v in back_facet)
-        if back != (i, expected):
-            problems.append(
-                f"involution violation: {fmt(j, back_facet)} -> "
-                f"{fmt(*back)} is not the inverse of "
-                f"{fmt(i, facet)} -> {fmt(j, image)}")
+    problems = [
+        f"self-gluing: {gluing.FACET} {gluing.format_spot(i, facet)} "
+        "is glued to itself"
+        for (i, facet), (j, image) in gluing._glue.items()
+        if (j, tuple(sorted(image))) == (i, facet)]
     if not problems and isinstance(gluing, Triangulation):
         try:
             gluing._unchecked_skeleton
@@ -448,7 +435,7 @@ class Triangulation(Gluing):
         # a boundary edge class is a path of face gluings: two ends
         records = [(a, pair, b, image)
                    for (a, pair), (b, image) in ends.values()]
-        return SurfaceTriangulation(names, records, infer_reciprocals=True)
+        return SurfaceTriangulation(names, records)
 
 
 # -- skeleton ------------------------------------------------------------
@@ -625,9 +612,10 @@ def resolve_link(
 
     Checks: every reference names a real tetrahedron vertex or edge,
     every EdgeCycle closes up through the vertex classes, and components
-    are disjoint (no shared edge or vertex class). Unless waived, as for
-    a chain or a restriction, the link has two components, and each
-    EdgeCycle's steps use distinct edge and vertex classes.
+    are disjoint (no shared edge or vertex class). With
+    require_two_components, which a chain or a restriction turns off,
+    the link has two components, and each EdgeCycle's steps use
+    distinct edge and vertex classes.
     """
     skel = tri.skeleton
     if require_two_components and len(link.components) != 2:

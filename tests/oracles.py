@@ -280,7 +280,7 @@ def random_surface(rng, max_triangles=6):
         if rng.random() < 0.5:
             image.reverse()
         records.append((names[s1[0]], s1[1], names[s2[0]], tuple(image)))
-    return SurfaceTriangulation(names, records, infer_reciprocals=True)
+    return SurfaceTriangulation(names, records)
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,10 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["validate", "reversed_edge.json", "--json"], '"valid": false'),
     (["validate", "deep_nesting.json"], "error: unreadable JSON"),
     (["validate", "long_integer.json"], "error: "),
+    # the pushoff is always verified; there is no switch to skip it
+    (["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
+      "--pushoff", "fig8_longitude.json", "--waive-pushoff-check"],
+     "unrecognized arguments: --waive-pushoff-check"),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

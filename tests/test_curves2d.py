@@ -57,10 +57,12 @@ def test_component_counts_match_oracle():
     assert checked > 20
 
 
-def test_validate_reports_missing_reciprocal():
-    surf = SurfaceTriangulation(("A", "B"), [("A", (0, 1), "B", (0, 2))])
-    problems = validate_surface(surf)
-    assert len(problems) == 1 and "no reciprocal" in problems[0]
+def test_one_sided_record_gets_its_inverse():
+    record = ("A", (0, 1), "B", (0, 2))
+    one_sided = SurfaceTriangulation(("A", "B"), [record])
+    assert one_sided == SurfaceTriangulation(
+        ("A", "B"), [record, ("B", (0, 2), "A", (0, 1))])
+    assert validate_surface(one_sided) == []
     assert validate_surface(square_surface()) == []
 
 

@@ -77,16 +77,14 @@ def test_non_manifold_is_refused_before_enumeration(monkeypatch):
     # boundary, would cross it. Each entry point gets a fresh object, so
     # none relies on a refusal cached by another.
     def reversed_edge():
-        return Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
-                             infer_reciprocals=True)
+        return Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))])
 
     link = LinkSpec(components=(IdealVertex("s", 0), IdealVertex("s", 2)))
     enumerations = count_calls(monkeypatch, hilbert.enumerate_fundamental)
     calls = [
         lambda: split_link_check(reversed_edge(), link),
         lambda: filter_unknotting_disks(reversed_edge()),
-        lambda: unknot_via_pushoff(reversed_edge(), *link.components,
-                                   waive_pushoff_check=True),
+        lambda: unknot_via_pushoff(reversed_edge(), *link.components),
         lambda: build_matching_system(reversed_edge()),
     ]
     for call in calls:
@@ -243,14 +241,6 @@ def test_unknot_requires_verified_pushoff(tri12, tri10):
         unknot_via_pushoff(tri12, knot, pushoff, homology_tri=tri10)
 
 
-def test_unknot_waived_check_says_knotted(tri12):
-    knot, pushoff = fig8_link().components
-    verdict = unknot_via_pushoff(tri12, knot, pushoff,
-                                 waive_pushoff_check=True)
-    assert verdict.answer == "KNOTTED"
-    assert verdict.searched_count == 3
-
-
 def test_unknot_with_true_longitude(tri12, tri10):
     knot = fig8_link().components[0]
     longitude = fig8_longitude_cycle()
@@ -286,18 +276,23 @@ def test_unknot_ideal_vertex_pushoff_rejected(tri12):
 
 
 def test_unknotted_control(disc_tri, disc_link):
-    a, b = disc_link.components
-    verdict = unknot_via_pushoff(disc_tri, a, b, waive_pushoff_check=True)
-    assert verdict.answer == "UNKNOTTED"
+    # copy B's longitude is null in the pair, so it passes verification,
+    # and it lies in the other copy from the knot, so the two are split
+    knot = disc_link.components[0]
+    longitude = EdgeCycle(edges=(("B.b1*", (1, 2)),))
+    verdict = unknot_via_pushoff(disc_tri, knot, longitude)
+    assert (verdict.answer, verdict.searched_count) == ("UNKNOTTED", 62)
     assert verdict.witness is not None
 
 
 def test_unknot_budget_unknown(tri12):
-    knot, pushoff = fig8_link().components
-    verdict = unknot_via_pushoff(tri12, knot, pushoff,
-                                 waive_pushoff_check=True, max_candidates=5)
-    assert verdict.answer == "UNKNOWN"
-    assert "candidates" in verdict.diagnostics
+    knot = fig8_link().components[0]
+    verdict = unknot_via_pushoff(tri12, knot, fig8_longitude_cycle(),
+                                 max_candidates=5)
+    assert (verdict.answer, verdict.searched_count) == ("UNKNOWN", 0)
+    assert verdict.diagnostics.startswith(
+        "the vertex stage (double description) exceeded its budget after "
+        "18 candidates")
 
 
 def test_boundary_meeting_variables():
@@ -353,7 +348,7 @@ def one_tet_complements():
     itself reversed), with their admissible fundamental sets."""
     out = []
     for record in one_tet_two_face_gluings():
-        tri = Triangulation(("s",), [record], infer_reciprocals=True)
+        tri = Triangulation(("s",), [record])
         if validate(tri):
             continue
         out.append((tri, enumerate_fundamental(tri.matching_system,
@@ -398,8 +393,7 @@ def test_solid_torus_is_the_expected_gluing():
     """
     hits = []
     for name, fa, name2, img in one_tet_two_face_gluings():
-        tri = Triangulation((name,), [(name, fa, name2, img)],
-                            infer_reciprocals=True)
+        tri = Triangulation((name,), [(name, fa, name2, img)])
         if validate(tri):
             continue
         skel = compute_skeleton(tri)

@@ -312,15 +312,13 @@ def test_bounding_certificate(tri10, skel10):
 def test_cycle_chain_refuses_inverted_edge_classes():
     # edge 01 is glued to itself reversed, so it would close up as a
     # loop with no orientation: the triangulation is refused at the door
-    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
-                        infer_reciprocals=True)
+    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))])
     with pytest.raises(TriangulationError, match="glued to itself reversed"):
         cycle_chain(tri, EdgeCycle(edges=(("s", (0, 1)),)))
 
 
 def test_chain_complex_refuses_inverted_edge_classes():
-    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
-                        infer_reciprocals=True)
+    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))])
     for call in (chain_complex, h1):
         with pytest.raises(TriangulationError,
                            match="glued to itself reversed"):
@@ -496,7 +494,7 @@ def h1_oracle_inputs(gen):
     out = [("10-tet", fig8_complement()),
            ("single tet", single_tet()),
            ("solid torus", solid_torus())]
-    out += [(name, Triangulation(("t",), gluings, infer_reciprocals=True))
+    out += [(name, Triangulation(("t",), gluings))
             for name, gluings in LENS_GLUINGS.items()]
     return out + relabellings(gen, fig8_complement())
 
@@ -602,7 +600,7 @@ def test_one_tet_closed_census():
     on the rest."""
     seen = {}
     for records in one_tet_closed_gluings():
-        tri = Triangulation(("t",), records, infer_reciprocals=True)
+        tri = Triangulation(("t",), records)
         try:
             s = h1(tri)
         except (HomologyError, TriangulationError) as exc:

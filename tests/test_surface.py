@@ -226,8 +226,7 @@ def test_vector_entries_are_read_one_way(tri12, torus_tri):
 def test_inverted_edge_class_policy():
     # edge s(01) is glued to itself reversed: the triangulation is
     # refused whatever the vector, one of zero weight on it included
-    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
-                        infer_reciprocals=True)
+    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))])
     link = LinkSpec(components=(IdealVertex("s", 0), IdealVertex("s", 2)))
     for v in [(1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1), (0,) * 7]:
         for read in (lambda: analyze(tri, v),

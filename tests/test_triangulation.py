@@ -115,8 +115,7 @@ def test_solid_torus_skeleton():
 
 
 def test_inverted_edge_class_detected():
-    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))],
-                        infer_reciprocals=True)
+    tri = Triangulation(("s",), [("s", (0, 1, 2), "s", (1, 0, 3))])
     # the gluings are consistent, but the one edge class of s(01) is
     # glued to itself reversed, so no 3-manifold has this triangulation
     message = "edge class of s(01) is glued to itself reversed"
@@ -130,29 +129,30 @@ def test_inverted_edge_class_detected():
 
 
 def test_validate_self_gluing():
-    tri = Triangulation(("a",), [("a", (0, 1, 2), "a", (0, 2, 1))],
-                        infer_reciprocals=True)
+    tri = Triangulation(("a",), [("a", (0, 1, 2), "a", (0, 2, 1))])
     problems = validate(tri)
     assert len(problems) == 1 and "glued to itself" in problems[0]
 
 
-def test_validate_missing_reciprocal():
-    tri = Triangulation(("a", "b"), [("a", (0, 1, 2), "b", (0, 1, 2))])
-    problems = validate(tri)
-    assert any("no reciprocal" in p for p in problems)
+def test_one_sided_record_gets_its_inverse():
+    record = ("a", (0, 1, 2), "b", (1, 2, 0))
+    one_sided = Triangulation(("a", "b"), [record])
+    two_sided = Triangulation(("a", "b"),
+                              [record, ("b", (0, 1, 2), "a", (2, 0, 1))])
+    assert one_sided == two_sided
+    assert one_sided.glued_to(1, (0, 1, 2)) == (0, (2, 0, 1))
+    assert validate(one_sided) == []
 
 
-def test_validate_non_inverse_pair():
-    tri = Triangulation(("a", "b"), [("a", (0, 1, 2), "b", (0, 1, 2)),
-                                     ("b", (0, 1, 2), "a", (0, 2, 1))])
-    problems = validate(tri)
-    assert any("not the inverse" in p for p in problems)
+def test_non_inverse_pair_is_refused():
+    with pytest.raises(TriangulationError, match="conflicts with"):
+        Triangulation(("a", "b"), [("a", (0, 1, 2), "b", (0, 1, 2)),
+                                   ("b", (0, 1, 2), "a", (0, 2, 1))])
 
 
 def test_constructor_rejects_bad_face():
     with pytest.raises(TriangulationError):
-        Triangulation(("a",), [("a", (0, 1, 1), "a", (1, 2, 3))],
-                      infer_reciprocals=True)
+        Triangulation(("a",), [("a", (0, 1, 1), "a", (1, 2, 3))])
     with pytest.raises(TriangulationError):
         Triangulation(("a", "a"))
 
@@ -406,13 +406,17 @@ BENCH_ALIASES = {"tetrahedra", "tet_count", "triangle_count",
 
 
 def test_package_reads_no_bench_alias():
-    """The package itself uses the Gluing names, so the aliases can go
-    once the benchmark scripts stop reading them."""
+    """The package itself uses the Gluing names and never passes the
+    ignored constructor keyword, so the aliases can go once the
+    benchmark scripts stop reading them."""
     uses = []
     for path in sorted(Path(normsurf.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr in BENCH_ALIASES:
                 uses.append(f"{path.name}:{node.lineno} .{node.attr}")
+            if (isinstance(node, ast.keyword)
+                    and node.arg == "infer_reciprocals"):
+                uses.append(f"{path.name}:{node.lineno} infer_reciprocals=")
     assert uses == []
 
 
