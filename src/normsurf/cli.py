@@ -16,6 +16,9 @@ Only the four commands that enumerate surfaces (`fundamental`,
 `split-check`, `unknot` and `curve2d connect`) take the resource caps
 --max-candidates and --time-budget.
 
+`unknot` verifies its pushoff on the input it decides; --homology-tri
+is accepted and never read, kept for bench/ until ROADMAP item 2a.
+
 `build_config` returns the argparse namespace itself, with the caps
 checked; `run` is the command's function. Each command
 reads its arguments straight off the namespace and returns its result
@@ -107,8 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pushoff", required=True,
                    help="component file for the parallel copy")
     p.add_argument("--homology-tri",
-                   help="verify the pushoff on this triangulation, not "
-                        "on the input truncated at its ideal vertices")
+                   help="accepted and never read: the pushoff is verified "
+                        "on the input truncated at the knot (kept for "
+                        "bench/ until ROADMAP item 2a)")
 
     p = command(sub, "homology", _cmd_homology, "integer first homology")
     p.add_argument("triangulation")
@@ -320,10 +324,7 @@ def _cmd_unknot(args: argparse.Namespace) -> Result:
     knot = parse_link_component(Path(args.knot).read_text())
     pushoff = parse_link_component(Path(args.pushoff).read_text())
     verdict = unknot_via_pushoff(
-        tri, knot, pushoff,
-        homology_tri=(_load_triangulation(args.homology_tri)
-                      if args.homology_tri else None),
-        max_candidates=args.max_candidates,
+        tri, knot, pushoff, max_candidates=args.max_candidates,
         time_budget=args.time_budget)
     return _verdict_result(tri, verdict, "splitting sphere")
 

@@ -20,30 +20,31 @@ The paper's two unknot algorithms are unknot_via_pushoff and
 filter_unknotting_disks. The first uses that a knot is trivial exactly
 when it is split from a parallel copy with zero framing (a 0-pushoff);
 with any other framing the two link even for a trivial knot, so it runs
-only on a pushoff verified null-homologous, and there is no way to
-skip that check. It is necessary, not sufficient: it does not verify
-that the pushoff is parallel to the knot, and a Hopf link in S^3 (where
-every cycle is null) or a small triangle far from the knot passes it
-and gets a wrong verdict. The second uses that a knot is trivial
-exactly when its complement has a compressing disk, and then a
-fundamental one (Haken 1961).
+only on a pushoff verified null-homologous in the knot exterior, which
+h1 cuts out of the input itself; a knot it cannot cut out is refused.
+The check is necessary, not sufficient: it does not verify that the
+pushoff is parallel to the knot, and a Hopf link in S^3 (where every
+cycle is null) or a small triangle far from the knot passes it and
+gets a wrong verdict. The second uses that a knot is trivial exactly
+when its complement has a compressing disk, and then a fundamental
+one (Haken 1961).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Container, Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional
 
 from .curves2d import curve_components
 from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
 from .hilbert import (DEFAULT_MAX_CANDIDATES, _Budget, _admissible_stages,
                       enumerate_fundamental)
-from .homology import verify_zero_pushoff
+from .homology import _nonmaterial_vertex_classes, verify_zero_pushoff
 from .matching import (NormalVector, boundary_meeting_variables,
                        restrict_to_link)
 from .surface import SurfaceReport, analyze, separates
-from .triangulation import (LinkComponent, LinkSpec, Triangulation,
-                            resolve_link)
+from .triangulation import (IdealVertex, LinkComponent, LinkSpec,
+                            Triangulation, resolve_link)
 
 SPLIT = "SPLIT"
 NOT_SPLIT = "NOT_SPLIT"
@@ -104,19 +105,6 @@ def _screened(tri: Triangulation, vectors: Iterable[NormalVector],
             yield position, v, analyze(tri, v)
 
 
-def _first_splitting(tri: Triangulation, link: LinkSpec,
-                     vectors: Sequence[NormalVector],
-                     skip: Container[NormalVector] = ()) -> Optional[int]:
-    """The position of the first of vectors that is a connected closed
-    surface of Euler characteristic 2 separating the link components,
-    None when there is none (vectors in skip are passed over)."""
-    for position, v, report in _screened(tri, vectors, 2, True, skip):
-        if (report.closed and report.components == 1 and report.euler == 2
-                and separates(tri, v, link)):
-            return position
-    return None
-
-
 def split_link_check(
     tri: Triangulation,
     link: LinkSpec,
@@ -159,11 +147,12 @@ def split_link_check(
     scanned: list[list[NormalVector]] = []  # stages without a witness
     try:
         for vectors in _admissible_stages(restricted, budget):
-            position = _first_splitting(tri, link, vectors,
-                                        set(scanned[-1] if scanned else ()))
-            if position is not None:
-                return Verdict(answer=SPLIT, witness=vectors[position],
-                               searched_count=position + 1)
+            skip = set(scanned[-1] if scanned else ())
+            for position, v, report in _screened(tri, vectors, 2, True, skip):
+                if (report.closed and report.components == 1
+                        and report.euler == 2 and separates(tri, v, link)):
+                    return Verdict(answer=SPLIT, witness=v,
+                                   searched_count=position + 1)
             scanned.append(vectors)
     except ResourceLimitExceeded as exc:
         searched = len(scanned[0]) if scanned else 0
@@ -184,7 +173,6 @@ def unknot_via_pushoff(
     knot: LinkComponent,
     pushoff: LinkComponent,
     *,
-    homology_tri: Optional[Triangulation] = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     time_budget: Optional[float] = None,
 ) -> Verdict:
@@ -194,16 +182,24 @@ def unknot_via_pushoff(
     0-pushoff) is split, so this wraps split_link_check and renames the
     verdict: SPLIT becomes UNKNOTTED, NOT_SPLIT becomes KNOTTED, UNKNOWN
     stays UNKNOWN. The conclusion is only sound for a 0-framed pushoff,
-    so the pushoff must first pass verify_zero_pushoff on tri (h1
-    truncates it at the knot's ideal vertex, leaving the exterior) or
-    on homology_tri when given; failure, or a pushoff that cannot be
-    checked, raises HomologyError. The check does not test that the
-    pushoff runs parallel to the knot: a Hopf link's second component
-    or a small far triangle passes.
+    so the pushoff must first pass verify_zero_pushoff on tri, whose h1
+    truncates the knot's vertex class, leaving the exterior. A knot h1
+    does not truncate (an EdgeCycle, or an IdealVertex whose link is a
+    sphere or a disk) raises TriangulationError before any homology or
+    enumeration runs; a pushoff that fails, or cannot be checked,
+    raises HomologyError. The check does not test that the pushoff runs
+    parallel to the knot: a Hopf link's second component or a small far
+    triangle passes.
     """
+    (resolved,) = resolve_link(tri, LinkSpec(components=(knot,)),
+                               require_two_components=False)
+    if not (isinstance(knot, IdealVertex) and resolved.vertex_classes
+            <= set(_nonmaterial_vertex_classes(tri, tri.skeleton))):
+        raise TriangulationError(
+            "the knot must be an ideal vertex whose link is neither a "
+            "sphere nor a disk, the only kind h1 cuts an exterior from")
     try:
-        null = verify_zero_pushoff(
-            tri if homology_tri is None else homology_tri, pushoff)
+        null = verify_zero_pushoff(tri, pushoff)
     except HomologyError as exc:
         raise HomologyError("could not verify the pushoff is "
                             f"null-homologous: {exc}") from exc

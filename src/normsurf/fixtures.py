@@ -5,7 +5,9 @@ figure-eight knot complement (torus boundary, two boundary faces) and
 its 12-tetrahedron closed extension, where two extra tetrahedra h1, h2
 cap off the boundary torus and their far vertex class becomes the ideal
 vertex. The bundled link pairs that ideal vertex with the boundary
-edge b1*(13), a closed loop parallel to the knot.
+edge b1*(13), a parallel loop that is not 0-framed, so `split-check
+--link fig8_link.json` answers for that link only; the knottedness
+proof is `unknot --pushoff fig8_longitude.json`, the null b1*(12).
 """
 
 from __future__ import annotations
@@ -89,9 +91,9 @@ def fig8_longitude_cycle() -> EdgeCycle:
 
 
 def fig8_link() -> LinkSpec:
-    """The two-component link checked by the knottedness pipeline: the
-    knot (the ideal vertex class of the closed fixture) and its parallel
-    loop b1*(13)."""
+    """The knot (the ideal vertex class of the closed fixture) and its
+    parallel loop b1*(13), which fails verify_zero_pushoff: the split
+    check answers for this link only (see fig8_longitude_cycle)."""
     return LinkSpec(components=(
         IdealVertex(tet="h1", vertex=0),
         fig8_pushoff_cycle(),

@@ -613,7 +613,7 @@ def resolve_link(
     Checks: every reference names a real tetrahedron vertex or edge,
     every EdgeCycle closes up through the vertex classes, and components
     are disjoint (no shared edge or vertex class). With
-    require_two_components, which a chain or a restriction turns off,
+    require_two_components, which a chain, a restriction or a knot turns off,
     the link has two components, and each EdgeCycle's steps use
     distinct edge and vertex classes.
     """

@@ -139,6 +139,16 @@ MALFORMED = {
     "reversed_edge.json": {"tetrahedra": ["s"], "gluings": [
         {"tet": "s", "face": [0, 1, 2],
          "to": {"tet": "s", "verts": [1, 0, 3]}}]},
+    # a one-tetrahedron S^3 named b1*, where every cycle is null
+    "fake_exterior.json": {"tetrahedra": ["b1*"], "gluings": [
+        {"tet": "b1*", "face": [0, 1, 2],
+         "to": {"tet": "b1*", "verts": [0, 1, 3]}},
+        {"tet": "b1*", "face": [0, 2, 3],
+         "to": {"tet": "b1*", "verts": [2, 3, 1]}}]},
+    # copy A's b1*(13), an edge cycle, as a knot in the pair, and copy
+    # B's null longitude as its pushoff
+    "edge_knot.json": {"edgeCycle": [{"tet": "A.b1*", "edge": [1, 3]}]},
+    "pair_longitude.json": {"edgeCycle": [{"tet": "B.b1*", "edge": [1, 2]}]},
 }
 
 
@@ -248,15 +258,22 @@ def test_null_cycle_is_not_called_a_pushoff(capsys, fixture_dir):
 
 def test_unknot_verifies_the_pushoff_on_its_own_input(capsys, fixture_dir):
     # the 12-tet's H1 is taken with its ideal vertex truncated: the knot
-    # exterior, where the longitude bounds and b1*(13) does not
-    argv = COMMANDS["unknot"][:-2] + ["--json"]
-    code, out, err = run_cli(capsys, fixture_dir, argv)
+    # exterior, where the longitude bounds and b1*(13) does not. That
+    # holds whatever --homology-tri names, since it is never read: an
+    # S^3 in which b1*(13) bounds, or no file at all
+    results = {}
+    for pushoff in ("fig8_pushoff.json", "fig8_longitude.json"):
+        argv = ["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
+                "--pushoff", pushoff, "--json"]
+        results[pushoff] = run_cli(capsys, fixture_dir, argv)
+        for other in ("fake_exterior.json", "no_such_file.json"):
+            assert run_cli(capsys, fixture_dir, argv + [
+                "--homology-tri", other]) == results[pushoff]
+    code, out, err = results["fig8_longitude.json"]
     assert code == 0, err
     doc = json.loads(out)
     assert (doc["answer"], doc["searchedCount"]) == ("KNOTTED", 12)
-    code, out, err = run_cli(capsys, fixture_dir, [
-        "unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
-        "--pushoff", "fig8_pushoff.json"])
+    code, out, err = results["fig8_pushoff.json"]
     assert code == 2 and "not null-homologous" in err
     code, out, err = run_cli(capsys, fixture_dir, [
         "homology", "fig8_12tet.json", "--cycle", "fig8_pushoff.json",
@@ -391,6 +408,11 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
       "--pushoff", "fig8_longitude.json", "--waive-pushoff-check"],
      "unrecognized arguments: --waive-pushoff-check"),
+    # h1 cuts out no exterior around an edge-cycle knot
+    (["unknot", "disconnected_pair.json", "--knot", "edge_knot.json",
+      "--pushoff", "pair_longitude.json"],
+     "error: the knot must be an ideal vertex whose link is neither a "
+     "sphere nor a disk"),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

@@ -230,30 +230,41 @@ def test_no_work_is_done_twice(decide, tri12, disc_tri, monkeypatch):
     assert len(vectors) == (decide == "pair in one copy")
 
 
-def test_unknot_requires_verified_pushoff(tri12, tri10):
+def test_unknot_requires_verified_pushoff(tri12):
     knot, pushoff = fig8_link().components
     # on the closed fixture, truncated at the knot, the pushoff is the
     # generator of the exterior's H1
     with pytest.raises(HomologyError, match="not null-homologous"):
         unknot_via_pushoff(tri12, knot, pushoff)
-    # verified against the complement, the pushoff is visibly non-null
-    with pytest.raises(HomologyError, match="not null-homologous"):
-        unknot_via_pushoff(tri12, knot, pushoff, homology_tri=tri10)
-
-
-def test_unknot_with_true_longitude(tri12, tri10):
-    knot = fig8_link().components[0]
-    longitude = fig8_longitude_cycle()
-    verdict = unknot_via_pushoff(tri12, knot, longitude,
-                                 homology_tri=tri10)
-    assert verdict.answer == "KNOTTED"
-    assert verdict.witness is None
 
 
 def test_unknot_verifies_the_longitude_on_the_closed_fixture(tri12):
     knot = fig8_link().components[0]
     verdict = unknot_via_pushoff(tri12, knot, fig8_longitude_cycle())
     assert (verdict.answer, verdict.searched_count) == ("KNOTTED", 12)
+    assert verdict.witness is None
+
+
+@pytest.mark.parametrize("knot", [
+    EdgeCycle(edges=(("A.b1*", (1, 3)),)),
+    IdealVertex(tet="A.b1*", vertex=1),  # its link is a sphere
+], ids=["edge cycle", "material vertex"])
+def test_unknot_refuses_a_knot_h1_does_not_truncate(knot, disc_tri,
+                                                    monkeypatch):
+    # h1 cuts out no exterior around either knot, so the pushoff, though
+    # null in the pair, is verified nowhere; refused before any homology
+    # or enumeration. Unrefused, the edge cycle answered KNOTTED with 15
+    # searched, and the vertex UNKNOTTED with 62
+    def never(*args, **kwargs):
+        raise AssertionError("ran h1 or the enumeration")
+
+    monkeypatch.setattr(detect, "verify_zero_pushoff", never)
+    monkeypatch.setattr(detect, "_admissible_stages", never)
+    with pytest.raises(TriangulationError, match=(
+            "knot must be an ideal vertex whose link is neither a sphere "
+            "nor a disk")):
+        unknot_via_pushoff(disc_tri, knot,
+                           EdgeCycle(edges=(("B.b1*", (1, 2)),)))
 
 
 def test_doubled_back_walk_is_no_link_component(tri12, tri10):
@@ -265,7 +276,7 @@ def test_doubled_back_walk_is_no_link_component(tri12, tri10):
     with pytest.raises(TriangulationError, match="not a simple closed"):
         split_link_check(tri12, LinkSpec(components=(knot, walk)))
     with pytest.raises(TriangulationError, match="not a simple closed"):
-        unknot_via_pushoff(tri12, knot, walk, homology_tri=tri10)
+        unknot_via_pushoff(tri12, knot, walk)
 
 
 def test_unknot_ideal_vertex_pushoff_rejected(tri12):
