@@ -238,11 +238,21 @@ def test_unknot_requires_verified_pushoff(tri12):
         unknot_via_pushoff(tri12, knot, pushoff)
 
 
+def test_unknot_with_true_longitude(tri12):
+    # the longitude is null in the knot's own exterior, unlike the
+    # fixture's pushoff, so the check passes and the knot is knotted
+    knot = fig8_link().components[0]
+    longitude = fig8_longitude_cycle()
+    assert verify_zero_pushoff(tri12, longitude)
+    verdict = unknot_via_pushoff(tri12, knot, longitude)
+    assert verdict.answer == "KNOTTED"
+    assert verdict.witness is None
+
+
 def test_unknot_verifies_the_longitude_on_the_closed_fixture(tri12):
     knot = fig8_link().components[0]
     verdict = unknot_via_pushoff(tri12, knot, fig8_longitude_cycle())
     assert (verdict.answer, verdict.searched_count) == ("KNOTTED", 12)
-    assert verdict.witness is None
 
 
 @pytest.mark.parametrize("knot", [
