@@ -16,8 +16,8 @@ Only the four commands that enumerate surfaces (`fundamental`,
 `split-check`, `unknot` and `curve2d connect`) take the resource caps
 --max-candidates and --time-budget.
 
-`unknot` verifies its pushoff on the input it decides; --homology-tri
-is accepted and never read, kept for bench/ until ROADMAP item 2a.
+`unknot` reads the 0-pushoff off the knot's cusp, and reads neither
+--pushoff nor --homology-tri: bench/ passes them until ROADMAP item 2a.
 
 `build_config` returns the argparse namespace itself, with the caps
 checked; `run` is the command's function. Each command
@@ -106,13 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 "decide knottedness via a 0-pushoff", caps=True)
     p.add_argument("triangulation")
     p.add_argument("--knot", required=True,
-                   help="component file (edgeCycle or idealVertex)")
-    p.add_argument("--pushoff", required=True,
-                   help="component file for the parallel copy")
-    p.add_argument("--homology-tri",
-                   help="accepted and never read: the pushoff is verified "
-                        "on the input truncated at the knot (kept for "
-                        "bench/ until ROADMAP item 2a)")
+                   help="idealVertex file; its link must be a torus")
+    for flag in ("--pushoff", "--homology-tri"):
+        p.add_argument(flag, help="accepted and never read: the 0-pushoff "
+                                  "is read off the knot's cusp (kept for "
+                                  "bench/ until ROADMAP item 2a)")
 
     p = command(sub, "homology", _cmd_homology, "integer first homology")
     p.add_argument("triangulation")
@@ -322,9 +320,8 @@ def _cmd_split_check(args: argparse.Namespace) -> Result:
 def _cmd_unknot(args: argparse.Namespace) -> Result:
     tri = _load_triangulation(args.triangulation)
     knot = parse_link_component(Path(args.knot).read_text())
-    pushoff = parse_link_component(Path(args.pushoff).read_text())
     verdict = unknot_via_pushoff(
-        tri, knot, pushoff, max_candidates=args.max_candidates,
+        tri, knot, max_candidates=args.max_candidates,
         time_budget=args.time_budget)
     return _verdict_result(tri, verdict, "splitting sphere")
 

@@ -19,31 +19,27 @@ resumes for the fundamental solutions only when none of them splits
 The paper's two unknot algorithms are unknot_via_pushoff and
 filter_unknotting_disks. The first uses that a knot is trivial exactly
 when it is split from a parallel copy with zero framing (a 0-pushoff);
-with any other framing the two link even for a trivial knot, so it runs
-only on a pushoff verified null-homologous in the knot exterior, which
-h1 cuts out of the input itself; a knot it cannot cut out is refused.
-The check is necessary, not sufficient: it does not verify that the
-pushoff is parallel to the knot, and a Hopf link in S^3 (where every
-cycle is null) or a small triangle far from the knot passes it and
-gets a wrong verdict. The second uses that a knot is trivial exactly
-when its complement has a compressing disk, and then a fundamental
-one (Haken 1961).
+with any other framing the two link even for a trivial knot. It reads
+that copy off the knot's cusp torus (_zero_pushoff). The second uses
+that a knot is trivial exactly when its complement has a compressing
+disk, and then a fundamental one (Haken 1961).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Container, Iterable, Iterator, Optional
 
 from .curves2d import curve_components
-from .errors import HomologyError, ResourceLimitExceeded, TriangulationError
+from .errors import ResourceLimitExceeded, TriangulationError
 from .hilbert import (DEFAULT_MAX_CANDIDATES, _Budget, _admissible_stages,
                       enumerate_fundamental)
-from .homology import _nonmaterial_vertex_classes, verify_zero_pushoff
-from .matching import (NormalVector, boundary_meeting_variables,
+from .homology import h1
+from .matching import (BLOCK, NormalVector, boundary_meeting_variables,
                        restrict_to_link)
 from .surface import SurfaceReport, analyze, separates
-from .triangulation import (IdealVertex, LinkComponent, LinkSpec,
+from .triangulation import (EdgeCycle, IdealVertex, LinkComponent, LinkSpec,
                             Triangulation, resolve_link)
 
 SPLIT = "SPLIT"
@@ -168,10 +164,42 @@ def split_link_check(
                    searched_count=len(scanned[-1]))
 
 
+def _zero_pushoff(tri: Triangulation, knot: LinkComponent) -> EdgeCycle:
+    """The knot's 0-pushoff: the edge of its cusp torus null in h1.
+
+    The knot must be an ideal vertex off the boundary, with two corners
+    and a link of Euler characteristic 0, assumed orientable, not
+    checked: a torus of two triangles, whose one vertex and three edges
+    lie on the faces opposite the knot. Each edge is essential, and the
+    one null in the exterior is the preferred longitude (Rolfsen, Knots
+    and Links, 1976). Any other knot raises TriangulationError before h1
+    runs, and so, after it, does a count of null edges other than 1. h1
+    refuses a tetrahedron meeting the vertex twice with HomologyError.
+    """
+    (resolved,) = resolve_link(tri, LinkSpec(components=(knot,)),
+                               require_two_components=False)
+    skel, chi = tri.skeleton, tri.euler_coefficients
+    vc = skel.vertex_classes[min(resolved.vertex_classes)]  # one if a vertex
+    if (not isinstance(knot, IdealVertex) or vc.boundary or vc.degree != 2
+            or sum(chi[BLOCK * t + v] for t, v in vc.members)):
+        raise TriangulationError("the knot must be an ideal vertex whose "
+                                 "link is a torus of two triangles")
+    summary = h1(tri)
+    # each edge class of the faces opposite the vertex, with a step on it
+    steps = {skel.edge_class_of[t, edge]: (tri.name(t), edge)
+             for t, v in vc.members
+             for edge in combinations([x for x in range(4) if x != v], 2)}
+    null = [step for c, step in steps.items()
+            if summary.class_of({c: 1}).is_null]
+    if len(null) != 1:
+        raise TriangulationError(f"{len(null)} of the {len(steps)} edges of "
+                                 "the knot's link torus are null, not 1")
+    return EdgeCycle(edges=(null[0],))
+
+
 def unknot_via_pushoff(
     tri: Triangulation,
     knot: LinkComponent,
-    pushoff: LinkComponent,
     *,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     time_budget: Optional[float] = None,
@@ -181,35 +209,10 @@ def unknot_via_pushoff(
     The knot is trivial exactly when the two-component link (knot,
     0-pushoff) is split, so this wraps split_link_check and renames the
     verdict: SPLIT becomes UNKNOTTED, NOT_SPLIT becomes KNOTTED, UNKNOWN
-    stays UNKNOWN. The conclusion is only sound for a 0-framed pushoff,
-    so the pushoff must first pass verify_zero_pushoff on tri, whose h1
-    truncates the knot's vertex class, leaving the exterior. A knot h1
-    does not truncate (an EdgeCycle, or an IdealVertex whose link is a
-    sphere or a disk) raises TriangulationError before any homology or
-    enumeration runs; a pushoff that fails, or cannot be checked,
-    raises HomologyError. The check does not test that the pushoff runs
-    parallel to the knot: a Hopf link's second component or a small far
-    triangle passes.
+    stays UNKNOWN. _zero_pushoff finds the 0-pushoff or refuses the knot.
     """
-    (resolved,) = resolve_link(tri, LinkSpec(components=(knot,)),
-                               require_two_components=False)
-    if not (isinstance(knot, IdealVertex) and resolved.vertex_classes
-            <= set(_nonmaterial_vertex_classes(tri, tri.skeleton))):
-        raise TriangulationError(
-            "the knot must be an ideal vertex whose link is neither a "
-            "sphere nor a disk, the only kind h1 cuts an exterior from")
-    try:
-        null = verify_zero_pushoff(tri, pushoff)
-    except HomologyError as exc:
-        raise HomologyError("could not verify the pushoff is "
-                            f"null-homologous: {exc}") from exc
-    if not null:
-        raise HomologyError(
-            "pushoff is not null-homologous, so it is not a 0-framed "
-            "parallel copy; a KNOTTED verdict from it would be unsound. "
-            "Supply a null-homologous pushoff")
     verdict = split_link_check(
-        tri, LinkSpec(components=(knot, pushoff)),
+        tri, LinkSpec(components=(knot, _zero_pushoff(tri, knot))),
         max_candidates=max_candidates, time_budget=time_budget)
     mapping = {SPLIT: UNKNOTTED, NOT_SPLIT: KNOTTED, UNKNOWN: UNKNOWN}
     return replace(verdict, answer=mapping[verdict.answer])

@@ -7,7 +7,7 @@ cap off the boundary torus and their far vertex class becomes the ideal
 vertex. The bundled link pairs that ideal vertex with the boundary
 edge b1*(13), a parallel loop that is not 0-framed, so `split-check
 --link fig8_link.json` answers for that link only; the knottedness
-proof is `unknot --pushoff fig8_longitude.json`, the null b1*(12).
+proof is `unknot --knot fig8_knot.json`, which derives the null b1*(12).
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def fig8_pushoff_cycle() -> EdgeCycle:
 def fig8_longitude_cycle() -> EdgeCycle:
     """The boundary edge b1*(12), a null-homologous loop parallel to
     the knot: a true 0-framed longitude, with an explicit bounding
-    2-chain in the complement, so it passes verify_zero_pushoff there
-    and on the closed extension."""
+    2-chain in the complement. `unknot --knot fig8_knot.json` derives
+    its class off the knot's cusp, as an edge of a cap's base."""
     return EdgeCycle(edges=(("b1*", (1, 2)),))
 
 

@@ -8,10 +8,12 @@ import pytest
 
 from normsurf import cli
 from normsurf.cli import main
-from normsurf.fixtures import fig8_pushoff_cycle
+from normsurf.fixtures import fig8_pushoff_cycle, solid_torus
 from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
                                     serialize_link, serialize_link_component,
                                     serialize_triangulation)
+
+from exteriors import cone
 
 # sha256 of the --json output of each command, run on the files that
 # `emit-fixtures` writes. Any change to these bytes is a change to the
@@ -145,10 +147,12 @@ MALFORMED = {
          "to": {"tet": "b1*", "verts": [0, 1, 3]}},
         {"tet": "b1*", "face": [0, 2, 3],
          "to": {"tet": "b1*", "verts": [2, 3, 1]}}]},
-    # copy A's b1*(13), an edge cycle, as a knot in the pair, and copy
-    # B's null longitude as its pushoff
+    # copy A's b1*(13), an edge cycle, as a knot in the pair
     "edge_knot.json": {"edgeCycle": [{"tet": "A.b1*", "edge": [1, 3]}]},
-    "pair_longitude.json": {"edgeCycle": [{"tet": "B.b1*", "edge": [1, 2]}]},
+    # the apex of a cone's first cap, and p(12), a loop null in the
+    # figure-eight's exterior but not parallel to the knot
+    "cap_apex.json": {"idealVertex": {"tet": "c0", "vertex": 0}},
+    "p12.json": {"edgeCycle": [{"tet": "p", "edge": [1, 2]}]},
 }
 
 
@@ -187,6 +191,8 @@ def fixture_dir(tmp_path_factory):
     (d / "walk.json").write_text(serialize_link_component(walk))
     (d / "walk_link.json").write_text(serialize_link(LinkSpec(
         components=(IdealVertex("h1", 0), walk))))
+    (d / "torus_cone.json").write_text(
+        serialize_triangulation(cone(solid_torus())))
     return d
 
 
@@ -256,43 +262,34 @@ def test_null_cycle_is_not_called_a_pushoff(capsys, fixture_dir):
     assert "pushoff" not in out
 
 
-def test_unknot_verifies_the_pushoff_on_its_own_input(capsys, fixture_dir):
-    # the 12-tet's H1 is taken with its ideal vertex truncated: the knot
-    # exterior, where the longitude bounds and b1*(13) does not. That
-    # holds whatever --homology-tri names, since it is never read: an
-    # S^3 in which b1*(13) bounds, or no file at all
-    results = {}
-    for pushoff in ("fig8_pushoff.json", "fig8_longitude.json"):
-        argv = ["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
-                "--pushoff", pushoff, "--json"]
-        results[pushoff] = run_cli(capsys, fixture_dir, argv)
-        for other in ("fake_exterior.json", "no_such_file.json"):
-            assert run_cli(capsys, fixture_dir, argv + [
-                "--homology-tri", other]) == results[pushoff]
-    code, out, err = results["fig8_longitude.json"]
+def test_unknot_reads_no_pushoff(capsys, fixture_dir):
+    # the 0-pushoff is read off the knot's cusp, so neither --pushoff nor
+    # --homology-tri is read: not b1*(13), which is not null, nor p(12),
+    # which is null but not parallel to the knot (given as the pushoff,
+    # it once answered KNOTTED after 7 searched), nor a missing file
+    argv = ["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json", "--json"]
+    expected = run_cli(capsys, fixture_dir, argv)
+    code, out, err = expected
     assert code == 0, err
     doc = json.loads(out)
     assert (doc["answer"], doc["searchedCount"]) == ("KNOTTED", 12)
-    code, out, err = results["fig8_pushoff.json"]
-    assert code == 2 and "not null-homologous" in err
-    code, out, err = run_cli(capsys, fixture_dir, [
-        "homology", "fig8_12tet.json", "--cycle", "fig8_pushoff.json",
-        "--json"])
-    assert code == 0, err
-    assert json.loads(out)["cycle"]["null"] is False
+    for flag, names in (("--pushoff", ("fig8_pushoff.json",
+                                       "fig8_longitude.json", "p12.json",
+                                       "no_such_file.json")),
+                        ("--homology-tri", ("fake_exterior.json",
+                                            "no_such_file.json"))):
+        for name in names:
+            assert run_cli(capsys, fixture_dir,
+                           argv + [flag, name]) == expected, (flag, name)
 
 
 def test_doubled_back_walk_is_no_link_component(capsys, fixture_dir):
-    # p(01) then p(10): its chain is 0, so it passes as a null pushoff,
-    # but it is no simple closed curve, so no link component
-    for argv in (["split-check", "fig8_12tet.json", "--link",
-                  "walk_link.json"],
-                 ["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
-                  "--pushoff", "walk.json",
-                  "--homology-tri", "fig8_10tet.json"]):
-        code, out, err = run_cli(capsys, fixture_dir, argv)
-        assert (code, out) == (2, ""), argv
-        assert "not a simple closed curve" in err
+    # p(01) then p(10): its chain is 0, so it passes as null, but it is
+    # no simple closed curve, so no link component
+    code, out, err = run_cli(capsys, fixture_dir, [
+        "split-check", "fig8_12tet.json", "--link", "walk_link.json"])
+    assert (code, out) == (2, "")
+    assert "not a simple closed curve" in err
 
 
 def test_emit_fixtures_lists_every_file(capsys, tmp_path):
@@ -374,10 +371,9 @@ def test_human_output_exit_zero(capsys, fixture_dir):
      "error: bad idealVertex component"),
     (["split-check", "fig8_12tet.json", "--link", "components_not_list.json"],
      'error: "components" must be a list'),
-    (["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
-      "--pushoff", "there_and_back.json"],
-     "error: could not verify the pushoff is null-homologous: the walk "
-     "visits a non-material vertex class"),
+    # the coned 1-tet solid torus: no edge of its cusp torus is null
+    (["unknot", "torus_cone.json", "--knot", "cap_apex.json"],
+     "error: 0 of the 3 edges of the knot's link torus are null, not 1"),
     (["homology", "fig8_12tet.json", "--cycle", "fig8_knot.json"],
      "error: a cycle must be an edge cycle"),
     (["validate", "torus_misspelt.json"],
@@ -408,11 +404,10 @@ def test_human_output_exit_zero(capsys, fixture_dir):
     (["unknot", "fig8_12tet.json", "--knot", "fig8_knot.json",
       "--pushoff", "fig8_longitude.json", "--waive-pushoff-check"],
      "unrecognized arguments: --waive-pushoff-check"),
-    # h1 cuts out no exterior around an edge-cycle knot
-    (["unknot", "disconnected_pair.json", "--knot", "edge_knot.json",
-      "--pushoff", "pair_longitude.json"],
-     "error: the knot must be an ideal vertex whose link is neither a "
-     "sphere nor a disk"),
+    # an edge-cycle knot has no cusp to read a 0-pushoff off
+    (["unknot", "disconnected_pair.json", "--knot", "edge_knot.json"],
+     "error: the knot must be an ideal vertex whose link is a torus of "
+     "two triangles"),
 ])
 def test_invalid_input_exits_2(capsys, fixture_dir, argv, message):
     code, out, err = run_cli(capsys, fixture_dir, argv)

@@ -7,7 +7,7 @@ import pytest
 from normsurf import detect, hilbert, matching, surface, triangulation
 from normsurf.detect import (filter_unknotting_disks, split_link_check,
                              unknot_via_pushoff)
-from normsurf.errors import HomologyError, TriangulationError
+from normsurf.errors import TriangulationError
 from normsurf.fixtures import (disconnected_link, disconnected_pair,
                                fig8_closed, fig8_link, fig8_longitude_cycle,
                                fig8_pushoff_cycle, single_tet, solid_torus)
@@ -15,12 +15,13 @@ from normsurf.hilbert import enumerate_fundamental
 from normsurf.homology import cycle_chain, h1, verify_zero_pushoff
 from normsurf.matching import (boundary_meeting_variables,
                                build_matching_system, is_admissible,
-                               vertex_link_vector)
+                               is_solution, vertex_link_vector)
 from normsurf.surface import analyze, complement_regions, separates
 from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
                                     Triangulation, compute_skeleton,
                                     validate)
 
+from exteriors import cone, layered_solid_torus
 from oracles import boundary_curve, surface_cell_counts, trace_curve_regions
 from tables import (SOLID_TORUS_FUNDAMENTALS, SOLID_TORUS_MERIDIAN,
                     SOLID_TORUS_RECORD, one_tet_two_face_gluings)
@@ -84,7 +85,7 @@ def test_non_manifold_is_refused_before_enumeration(monkeypatch):
     calls = [
         lambda: split_link_check(reversed_edge(), link),
         lambda: filter_unknotting_disks(reversed_edge()),
-        lambda: unknot_via_pushoff(reversed_edge(), *link.components),
+        lambda: unknot_via_pushoff(reversed_edge(), link.components[0]),
         lambda: build_matching_system(reversed_edge()),
     ]
     for call in calls:
@@ -230,29 +231,28 @@ def test_no_work_is_done_twice(decide, tri12, disc_tri, monkeypatch):
     assert len(vectors) == (decide == "pair in one copy")
 
 
-def test_unknot_requires_verified_pushoff(tri12):
-    knot, pushoff = fig8_link().components
-    # on the closed fixture, truncated at the knot, the pushoff is the
-    # generator of the exterior's H1
-    with pytest.raises(HomologyError, match="not null-homologous"):
-        unknot_via_pushoff(tri12, knot, pushoff)
-
-
 def test_unknot_with_true_longitude(tri12):
-    # the longitude is null in the knot's own exterior, unlike the
-    # fixture's pushoff, so the check passes and the knot is knotted
+    # the 0-pushoff read off the cusp, an edge of a cap's base, is in
+    # the class of the longitude b1*(12), which is null in the knot's
+    # own exterior, unlike the fixture's pushoff b1*(13)
     knot = fig8_link().components[0]
     longitude = fig8_longitude_cycle()
     assert verify_zero_pushoff(tri12, longitude)
-    verdict = unknot_via_pushoff(tri12, knot, longitude)
-    assert verdict.answer == "KNOTTED"
-    assert verdict.witness is None
+    assert not verify_zero_pushoff(tri12, fig8_pushoff_cycle())
+    pushoff = detect._zero_pushoff(tri12, knot)
+    assert len(pushoff.edges) == 1 and pushoff.edges[0][0] in ("h1", "h2")
+    assert cycle_chain(tri12, pushoff) == cycle_chain(tri12, longitude)
 
 
 def test_unknot_verifies_the_longitude_on_the_closed_fixture(tri12):
     knot = fig8_link().components[0]
-    verdict = unknot_via_pushoff(tri12, knot, fig8_longitude_cycle())
+    verdict = unknot_via_pushoff(tri12, knot)
     assert (verdict.answer, verdict.searched_count) == ("KNOTTED", 12)
+    assert verdict.witness is None
+
+
+def never(*args, **kwargs):
+    raise AssertionError("ran h1 or the enumeration")
 
 
 @pytest.mark.parametrize("knot", [
@@ -261,20 +261,35 @@ def test_unknot_verifies_the_longitude_on_the_closed_fixture(tri12):
 ], ids=["edge cycle", "material vertex"])
 def test_unknot_refuses_a_knot_h1_does_not_truncate(knot, disc_tri,
                                                     monkeypatch):
-    # h1 cuts out no exterior around either knot, so the pushoff, though
-    # null in the pair, is verified nowhere; refused before any homology
-    # or enumeration. Unrefused, the edge cycle answered KNOTTED with 15
-    # searched, and the vertex UNKNOTTED with 62
-    def never(*args, **kwargs):
-        raise AssertionError("ran h1 or the enumeration")
-
-    monkeypatch.setattr(detect, "verify_zero_pushoff", never)
+    # neither knot has a torus cusp to read a 0-pushoff off, so both are
+    # refused before any homology or enumeration
+    monkeypatch.setattr(detect, "h1", never)
     monkeypatch.setattr(detect, "_admissible_stages", never)
     with pytest.raises(TriangulationError, match=(
-            "knot must be an ideal vertex whose link is neither a sphere "
-            "nor a disk")):
-        unknot_via_pushoff(disc_tri, knot,
-                           EdgeCycle(edges=(("B.b1*", (1, 2)),)))
+            "the knot must be an ideal vertex whose link is a torus of two "
+            "triangles")):
+        unknot_via_pushoff(disc_tri, knot)
+
+
+def test_unknot_refuses_a_cusp_with_no_null_edge(monkeypatch):
+    # the coned 1-tet solid torus: the cusp torus's three edges have
+    # slopes 1, 2 and 3, none the meridian, so none is null
+    monkeypatch.setattr(detect, "_admissible_stages", never)
+    with pytest.raises(TriangulationError, match=(
+            "0 of the 3 edges of the knot's link torus are null, not 1")):
+        unknot_via_pushoff(cone(solid_torus()), IdealVertex("c0", 0))
+
+
+def test_unknot_refuses_a_cusp_of_four_triangles(monkeypatch):
+    # a tetrahedron stacked on a boundary face of the 1-tet solid torus
+    # leaves a torus of four triangles and two vertices, so the coned
+    # apex has degree 4 and its base edges are no loops
+    (t, face), _ = solid_torus().boundary_facets()
+    exterior = Triangulation(("s", "T"), [SOLID_TORUS_RECORD,
+                                          ("T", (0, 1, 2), "s", face)])
+    monkeypatch.setattr(detect, "h1", never)
+    with pytest.raises(TriangulationError, match="link is a torus of two"):
+        unknot_via_pushoff(cone(exterior), IdealVertex("c0", 0))
 
 
 def test_doubled_back_walk_is_no_link_component(tri12, tri10):
@@ -285,31 +300,37 @@ def test_doubled_back_walk_is_no_link_component(tri12, tri10):
     assert verify_zero_pushoff(tri10, walk)
     with pytest.raises(TriangulationError, match="not a simple closed"):
         split_link_check(tri12, LinkSpec(components=(knot, walk)))
-    with pytest.raises(TriangulationError, match="not a simple closed"):
-        unknot_via_pushoff(tri12, knot, walk)
 
 
-def test_unknot_ideal_vertex_pushoff_rejected(tri12):
-    knot = fig8_link().components[0]
-    with pytest.raises(HomologyError,
-                       match="could not verify .* must be an edge cycle"):
-        unknot_via_pushoff(tri12, knot, IdealVertex(tet="p", vertex=0))
+def test_unknotted_control():
+    # the coned 3-tet layered solid torus is a real unknot: its cusp's
+    # null edge is the solid torus's meridian, and both algorithms find
+    # it trivial
+    exterior = layered_solid_torus()
+    tri, knot = cone(exterior), IdealVertex("c0", 0)
+    verdict = unknot_via_pushoff(tri, knot)
+    assert (verdict.answer, verdict.searched_count) == ("UNKNOTTED", 3)
+    v = verdict.witness
+    link = LinkSpec(components=(knot, detect._zero_pushoff(tri, knot)))
+    assert is_admissible(v) and is_solution(
+        matching.restrict_to_link(tri.matching_system, tri, link), v)
+    r = analyze(tri, v)
+    assert r.closed and r.components == 1 and r.euler == 2
+    assert separates(tri, v, link)
+    assert len(filter_unknotting_disks(exterior)) == 1
 
 
-def test_unknotted_control(disc_tri, disc_link):
-    # copy B's longitude is null in the pair, so it passes verification,
-    # and it lies in the other copy from the knot, so the two are split
-    knot = disc_link.components[0]
-    longitude = EdgeCycle(edges=(("B.b1*", (1, 2)),))
-    verdict = unknot_via_pushoff(disc_tri, knot, longitude)
-    assert (verdict.answer, verdict.searched_count) == ("UNKNOTTED", 62)
-    assert verdict.witness is not None
+def test_knot_in_one_copy_of_the_pair_is_knotted(disc_tri):
+    # copy A's figure-eight is decided against the longitude read off
+    # its own cusp; copy B's longitude, null in the pair but not parallel
+    # to the knot, once served as its pushoff and answered UNKNOTTED, 62
+    verdict = unknot_via_pushoff(disc_tri, IdealVertex("A.h1", 0))
+    assert (verdict.answer, verdict.searched_count) == ("KNOTTED", 63)
 
 
 def test_unknot_budget_unknown(tri12):
     knot = fig8_link().components[0]
-    verdict = unknot_via_pushoff(tri12, knot, fig8_longitude_cycle(),
-                                 max_candidates=5)
+    verdict = unknot_via_pushoff(tri12, knot, max_candidates=5)
     assert (verdict.answer, verdict.searched_count) == ("UNKNOWN", 0)
     assert verdict.diagnostics.startswith(
         "the vertex stage (double description) exceeded its budget after "
