@@ -11,7 +11,8 @@ closed downward). This module enumerates them in two ways:
   - The admissible members (admissible_only=True), primally, as two
     stages over the interaction components (_summands) that one
     generator yields (_admissible_stages):
-      - the vertex stage: the integer kernel and the double description
+      - the vertex stage: the integer kernel and the double description,
+        which takes the quad rows first, its starting cone included,
         give each summand's admissible rays, whose primitive vectors
         are the vertex solutions, each extreme one fundamental;
       - the face stage, only when resumed, on the same rays: the faces
@@ -677,15 +678,15 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     Python ints.
 
     Double description with exact integer arithmetic. The inequality
-    matrix must have full column rank. Start from the first d linearly
-    independent rows, found by fraction-free elimination. They bound a
-    simplicial cone whose rays are the columns of the base's inverse:
-    with S = U B V the Smith form of the base B (both U's columns and
-    V's rows are appended to B's rows), column j of V diag(s_d/s_i) U
-    is a positive multiple of column j of B^-1, and is taken divided by
-    its gcd. Insert each other row in turn, keeping
-    the rays it does not cut off and one new ray per adjacent pair
-    across the cut.
+    matrix must have full column rank. The rows are taken in one order,
+    the grouped rows of block_rows first, then the rest, each by index.
+    The first d independent rows of that order (_independent), the base
+    B, bound a simplicial cone whose rays are the columns of B^-1: with
+    S = U B V the Smith form of B (both U's columns and V's rows are
+    appended to B's rows), column j of V diag(s_d/s_i) U is a positive
+    multiple of column j of B^-1, and is taken divided by its gcd. Each
+    other row is inserted in the same order, keeping the rays it does
+    not cut off and one new ray per adjacent pair across the cut.
 
     The rays are the rows of one R x d integer array, so each insertion
     is a few whole-array operations: the row's values on every ray are
@@ -696,20 +697,16 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     the largest |ray coordinate| and N the largest l1 norm of a row of
     ineq, a value is at most M * N and a new coordinate at most
     2 * M**2 * N. Once that bound passes the int64 range the arrays turn
-    to dtype=object, exact Python ints, for the rest of the run, and the
-    same operations go on with arbitrary precision.
+    to dtype=object, exact Python ints, for the rest of the run.
 
-    The pair tests are array operations. The rows each ray is tight
-    on, numbered in insertion order, are a row of the R x W uint64
-    array `tight`, with W = ceil(len(ineq) / 64). A pair (p, q) is
-    adjacent when its common tight set has at least d - 2 rows and no
-    third ray is tight on all of them. Pairs are filtered in row-major
-    (p, q) order, so new rays come out in the order of a plain double
-    loop. Every broadcast works on a chunk of pairs small enough that
-    no temporary holds more than about _CHUNK elements. Bitset tests
-    that reduce over the W words (_disjoint, _popcount) loop over the
-    words in Python, each step one array operation on a whole chunk,
-    instead of calling a numpy reduction over an axis of length W.
+    The pair tests are array operations. The rows each ray is tight on,
+    numbered in insertion order, are a row of the R x W uint64 array
+    `tight`, W = ceil(len(ineq) / 64). A pair (p, q) is adjacent when
+    its common tight set has at least d - 2 rows and no third ray is
+    tight on all of them. Pairs are filtered in row-major order, so new
+    rays come out in the order of a plain double loop, in chunks that
+    keep every broadcast temporary near _CHUNK elements; the bitset
+    tests loop over the W words in Python (_disjoint, _popcount).
 
     block_rows names groups of inequality rows of which at most one may
     end up positive. Rays that already have two positive values within
@@ -720,18 +717,18 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     the groups, so `positive` holds its positive grouped rows and
     `blocked` the other rows of the groups those touch: p and q combine
     into a group-breaking ray exactly when positive[q] & blocked[p] is
-    nonzero. With block pruning the output is every extreme ray that
-    respects the groups, possibly plus further group-respecting rays of
-    the cone; group-violating extreme rays are dropped.
+    nonzero. The output is every extreme ray that respects the groups,
+    possibly plus further group-respecting rays of the cone.
+
+    The order moves only the work and the order of the rays returned:
+    the method is exact from any d independent rows, and the base rows
+    count as processed, sitting in `positive` and `blocked` from the
+    start. Initial ray j is positive on base row j alone, so from a base
+    of grouped rows every initial ray respects the groups and pruning
+    works from the first insertion. On the 10-tet 15,392 candidates are
+    charged, against 226,061 with the base taken by index.
     """
     d = len(ineq[0])
-    base = _independent(ineq, d)
-    aug = [_sparse(ineq[i]) | {d + k: 1} for k, i in enumerate(base)]
-    aug += [{j: 1} for j in range(d)]
-    s = _smith(aug, d, d)
-    scaled_u = [[s[-1] // s[k] * aug[k].get(d + i, 0) for i in range(d)]
-                for k in range(d)]
-    V = [[row.get(j, 0) for j in range(d)] for row in aug[d:]]
     # grouped row -> the other rows of the groups containing it
     others: dict[int, int] = {}
     for rows in block_rows:
@@ -740,6 +737,14 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
             group |= 1 << r
         for r in rows:
             others[r] = others.get(r, 0) | (group & ~(1 << r))
+    order = sorted(range(len(ineq)), key=lambda i: (i not in others, i))
+    base = [order[k] for k in _independent([ineq[i] for i in order], d)]
+    aug = [_sparse(ineq[i]) | {d + k: 1} for k, i in enumerate(base)]
+    aug += [{j: 1} for j in range(d)]
+    s = _smith(aug, d, d)
+    scaled_u = [[s[-1] // s[k] * aug[k].get(d + i, 0) for i in range(d)]
+                for k in range(d)]
+    V = [[row.get(j, 0) for j in range(d)] for row in aug[d:]]
     # ray j is column j of the product, so row j of its transpose
     rays = (np.array(V, dtype=object) @ np.array(scaled_u, dtype=object)).T
     # initial=0 makes even a one-coordinate gcd nonnegative
@@ -752,12 +757,7 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
     tight = _bitsets([((1 << d) - 1) ^ (1 << j) for j in range(d)], width)
     positive = _bitsets([1 << r if r in others else 0 for r in base], width)
     blocked = _bitsets([others.get(r, 0) for r in base], width)
-
-    # grouped rows go first: each one processed arms the group pruning,
-    # which is what keeps intermediate ray counts small
-    remaining = sorted(
-        (i for i in range(len(ineq)) if i not in set(base)),
-        key=lambda i: (i not in others, i))
+    remaining = [i for i in order if i not in base]
     for nbits, t0 in enumerate(remaining, start=d):
         if rays.dtype != object and 2 * int(
                 np.abs(rays).max(initial=0)) ** 2 * norm > _INT64_MAX:

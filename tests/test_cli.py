@@ -30,7 +30,7 @@ JSON_DIGESTS = {
     "homology":
         "63fc8ddf5e11e2d10a81e3e0d830797e4e65483e9ba49e39f95597f9cf708b3d",
     "fundamental":
-        "24bc4d496908747dc850057bec1d4b0307bd7c5f73b6e322cb65d1f2ba1b2d5b",
+        "42d165b03e362bb163135cd6a4baa339cc73a83cbde05c1c674984b6bed61b06",
     "curve2d":
         "5fe53bbafa8caec28abceaf64366c211ec2c1fc8f9a1b2daf2177ca17c85a51f",
 }
@@ -64,7 +64,7 @@ HUMAN_DIGESTS = {
     "curve2d-same-edge":
         "eb2d8e86d1099c9d391ed1fee1b1c1b218ff1ca2158ed36073382cd9a5c7be14",
     "fundamental":
-        "4d4ec3fb7c3ebaebbc62640d68cc13676159b5d187706dc51afbc18cb93b5812",
+        "ba8e8e6c37a9b56d3f4e0bc6b8887d17d5f44a0e0335441930d39b4545976e72",
     "homology":
         "5ce93ff9273ba814297c480150d451acb06305d58a72ade2af5cdae9f15e24b2",
     "homology-not-null":
@@ -446,8 +446,8 @@ def test_resource_cap_exits_3(capsys, fixture_dir):
 def test_split_witness_within_a_cap_below_the_full_enumeration(
         capsys, fixture_dir):
     # the witness is a vertex solution, found before the face stage
-    # would pass the cap (the full enumeration charges 230,448)
-    argv = HUMAN_COMMANDS["split-witness"] + ["--max-candidates", "230300"]
+    # would pass the cap (the full enumeration charges 13,630)
+    argv = HUMAN_COMMANDS["split-witness"] + ["--max-candidates", "13500"]
     code, out, _ = run_cli(capsys, fixture_dir, argv)
     assert code == 0
     assert out.splitlines()[0] == "verdict: SPLIT"

@@ -141,19 +141,24 @@ def test_budget_gives_unknown(tri12):
 
 # The split-pair witness: the vertex link sphere of copy A, every
 # coordinate 0 or 1. On disconnected_pair the double description of both
-# summands charges 230,207 candidates, and the whole admissible
-# enumeration 230,448.
+# summands charges 13,389 candidates, and the whole admissible
+# enumeration 13,630.
 PAIR_WITNESS_SUPPORT = (
     0, 1, 2, 3, 7, 8, 9, 10, 14, 15, 16, 17, 21, 22, 23, 24, 28, 29, 30, 31,
     35, 36, 37, 38, 42, 43, 44, 45, 49, 50, 51, 52, 56, 57, 58, 59, 63, 64,
     65, 66, 71, 72, 73, 78, 79, 80)
 
 
-@pytest.mark.parametrize("cap", [230_207, 230_300, 230_447])
+# 230,207 to 230,447 are the caps the same scan needed when the double
+# description took its rows by index, with 230,448 candidates in the
+# whole enumeration: they still give the same verdict
+@pytest.mark.parametrize("cap", [13_389, 13_500, 13_629,
+                                 230_207, 230_300, 230_447])
 def test_split_found_among_vertex_solutions_within_the_cap(cap, disc_tri,
                                                            disc_link):
     # the witness is a vertex solution, so a cap that the double
-    # description fits but the face stage would pass still gives SPLIT
+    # description fits, whether or not the face stage would pass it,
+    # gives SPLIT with that witness
     verdict = split_link_check(disc_tri, disc_link, max_candidates=cap)
     assert (verdict.answer, verdict.searched_count) == ("SPLIT", 53)
     assert [i for i, x in enumerate(verdict.witness) if x] == \
@@ -186,19 +191,19 @@ def test_split_found_in_the_fundamental_scan(disc_tri, disc_link,
 
 
 def test_vertex_stage_overrun_is_unknown(disc_tri, disc_link):
-    verdict = split_link_check(disc_tri, disc_link, max_candidates=230_206)
+    verdict = split_link_check(disc_tri, disc_link, max_candidates=13_388)
     assert (verdict.answer, verdict.witness, verdict.searched_count) == \
         ("UNKNOWN", None, 0)
     assert "vertex stage (double description) exceeded" in \
         verdict.diagnostics
-    assert "230207 candidates" in verdict.diagnostics
+    assert "13389 candidates" in verdict.diagnostics
 
 
 def test_face_stage_overrun_reports_the_vertex_scan(tri12):
-    # the restricted 12-tet's double description charges 64 candidates
+    # the restricted 12-tet's double description charges 23 candidates
     # and its 3 vertex solutions do not split, so the first face passes
     # the cap
-    verdict = split_link_check(tri12, fig8_link(), max_candidates=64)
+    verdict = split_link_check(tri12, fig8_link(), max_candidates=23)
     assert (verdict.answer, verdict.witness, verdict.searched_count) == \
         ("UNKNOWN", None, 3)
     assert verdict.diagnostics.startswith(
@@ -334,7 +339,7 @@ def test_unknot_budget_unknown(tri12):
     assert (verdict.answer, verdict.searched_count) == ("UNKNOWN", 0)
     assert verdict.diagnostics.startswith(
         "the vertex stage (double description) exceeded its budget after "
-        "18 candidates")
+        "36 candidates")
 
 
 def test_boundary_meeting_variables():

@@ -27,6 +27,7 @@ from normsurf.matching import (BLOCK, MatchingSystem, is_admissible,
                                is_solution, quad_offset, restrict_to_link)
 from normsurf.triangulation import LinkSpec
 
+from exteriors import cone, layered_solid_torus
 from oracles import (admissible_by_completion, bounded_solutions,
                      brute_force_solutions, cone_extreme_rays,
                      decomposes_over, filter_admissible,
@@ -424,9 +425,9 @@ def test_twin_equations_change_nothing(restricted12):
 # the admissible rows count the extreme-ray steps, each face's rays and
 # each simplex's index
 PINNED_WORK = {
-    "10-tet admissible": (226_693, 110),
+    "10-tet admissible": (16_024, 110),
     "restricted 12-tet full": (11_468, 54),
-    "restricted pair admissible": (230_448, 54),
+    "restricted pair admissible": (13_630, 54),
     "solid torus full": (18, 5),
     "solid torus admissible": (15, 4),
     "square surface": (14, 6),
@@ -476,15 +477,15 @@ def padded_union(systems, sets):
 
 def test_direct_sum_of_two_ten_tets_costs_twice_one(tri10, fund10):
     # whole, the sum's cone is a product of two 10-tet cones, and the
-    # enumeration passes this cap at 455,416 candidates
+    # enumeration passes this cap at 32,332 candidates
     work = PINNED_WORK["10-tet admissible"][0]
     system = tri10.matching_system
     fs = enumerate_fundamental(direct_sum(system, system),
                                admissible_only=True,
-                               max_candidates=453_386)
+                               max_candidates=32_048)
     assert len(fs.vectors) == 220
     assert fs.vectors == padded_union([system] * 2, [fund10] * 2)
-    assert fs.candidates_examined == 2 * work == 453_386
+    assert fs.candidates_examined == 2 * work == 32_048
 
 
 def test_direct_sum_with_the_solid_torus_adds_its_work(tri10, fund10,
@@ -493,7 +494,7 @@ def test_direct_sum_with_the_solid_torus_adds_its_work(tri10, fund10,
     fs = enumerate_fundamental(direct_sum(*systems), admissible_only=True)
     assert fs.vectors == padded_union(systems, [fund10, fund_torus])
     assert (len(fs.vectors), fs.candidates_examined) == \
-        (114, 226_708) == (110 + 4, 226_693 + 15)
+        (114, 16_039) == (110 + 4, 16_024 + 15)
 
 
 def test_direct_sum_basis_and_work_are_those_of_the_summands():
@@ -808,29 +809,61 @@ def test_extreme_rays_match_the_oracle():
         assert set(rays) == oracle, ineq
 
 
+def random_groups(rng, rows):
+    """rows, shuffled and cut into groups of two or three."""
+    rows = list(rows)
+    rng.shuffle(rows)
+    groups = []
+    while len(rows) >= 2:
+        size = rng.randint(2, min(3, len(rows)))
+        groups.append(tuple(sorted(rows[:size])))
+        rows = rows[size:]
+    return groups
+
+
+def assert_grouped_rays(ineq, groups, oracle):
+    """_extreme_rays with groups returns rays of the cone that respect
+    the groups, among them every extreme ray that does."""
+    def respects(z):
+        return all(
+            sum(sum(a * b for a, b in zip(ineq[r], z)) > 0
+                for r in group) <= 1
+            for group in groups)
+
+    rays = _extreme_rays(ineq, _Budget(10 ** 9, None), groups)
+    assert_rays_of_cone(ineq, rays)
+    assert all(respects(z) for z in rays), (ineq, groups)
+    assert {z for z in oracle if respects(z)} <= set(rays), (ineq, groups)
+
+
 def test_extreme_rays_with_groups_keep_every_respecting_ray():
     rng = random.Random(23)
     for _ in range(80):
         ineq, oracle = random_cone(rng)
-        rows = list(range(len(ineq)))
-        rng.shuffle(rows)
-        groups = []
-        while len(rows) >= 2:
-            size = rng.randint(2, min(3, len(rows)))
-            groups.append(tuple(sorted(rows[:size])))
-            rows = rows[size:]
+        assert_grouped_rays(ineq, random_groups(rng, range(len(ineq))),
+                            oracle)
 
-        def respects(z):
-            return all(
-                sum(sum(a * b for a, b in zip(ineq[r], z)) > 0
-                    for r in group) <= 1
-                for group in groups)
 
-        rays = _extreme_rays(ineq, _Budget(10 ** 9, None), groups)
-        assert_rays_of_cone(ineq, rays)
-        assert all(respects(z) for z in rays), (ineq, groups)
-        assert {z for z in oracle if respects(z)} <= set(rays), \
-            (ineq, groups)
+def test_extreme_rays_from_a_base_of_grouped_rows():
+    # the first d rows by index are ungrouped and independent, and the
+    # grouped rows follow them, so the base, drawn grouped rows first,
+    # holds grouped rows where a base drawn by index would hold none.
+    # Every row is positive on (0, ..., 0, 1), which is thus inside the
+    # cone.
+    rng = random.Random(31)
+    cones = 0
+    while cones < 60:
+        d = rng.randint(2, 4)
+        free = rng.randint(d, d + 2)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(d - 1))
+                + (rng.randint(1, 3),)
+                for _ in range(free + rng.randint(2, 6))]
+        if len(hilbert._independent(rows[:d])) < d:
+            continue
+        oracle = cone_extreme_rays(rows)
+        assert_grouped_rays(rows, random_groups(rng, range(free, len(rows))),
+                            oracle)
+        cones += 1
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
@@ -858,26 +891,25 @@ def test_extreme_rays_on_multiword_bitsets_match_the_oracle():
 
 
 # sha256 of json.dumps of the ordered ray list that _extreme_rays returns
-# on the 10-tet admissible enumeration, and the candidates it charges;
-# recorded with the pure-Python pair loop the bitset version replaced
+# on the 10-tet admissible enumeration, and the candidates it charges
 TEN_TET_RAYS_SHA256 = \
-    "3009727d4d7758845baa2fce9801c48d3aad96915d735be0383f0666d3777fdc"
-TEN_TET_RAYS_CHARGED = 226_061
+    "42689aabca37bdeba2aef52ddf2fc25cac46575981756e00fdf8dbd65352c224"
+TEN_TET_RAYS_CHARGED = 15_392
 
 # the same pins for the link-restricted systems, one entry per
 # _extreme_rays call: (rays, candidates charged, sha256 of the ordered
-# ray list). The 12-tet's was recorded with the Python-int ray
+# ray list). The 12-tet's ray list was recorded with the Python-int ray
 # arithmetic the array version replaced.
 RESTRICTED_RAYS = {
     # split-pair's two interaction components: d = 25 with 84 inequality
     # rows, then d = 8 with 46, one figure-eight's restricted 12-tet
     "pair": [
-        (51, 230_143,
-         "62d0e09b85fa604f0fa8cb051e7054bffadb7db4a24807cd2ec5cf6e662442ad"),
-        (3, 64,
+        (51, 13_366,
+         "701d6e4ff74725f833b04762592632195c292faee41a8df46c90dc5f02c61b4d"),
+        (3, 23,
          "2577da253c7f4c63b961795871b5f6beb28ea9236571cc4acfb71934016ee997")],
     "12-tet": [
-        (3, 64,
+        (3, 23,
          "2577da253c7f4c63b961795871b5f6beb28ea9236571cc4acfb71934016ee997")],
 }
 
@@ -921,20 +953,45 @@ def test_restricted_double_description_is_pinned(name, restricted12,
         RESTRICTED_RAYS[name]
 
 
-# On the 10-tet the bound 2 * M**2 * N on a step's values starts at 1,120
-# and peaks at 33,880: a limit of 100 sends the whole run to Python ints,
-# and one of 5,000 switches it partway through.
-@pytest.mark.parametrize("limit", [100, 5_000])
+# On the 10-tet the bound 2 * M**2 * N on a step's values is 7,000 for
+# the initial rays and at the first of the 48 insertions, then 20,230,
+# 17,920 and 67,270, and peaks at 141,750: limits of 100 and 5,000 send
+# the whole run to Python ints, and one of 50,000 keeps three insertions
+# in int64 and switches at the fourth. Keyed by limit, the number of
+# insertions that stack int64 rays.
+INT64_STEPS = {100: 0, 5_000: 0, 50_000: 3}
+
+
+@pytest.mark.parametrize("limit", sorted(INT64_STEPS))
 def test_double_description_past_int64_switches_to_python_ints(
         limit, tri10, monkeypatch):
     # numpy integer arrays wrap silently, so only the same rays at a lower
-    # limit show that the switch comes before any value could wrap
+    # limit show that the switch comes before any value could wrap. The
+    # returned rays are Python ints either way (tolist), so the dtype of
+    # the ray array each insertion stacks shows where the run switched.
+    dtypes = []
+
+    class StackRecording:
+        """numpy, with vstack noting the dtype of each ray array."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def vstack(self, arrays):
+            out = np.vstack(arrays)
+            if out.dtype != np.uint64:  # the bitsets are uint64
+                dtypes.append(out.dtype)
+            return out
+
     monkeypatch.setattr(hilbert, "_INT64_MAX", limit)
+    monkeypatch.setattr(hilbert, "np", StackRecording())
     [(rays, charged)] = recorded_double_description(tri10.matching_system,
                                                     monkeypatch)
     assert charged == TEN_TET_RAYS_CHARGED
     assert rays_sha256(rays) == TEN_TET_RAYS_SHA256
-    assert all(type(x) is int for ray in rays for x in ray)
+    int64_steps = INT64_STEPS[limit]
+    assert dtypes == [np.dtype(np.int64)] * int64_steps + \
+        [np.dtype(object)] * (48 - int64_steps)
 
 
 def test_rays_past_int64_match_the_oracle():
@@ -1019,8 +1076,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # complement relabelled by bench/gen.py's random_relabelling(names,
 # random.Random(seed))
 RELABELLED_WORK = {
-    0: 1_258_539, 1: 945_962, 2: 1_128_614, 3: 620_730, 4: 1_004_571,
-    5: 1_164_477, 6: 971_926, 7: 2_104_310, 8: 788_649, 9: 273_857,
+    0: 27_492, 1: 42_259, 2: 38_465, 3: 26_142, 4: 53_799,
+    5: 33_838, 6: 29_125, 7: 55_567, 8: 43_487, 9: 31_763,
 }
 
 
@@ -1060,6 +1117,65 @@ def test_relabelled_enumeration_is_the_canonical_one(seed, tri10, fund10,
     assert hashlib.sha256(blob).hexdigest()[:16] == "4a50c39f6e38a1bc"
     assert back == list(fund10.vectors)
     assert fs.candidates_examined == RELABELLED_WORK[seed]
+
+
+# sha256 of json.dumps of the vertex solutions, the sorted first yield of
+# _admissible_stages. split_link_check scans them first, so they fix its
+# witness, the first splitting vertex solution in lexicographic order,
+# and its searched_count, that witness's position. The order in which
+# the double description takes its rows must not move them.
+VERTEX_SOLUTIONS_SHA256 = {
+    "10-tet": (100, "7b0cc3d9be45d8f1bc168825a1cfb1fb"
+                    "5648a00ab6b2cee40858820fba969d29"),
+    "restricted 12-tet": (3, "83ba0b0276014454e10a311d7b055c7a"
+                             "1f13689d1003fb0fbf6d8ed09d3ef05d"),
+    "restricted pair": (54, "7370f92be158ccaf6b773341aeaf454e"
+                            "bc288cb89801403e657b54d7daea7a66"),
+    "solid torus": (4, "3d2dbf8957cb90be7da6fee0f6f696aa"
+                       "bd0d2b292a2870ecea274524e0ebc659"),
+    "coned layered solid torus": (10, "4210ef138187a91e511f4ea26a6ba011"
+                                      "8d5f0e5226380527418810794263621d"),
+}
+
+
+def vertex_solutions(system):
+    stages = hilbert._admissible_stages(
+        system, _Budget(hilbert.DEFAULT_MAX_CANDIDATES, None))
+    vertices = next(stages)
+    stages.close()
+    return vertices
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_SOLUTIONS_SHA256))
+def test_vertex_solutions_are_pinned(name, tri10, restricted12, disc_tri,
+                                     disc_link, torus_tri):
+    system = {
+        "10-tet": lambda: tri10.matching_system,
+        "restricted 12-tet": lambda: restricted12,
+        "restricted pair": lambda: restrict_to_link(
+            disc_tri.matching_system, disc_tri, disc_link),
+        "solid torus": lambda: torus_tri.matching_system,
+        "coned layered solid torus":
+            lambda: cone(layered_solid_torus()).matching_system,
+    }[name]()
+    vertices = vertex_solutions(system)
+    assert (len(vertices), rays_sha256(vertices)) == \
+        VERTEX_SOLUTIONS_SHA256[name]
+
+
+@pytest.mark.parametrize("seed", sorted(RELABELLED_WORK))
+def test_relabelled_vertex_solutions_are_the_canonical_ones(seed, tri10,
+                                                            monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    gen = importlib.import_module("gen")
+    names = [tri10.name(t) for t in range(tri10.size)]
+    relabelling = gen.random_relabelling(names, random.Random(seed))
+    vertices = vertex_solutions(
+        gen.relabel(tri10, relabelling).matching_system)
+    back = sorted(canonical_coordinates(v, tri10, relabelling)
+                  for v in vertices)
+    assert (len(back), rays_sha256(back)) == \
+        VERTEX_SOLUTIONS_SHA256["10-tet"]
 
 
 def test_runtime_never_imports_sympy(tmp_path):
