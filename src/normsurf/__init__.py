@@ -7,9 +7,7 @@ decision procedures.
 """
 
 from .curves2d import (
-    CurveReport,
     SurfaceTriangulation,
-    analyze_curve,
     build_matching_system_2d,
     connect_boundary_points,
     parse_surface,
@@ -46,15 +44,12 @@ from .homology import (
 from .matching import (
     MatchingSystem,
     NormalVector,
-    all_triangles_vector,
     boundary_meeting_variables,
     build_matching_system,
-    haken_sum,
     is_admissible,
     is_solution,
     restrict_to_link,
     variable_name,
-    vertex_link_vector,
 )
 from .surface import (
     RegionGraph,
@@ -82,7 +77,6 @@ from .triangulation import (
 
 __all__ = [
     "ChainComplex",
-    "CurveReport",
     "EdgeCycle",
     "FundamentalSet",
     "H1Class",
@@ -103,9 +97,7 @@ __all__ = [
     "TriangulationError",
     "VectorError",
     "Verdict",
-    "all_triangles_vector",
     "analyze",
-    "analyze_curve",
     "boundary_meeting_variables",
     "build_matching_system",
     "build_matching_system_2d",
@@ -117,7 +109,6 @@ __all__ = [
     "enumerate_fundamental",
     "filter_unknotting_disks",
     "h1",
-    "haken_sum",
     "is_admissible",
     "is_solution",
     "parse_link",
@@ -137,5 +128,4 @@ __all__ = [
     "validate_surface",
     "variable_name",
     "verify_zero_pushoff",
-    "vertex_link_vector",
 ]

@@ -9,8 +9,9 @@ connectivity, and emit the bundled fixture files.
 Output is human-readable by default; --json emits a byte-deterministic
 document (sorted keys, two-space indent) and `fundamental --tsv` lists
 one vector per row with seven columns per tetrahedron in file order.
-Exit codes: 0 = success or verdict produced, 2 = invalid input,
-3 = resource cap exceeded (UNKNOWN verdict).
+Exit codes: 0 = success or verdict produced, 1 = standard output
+closed before the result was written, 2 = invalid input, 3 = resource
+cap exceeded (UNKNOWN verdict).
 
 Only the four commands that enumerate surfaces (`fundamental`,
 `split-check`, `unknot` and `curve2d connect`) take the resource caps
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -456,7 +458,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NormSurfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config, sys.stdout, sys.stderr)
+    try:
+        code = run(config, sys.stdout, sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as in the signal docs' SIGPIPE note: exit's flush would raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

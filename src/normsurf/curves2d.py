@@ -29,13 +29,13 @@ benchmark scripts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import TriangulationError, VectorError
+from .errors import TriangulationError
 from .hilbert import DEFAULT_MAX_CANDIDATES, enumerate_fundamental
-from .matching import MatchingSystem, is_solution
+from .matching import MatchingSystem
 from .triangulation import Gluing, corner_stack, validate
 
 CURVE_BLOCK = 3
@@ -100,14 +100,6 @@ def build_matching_system_2d(surf: SurfaceTriangulation) -> MatchingSystem:
         quad_triples=())
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    """Weight and component count of a normal curve system."""
-
-    weight: int
-    components: int
-
-
 def _edge_crossings(v: Sequence[int], tri: int, edge: tuple[int, int]) -> int:
     u, w = edge
     return v[CURVE_BLOCK * tri + u] + v[CURVE_BLOCK * tri + w]
@@ -136,23 +128,6 @@ def curve_components(surf: SurfaceTriangulation, v: Sequence[int],
     stacks = {(i, x, edge): _stack(v, i, x, edge)
               for i in range(surf.size) for edge in EDGES_2D for x in edge}
     return len(surf.join_stacks(stacks, parity).groups())
-
-
-def analyze_curve(surf: SurfaceTriangulation, v: Sequence[int]
-                  ) -> CurveReport:
-    """Weight and component count of a solution vector.
-
-    Weight counts crossings per edge class (each interior gluing once);
-    components are counted by `curve_components`.
-    """
-    v = surf.matching_system.read(v)
-    if not is_solution(surf.matching_system, v):
-        raise VectorError("vector is not a solution of the 2D system")
-
-    spots = [spot for spot, _, _ in surf.interior_pairs()]
-    weight = sum(_edge_crossings(v, *spot)
-                 for spot in spots + surf.boundary_facets())
-    return CurveReport(weight=weight, components=curve_components(surf, v))
 
 
 def _resolve_boundary_edge(surf: SurfaceTriangulation, ref: EdgeRef,

@@ -12,8 +12,8 @@ class TriangulationError(NormSurfError):
 
 
 class VectorError(NormSurfError):
-    """A coordinate vector fails a precondition (length, sign, solution,
-    admissibility, or quad compatibility)."""
+    """A coordinate vector fails a precondition (length, sign, entry
+    type, solution, or admissibility)."""
 
 
 class HomologyError(NormSurfError):

@@ -815,27 +815,34 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _maximal_cliques(neighbors: Sequence[int]) -> list[int]:
-    """Maximal cliques of a small graph, vertices as bitmask ints."""
+def _maximal_cliques(neighbors: Sequence[int], budget: _Budget) -> list[int]:
+    """Maximal cliques of a graph, vertices as bitmask ints: Bron-Kerbosch
+    pivoting on the first vertex of P | X with most neighbors in P
+    (Tomita, Tanaka and Takahashi, Theor. Comput. Sci. 363, 2006).
+
+    It keeps its own stack, checking the deadline at each node. A frame
+    (R, P, X, rest) is a node when rest is None, else the rest of a
+    node's loop, lowest candidate first, pushed under the child's frame
+    so that the cliques come out in the recursive search's order.
+    """
     out: list[int] = []
-
-    def extend(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pivot, best = -1, -1
-        for v in _bits(p | x):
-            cnt = bin(p & neighbors[v]).count("1")
-            if cnt > best:
-                pivot, best = v, cnt
-        for v in _bits(p & ~neighbors[pivot]):
-            b = 1 << v
-            extend(r | b, p & neighbors[v], x & neighbors[v])
-            p ^= b
-            x |= b
-
-    if neighbors:
-        extend(0, (1 << len(neighbors)) - 1, 0)
+    stack = [(0, (1 << len(neighbors)) - 1, 0, None)] if neighbors else []
+    while stack:
+        r, p, x, rest = stack.pop()
+        if rest is None:
+            budget.check_time()
+            if not p | x:
+                out.append(r)
+                continue
+            pivot = max(_bits(p | x),
+                        key=lambda v: (p & neighbors[v]).bit_count())
+            rest = p & ~neighbors[pivot]
+        if rest:
+            b = rest & -rest
+            n = neighbors[b.bit_length() - 1]
+            if rest ^ b:
+                stack.append((r, p ^ b, x | b, rest ^ b))
+            stack.append((r | b, p & n, x & n, None))
     return out
 
 
@@ -887,7 +894,8 @@ def _admissible_rays(sys: MatchingSystem, budget: _Budget
 
 
 def _faces(patterns: Sequence[frozenset[int]],
-           quad_triples: Sequence[tuple[int, int, int]]) -> list[int]:
+           quad_triples: Sequence[tuple[int, int, int]], budget: _Budget
+           ) -> list[int]:
     """The ray sets, as bitmasks over the rays, of the faces that cover
     the admissible solutions, one per maximal coherent family of quad
     patterns, in the order _maximal_cliques finds the families, each
@@ -902,7 +910,8 @@ def _faces(patterns: Sequence[frozenset[int]],
 
     Each pattern is admissible, one quad per block it touches, and each
     quad lies in one block; so two patterns are coherent exactly when
-    their union, as bitmasks, has as many quads as blocks.
+    their union, as bitmasks, has as many quads as blocks. The deadline
+    is checked once per pattern of that pair test, and charges nothing.
     """
     block_of = {q: b for b, triple in enumerate(quad_triples)
                 for q in triple}
@@ -915,6 +924,7 @@ def _faces(patterns: Sequence[frozenset[int]],
     blocks = [sum(1 << block_of[q] for q in p) for p in plist]
     neighbors = [0] * len(plist)
     for i in range(len(plist)):
+        budget.check_time()
         for j in range(i + 1, len(plist)):
             if (quads[i] | quads[j]).bit_count() == \
                     (blocks[i] | blocks[j]).bit_count():
@@ -923,7 +933,7 @@ def _faces(patterns: Sequence[frozenset[int]],
     # each ray has one pattern, so the masks of rays_of are disjoint
     return list(dict.fromkeys(
         sum(rays_of[k] for k in _bits(clique))
-        for clique in _maximal_cliques(neighbors)))
+        for clique in _maximal_cliques(neighbors, budget)))
 
 
 def _triangulate(face: int, rank: int, zero_masks: Iterable[int],
@@ -943,6 +953,8 @@ def _triangulate(face: int, rank: int, zero_masks: Iterable[int],
     spanning set that lie in it, so a smaller face has fewer rays. Each
     facet has rank one less. The triangulation of a ray set depends on
     that set only, so it is memoised in `memo`, shared by all faces.
+    It recurses once per rank: at most 46 levels on the closed 26-tet
+    figure-eight grown by 2-3 moves, far below the recursion limit.
     """
     budget.check_time()
     if face in memo:
@@ -1043,7 +1055,7 @@ def _face_basis(kernel_rays: list[tuple[int, ...]],
                   for column in zip(*normals)}
     memo: dict[int, list[tuple[int, ...]]] = {}
     points: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for face in _faces(patterns, quad_triples):
+    for face in _faces(patterns, quad_triples, budget):
         members = _bits(face)
         budget.charge(len(members))
         rank = len(_independent([kernel_rays[r] for r in members]))

@@ -167,23 +167,6 @@ def restrict_to_link(
     return replace(sys, forced_zeros=frozenset(zeros))
 
 
-def haken_sum(a: Sequence[int], b: Sequence[int]) -> NormalVector:
-    """Coordinate-wise sum of two quad-compatible admissible vectors.
-
-    Raises when either vector or their sum is not admissible: the sum
-    then has two quad types in one tetrahedron, and its disks could not
-    be resolved into an embedded surface.
-    """
-    if len(a) != len(b):
-        raise VectorError(f"length mismatch: {len(a)} vs {len(b)}")
-    s = tuple(x + y for x, y in zip(a, b))
-    if not (is_admissible(a) and is_admissible(b) and is_admissible(s)):
-        raise VectorError(
-            "quadrilateral type conflict: the vectors or their sum put two "
-            "quad types in one tetrahedron")
-    return s
-
-
 def edge_crossing_variables(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
     """Per edge class, the variables crossing its least member. A
     solution crosses all members of a class equally often, so summed
@@ -237,16 +220,3 @@ def euler_coefficients(tri: Triangulation) -> tuple[int, ...]:
             c[i] -= 1
     return tuple(c)
 
-
-def all_triangles_vector(tri: Triangulation) -> NormalVector:
-    """One triangle at every corner: the union of all vertex links."""
-    block = (1, 1, 1, 1, 0, 0, 0)
-    return block * tri.size
-
-
-def vertex_link_vector(tri: Triangulation, vertex_class: int) -> NormalVector:
-    """One triangle at each corner of the given vertex class."""
-    v = [0] * (BLOCK * tri.size)
-    for (t, corner) in tri.skeleton.vertex_classes[vertex_class].members:
-        v[BLOCK * t + corner] = 1
-    return tuple(v)

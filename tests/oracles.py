@@ -184,6 +184,14 @@ def surface_cell_counts(tri, v):
     return V, E, F, V - E + F, components, circles
 
 
+def vertex_link_vector(tri, vertex_class):
+    """One triangle at each corner of the vertex class: its link."""
+    v = [0] * (7 * tri.size)
+    for t, corner in tri.skeleton.vertex_classes[vertex_class].members:
+        v[7 * t + corner] = 1
+    return tuple(v)
+
+
 def boundary_curve(tri, v):
     """The arcs of v on the boundary faces, as a curve vector on
     tri.boundary_surface: its triangle k is the k-th boundary face, and
@@ -930,7 +938,7 @@ def admissible_by_completion(system):
     all_quads = {q for triple in system.quad_triples for q in triple}
     solutions = set()
     seen_zero_sets = set()
-    for face in hilbert._faces(patterns, system.quad_triples):
+    for face in hilbert._faces(patterns, system.quad_triples, budget):
         allowed = set().union(*(p for r, p in enumerate(patterns)
                                 if face >> r & 1))
         zeros = frozenset(system.forced_zeros | (all_quads - allowed))
@@ -941,6 +949,40 @@ def admissible_by_completion(system):
             hilbert._Reduction(system.variable_count, equations, zeros),
             budget))
     return tuple(sorted(solutions))
+
+
+# ---------------------------------------------------------------------------
+# Maximal cliques by the recursive Bron-Kerbosch search with pivoting that
+# the library ran before its search kept its own stack: the reference for
+# the order in which the cliques come out.
+
+def maximal_cliques_recursive(neighbors):
+    """Maximal cliques, vertices as bitmask ints, in the order of the
+    recursive search: the pivot is the first vertex of P | X with the
+    most neighbors in P, and the candidates go lowest first."""
+    def bits(mask):
+        return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+    out = []
+
+    def extend(r, p, x):
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pivot, best = -1, -1
+        for v in bits(p | x):
+            cnt = bin(p & neighbors[v]).count("1")
+            if cnt > best:
+                pivot, best = v, cnt
+        for v in bits(p & ~neighbors[pivot]):
+            b = 1 << v
+            extend(r | b, p & neighbors[v], x & neighbors[v])
+            p ^= b
+            x |= b
+
+    if neighbors:
+        extend(0, (1 << len(neighbors)) - 1, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -463,3 +466,22 @@ def test_out_of_memory_exits_3(capsys, fixture_dir, monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("resource cap exceeded: out of memory: "
                    "Unable to allocate 755. MiB for an array\n")
+
+
+def test_a_closed_standard_output_stops_quietly(fixture_dir):
+    # the read end is closed before the run starts, so the first write
+    # fails whatever the timing
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a
+            for a in HUMAN_COMMANDS["split-witness"]]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "normsurf.cli", *argv], stdout=w,
+            stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(w)
+    assert (result.returncode, result.stderr) == (1, "")

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from normsurf import curves2d
-from normsurf.curves2d import (SurfaceTriangulation, analyze_curve,
-                               build_matching_system_2d,
-                               connect_boundary_points, parse_surface,
-                               serialize_surface, validate_surface)
+from normsurf.curves2d import (SurfaceTriangulation, build_matching_system_2d,
+                               connect_boundary_points, curve_components,
+                               parse_surface, serialize_surface,
+                               validate_surface)
 from normsurf.errors import TriangulationError
 from normsurf.fixtures import square_surface
 from normsurf.hilbert import enumerate_fundamental
@@ -51,8 +51,8 @@ def test_component_counts_match_oracle():
         system = build_matching_system_2d(surf)
         for v in enumerate_fundamental(system).vectors:
             assert is_solution(system, v)
-            report = analyze_curve(surf, v)
-            assert report.components == trace_curve_components(surf, v)
+            assert curve_components(surf, v) \
+                == trace_curve_components(surf, v)
             checked += 1
     assert checked > 20
 
@@ -79,7 +79,8 @@ def test_connect_boundary_points_on_square():
         crossings = {surf.format_edge(i, (a, b)): v[3 * i + a] + v[3 * i + b]
                      for i, (a, b) in surf.boundary_edges()}
         assert sorted(crossings.values()) == [0, 0, 1, 1]
-        assert analyze_curve(surf, v).components == 1
+        assert curve_components(surf, v) == 1 \
+            == trace_curve_components(surf, v)
     assert connect_boundary_points(surf, ("B", (1, 2)), ("B", (2, 1))) \
         == (0,) * 6
 

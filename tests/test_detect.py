@@ -15,14 +15,15 @@ from normsurf.hilbert import enumerate_fundamental
 from normsurf.homology import cycle_chain, h1, verify_zero_pushoff
 from normsurf.matching import (boundary_meeting_variables,
                                build_matching_system, is_admissible,
-                               is_solution, vertex_link_vector)
+                               is_solution)
 from normsurf.surface import analyze, complement_regions, separates
 from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
                                     Triangulation, compute_skeleton,
                                     validate)
 
 from exteriors import cone, layered_solid_torus
-from oracles import boundary_curve, surface_cell_counts, trace_curve_regions
+from oracles import (boundary_curve, surface_cell_counts,
+                     trace_curve_regions, vertex_link_vector)
 from tables import (SOLID_TORUS_FUNDAMENTALS, SOLID_TORUS_MERIDIAN,
                     SOLID_TORUS_RECORD, one_tet_two_face_gluings)
 

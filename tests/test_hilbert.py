@@ -31,8 +31,9 @@ from exteriors import cone, layered_solid_torus
 from oracles import (admissible_by_completion, bounded_solutions,
                      brute_force_solutions, cone_extreme_rays,
                      decomposes_over, filter_admissible,
-                     hilbert_by_subset_cover,
-                     lift_reference, minimal_nonzero, random_quad_system)
+                     hilbert_by_subset_cover, lift_reference,
+                     maximal_cliques_recursive, minimal_nonzero,
+                     random_quad_system)
 
 from tables import reference_solutions
 
@@ -288,10 +289,10 @@ def test_triangulated_faces_match_the_subset_cover(monkeypatch):
         before = len(found)
         only = enumerate_fundamental(sys, admissible_only=True).vectors
         indexed += len(found) > before
-        _, normals, patterns = hilbert._admissible_rays(
-            sys, _Budget(10 ** 9, None))
+        budget = _Budget(10 ** 9, None)
+        _, normals, patterns = hilbert._admissible_rays(sys, budget)
         cover = set()
-        for face in hilbert._faces(patterns, sys.quad_triples):
+        for face in hilbert._faces(patterns, sys.quad_triples, budget):
             cover |= hilbert_by_subset_cover(
                 [v for r, v in enumerate(normals) if face >> r & 1])
         assert set(only) == cover, sys
@@ -1051,6 +1052,50 @@ def test_deadline_is_checked_inside_the_triangulation(tri10):
     with pytest.raises(ResourceLimitExceeded):
         enumerate_fundamental(tri10.matching_system, admissible_only=True,
                               time_budget=1e-3)
+
+
+def random_graph(rng, n, density):
+    """Neighbor bitmasks of a seeded random graph on n vertices."""
+    neighbors = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
+    return neighbors
+
+
+def test_maximal_cliques_come_out_in_the_recursive_order():
+    # the order of the faces sets where a capped face stage overruns
+    rng = random.Random(36)
+    for _ in range(300):
+        neighbors = random_graph(rng, rng.randint(0, 40), rng.random())
+        assert hilbert._maximal_cliques(neighbors, _Budget(1, None)) \
+            == maximal_cliques_recursive(neighbors)
+
+
+def test_maximal_cliques_of_a_deep_clique_need_no_recursion():
+    n = 1100
+    full = (1 << n) - 1
+    neighbors = [full ^ (1 << v) for v in range(n)]
+    assert hilbert._maximal_cliques(neighbors, _Budget(1, None)) == [full]
+    with pytest.raises(ResourceLimitExceeded):
+        hilbert._maximal_cliques(neighbors, _Budget(1, -1.0))
+
+
+def test_faces_check_the_deadline_in_the_pair_test():
+    # a few thousand admissible patterns: the pair test alone takes
+    # seconds, and a deadline already past stops it at its first row
+    rng = random.Random(36)
+    triples = [(BLOCK * b + 4, BLOCK * b + 5, BLOCK * b + 6)
+               for b in range(12)]
+    patterns = list({frozenset(rng.choice(t) for t in triples
+                               if rng.random() < 0.5)
+                     for _ in range(4000)})
+    assert len(patterns) > 3000
+    with pytest.raises(ResourceLimitExceeded) as raised:
+        hilbert._faces(patterns, triples, _Budget(10 ** 9, -1.0))
+    assert raised.traceback[-2].name == "_faces"
 
 
 NO_SYMPY_SCRIPT = """

@@ -26,13 +26,14 @@ from normsurf.fixtures import (disconnected_link, disconnected_pair,
 from normsurf.hilbert import enumerate_fundamental
 from normsurf.homology import (_smith, _sparse, chain_complex, cycle_chain,
                                h1, verify_zero_pushoff)
-from normsurf.matching import restrict_to_link, vertex_link_vector
+from normsurf.matching import restrict_to_link
 from normsurf.surface import analyze
 from normsurf.triangulation import (EdgeCycle, IdealVertex, Triangulation,
                                     parse_triangulation,
                                     serialize_triangulation)
 
-from oracles import UF, TruncatedH1Reference, h1_reference, smith_reference
+from oracles import (UF, TruncatedH1Reference, h1_reference, smith_reference,
+                     vertex_link_vector)
 from tables import (DIRECTED_LOOP_VALUES, LONGITUDE_CLASS_MEMBERS,
                     ONE_TET_CLOSED_CENSUS, RAW_TEN_TET, RAW_TET_ORDER,
                     one_tet_closed_gluings)

@@ -1,4 +1,4 @@
-"""Matching systems: equation generation, vectors, sums, restriction."""
+"""Matching systems: equation generation, vectors, restriction."""
 
 import itertools
 import random
@@ -9,14 +9,12 @@ from normsurf.errors import VectorError
 from normsurf.fixtures import (disconnected_pair, fig8_closed,
                                fig8_complement, fig8_link, single_tet,
                                solid_torus)
-from normsurf.matching import (BLOCK, all_triangles_vector,
-                               boundary_arc_variables, build_matching_system,
-                               edge_crossing_variables, haken_sum,
-                               is_admissible, is_solution, variable_name,
-                               vertex_link_vector)
+from normsurf.matching import (BLOCK, boundary_arc_variables,
+                               build_matching_system, edge_crossing_variables,
+                               is_admissible, is_solution, variable_name)
 from normsurf.matching import _arcs, _crossing, quad_offset
 
-from oracles import _arc_count, _edge_w, boundary_curve
+from oracles import _arc_count, _edge_w, boundary_curve, vertex_link_vector
 from tables import (PRINTED_EQUATIONS, PRINTED_ITEM7_CORRECTED,
                     RESTRICTED_FORCED_ZERO_NAMES, reference_solutions)
 
@@ -106,11 +104,10 @@ def test_reference_vectors_are_admissible_solutions(tri12, sys12):
 
 def test_zero_and_all_triangles(tri10, tri12, sys12):
     assert sys12.variable_count == 84
-    ones = all_triangles_vector(tri12)
-    assert is_solution(sys12, ones)
-    assert ones == (1, 1, 1, 1, 0, 0, 0) * 12
+    assert is_solution(sys12, (0,) * 84)
+    assert is_solution(sys12, (1, 1, 1, 1, 0, 0, 0) * tri12.size)
     sys10 = build_matching_system(tri10)
-    assert is_solution(sys10, all_triangles_vector(tri10))
+    assert is_solution(sys10, (1, 1, 1, 1, 0, 0, 0) * tri10.size)
 
 
 def test_vertex_link_vectors_are_solutions(tri12, skel12, sys12):
@@ -119,16 +116,6 @@ def test_vertex_link_vectors_are_solutions(tri12, skel12, sys12):
         assert is_solution(sys12, v)
         assert sum(v) == vc.degree
         assert is_admissible(v)
-
-
-def test_haken_sum(tri12, sys12):
-    v1, v2, v3 = reference_solutions(tri12)
-    s = haken_sum(v1, v2)
-    assert s == tuple(a + b for a, b in zip(v1, v2))
-    assert is_solution(sys12, s)
-    # incompatible quad choices conflict
-    with pytest.raises(VectorError, match="quad"):
-        haken_sum((0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1, 0))
 
 
 def test_is_admissible():
@@ -140,21 +127,6 @@ def test_is_admissible():
 def test_is_admissible_refuses_partial_blocks():
     with pytest.raises(VectorError, match="not a multiple"):
         is_admissible((0,) * 8)
-
-
-def test_haken_sum_refuses_inadmissible_vectors():
-    """Two quad types in one tetrahedron make the sum inadmissible,
-    also when the other summand adds no quad at all."""
-    two_quads = (0, 0, 0, 0, 1, 1, 0)
-    for other in ((0,) * 7, (0, 0, 0, 0, 1, 0, 0), two_quads):
-        for a, b in ((two_quads, other), (other, two_quads)):
-            with pytest.raises(VectorError, match="quad"):
-                haken_sum(a, b)
-
-
-def test_haken_sum_refuses_length_mismatch():
-    with pytest.raises(VectorError, match="length mismatch"):
-        haken_sum((0,) * 7, (0,) * 14)
 
 
 def test_quad_offset():
@@ -209,7 +181,7 @@ def test_restricted_solutions(tri12, restricted12):
     for v in (v1, v2, v3):
         assert is_solution(restricted12, v)
     # the all-triangles vector hits forced zeros
-    assert not is_solution(restricted12, all_triangles_vector(tri12))
+    assert not is_solution(restricted12, (1, 1, 1, 1, 0, 0, 0) * tri12.size)
 
 
 def test_link_components_shape():

@@ -427,3 +427,34 @@ def test_all_lists_every_public_binding():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)]
     assert sorted(normsurf.__all__) == sorted(public)
+
+
+# Public names that nothing in the package or bench/ uses yet.
+UNCALLED_PUBLIC = {
+    # the paper's second unknot algorithm, which ROADMAP item 5 turns
+    # into a command
+    "filter_unknotting_disks",
+    # bench/ names it only as a span label; it goes with ROADMAP item 2a
+    "verify_zero_pushoff",
+}
+
+
+def test_every_public_name_is_used_by_the_product():
+    """Every name in __all__ appears, as an AST Name, Attribute or
+    ImportFrom alias, in some module of the package other than
+    __init__.py or in some bench/ script, so the public surface is what
+    the pipeline, the CLI and the benchmark use. The exceptions are
+    listed with their reasons, and one that is used fails here too."""
+    package = Path(normsurf.__file__).parent
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    used = set()
+    for path in paths + sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert set(normsurf.__all__) - used == UNCALLED_PUBLIC
