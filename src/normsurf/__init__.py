@@ -6,6 +6,8 @@ curves on triangulated surfaces, and split-link / unknottedness
 decision procedures.
 """
 
+import types
+
 from .curves2d import (
     SurfaceTriangulation,
     build_matching_system_2d,
@@ -39,7 +41,6 @@ from .homology import (
     chain_complex,
     cycle_chain,
     h1,
-    verify_zero_pushoff,
 )
 from .matching import (
     MatchingSystem,
@@ -75,57 +76,7 @@ from .triangulation import (
     validate,
 )
 
-__all__ = [
-    "ChainComplex",
-    "EdgeCycle",
-    "FundamentalSet",
-    "H1Class",
-    "H1Summary",
-    "HomologyError",
-    "IdealVertex",
-    "IntegerOverflow",
-    "LinkSpec",
-    "MatchingSystem",
-    "NormSurfError",
-    "NormalVector",
-    "RegionGraph",
-    "ResourceLimitExceeded",
-    "Skeleton",
-    "SurfaceReport",
-    "SurfaceTriangulation",
-    "Triangulation",
-    "TriangulationError",
-    "VectorError",
-    "Verdict",
-    "analyze",
-    "boundary_meeting_variables",
-    "build_matching_system",
-    "build_matching_system_2d",
-    "chain_complex",
-    "complement_regions",
-    "compute_skeleton",
-    "connect_boundary_points",
-    "cycle_chain",
-    "enumerate_fundamental",
-    "filter_unknotting_disks",
-    "h1",
-    "is_admissible",
-    "is_solution",
-    "parse_link",
-    "parse_link_component",
-    "parse_surface",
-    "parse_triangulation",
-    "resolve_link",
-    "restrict_to_link",
-    "separates",
-    "serialize_link",
-    "serialize_link_component",
-    "serialize_surface",
-    "serialize_triangulation",
-    "split_link_check",
-    "unknot_via_pushoff",
-    "validate",
-    "validate_surface",
-    "variable_name",
-    "verify_zero_pushoff",
-]
+# The public names are what the imports above bind, less the submodules.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

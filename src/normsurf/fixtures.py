@@ -75,7 +75,7 @@ def fig8_pushoff_cycle() -> EdgeCycle:
     """The boundary edge b1*(13), a loop parallel to the knot.
 
     Its class generates the complement's first homology, so this
-    parallel copy is not 0-framed and fails verify_zero_pushoff; see
+    parallel copy is not 0-framed: its class in h1 is not null; see
     fig8_longitude_cycle for the parallel loop that is null-homologous.
     The split-link check itself does not depend on the framing.
     """
@@ -92,7 +92,7 @@ def fig8_longitude_cycle() -> EdgeCycle:
 
 def fig8_link() -> LinkSpec:
     """The knot (the ideal vertex class of the closed fixture) and its
-    parallel loop b1*(13), which fails verify_zero_pushoff: the split
+    parallel loop b1*(13), whose class in h1 is not null: the split
     check answers for this link only (see fig8_longitude_cycle)."""
     return LinkSpec(components=(
         IdealVertex(tet="h1", vertex=0),

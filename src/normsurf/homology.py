@@ -414,8 +414,3 @@ def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:
             _nonmaterial_vertex_classes(tri, tri.skeleton)):
         raise HomologyError("the walk visits a non-material vertex class")
     return coeffs
-
-
-def verify_zero_pushoff(tri: Triangulation, cycle: EdgeCycle) -> bool:
-    """True iff the closed edge walk is null-homologous."""
-    return h1(tri).class_of(cycle_chain(tri, cycle)).is_null

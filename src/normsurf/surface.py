@@ -55,21 +55,16 @@ Region = tuple
 
 @dataclass(frozen=True)
 class SurfaceReport:
-    """Topological summary of the surface carried by one vector.
-
-    weight is the total number of crossing points with the 1-skeleton
-    and equals the sum of edge_weights (one entry per edge class).
-    closed means the surface misses the triangulation's boundary
-    entirely, equivalently boundary_circles == 0.
+    """Topological summary of the surface carried by one vector: the
+    fields the scans and the CLI read, each unchanged by relabelling
+    the triangulation. closed means the surface misses the
+    triangulation's boundary entirely, equivalently boundary_circles == 0.
     """
 
-    weight: int
-    edge_weights: tuple[int, ...]
     euler: int
     components: int
     closed: bool
     boundary_circles: int
-    disk_count: int
 
 
 @dataclass(frozen=True)
@@ -86,10 +81,9 @@ class RegionGraph:
     edge_region: dict[int, int]
 
 
-def _patterns(tri: Triangulation, v: Sequence[int]
-              ) -> tuple[tuple[int, ...], list[int]]:
-    """The vector read as an admissible solution, and its edge-class
-    weights."""
+def _patterns(tri: Triangulation, v: Sequence[int]) -> tuple[int, ...]:
+    """The vector read as an admissible solution; VectorError if it is
+    no such solution."""
     sys = tri.matching_system
     v = sys.read(v)
     if any(x < 0 for x in v):
@@ -101,8 +95,7 @@ def _patterns(tri: Triangulation, v: Sequence[int]
     if not is_admissible(v):
         raise VectorError(
             "inadmissible vector: two quad types in one tetrahedron")
-    return v, [sum(v[i] for i in crossing)
-               for crossing in edge_crossing_variables(tri)]
+    return v
 
 
 def _stacks(v: tuple[int, ...]) -> dict:
@@ -138,7 +131,7 @@ def _stacks(v: tuple[int, ...]) -> dict:
 
 
 def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
-    """Edge weights, Euler characteristic, components, and boundary.
+    """Euler characteristic, components, and boundary.
 
     The Euler form (`euler_coefficients`) defines `euler` as its value
     on v; the cell count in its docstring proves that this is the
@@ -146,19 +139,15 @@ def analyze(tri: Triangulation, v: Sequence[int]) -> SurfaceReport:
     interior faces; boundary circles are the components of the
     boundary curve (`boundary_arc_variables`) on `tri.boundary_surface`.
     """
-    v, edge_weights = _patterns(tri, v)
-    disk_count = sum(v)
+    v = _patterns(tri, v)
     disks = tri.join_stacks(_stacks(v), 1)
     curve = [sum(v[i] for i in arc) for arc in tri.boundary_arc_variables]
     circles = curve_components(tri.boundary_surface, curve)
     return SurfaceReport(
-        weight=sum(edge_weights),
-        edge_weights=tuple(edge_weights),
         euler=sum(c * x for c, x in zip(tri.euler_coefficients, v)),
-        components=len(disks.groups()) if disk_count else 0,
+        components=len(disks.groups()) if any(v) else 0,
         closed=circles == 0,
-        boundary_circles=circles,
-        disk_count=disk_count)
+        boundary_circles=circles)
 
 
 def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
@@ -171,7 +160,8 @@ def complement_regions(tri: Triangulation, v: Sequence[int]) -> RegionGraph:
     every interior face piece between consecutive arcs; the result is
     the connectivity of the surface complement.
     """
-    v, weights = _patterns(tri, v)
+    v = _patterns(tri, v)
+    weights = [sum(v[i] for i in c) for c in edge_crossing_variables(tri)]
     skel = tri.skeleton
     stacks = _stacks(v)
     cells = tri.join_stacks(stacks, 0)

@@ -201,6 +201,39 @@ def boundary_curve(tri, v):
 
 
 # ---------------------------------------------------------------------------
+# Coordinates under bench/gen.py's relabellings. gen.relabel moves
+# tetrahedron `name` to position order.index(name) and renames its vertex
+# x to sigma[x]: a triangle type follows its vertex, and the quad type
+# separating {0, x} follows that pair.
+
+def _relabelled_slots(tri, relabelling):
+    """Per coordinate i of tri's vectors, its coordinate in the
+    relabelled triangulation's."""
+    order, perms = relabelling
+    slots = []
+    for t in range(tri.size):
+        sigma = perms[tri.name(t)]
+        at = 7 * order.index(tri.name(t))
+        slots += [at + sigma[x] for x in range(4)]
+        slots += [at + _pair_offset(sigma[0], sigma[x]) for x in (1, 2, 3)]
+    return slots
+
+
+def canonical_coordinates(v, tri, relabelling):
+    """v, a vector of gen.relabel(tri, relabelling), in tri's labels."""
+    return tuple(v[j] for j in _relabelled_slots(tri, relabelling))
+
+
+def relabelled_coordinates(v, tri, relabelling):
+    """v, a vector of tri, in the labels of gen.relabel(tri, relabelling):
+    the inverse of canonical_coordinates."""
+    out = [0] * len(v)
+    for i, j in enumerate(_relabelled_slots(tri, relabelling)):
+        out[j] = v[i]
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # 2D curve components by endpoint-position arithmetic.
 
 def trace_curve_components(surf, v):

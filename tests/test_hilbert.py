@@ -24,13 +24,13 @@ from normsurf.errors import IntegerOverflow, ResourceLimitExceeded
 from normsurf.hilbert import (_Budget, _extreme_rays, _integer_kernel,
                               enumerate_fundamental)
 from normsurf.matching import (BLOCK, MatchingSystem, is_admissible,
-                               is_solution, quad_offset, restrict_to_link)
+                               is_solution, restrict_to_link)
 from normsurf.triangulation import LinkSpec
 
 from exteriors import cone, layered_solid_torus
 from oracles import (admissible_by_completion, bounded_solutions,
-                     brute_force_solutions, cone_extreme_rays,
-                     decomposes_over, filter_admissible,
+                     brute_force_solutions, canonical_coordinates,
+                     cone_extreme_rays, decomposes_over, filter_admissible,
                      hilbert_by_subset_cover, lift_reference,
                      maximal_cliques_recursive, minimal_nonzero,
                      random_quad_system)
@@ -1124,24 +1124,6 @@ RELABELLED_WORK = {
     0: 27_492, 1: 42_259, 2: 38_465, 3: 26_142, 4: 53_799,
     5: 33_838, 6: 29_125, 7: 55_567, 8: 43_487, 9: 31_763,
 }
-
-
-def canonical_coordinates(v, tri, relabelling):
-    """v, a vector of gen.relabel(tri, relabelling), in tri's labels.
-
-    gen.relabel moves tetrahedron `name` to position order.index(name)
-    and renames its vertex x to sigma[x]: a triangle type follows its
-    vertex, and the quad type separating {0, x} follows that pair.
-    """
-    order, perms = relabelling
-    out = []
-    for t in range(tri.size):
-        sigma = perms[tri.name(t)]
-        at = BLOCK * order.index(tri.name(t))
-        block = v[at:at + BLOCK]
-        out += [block[sigma[x]] for x in range(4)]
-        out += [block[quad_offset(sigma[0], sigma[x])] for x in (1, 2, 3)]
-    return tuple(out)
 
 
 @pytest.mark.parametrize("seed", sorted(RELABELLED_WORK))

@@ -6,30 +6,42 @@ point, arc, and disk from the raw gluings without the library's
 surface code.
 """
 
-import dataclasses
 import hashlib
+import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from normsurf.errors import TriangulationError, VectorError
 from normsurf.fixtures import fig8_link, single_tet, square_surface
 from normsurf.matching import (boundary_meeting_variables,
-                               euler_coefficients, is_admissible, is_solution)
+                               edge_crossing_variables, euler_coefficients,
+                               is_admissible, is_solution)
 from normsurf.surface import (_stacks, analyze, complement_regions,
                               separates)
 from normsurf.triangulation import (FACES, IdealVertex, LinkSpec,
                                     Triangulation, resolve_link)
 
-from oracles import (boundary_curve, surface_cell_counts,
+from oracles import (boundary_curve, canonical_coordinates,
+                     relabelled_coordinates, surface_cell_counts,
                      trace_curve_components, vertex_link_vector)
 from tables import reference_solutions
 
 
-def cells(report):
-    V = report.weight
-    F = report.disk_count
+def edge_weights(tri, v):
+    """Per edge class, the number of points where v's surface crosses it."""
+    return [sum(v[i] for i in crossing)
+            for crossing in edge_crossing_variables(tri)]
+
+
+def cells(tri, v):
+    """(V, E, F, chi, components, boundary circles) from analyze: V is the
+    total edge weight, F the disk count, and E follows from chi."""
+    report = analyze(tri, v)
+    V = sum(edge_weights(tri, v))
+    F = sum(v)
     E = V + F - report.euler
     return (V, E, F, report.euler, report.components,
             report.boundary_circles)
@@ -38,7 +50,7 @@ def cells(report):
 def test_first_reference_solution(tri12):
     v = reference_solutions(tri12)[0]
     r = analyze(tri12, v)
-    assert cells(r) == (18, 47, 29, 0, 1, 0)
+    assert cells(tri12, v) == (18, 47, 29, 0, 1, 0)
     assert r.closed
     assert not separates(tri12, v, fig8_link())
     assert surface_cell_counts(tri12, v) == (18, 47, 29, 0, 1, 0)
@@ -53,7 +65,7 @@ def test_separates_refuses_surfaces_touching_the_link(tri12):
 def test_second_reference_solution(tri12):
     v = reference_solutions(tri12)[1]
     r = analyze(tri12, v)
-    assert cells(r) == (23, 59, 36, 0, 1, 0)
+    assert cells(tri12, v) == (23, 59, 36, 0, 1, 0)
     assert r.closed
     assert separates(tri12, v, fig8_link())
     assert surface_cell_counts(tri12, v) == (23, 59, 36, 0, 1, 0)
@@ -62,7 +74,7 @@ def test_second_reference_solution(tri12):
 def test_third_reference_solution(tri12, skel12):
     v = reference_solutions(tri12)[2]
     r = analyze(tri12, v)
-    assert cells(r) == (1, 3, 2, 0, 1, 0)
+    assert cells(tri12, v) == (1, 3, 2, 0, 1, 0)
     assert r.closed
     assert separates(tri12, v, fig8_link())
     graph = complement_regions(tri12, v)
@@ -78,7 +90,7 @@ def test_third_reference_solution(tri12, skel12):
 def test_zero_vector(tri10):
     v = (0,) * 70
     r = analyze(tri10, v)
-    assert cells(r) == (0, 0, 0, 0, 0, 0)
+    assert cells(tri10, v) == (0, 0, 0, 0, 0, 0)
     assert r.closed
     assert len(complement_regions(tri10, v).regions) == 1
 
@@ -86,9 +98,10 @@ def test_zero_vector(tri10):
 def test_all_triangles_10tet(tri10):
     v = (1, 1, 1, 1, 0, 0, 0) * tri10.size
     r = analyze(tri10, v)
-    assert cells(r) == (24, 63, 40, 1, r.components, r.boundary_circles)
+    assert cells(tri10, v) == (24, 63, 40, 1, r.components,
+                               r.boundary_circles)
     assert not r.closed
-    assert surface_cell_counts(tri10, v) == cells(r)
+    assert surface_cell_counts(tri10, v) == cells(tri10, v)
 
 
 def test_single_tet_corner_disk():
@@ -101,13 +114,13 @@ def test_single_tet_corner_disk():
     assert not r.closed
     graph = complement_regions(st, v)
     assert len(graph.regions) == 2
-    assert surface_cell_counts(st, v) == cells(r)
+    assert surface_cell_counts(st, v) == cells(st, v)
 
 
 def test_single_tet_quad_stack():
     st = single_tet()
     v = (0, 0, 0, 0, 0, 3, 0)
-    assert cells(analyze(st, v)) == surface_cell_counts(st, v)
+    assert cells(st, v) == surface_cell_counts(st, v)
 
 
 def test_material_vertex_link_is_separating_sphere(tri12, skel12):
@@ -135,14 +148,17 @@ def test_additivity_over_reference_pairs(tri12):
         assert is_admissible(s)
         ra, rb, rs = analyze(tri12, a), analyze(tri12, b), analyze(tri12, s)
         assert rs.euler == ra.euler + rb.euler
-        assert rs.weight == ra.weight + rb.weight
+        assert edge_weights(tri12, s) == [
+            x + y for x, y in zip(edge_weights(tri12, a),
+                                  edge_weights(tri12, b))]
 
 
 def test_doubling_scales_cells(tri12):
     v = reference_solutions(tri12)[1]
-    r1 = analyze(tri12, v)
-    r2 = analyze(tri12, tuple(2 * x for x in v))
-    assert (r2.euler, r2.weight) == (2 * r1.euler, 2 * r1.weight)
+    doubled = tuple(2 * x for x in v)
+    r1, r2 = analyze(tri12, v), analyze(tri12, doubled)
+    w1, w2 = sum(edge_weights(tri12, v)), sum(edge_weights(tri12, doubled))
+    assert (r2.euler, w2) == (2 * r1.euler, 2 * w1)
 
 
 def test_random_sums_match_oracle(tri10, tri12, fund_restricted, fund10):
@@ -157,8 +173,7 @@ def test_random_sums_match_oracle(tri10, tri12, fund_restricted, fund10):
                           for i in range(len(picks[0])))
             if not is_admissible(total):
                 continue
-            assert surface_cell_counts(tri, total) == cells(
-                analyze(tri, total))
+            assert surface_cell_counts(tri, total) == cells(tri, total)
             done += 1
 
 
@@ -264,8 +279,10 @@ def test_euler_characteristic_and_closedness_are_linear(
 
 
 # sha256 of the lines test_surface_reading_is_pinned builds: per vector,
-# every SurfaceReport field, the RegionGraph (regions, vertex regions,
-# sorted edge regions) and, where the system has a link, separates.
+# a report row (total weight, edge weights, euler, components, closed,
+# boundary circles, disk count), the RegionGraph (regions, vertex
+# regions, sorted edge regions) and, where the system has a link,
+# separates.
 SURFACE_SHA256 = (
     "6643b03ef233c8b6140d5f3b6f0011328b0896d76856e7d6d731a4adaf36397b")
 
@@ -290,7 +307,10 @@ def test_surface_reading_is_pinned(tri10, fund10, tri12, fund_restricted,
         for v in list(vectors) + [s for s in sums if is_admissible(s)]:
             r = analyze(tri, v)
             g = complement_regions(tri, v)
-            row = [list(v), list(dataclasses.astuple(r)), list(g.regions),
+            w = edge_weights(tri, v)
+            report = [sum(w), w, r.euler, r.components, r.closed,
+                      r.boundary_circles, sum(v)]
+            row = [list(v), report, list(g.regions),
                    list(g.vertex_region), sorted(g.edge_region.items())]
             if link is not None:
                 row.append(separates(tri, v, link))
@@ -334,7 +354,7 @@ def test_each_class_meets_one_region(tri10, fund10, tri12, fund_restricted,
 
             vertex_cell = [one({home(t, x) for t, x in vc.members})
                            for vc in skel.vertex_classes]
-            weights = analyze(tri, v).edge_weights
+            weights = edge_weights(tri, v)
             for ec in skel.edge_classes:
                 if not weights[ec.index]:
                     one({home(t, x) for t, pair in ec.members for x in pair})
@@ -367,3 +387,42 @@ def test_boundary_circles_are_the_boundary_curve_components(
             assert n == analyze(tri, v).boundary_circles
             circles.append(n)
     assert (len(circles), max(circles)) == (135, 5)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_surface_reading_ignores_labels(tri10, fund10, tri12,
+                                        fund_restricted, disc_tri, disc_link,
+                                        fund_pair, monkeypatch):
+    """Relabelling the triangulation, by bench/gen.py's seeded reordering
+    of tetrahedra and renaming of vertices, changes no analyze report, no
+    complementary region count and no separates answer, on admissible
+    fundamental vectors of three systems (every fifth of the 10-tet's)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    gen = importlib.import_module("gen")
+    cases = [
+        (tri10, fund10.vectors[::5], None),
+        (tri12, fund_restricted.vectors, fig8_link()),
+        (disc_tri, fund_pair.vectors, disc_link),
+    ]
+    def reading(tri, v, link):
+        return (analyze(tri, v), len(complement_regions(tri, v).regions),
+                link is not None and separates(tri, v, link))
+
+    checked = 0
+    for tri, vectors, link in cases:
+        names = [tri.name(t) for t in range(tri.size)]
+        expected = [reading(tri, v, link) for v in vectors]
+        for seed in range(3):
+            relabelling = gen.random_relabelling(names, random.Random(seed))
+            other = gen.relabel(tri, relabelling)
+            other_link = link and LinkSpec(components=tuple(
+                gen.relabel_component(c, relabelling)
+                for c in link.components))
+            for v, want in zip(vectors, expected):
+                w = relabelled_coordinates(v, tri, relabelling)
+                assert canonical_coordinates(w, tri, relabelling) == v
+                assert reading(other, w, other_link) == want
+                checked += 1
+    assert checked == 3 * (22 + 3 + 54)
