@@ -44,6 +44,7 @@ CLOSING_ROWS: dict[str, tuple] = {
     "h1": (("h2", (0, 1, 2)), ("h2", (0, 3, 2)), ("h2", (0, 3, 1)), ("b1*", (3, 2, 1))),
     "h2": (("h1", (0, 1, 2)), ("h1", (0, 3, 2)), ("h1", (0, 3, 1)), ("b2*", (1, 2, 3))),
 }
+CLOSED_ROWS = {**TEN_TET_ROWS, **CLOSING_ROWS}
 
 
 def _records(rows: dict[str, tuple]) -> list[tuple]:
@@ -64,10 +65,8 @@ def fig8_complement() -> Triangulation:
 
 def fig8_closed() -> Triangulation:
     """12-tetrahedron closed extension of the knot complement."""
-    rows = dict(TEN_TET_ROWS)
-    rows.update(CLOSING_ROWS)
     return Triangulation(
-        TEN_TET_NAMES + ("h1", "h2"), _records(rows),
+        TEN_TET_NAMES + ("h1", "h2"), _records(CLOSED_ROWS),
         metadata={"coordinates": COORDINATE_NOTE})
 
 
@@ -84,9 +83,9 @@ def fig8_pushoff_cycle() -> EdgeCycle:
 
 def fig8_longitude_cycle() -> EdgeCycle:
     """The boundary edge b1*(12), a null-homologous loop parallel to
-    the knot: a true 0-framed longitude, with an explicit bounding
-    2-chain in the complement. `unknot --knot fig8_knot.json` derives
-    its class off the knot's cusp, as an edge of a cap's base."""
+    the knot: a true 0-framed longitude, its class in h1 is null.
+    `unknot --knot fig8_knot.json` derives its class off the knot's
+    cusp, as an edge of a cap's base."""
     return EdgeCycle(edges=(("b1*", (1, 2)),))
 
 
@@ -128,10 +127,8 @@ def disconnected_pair() -> Triangulation:
     names = []
     records = []
     for prefix in ("A.", "B."):
-        rows = dict(TEN_TET_ROWS)
-        rows.update(CLOSING_ROWS)
         names.extend(prefix + n for n in TEN_TET_NAMES + ("h1", "h2"))
-        for tet, face, to, verts in _records(rows):
+        for tet, face, to, verts in _records(CLOSED_ROWS):
             records.append((prefix + tet, face, prefix + to, verts))
     return Triangulation(
         names, records, metadata={"coordinates": COORDINATE_NOTE})

@@ -3,16 +3,15 @@
 The quotient complex of a triangulation has one cell per vertex class,
 edge class, and face class. This module assembles its integer boundary
 matrices, computes H1 = ker d1 / im d2, and classifies 1-cycles: every
-cycle gets canonical coordinates in H1, a nullity test, and, when it
-bounds, an explicit 2-chain certificate.
+cycle gets canonical coordinates in H1 and a nullity test.
 
 The cycle space ker d1 comes from a spanning forest of the skeleton
 graph: each edge class left out of it closes one fundamental cycle, and
 a 1-cycle's coordinates in that basis are its values on those edges. So
 x, im d2 in these coordinates, is those rows of d2, and one exact Smith
-form S = U x V gives the group, U a cycle's class, V a bounding 2-chain.
-It comes from _smith, the one exact integer elimination, shared with
-hilbert; its docstring defines the layout of appended transforms.
+form S = U x V gives the group and U a cycle's class. It comes from
+_smith, the one exact integer elimination, shared with hilbert; its
+docstring defines the layout of appended transforms.
 
 H1 is the manifold's, truncated at non-material vertex classes (links
 neither spheres nor disks): on the closed figure-eight extension, the
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence
 
 from .errors import HomologyError
 from .matching import BLOCK
@@ -48,7 +47,7 @@ from .triangulation import (
 from .union_find import UnionFind
 
 Matrix = tuple[tuple[int, ...], ...]
-Chain = Union[Sequence[int], Mapping[int, int]]
+Chain = Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -293,8 +292,7 @@ class H1Summary:
 
     The group is Z^free_rank plus one finite cyclic factor per torsion
     entry. class_of turns any 1-cycle (coefficients over the oriented
-    edge classes, 0 on cut_edges) into canonical coordinates; bounding
-    returns an explicit 2-chain with that boundary when it is null.
+    edge classes, 0 on cut_edges) into canonical coordinates.
     """
 
     free_rank: int
@@ -303,14 +301,9 @@ class H1Summary:
     _cycle_edges: tuple[int, ...]
     _transform: Matrix
     _image_diag: tuple[int, ...]
-    _postfactor: Matrix
 
     def _coordinates(self, chain: Chain) -> list[int]:
         chain = _as_vector(chain, self.complex)
-        n_e = len(self.complex.skeleton.edge_classes)
-        if len(chain) != n_e:
-            raise HomologyError(
-                f"chain has {len(chain)} coefficients, expected {n_e}")
         if any(chain[e] for e in self.complex.cut_edges):
             raise HomologyError("chain runs along a cut edge class")
         if any(_matvec(self.complex.boundary1, chain)):
@@ -325,32 +318,24 @@ class H1Summary:
         return H1Class(values=tuple(x % d if d else x for x, d in kept),
                        orders=tuple(d for _, d in kept))
 
-    def bounding(self, chain: Chain) -> Optional[tuple[int, ...]]:
-        """A 2-chain over face classes whose boundary is the cycle,
-        or None when the cycle is not null-homologous."""
-        w = self._coordinates(chain)
-        diag = self._image_diag
-        if any(w[len(diag):]) or any(x % d for x, d in zip(w, diag)):
-            return None
-        # the 2-chain's coordinates past the rank are zero
-        return tuple(_matvec(self._postfactor,
-                             [x // d for x, d in zip(w, diag)]))
-
 
 def _as_vector(chain: Chain, cc: ChainComplex) -> list[int]:
-    """The chain's coefficients as ints, one per edge class. Mapping
-    keys must be plain ints naming edge classes, and every coefficient
-    a number of integral value; anything else raises HomologyError."""
+    """The chain's coefficients as ints, one per edge class. A chain
+    is a Mapping whose keys are plain ints naming edge classes, and
+    every coefficient a number of integral value; anything else raises
+    HomologyError."""
+    if not isinstance(chain, Mapping):
+        raise HomologyError(
+            "a chain must map edge classes to coefficients, got a "
+            f"{type(chain).__name__}")
     n_e = len(cc.skeleton.edge_classes)
-    if isinstance(chain, Mapping):
-        vec = [0] * n_e
-        for idx, coeff in chain.items():
-            if not (isinstance(idx, int) and not isinstance(idx, bool)
-                    and 0 <= idx < n_e):
-                raise HomologyError(f"no edge class {idx!r}")
-            vec[idx] += _coefficient(coeff)
-        return vec
-    return [_coefficient(x) for x in chain]
+    vec = [0] * n_e
+    for idx, coeff in chain.items():
+        if not (isinstance(idx, int) and not isinstance(idx, bool)
+                and 0 <= idx < n_e):
+            raise HomologyError(f"no edge class {idx!r}")
+        vec[idx] += _coefficient(coeff)
+    return vec
 
 
 def _coefficient(x) -> int:
@@ -379,7 +364,6 @@ def h1(tri: Triangulation) -> H1Summary:
     k, n_f = len(cycle_edges), len(cc.face_basis)
     rows = [_sparse(cc.boundary2[e]) | {n_f + i: 1}
             for i, e in enumerate(cycle_edges)]
-    rows += [{j: 1} for j in range(n_f)]
     diag = tuple(_smith(rows, k, n_f))
 
     return H1Summary(
@@ -388,10 +372,8 @@ def h1(tri: Triangulation) -> H1Summary:
         complex=cc,
         _cycle_edges=tuple(cycle_edges),
         _transform=tuple(tuple(row.get(n_f + i, 0) for i in range(k))
-                         for row in rows[:k]),
-        _image_diag=diag,
-        _postfactor=tuple(tuple(row.get(j, 0) for j in range(n_f))
-                          for row in rows[k:]))
+                         for row in rows),
+        _image_diag=diag)
 
 
 def cycle_chain(tri: Triangulation, cycle: EdgeCycle) -> dict[int, int]:

@@ -753,7 +753,7 @@ class H1Reference:
         x = [[sum(a * b for a, b in zip(p, col)) for col in zip(*self.d2)]
              for p in self.P]
         k = n_e - r1
-        S, self.U, self.V, _ = smith_reference(x, k, n_f)
+        S, self.U, _, _ = smith_reference(x, k, n_f)
         self.diag = [S[i][i] for i in range(min(k, n_f)) if S[i][i]]
         self.free_rank = k - len(self.diag)
         self.torsion = tuple(d for d in self.diag if d > 1)
@@ -769,15 +769,6 @@ class H1Reference:
         orders = [d for d in self.diag if d > 1]
         return (tuple(values + w[r:]),
                 tuple(orders + [0] * (len(w) - r)))
-
-    def bounding(self, chain):
-        w = self._coordinates(chain)
-        r = len(self.diag)
-        if any(w[r:]) or any(w[i] % d for i, d in enumerate(self.diag)):
-            return None
-        c = [w[i] // d for i, d in enumerate(self.diag)]
-        c += [0] * (len(self.face_basis) - r)
-        return tuple(sum(a * b for a, b in zip(row, c)) for row in self.V)
 
 
 def h1_reference(tri):
@@ -922,8 +913,6 @@ class TruncatedH1Reference:
         r0 = sum(1 for i in range(min(n_v, len(kept))) if S0[i][i])
         self.cycles = [{e: row[j] for e, row in zip(kept, V0) if row[j]}
                        for j in range(r0, len(kept))]
-        self._face_cut = {(t, f): any(at_cut(t, x) for x in f)
-                          for t in range(n) for f in _FACES}
 
     def vector(self, chain):
         """The chain as a list over this complex's edges."""
@@ -939,14 +928,6 @@ class TruncatedH1Reference:
         r = len(self._diag)
         return not any(w[r:]) and not any(
             x % d for x, d in zip(w, self._diag))
-
-    def face_boundary(self, spot):
-        """The boundary of a face missing the cut classes, as vector
-        gives it; a face with a corner there raises ValueError."""
-        t, (i, j, k) = spot
-        if self._face_cut[(t, (i, j, k))]:
-            raise ValueError(f"face {spot} has a corner at a cut class")
-        return self.vector({(t, (i, j)): 1, (t, (j, k)): 1, (t, (k, i)): 1})
 
 
 # ---------------------------------------------------------------------------
