@@ -625,6 +625,13 @@ def _disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc == 0
 
 
+def _row_masks(a: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array as a bitmask int, column j at bit
+    j: _bitsets' inverse, through numpy's bit packing."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(a, axis=1, bitorder="little")]
+
+
 def _popcount(a: np.ndarray) -> np.ndarray:
     """The number of bits set in each bitset of a, word by word."""
     # bitwise_count gives uint8, which a sum of four words could wrap
@@ -908,28 +915,35 @@ def _faces(patterns: Sequence[frozenset[int]],
     the family's patterns: a pattern inside the union is coherent with
     every member, so a maximal family holds it.
 
-    Each pattern is admissible, one quad per block it touches, and each
-    quad lies in one block; so two patterns are coherent exactly when
-    their union, as bitmasks, has as many quads as blocks. The deadline
-    is checked once per pattern of that pair test, and charges nothing.
+    Each pattern is admissible, one quad per block it touches, so two
+    patterns are coherent exactly when neither holds a quad that the
+    other excludes, the other quads of its blocks. Each pattern's quads
+    and excluded quads are rows of uint64 words (_bitsets), and the test
+    runs a block of patterns against all of them at a time (_disjoint),
+    with temporaries of about _CHUNK elements; each row of the result is
+    a pattern's neighbour set. The deadline is checked once per block,
+    and the test charges nothing.
     """
-    block_of = {q: b for b, triple in enumerate(quad_triples)
-                for q in triple}
+    others = {q: sum(1 << x for x in triple if x != q)
+              for triple in quad_triples for q in triple}
     plist = sorted(set(patterns), key=sorted)
     index = {p: k for k, p in enumerate(plist)}
     rays_of = [0] * len(plist)
     for r, p in enumerate(patterns):
         rays_of[index[p]] |= 1 << r
-    quads = [sum(1 << q for q in p) for p in plist]
-    blocks = [sum(1 << block_of[q] for q in p) for p in plist]
-    neighbors = [0] * len(plist)
-    for i in range(len(plist)):
+    width = -(-(max(others, default=0) + 1) // 64)
+    quads = _bitsets([sum(1 << q for q in p) for p in plist], width)
+    # a pattern's quads lie in distinct blocks, so their others are
+    # disjoint and add up to their union
+    excluded = _bitsets([sum(others[q] for q in p) for p in plist], width)
+    step = max(1, _CHUNK // max(1, len(plist) * width))
+    neighbors = []
+    for lo in range(0, len(plist), step):
         budget.check_time()
-        for j in range(i + 1, len(plist)):
-            if (quads[i] | quads[j]).bit_count() == \
-                    (blocks[i] | blocks[j]).bit_count():
-                neighbors[i] |= 1 << j
-                neighbors[j] |= 1 << i
+        neighbors += _row_masks(_disjoint(excluded[lo:lo + step, None],
+                                          quads[None]))
+    # every pattern is coherent with itself, and no neighbour of its own
+    neighbors = [m & ~(1 << k) for k, m in enumerate(neighbors)]
     # each ray has one pattern, so the masks of rays_of are disjoint
     return list(dict.fromkeys(
         sum(rays_of[k] for k in _bits(clique))
@@ -975,43 +989,88 @@ def _triangulate(face: int, rank: int, zero_masks: Iterable[int],
     return simplices
 
 
-def _parallelepiped(kernel_rays: Sequence[Sequence[int]],
-                    normals: Sequence[Sequence[int]], budget: _Budget
+def _unimodular(masks: Sequence[tuple[int, int]]) -> bool:
+    """Whether k linearly independent nonnegative vectors, each given by
+    its support and its coordinates equal to 1 as a pair of bitmasks,
+    have a k x k minor of 1 that peeling finds; then the lattice they
+    span holds every integer point of their span, and their simplex has
+    index 1.
+
+    A vector with a 1 in a column where every other vector left is 0
+    is peeled off with that column. On the peeled columns, rows and
+    columns in peeling order, each row is 1 on the diagonal and 0 left
+    of it, as its vector was left when the earlier columns were peeled:
+    once every vector is peeled, that minor is triangular, of
+    determinant 1. False means that some round peeled nothing, not that
+    the index is above 1.
+    """
+    left = list(masks)
+    while left:
+        seen = shared = 0
+        for support, _ in left:
+            shared |= seen & support
+            seen |= support
+        kept = [(support, unit) for support, unit in left
+                if not unit & ~shared]
+        if len(kept) == len(left):
+            return False
+        left = kept
+    return True
+
+
+def _parallelepiped(kernel_rays: Sequence[Sequence[int]], normals: np.ndarray,
+                    masks: Sequence[tuple[int, int]], budget: _Budget
                     ) -> list[tuple[int, ...]]:
     """The nonzero lattice points of a simplicial cone's fundamental
     parallelepiped {sum l_i r_i : 0 <= l_i < 1}, in normal coordinates.
 
     The k rays r_i are linearly independent, given by their kernel
-    coordinates (the rows of a k x d matrix R) and their normal
-    coordinates. With S = U R V its Smith form and s_1 | ... | s_k the
-    invariant factors, the lattice points of R's row span are exactly
-    the combinations l R with l = y diag(1/s) U, y integral, and y
-    modulo s_j in coordinate j picks out each point of the
-    parallelepiped once, as frac(l). Their number, the simplex's index,
-    is s_1 ... s_k; it is charged before any point is built. Integers
-    only: each l_i is scaled by s_k and reduced modulo s_k, and the
-    point is divided by s_k at the end, exactly. Only the columns of U
-    are appended to R's rows; V is never built.
+    coordinates (the rows of a k x d matrix R), by their normal
+    coordinates (the rows of the k x n array normals, nonnegative) and
+    by the masks of those (_unimodular). Their number, the simplex's
+    index, is charged before any point is built.
+
+    When the normal coordinates peel (_unimodular), the index is 1 and
+    there is no point. Otherwise, with S = U R V the Smith form of R and
+    s_1 | ... | s_k its invariant factors, the lattice points of R's row
+    span are exactly the combinations l R with l = y diag(1/s) U, y
+    integral, and y in the box 0 <= y_j < s_j picks out each point of
+    the parallelepiped once, as frac(l); the index is s_1 ... s_k. Only
+    the columns of U are appended to R's rows.
+
+    The points are two matrix products over every nonzero y of the box
+    at once, in integers: the rows of Y @ scaled, scaled row j being row
+    j of U times s_k / s_j, are the l scaled by s_k, reduced modulo s_k
+    to frac(l) scaled by s_k, and their product with the normals is
+    divided by s_k exactly. The arrays are int64 when every value the
+    products form fits: each is below s_k times the larger of the
+    largest column sum of |scaled| and k times the largest normal
+    coordinate. Past that bound they are dtype=object, exact Python
+    ints.
     """
+    if _unimodular(masks):
+        budget.charge(1)
+        return []
     k, d = len(kernel_rays), len(kernel_rays[0])
     rows = [_sparse(r) | {d + i: 1} for i, r in enumerate(kernel_rays)]
     s = _smith(rows, k, d)
     budget.charge(math.prod(s))
     top = s[-1]
-    # y_j only matters where s_j > 1; l * top = sum_j y_j * scaled[j]
+    if top == 1:
+        return []
+    # y_j only matters where s_j > 1
     big = [j for j in range(k) if s[j] > 1]
     scaled = [[top // s[j] * rows[j].get(d + i, 0) for i in range(k)]
               for j in big]
-    points = []
-    for y in itertools.product(*(range(s[j]) for j in big)):
-        if not any(y):
-            continue
-        coeffs = [sum(yj * row[i] for yj, row in zip(y, scaled)) % top
-                  for i in range(k)]
-        points.append(tuple(
-            sum(c * x for c, x in zip(coeffs, column)) // top
-            for column in zip(*normals)))
-    return points
+    bound = top * max(max(sum(abs(row[i]) for row in scaled)
+                          for i in range(k)),
+                      k * int(normals.max()))
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    # the box in product order; its first point is y = 0
+    ys = np.indices([s[j] for j in big]).reshape(len(big), -1).T[1:]
+    coeffs = ys.astype(dtype) @ np.array(scaled, dtype=dtype) % top
+    return [tuple(p) for p in
+            (coeffs @ normals.astype(dtype) // top).tolist()]
 
 
 def _face_basis(kernel_rays: list[tuple[int, ...]],
@@ -1032,7 +1091,9 @@ def _face_basis(kernel_rays: list[tuple[int, ...]],
     a simplicial cone is a point of its fundamental parallelepiped
     (_parallelepiped) plus a nonnegative integer combination of its
     rays. So every irreducible element of a face's monoid is one of its
-    rays or one of its simplices' nonzero parallelepiped points.
+    rays or one of its simplices' nonzero parallelepiped points. Which
+    triangulation, and which order the points come in, changes neither
+    (Bruns-Ichim, J. Algebra 324, 2010).
 
     A face is where some coordinates vanish. If x = y + w in the full
     monoid, then y and w are below x coordinatewise, so they lie in x's
@@ -1044,15 +1105,19 @@ def _face_basis(kernel_rays: list[tuple[int, ...]],
     below it, and minimality is tested once, over the candidates of all
     faces together.
 
-    The budget is charged each face's ray count, and each distinct
-    simplex's index (its parallelepiped's lattice points, zero included)
-    before the points are built; the triangulation checks the deadline
-    at every step.
+    The normals are one array, read once for every ray's zero set and
+    masks (_unimodular); each simplex takes its rows. The
+    budget is charged each face's ray count, and each distinct simplex's
+    index (its parallelepiped's lattice points, zero included) before
+    the points are built; the triangulation checks the deadline at every
+    step.
     """
     if not kernel_rays:
         return []
-    zero_masks = {sum(1 << r for r, x in enumerate(column) if not x)
-                  for column in zip(*normals)}
+    values = np.array(normals, dtype=object)
+    support = values != 0
+    zero_masks = set(_row_masks(~support.T))
+    masks = list(zip(_row_masks(support), _row_masks(values == 1)))
     memo: dict[int, list[tuple[int, ...]]] = {}
     points: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for face in _faces(patterns, quad_triples, budget):
@@ -1062,8 +1127,8 @@ def _face_basis(kernel_rays: list[tuple[int, ...]],
         for simplex in _triangulate(face, rank, zero_masks, memo, budget):
             if simplex not in points:
                 points[simplex] = _parallelepiped(
-                    [kernel_rays[r] for r in simplex],
-                    [normals[r] for r in simplex], budget)
+                    [kernel_rays[r] for r in simplex], values[list(simplex)],
+                    [masks[r] for r in simplex], budget)
     candidates = normals + [p for found in points.values() for p in found]
     _require_int64(max(map(max, candidates)), "a normal coordinate")
     rows = _minimal_rows(np.array(candidates, dtype=np.int64), budget)

@@ -11,7 +11,7 @@ produced the same answer, not one computation ran twice.
 import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 import numpy as np
@@ -702,6 +702,44 @@ def smith_reference(
 
 
 # ---------------------------------------------------------------------------
+# Simplicial cones from the reference Smith form, in exact fractions: the
+# index of a simplex and its fundamental parallelepiped's lattice points.
+
+def simplex_index(kernel_rays):
+    """The index of the lattice the rows of kernel_rays span in the
+    integer points of their span: the product of the invariant factors."""
+    k = len(kernel_rays)
+    S = smith_reference(kernel_rays, k, len(kernel_rays[0]))[0]
+    return math.prod(S[i][i] for i in range(k))
+
+
+def parallelepiped_reference(kernel_rays, normals):
+    """The nonzero lattice points of the fundamental parallelepiped
+    {sum l_i r_i : 0 <= l_i < 1} of k independent rays, given in kernel
+    coordinates (the rows of R) and mapped to the rows of normals.
+
+    With S = U R V from smith_reference and s its diagonal, the lattice
+    points of R's row span are the l R with l = y diag(1/s) U, y
+    integral, and y in the box 0 <= y_j < s_j gives each point of the
+    parallelepiped once, as frac(l)."""
+    k = len(kernel_rays)
+    S, U, _, _ = smith_reference(kernel_rays, k, len(kernel_rays[0]))
+    s = [S[i][i] for i in range(k)]
+    points = set()
+    for y in product(*map(range, s)):
+        frac = [x - math.floor(x) for x in (
+            sum(Fraction(y[j] * U[j][i], s[j]) for j in range(k))
+            for i in range(k))]
+        point = [sum(f * row[c] for f, row in zip(frac, normals))
+                 for c in range(len(normals[0]))]
+        assert all(x.denominator == 1 for x in point)
+        if any(point):
+            points.add(tuple(int(x) for x in point))
+    assert len(points) == math.prod(s) - 1
+    return points
+
+
+# ---------------------------------------------------------------------------
 # First homology as the library computed it before it took the cycle space
 # from a spanning forest: the complex rebuilt from the skeleton, each vertex
 # link's cells counted by surface_cell_counts, and cycles projected onto
@@ -1052,3 +1090,33 @@ def hilbert_by_subset_cover(rays):
         for row in v[(v % D == 0).all(1) & a.any(1)] // D:
             candidates.add(tuple(int(x) for x in row))
     return minimal_nonzero(candidates)
+
+
+# ---------------------------------------------------------------------------
+# The faces of the admissible search as the library found them when it
+# tested coherence one pair of quad patterns at a time.
+
+def faces_reference(patterns, quad_triples):
+    """(neighbors, faces): the coherence graph of the distinct patterns,
+    sorted, as bitmask ints, and the ray sets of its maximal cliques in
+    the order of the recursive search, each set once."""
+    block_of = {q: b for b, triple in enumerate(quad_triples)
+                for q in triple}
+    plist = sorted(set(patterns), key=sorted)
+    index = {p: k for k, p in enumerate(plist)}
+    rays_of = [0] * len(plist)
+    for r, p in enumerate(patterns):
+        rays_of[index[p]] |= 1 << r
+    quads = [sum(1 << q for q in p) for p in plist]
+    blocks = [sum(1 << block_of[q] for q in p) for p in plist]
+    neighbors = [0] * len(plist)
+    for i in range(len(plist)):
+        for j in range(i + 1, len(plist)):
+            if (quads[i] | quads[j]).bit_count() == \
+                    (blocks[i] | blocks[j]).bit_count():
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
+    faces = list(dict.fromkeys(
+        sum(rays_of[k] for k in range(len(plist)) if clique >> k & 1)
+        for clique in maximal_cliques_recursive(neighbors)))
+    return neighbors, faces

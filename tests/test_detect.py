@@ -9,8 +9,9 @@ from normsurf.detect import (filter_unknotting_disks, split_link_check,
                              unknot_via_pushoff)
 from normsurf.errors import TriangulationError
 from normsurf.fixtures import (disconnected_link, disconnected_pair,
-                               fig8_closed, fig8_link, fig8_longitude_cycle,
-                               fig8_pushoff_cycle, single_tet, solid_torus)
+                               fig8_closed, fig8_complement, fig8_link,
+                               fig8_longitude_cycle, fig8_pushoff_cycle,
+                               single_tet, solid_torus)
 from normsurf.hilbert import enumerate_fundamental
 from normsurf.homology import cycle_chain, h1
 from normsurf.matching import (boundary_meeting_variables,
@@ -21,7 +22,7 @@ from normsurf.triangulation import (EdgeCycle, IdealVertex, LinkSpec,
                                     Triangulation, compute_skeleton,
                                     validate)
 
-from exteriors import cone, layered_solid_torus
+from exteriors import cone, grow, layered_solid_torus
 from oracles import (boundary_curve, surface_cell_counts,
                      trace_curve_regions, vertex_link_vector)
 from tables import (SOLID_TORUS_FUNDAMENTALS, SOLID_TORUS_MERIDIAN,
@@ -325,6 +326,35 @@ def test_unknotted_control():
     assert r.closed and r.components == 1 and r.euler == 2
     assert separates(tri, v, link)
     assert len(filter_unknotting_disks(exterior)) == 1
+
+
+# The closed figure-eights cone(grow(fig8_complement(), size - 2, seed)):
+# (answer, searched_count, candidates charged) of unknot_via_pushoff,
+# keyed by (size, seed)
+GROWN = {
+    (16, 0): ("KNOTTED", 110, 4_030), (16, 1): ("KNOTTED", 70, 3_176),
+    (18, 0): ("KNOTTED", 283, 15_789), (18, 1): ("KNOTTED", 193, 10_754),
+}
+
+
+@pytest.mark.parametrize("size, seed", sorted(GROWN))
+def test_grown_figure_eights_are_knotted(size, seed, monkeypatch):
+    budgets = []
+    stages = detect._admissible_stages
+
+    def recording(system, budget):
+        budgets.append(budget)
+        return stages(system, budget)
+
+    monkeypatch.setattr(detect, "_admissible_stages", recording)
+    tri = cone(grow(fig8_complement(), size - 2, seed))
+    assert tri.size == size and not validate(tri)
+    summary = h1(tri)
+    assert (summary.free_rank, summary.torsion) == (1, ())
+    verdict = unknot_via_pushoff(tri, IdealVertex("c0", 0))
+    [budget] = budgets
+    assert (verdict.answer, verdict.searched_count,
+            budget.examined) == GROWN[size, seed]
 
 
 def test_knot_in_one_copy_of_the_pair_is_knotted(disc_tri):

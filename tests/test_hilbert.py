@@ -1,5 +1,6 @@
 """Fundamental-solution enumeration against independent brute force."""
 
+import collections
 import hashlib
 import importlib
 import json
@@ -23,6 +24,7 @@ from normsurf import fixtures, hilbert
 from normsurf.errors import IntegerOverflow, ResourceLimitExceeded
 from normsurf.hilbert import (_Budget, _extreme_rays, _integer_kernel,
                               enumerate_fundamental)
+from normsurf.homology import _smith, _sparse
 from normsurf.matching import (BLOCK, MatchingSystem, is_admissible,
                                is_solution, restrict_to_link)
 from normsurf.triangulation import LinkSpec
@@ -30,10 +32,11 @@ from normsurf.triangulation import LinkSpec
 from exteriors import cone, layered_solid_torus
 from oracles import (admissible_by_completion, bounded_solutions,
                      brute_force_solutions, canonical_coordinates,
-                     cone_extreme_rays, decomposes_over, filter_admissible,
-                     hilbert_by_subset_cover, lift_reference,
-                     maximal_cliques_recursive, minimal_nonzero,
-                     random_quad_system)
+                     cone_extreme_rays, decomposes_over, faces_reference,
+                     filter_admissible, hilbert_by_subset_cover,
+                     lift_reference, maximal_cliques_recursive,
+                     minimal_nonzero, parallelepiped_reference,
+                     random_quad_system, simplex_index, smith_reference)
 
 from tables import reference_solutions
 
@@ -257,17 +260,22 @@ def count_indexed_simplices(monkeypatch):
     return found
 
 
+def seeded_quad_systems():
+    """150 random systems with random quad triples, then 150 doubled
+    ones, from one seeded generator."""
+    rng = random.Random(13)
+    plain = [with_quad_triples(rng, random_quad_system(rng, max_vars=9))
+             for _ in range(150)]
+    return plain + [doubled_system(rng) for _ in range(150)]
+
+
 def test_admissible_basis_is_the_admissible_part_of_the_full_one(
         monkeypatch):
     # admissible under sys.quad_triples, not filter_admissible's fixed
     # 7-slot blocks
     found = count_indexed_simplices(monkeypatch)
-    rng = random.Random(13)
-    plain = [with_quad_triples(rng, random_quad_system(rng, max_vars=9))
-             for _ in range(150)]
-    doubled = [doubled_system(rng) for _ in range(150)]
     indexed = 0
-    for sys in plain + doubled:
+    for sys in seeded_quad_systems():
         before = len(found)
         only = enumerate_fundamental(sys, admissible_only=True).vectors
         indexed += len(found) > before
@@ -297,6 +305,145 @@ def test_triangulated_faces_match_the_subset_cover(monkeypatch):
                 [v for r, v in enumerate(normals) if face >> r & 1])
         assert set(only) == cover, sys
     assert indexed >= 22
+
+
+def test_ten_tet_face_stage_is_pinned(tri10, monkeypatch):
+    # the faces, and the distinct simplices their triangulations build,
+    # each one's index taken from the reference Smith form
+    faces, simplices = [], []
+    found_faces, parallelepiped = hilbert._faces, hilbert._parallelepiped
+
+    def recording_faces(*args):
+        out = found_faces(*args)
+        faces.extend(out)
+        return out
+
+    def recording(kernel_rays, *args):
+        simplices.append(tuple(tuple(int(x) for x in ray)
+                               for ray in kernel_rays))
+        return parallelepiped(kernel_rays, *args)
+
+    monkeypatch.setattr(hilbert, "_faces", recording_faces)
+    monkeypatch.setattr(hilbert, "_parallelepiped", recording)
+    enumerate_fundamental(tri10.matching_system, admissible_only=True)
+    indices = [simplex_index(rays) for rays in set(simplices)]
+    assert len(faces) == 108
+    assert len(simplices) == len(indices) == 186
+    assert indices.count(1) == 166
+    assert sum(indices) == 208
+
+
+@pytest.fixture(scope="module")
+def simplex_calls():
+    """The arguments of every _parallelepiped call, budget aside, in the
+    enumerations of the 10-tet, the 12-tet and the pair off their links
+    and the solid torus, then of seeded_quad_systems: each simplex's
+    kernel rays, normal rows and masks."""
+    tri12, pair = fixtures.fig8_closed(), fixtures.disconnected_pair()
+    systems = [
+        fixtures.fig8_complement().matching_system,
+        restrict_to_link(tri12.matching_system, tri12, fixtures.fig8_link()),
+        restrict_to_link(pair.matching_system, pair,
+                         fixtures.disconnected_link()),
+        fixtures.solid_torus().matching_system,
+    ] + seeded_quad_systems()
+    seen = []
+    parallelepiped = hilbert._parallelepiped
+
+    def recording(*args):
+        seen.append(args[:-1])
+        return parallelepiped(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hilbert, "_parallelepiped", recording)
+        for system in systems:
+            enumerate_fundamental(system, admissible_only=True)
+    return seen
+
+
+def test_parallelepipeds_match_the_reference(simplex_calls):
+    # peeling (_unimodular) settles a simplex only when its index is 1;
+    # every other one takes the Smith form, and each simplex's points are
+    # those the reference Smith form gives, in exact fractions
+    settled = collections.Counter()
+    for rays, normals, masks in simplex_calls:
+        index = simplex_index(rays)
+        peeled = hilbert._unimodular(masks)
+        assert index == 1 or not peeled
+        settled[index > 1, peeled] += 1
+        points = hilbert._parallelepiped(rays, normals, masks,
+                                         _Budget(10 ** 9, None))
+        assert len(points) == index - 1
+        assert set(points) == parallelepiped_reference(rays, normals.tolist())
+    assert settled == {(False, True): 652, (False, False): 9,
+                       (True, False): 43}
+
+
+def test_simplex_smith_forms_match_the_reference(simplex_calls):
+    # the simplices that skip _smith keep checking it against the
+    # reference, with U appended as _parallelepiped appends it
+    matrices = {tuple(map(tuple, rays)) for rays, *_ in simplex_calls}
+    assert len(matrices) == 400
+    for rays in matrices:
+        k, d = len(rays), len(rays[0])
+        rows = [_sparse(ray) | {d + i: 1} for i, ray in enumerate(rays)]
+        _smith(rows, k, d)
+        S, U, _, _ = smith_reference(rays, k, d)
+        assert [[row.get(j, 0) for j in range(d)] for row in rows] == S
+        assert [[row.get(d + i, 0) for i in range(k)] for row in rows] == U
+
+
+def test_parallelepiped_points_past_int64(simplex_calls, monkeypatch):
+    # the points of every simplex of index > 1 once more: with the int64
+    # range forced to nothing, and with the normals scaled past it, or
+    # each product past it, which must not wrap
+    indexed = [call for call in simplex_calls
+               if not hilbert._unimodular(call[2])]
+    budget = _Budget(10 ** 9, None)
+    expected = [set(hilbert._parallelepiped(*call, budget))
+                for call in indexed]
+    for rays, normals, masks in indexed:
+        for scale in (2 ** 62 // int(normals.max()), 2 ** 64):
+            assert set(hilbert._parallelepiped(
+                rays, normals * scale, masks, budget)) == {
+                tuple(scale * x for x in p)
+                for p in parallelepiped_reference(rays, normals.tolist())}
+    monkeypatch.setattr(hilbert, "_INT64_MAX", 0)
+    assert [set(hilbert._parallelepiped(*call, budget))
+            for call in indexed] == expected
+
+
+def test_blocked_faces_match_the_pairwise_loop(monkeypatch):
+    # more than 64 quads and more than 64 patterns, so that the bitsets
+    # span several words, and so do the neighbour masks; a small _CHUNK
+    # splits the patterns into many blocks. Each pattern is part of one
+    # of a few admissible choices of a quad in every block, so that the
+    # coherent families are few but not trivial
+    found = []
+    cliques = hilbert._maximal_cliques
+
+    def recording(neighbors, budget):
+        found.append(list(neighbors))
+        return cliques(neighbors, budget)
+
+    monkeypatch.setattr(hilbert, "_maximal_cliques", recording)
+    rng = random.Random(39)
+    for chunk in (hilbert._CHUNK, 500):
+        monkeypatch.setattr(hilbert, "_CHUNK", chunk)
+        for _ in range(5):
+            triples = [(BLOCK * b + 4, BLOCK * b + 5, BLOCK * b + 6)
+                       for b in range(rng.randint(22, 30))]
+            choices = [[rng.choice(t) for t in triples]
+                       for _ in range(rng.randint(2, 4))]
+            density = rng.uniform(0.3, 0.7)
+            patterns = [frozenset(q for q in rng.choice(choices)
+                                  if rng.random() < density)
+                        for _ in range(rng.randint(80, 160))]
+            assert len(set(patterns)) > 64
+            neighbors, faces = faces_reference(patterns, triples)
+            assert hilbert._faces(patterns, triples,
+                                  _Budget(1, None)) == faces
+            assert found.pop() == neighbors
 
 
 def test_restricted_fixture_has_exactly_the_three_reference_solutions(
