@@ -11,10 +11,12 @@ closed downward). This module enumerates them in two ways:
   - The admissible members (admissible_only=True), primally, as two
     stages over the interaction components (_summands) that one
     generator yields (_admissible_stages):
-      - the vertex stage: the integer kernel and the double description,
-        which takes the quad rows first, its starting cone included,
-        give each summand's admissible rays, whose primitive vectors
-        are the vertex solutions, each extreme one fundamental;
+      - the vertex stage: the double description, run on normal
+        coordinates from a starting cone that one sparse elimination of
+        the equations gives, and taking the quad columns first, its
+        starting cone included, gives each summand's admissible rays,
+        whose primitive vectors are the vertex solutions, each extreme
+        one fundamental;
       - the face stage, only when resumed, on the same rays: the faces
         that coherent quad choices cut out cover every admissible
         solution; each face is triangulated on its rays, and its
@@ -570,28 +572,93 @@ def _interaction_components(
 # -- admissible-only search --------------------------------------------------
 
 
-def _integer_kernel(A: Sequence[dict[int, int]], n: int
-                    ) -> list[tuple[int, ...]]:
-    """A basis of the integer kernel of the m x n matrix of sparse rows
-    A: the columns of the Smith column transform past the rank, each
-    primitive. Only the rows of V are appended to copies of A's."""
-    m = len(A)
-    rows = [dict(row) for row in A] + [{j: 1} for j in range(n)]
-    rank = len(_smith(rows, m, n))
-    return [tuple(row.get(j, 0) for row in rows[m:]) for j in range(rank, n)]
+def _starting_cone(A: Sequence[dict[int, int]], order: Sequence[int]
+                   ) -> tuple[list[int], np.ndarray, list[int]]:
+    """The free columns of the matrix of sparse rows A, in `order`, the
+    simplicial cone they bound in {x : A x = 0}, and its lattice
+    columns: (free, rays, lattice). Ray j, row j of a d x n object array
+    (n = len(order)), is the primitive integer solution positive on free
+    column j and zero on the other free columns.
+
+    One exact, fraction-free elimination, each changed row divided by
+    the gcd of its entries. The columns are visited in the reverse of
+    `order`; one is a pivot when a row that is not yet a pivot row is
+    nonzero there, and that row (the sparsest, then the one with the
+    least entry there) clears it from the other such rows. Back
+    substitution, last pivot first, then leaves each pivot row its own
+    pivot column and free columns only. A row spans the one line of its
+    span with the rows it met that is zero on their pivot columns, so
+    its entries are bounded by minors of A, as in Bareiss's elimination;
+    no Smith transform is formed.
+
+    The pivot columns are the last basis of A's column matroid in
+    `order`, so the free columns, its complement, are the first basis of
+    the dual matroid, which the rows of every kernel basis represent. A
+    solution is fixed by its free coordinates, so ray j is, divided by
+    its gcd, the vector that is L on free column f and -row[f] * L /
+    row[c] on the pivot column c of each pivot row, L the lcm of the
+    pivots row[c].
+
+    The lattice columns, in `order`, are the free columns and the pivot
+    columns whose pivot is not +-1 before back substitution. A pivot row
+    then holds no earlier pivot column, so, last pivot first, one whose
+    pivot is +-1 makes its column an integer combination of later ones:
+    the integer solutions project one to one onto the integer points of
+    their span on the lattice columns.
+    """
+    rows = [dict(row) for row in A]
+
+    def eliminate(i: int, src: dict[int, int], c: int) -> None:
+        row = rows[i]
+        g = math.gcd(src[c], row[c])
+        a, b = src[c] // g, row[c] // g
+        new = {k: a * x for k, x in row.items()}
+        for k, x in src.items():
+            x = new.get(k, 0) - b * x
+            if x:
+                new[k] = x
+            else:
+                del new[k]
+        g = math.gcd(*new.values())
+        rows[i] = {k: x // g for k, x in new.items()} if g > 1 else new
+
+    pivot_row: dict[int, int] = {}  # pivot column -> row, in pivot order
+    loose = list(range(len(rows)))  # rows that are not pivot rows
+    nonunit = set()  # pivot columns whose pivot is not +-1
+    for c in reversed(order):
+        hits = [i for i in loose if c in rows[i]]
+        if hits:
+            p = min(hits, key=lambda i: (len(rows[i]), abs(rows[i][c])))
+            loose.remove(p)
+            for i in hits:
+                if i != p:
+                    eliminate(i, rows[p], c)
+            pivot_row[c] = p
+            if abs(rows[p][c]) != 1:
+                nonunit.add(c)
+    for c, p in reversed(pivot_row.items()):
+        for j in [j for j in rows[p] if j != c and j in pivot_row]:
+            eliminate(p, rows[pivot_row[j]], j)
+    free = [c for c in order if c not in pivot_row]
+    index = {f: j for j, f in enumerate(free)}
+    scale = math.lcm(*(rows[p][c] for c, p in pivot_row.items()))
+    rays = np.zeros((len(free), len(order)), dtype=object)
+    rays[range(len(free)), free] = scale
+    for c, p in pivot_row.items():
+        for f, x in rows[p].items():
+            if f != c:
+                rays[index[f], c] = -x * scale // rows[p][c]
+    # initial=0 makes even a one-coordinate gcd nonnegative
+    rays //= np.gcd.reduce(rays, axis=1, initial=0)[:, None]
+    return free, rays, [c for c in order if c in index or c in nonunit]
 
 
-def _independent(rows: Sequence[Sequence[int]],
-                 limit: Optional[int] = None) -> list[int]:
-    """Indices of the first linearly independent rows, at most limit of
-    them: by fraction-free elimination, a row is taken when it does not
-    reduce to zero against the rows taken before it. Their number is the
-    rank when there is no limit."""
-    taken: list[int] = []
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows, by fraction-free elimination: a row
+    counts when it does not reduce to zero against the rows counted
+    before it."""
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for i, row in enumerate(rows):
-        if len(taken) == limit:
-            break
+    for row in rows:
         r = list(row)
         for p, e in echelon:
             if r[p]:
@@ -600,8 +667,7 @@ def _independent(rows: Sequence[Sequence[int]],
             g = math.gcd(*r)
             echelon.append((next(k for k, a in enumerate(r) if a),
                             [a // g for a in r]))
-            taken.append(i)
-    return taken
+    return len(echelon)
 
 
 def _bitsets(masks: Iterable[int], width: int) -> np.ndarray:
@@ -678,98 +744,95 @@ def _adjacent_pairs(tight: np.ndarray, positive: np.ndarray,
     return np.concatenate(found_p), np.concatenate(found_q)
 
 
-def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
-                  block_rows: Sequence[Sequence[int]] = (),
-                  ) -> list[tuple[int, ...]]:
-    """Rays spanning the pointed cone {z : ineq @ z >= 0}, as tuples of
-    Python ints.
+def _extreme_rays(A: Sequence[dict[int, int]], n: int, budget: _Budget,
+                  groups: Sequence[Sequence[int]] = (),
+                  ) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Rays spanning the pointed cone {x >= 0 : A x = 0} over n columns,
+    A given by sparse rows, with the lattice columns of its starting
+    cone (_starting_cone): (lattice, rays), the rays as tuples of Python
+    ints.
 
-    Double description with exact integer arithmetic. The inequality
-    matrix must have full column rank. The rows are taken in one order,
-    the grouped rows of block_rows first, then the rest, each by index.
-    The first d independent rows of that order (_independent), the base
-    B, bound a simplicial cone whose rays are the columns of B^-1: with
-    S = U B V the Smith form of B (both U's columns and V's rows are
-    appended to B's rows), column j of V diag(s_d/s_i) U is a positive
-    multiple of column j of B^-1, and is taken divided by its gcd. Each
-    other row is inserted in the same order, keeping the rays it does
-    not cut off and one new ray per adjacent pair across the cut.
+    Double description with exact integer arithmetic, run on the
+    coordinates x themselves: the inequalities are x_i >= 0, one per
+    column. The columns are taken in one order, the grouped columns of
+    `groups` first, then the rest, each by index. The free columns of
+    that order (_starting_cone), d of them, bound a simplicial cone
+    whose ray j is positive on free column j alone. Each other column is
+    inserted in the same order, keeping the rays it does not cut off and
+    one new ray per adjacent pair across the cut.
 
-    The rays are the rows of one R x d integer array, so each insertion
-    is a few whole-array operations: the row's values on every ray are
-    one matrix-vector product, the new rays vals[p] * ray[q] -
-    vals[q] * ray[p] of all adjacent pairs one broadcast, each divided
-    by its gcd, and a ray that two pairs give is kept at its first pair.
-    The array is int64 while every value a step can form fits: with M
-    the largest |ray coordinate| and N the largest l1 norm of a row of
-    ineq, a value is at most M * N and a new coordinate at most
-    2 * M**2 * N. Once that bound passes the int64 range the arrays turn
-    to dtype=object, exact Python ints, for the rest of the run.
+    The rays are the rows of one R x n integer array, so each insertion
+    is a few whole-array operations: column t0's values on every ray are
+    the column rays[:, t0], the new rays vals[p] * ray[q] - vals[q] *
+    ray[p] of all adjacent pairs one broadcast, each divided by its gcd,
+    and a ray that two pairs give is kept at its first pair. The array
+    is int64 while every value a step can form fits: with M the largest
+    |ray coordinate|, a new coordinate is at most 2 * M**2, as every
+    inequality row is a unit vector. Once that bound passes the int64
+    range the array turns to dtype=object, exact Python ints, for the
+    rest of the run.
 
-    The pair tests are array operations. The rows each ray is tight on,
-    numbered in insertion order, are a row of the R x W uint64 array
-    `tight`, W = ceil(len(ineq) / 64). A pair (p, q) is adjacent when
-    its common tight set has at least d - 2 rows and no third ray is
-    tight on all of them. Pairs are filtered in row-major order, so new
-    rays come out in the order of a plain double loop, in chunks that
-    keep every broadcast temporary near _CHUNK elements; the bitset
+    The pair tests are array operations. The columns each ray is tight
+    on (zero on), numbered in insertion order, are a row of the R x W
+    uint64 array `tight`, W = ceil(n / 64). A pair (p, q) is adjacent
+    when its common tight set has at least d - 2 columns and no third
+    ray is tight on all of them. Pairs are filtered in row-major order,
+    so new rays come out in the order of a plain double loop, in chunks
+    that keep every broadcast temporary near _CHUNK elements; the bitset
     tests loop over the W words in Python (_disjoint, _popcount).
 
-    block_rows names groups of inequality rows of which at most one may
-    end up positive. Rays that already have two positive values within
-    one group among the rows processed so far are discarded: a combined
-    ray's value on a processed row is a positive combination of its
+    `groups` names groups of columns of which at most one may end up
+    positive. Rays that already have two positive values within one
+    group among the columns processed so far are discarded: a combined
+    ray's value on a processed column is a positive combination of its
     parents' values, so positivity there is inherited, and no such ray
     can lead to a group-respecting final ray. Every stored ray respects
-    the groups, so `positive` holds its positive grouped rows and
-    `blocked` the other rows of the groups those touch: p and q combine
-    into a group-breaking ray exactly when positive[q] & blocked[p] is
-    nonzero. The output is every extreme ray that respects the groups,
-    possibly plus further group-respecting rays of the cone.
+    the groups, so `positive` holds its positive grouped columns and
+    `blocked` the other columns of the groups those touch: p and q
+    combine into a group-breaking ray exactly when positive[q] &
+    blocked[p] is nonzero. The output is every extreme ray that respects
+    the groups, possibly plus further group-respecting rays of the cone.
 
     The order moves only the work and the order of the rays returned:
-    the method is exact from any d independent rows, and the base rows
-    count as processed, sitting in `positive` and `blocked` from the
-    start. Initial ray j is positive on base row j alone, so from a base
-    of grouped rows every initial ray respects the groups and pruning
-    works from the first insertion. On the 10-tet 15,392 candidates are
-    charged, against 226,061 with the base taken by index.
+    the method is exact from any d free columns, and they count as
+    processed, sitting in `positive` and `blocked` from the start. From
+    free columns that are grouped every initial ray respects the groups,
+    and pruning works from the first insertion. On the 10-tet 15,392
+    candidates are charged, against 226,061 with the free columns taken
+    by index.
+
+    The integer solutions form a saturated lattice, so a ray primitive
+    here is primitive in the coordinates of any basis of it: run in
+    those, the same order gives the same initial rays, adjacencies,
+    combinations and gcds, so the same rays in the same order and the
+    same charges.
     """
-    d = len(ineq[0])
-    # grouped row -> the other rows of the groups containing it
+    # grouped column -> the other columns of the groups containing it
     others: dict[int, int] = {}
-    for rows in block_rows:
+    for cols in groups:
         group = 0
-        for r in rows:
-            group |= 1 << r
-        for r in rows:
-            others[r] = others.get(r, 0) | (group & ~(1 << r))
-    order = sorted(range(len(ineq)), key=lambda i: (i not in others, i))
-    base = [order[k] for k in _independent([ineq[i] for i in order], d)]
-    aug = [_sparse(ineq[i]) | {d + k: 1} for k, i in enumerate(base)]
-    aug += [{j: 1} for j in range(d)]
-    s = _smith(aug, d, d)
-    scaled_u = [[s[-1] // s[k] * aug[k].get(d + i, 0) for i in range(d)]
-                for k in range(d)]
-    V = [[row.get(j, 0) for j in range(d)] for row in aug[d:]]
-    # ray j is column j of the product, so row j of its transpose
-    rays = (np.array(V, dtype=object) @ np.array(scaled_u, dtype=object)).T
-    # initial=0 makes even a one-coordinate gcd nonnegative
-    rays //= np.gcd.reduce(rays, axis=1, initial=0)[:, None]
-    A = np.array(ineq, dtype=object)
-    norm = max(sum(map(abs, row)) for row in ineq)
-    if 2 * int(np.abs(rays).max()) ** 2 * norm <= _INT64_MAX:
-        rays, A = rays.astype(np.int64), A.astype(np.int64)
-    width = -(-len(ineq) // 64)
+        for c in cols:
+            group |= 1 << c
+        for c in cols:
+            others[c] = others.get(c, 0) | (group & ~(1 << c))
+    order = sorted(range(n), key=lambda i: (i not in others, i))
+    free, rays, lattice = _starting_cone(A, order)
+    d = len(free)
+    if not d:
+        return lattice, []
+    if 2 * int(np.abs(rays).max()) ** 2 <= _INT64_MAX:
+        rays = rays.astype(np.int64)
+    width = -(-n // 64)
     tight = _bitsets([((1 << d) - 1) ^ (1 << j) for j in range(d)], width)
-    positive = _bitsets([1 << r if r in others else 0 for r in base], width)
-    blocked = _bitsets([others.get(r, 0) for r in base], width)
-    remaining = [i for i in order if i not in base]
+    positive = _bitsets([1 << c if c in others else 0 for c in free], width)
+    blocked = _bitsets([others.get(c, 0) for c in free], width)
+    taken = set(free)
+    remaining = [i for i in order if i not in taken]
     for nbits, t0 in enumerate(remaining, start=d):
         if rays.dtype != object and 2 * int(
-                np.abs(rays).max(initial=0)) ** 2 * norm > _INT64_MAX:
-            rays, A = rays.astype(object), A.astype(object)
-        vals = rays @ A[t0]
+                np.abs(rays).max(initial=0)) ** 2 > _INT64_MAX:
+            rays = rays.astype(object)
+        vals = rays[:, t0]
         pos = np.flatnonzero(vals > 0)
         neg = np.flatnonzero(vals < 0)
         zero = np.flatnonzero(vals == 0)
@@ -790,14 +853,14 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
             unique = list(first.values())
             new_rays, p_new, q_new = vec[unique], adj_p[unique], adj_q[unique]
         bit = _bitsets([1 << nbits], width)
-        # tight on row t0, so the new tight sets are common | bit; a pair
-        # that passed the group test has neither parent's positive rows
-        # blocked by the other, so blocked sets simply unite
+        # tight on column t0, so the new tight sets are common | bit; a
+        # pair that passed the group test has neither parent's positive
+        # columns blocked by the other, so blocked sets simply unite
         new_tight = (tight[p_new] & tight[q_new]) | bit
         new_positive = positive[p_new] | positive[q_new]
         new_blocked = blocked[p_new] | blocked[q_new]
         if t0 in others:
-            # once this row is sealed, every later combination stays
+            # once this column is sealed, every later combination stays
             # positive here, so rays breaking a group now are dead ends
             t0_bit = _bitsets([1 << t0], width)
             pos = pos[_disjoint(blocked[pos], t0_bit)]
@@ -809,7 +872,7 @@ def _extreme_rays(ineq: Sequence[tuple[int, ...]], budget: _Budget,
         positive = np.vstack([positive[keep], new_positive])
         blocked = np.vstack([blocked[keep], new_blocked])
         rays = np.vstack([rays[keep], new_rays])
-    return [tuple(ray) for ray in rays.tolist()]
+    return lattice, [tuple(ray) for ray in rays.tolist()]
 
 
 def _bits(mask: int) -> list[int]:
@@ -854,18 +917,18 @@ def _maximal_cliques(neighbors: Sequence[int], budget: _Budget) -> list[int]:
 
 
 def _admissible_rays(sys: MatchingSystem, budget: _Budget
-                     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]],
+                     ) -> tuple[list[int], list[tuple[int, ...]],
                                 list[frozenset[int]]]:
-    """The admissible rays of the solution cone, as three parallel lists:
-    kernel coordinates, full-length normal coordinates and quad patterns
-    (the quad variables a ray is positive on).
+    """The admissible rays of the solution cone: the lattice columns of
+    the double description's starting cone, as variables, then two
+    parallel lists, the rays' full-length normal vectors and their quad
+    patterns (the quad variables a ray is positive on).
 
-    The cone is {z : K z >= 0}, K the integer kernel basis of the
-    system's equations over its variables that are not forced to zero:
-    z is a point's coordinates in that basis, which spans every integer
-    solution, so the lattice points of the cone are exactly the integer
-    solutions. The rays are those of _extreme_rays with the rows of each
-    quad triple as a group, so every one is admissible.
+    The cone is {x >= 0 : A x = 0}, A the system's equations over its
+    variables that are not forced to zero. Its rays are those of
+    _extreme_rays with the columns of each quad triple as a group, so
+    every one is admissible, and each is primitive, the least integer
+    solution on its ray.
     """
     equations = [_quadruple_to_row(eq) for eq in sys.equations]
     active = [v for v in range(sys.variable_count)
@@ -876,28 +939,22 @@ def _admissible_rays(sys: MatchingSystem, budget: _Budget
         row = {col_of[v]: c for v, c in eq.items() if v in col_of}
         if row:
             A.append(row)
-    kernel = _integer_kernel(A, len(active))
-    if not kernel:
-        return [], [], []
-    ineq = [tuple(col[i] for col in kernel) for i in range(len(active))]
-
-    block_rows = []
-    quad_rows = []
+    groups = []
+    quads = []
     for triple in sys.quad_triples:
         present = tuple(col_of[q] for q in triple if q in col_of)
-        quad_rows.extend(present)
+        quads.extend(present)
         if len(present) > 1:
-            block_rows.append(present)
+            groups.append(present)
 
-    rays = _extreme_rays(ineq, budget, block_rows)
-    # one exact product of Python ints: ray r's values are column r
-    values = np.zeros((sys.variable_count, len(rays)), dtype=object)
-    values[active] = np.array(ineq, dtype=object) @ np.array(
-        rays, dtype=object).reshape(-1, len(kernel)).T
-    normals = [tuple(v) for v in values.T.tolist()]
-    patterns = [frozenset(active[i] for i in quad_rows if v[active[i]] > 0)
-                for v in normals]
-    return rays, normals, patterns
+    lattice, rays = _extreme_rays(A, len(active), budget, groups)
+    values = np.zeros((len(rays), sys.variable_count), dtype=object)
+    if rays:
+        values[:, active] = np.array(rays, dtype=object)
+    normals = [tuple(v) for v in values.tolist()]
+    patterns = [frozenset(active[i] for i in quads if ray[i] > 0)
+                for ray in rays]
+    return [active[c] for c in lattice], normals, patterns
 
 
 def _faces(patterns: Sequence[frozenset[int]],
@@ -1018,25 +1075,34 @@ def _unimodular(masks: Sequence[tuple[int, int]]) -> bool:
     return True
 
 
-def _parallelepiped(kernel_rays: Sequence[Sequence[int]], normals: np.ndarray,
+def _parallelepiped(rays: np.ndarray, normals: np.ndarray,
                     masks: Sequence[tuple[int, int]], budget: _Budget
                     ) -> list[tuple[int, ...]]:
     """The nonzero lattice points of a simplicial cone's fundamental
     parallelepiped {sum l_i r_i : 0 <= l_i < 1}, in normal coordinates.
 
-    The k rays r_i are linearly independent, given by their kernel
-    coordinates (the rows of a k x d matrix R), by their normal
-    coordinates (the rows of the k x n array normals, nonnegative) and
-    by the masks of those (_unimodular). Their number, the simplex's
-    index, is charged before any point is built.
+    The k rays r_i are linearly independent solutions, given by their
+    normal coordinates on the lattice columns (the rows of a k x m
+    array R, _starting_cone), by all their normal coordinates (the rows
+    of the k x n array normals, nonnegative) and by the masks of those
+    (_unimodular). Their number, the simplex's index, is charged before
+    any point is built.
 
     When the normal coordinates peel (_unimodular), the index is 1 and
     there is no point. Otherwise, with S = U R V the Smith form of R and
-    s_1 | ... | s_k its invariant factors, the lattice points of R's row
+    s_1 | ... | s_k its invariant factors, the integer points of R's row
     span are exactly the combinations l R with l = y diag(1/s) U, y
     integral, and y in the box 0 <= y_j < s_j picks out each point of
     the parallelepiped once, as frac(l); the index is s_1 ... s_k. Only
     the columns of U are appended to R's rows.
+
+    The integer solutions form a saturated lattice L (an integer vector
+    with a multiple in L is in L), and it projects one to one onto the
+    integer points of its span on the lattice columns. So l R is
+    integral exactly when l times the normals is, and the index is the
+    one any basis of L gives: a basis K of L (n x d) extends to one of
+    Z^n, so rays with coordinates Z in it have normals Z K^T, with Z's
+    invariant factors.
 
     The points are two matrix products over every nonzero y of the box
     at once, in integers: the rows of Y @ scaled, scaled row j being row
@@ -1051,16 +1117,16 @@ def _parallelepiped(kernel_rays: Sequence[Sequence[int]], normals: np.ndarray,
     if _unimodular(masks):
         budget.charge(1)
         return []
-    k, d = len(kernel_rays), len(kernel_rays[0])
-    rows = [_sparse(r) | {d + i: 1} for i, r in enumerate(kernel_rays)]
-    s = _smith(rows, k, d)
+    k, m = rays.shape
+    rows = [_sparse(r) | {m + i: 1} for i, r in enumerate(rays.tolist())]
+    s = _smith(rows, k, m)
     budget.charge(math.prod(s))
     top = s[-1]
     if top == 1:
         return []
     # y_j only matters where s_j > 1
     big = [j for j in range(k) if s[j] > 1]
-    scaled = [[top // s[j] * rows[j].get(d + i, 0) for i in range(k)]
+    scaled = [[top // s[j] * rows[j].get(m + i, 0) for i in range(k)]
               for j in big]
     bound = top * max(max(sum(abs(row[i]) for row in scaled)
                           for i in range(k)),
@@ -1073,8 +1139,8 @@ def _parallelepiped(kernel_rays: Sequence[Sequence[int]], normals: np.ndarray,
             (coeffs @ normals.astype(dtype) // top).tolist()]
 
 
-def _face_basis(kernel_rays: list[tuple[int, ...]],
-                normals: list[tuple[int, ...]], patterns: list[frozenset[int]],
+def _face_basis(lattice: list[int], normals: list[tuple[int, ...]],
+                patterns: list[frozenset[int]],
                 quad_triples: Sequence[tuple[int, int, int]],
                 budget: _Budget) -> list[tuple[int, ...]]:
     """Admissible fundamental solutions of one summand, from triangulated
@@ -1106,15 +1172,19 @@ def _face_basis(kernel_rays: list[tuple[int, ...]],
     faces together.
 
     The normals are one array, read once for every ray's zero set and
-    masks (_unimodular); each simplex takes its rows. The
-    budget is charged each face's ray count, and each distinct simplex's
-    index (its parallelepiped's lattice points, zero included) before
-    the points are built; the triangulation checks the deadline at every
+    masks (_unimodular); each simplex takes its rows, and its rows on
+    the lattice columns. Those columns also give each face's rank: they
+    hold the free columns, which fix a solution, so the projection keeps
+    every rank in a few more than d columns rather than n. The budget is
+    charged each face's ray count, and each distinct simplex's index
+    (its parallelepiped's lattice points, zero included) before the
+    points are built; the triangulation checks the deadline at every
     step.
     """
-    if not kernel_rays:
+    if not normals:
         return []
     values = np.array(normals, dtype=object)
+    projected = values[:, lattice]
     support = values != 0
     zero_masks = set(_row_masks(~support.T))
     masks = list(zip(_row_masks(support), _row_masks(values == 1)))
@@ -1123,11 +1193,11 @@ def _face_basis(kernel_rays: list[tuple[int, ...]],
     for face in _faces(patterns, quad_triples, budget):
         members = _bits(face)
         budget.charge(len(members))
-        rank = len(_independent([kernel_rays[r] for r in members]))
+        rank = _rank(projected[members])
         for simplex in _triangulate(face, rank, zero_masks, memo, budget):
             if simplex not in points:
                 points[simplex] = _parallelepiped(
-                    [kernel_rays[r] for r in simplex], values[list(simplex)],
+                    projected[list(simplex)], values[list(simplex)],
                     [masks[r] for r in simplex], budget)
     candidates = normals + [p for found in points.values() for p in found]
     _require_int64(max(map(max, candidates)), "a normal coordinate")
@@ -1141,15 +1211,14 @@ def _admissible_stages(sys: MatchingSystem, budget: _Budget
     distinct and sorted:
       - the vertex solutions, the normal vectors of the admissible rays
         of each summand of sys (_summands), the double description
-        running once per summand;
+        running once per summand, in normal coordinates;
       - only when resumed, the admissible fundamental solutions, each
         summand's read from the same rays (_face_basis).
 
-    A ray is primitive in kernel coordinates, and the kernel basis is a
-    basis of the lattice of integer solutions, so its normal vector is
-    the primitive solution on the ray. On an extreme ray that vector is
-    irreducible, as both terms of a sum equal to it lie on the ray, so
-    it is fundamental. With block pruning, _extreme_rays may also return
+    Each ray's normal vector is primitive, so it is the least integer
+    solution on the ray. On an extreme ray that vector is irreducible,
+    as both terms of a sum equal to it lie on the ray, so it is
+    fundamental. With block pruning, _extreme_rays may also return
     other group-respecting rays, whose vectors need not be fundamental;
     a caller that takes a vertex solution as a witness re-verifies it.
 

@@ -705,25 +705,26 @@ def smith_reference(
 # Simplicial cones from the reference Smith form, in exact fractions: the
 # index of a simplex and its fundamental parallelepiped's lattice points.
 
-def simplex_index(kernel_rays):
-    """The index of the lattice the rows of kernel_rays span in the
-    integer points of their span: the product of the invariant factors."""
-    k = len(kernel_rays)
-    S = smith_reference(kernel_rays, k, len(kernel_rays[0]))[0]
+def simplex_index(rays):
+    """The index of the lattice the rows of rays span in the integer
+    points of their span: the product of the invariant factors."""
+    k = len(rays)
+    S = smith_reference(rays, k, len(rays[0]))[0]
     return math.prod(S[i][i] for i in range(k))
 
 
-def parallelepiped_reference(kernel_rays, normals):
+def parallelepiped_reference(rays, normals):
     """The nonzero lattice points of the fundamental parallelepiped
-    {sum l_i r_i : 0 <= l_i < 1} of k independent rays, given in kernel
-    coordinates (the rows of R) and mapped to the rows of normals.
+    {sum l_i r_i : 0 <= l_i < 1} of k independent rays, given in the
+    coordinates of the lattice (the rows of R) and mapped to the rows of
+    normals; the library passes normal coordinates for both.
 
     With S = U R V from smith_reference and s its diagonal, the lattice
     points of R's row span are the l R with l = y diag(1/s) U, y
     integral, and y in the box 0 <= y_j < s_j gives each point of the
     parallelepiped once, as frac(l)."""
-    k = len(kernel_rays)
-    S, U, _, _ = smith_reference(kernel_rays, k, len(kernel_rays[0]))
+    k = len(rays)
+    S, U, _, _ = smith_reference(rays, k, len(rays[0]))
     s = [S[i][i] for i in range(k)]
     points = set()
     for y in product(*map(range, s)):

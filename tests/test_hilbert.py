@@ -17,19 +17,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from sympy.matrices.normalforms import smith_normal_form
 
 import normsurf
 from normsurf import fixtures, hilbert
 from normsurf.errors import IntegerOverflow, ResourceLimitExceeded
-from normsurf.hilbert import (_Budget, _extreme_rays, _integer_kernel,
+from normsurf.hilbert import (_Budget, _extreme_rays, _quadruple_to_row,
                               enumerate_fundamental)
 from normsurf.homology import _smith, _sparse
 from normsurf.matching import (BLOCK, MatchingSystem, is_admissible,
                                is_solution, restrict_to_link)
 from normsurf.triangulation import LinkSpec
 
-from exteriors import cone, layered_solid_torus
+from exteriors import cone, grow, layered_solid_torus
 from oracles import (admissible_by_completion, bounded_solutions,
                      brute_force_solutions, canonical_coordinates,
                      cone_extreme_rays, decomposes_over, faces_reference,
@@ -318,10 +317,10 @@ def test_ten_tet_face_stage_is_pinned(tri10, monkeypatch):
         faces.extend(out)
         return out
 
-    def recording(kernel_rays, *args):
-        simplices.append(tuple(tuple(int(x) for x in ray)
-                               for ray in kernel_rays))
-        return parallelepiped(kernel_rays, *args)
+    def recording(rays, normals, *args):
+        simplices.append(tuple(tuple(int(x) for x in row)
+                               for row in normals))
+        return parallelepiped(rays, normals, *args)
 
     monkeypatch.setattr(hilbert, "_faces", recording_faces)
     monkeypatch.setattr(hilbert, "_parallelepiped", recording)
@@ -338,7 +337,8 @@ def simplex_calls():
     """The arguments of every _parallelepiped call, budget aside, in the
     enumerations of the 10-tet, the 12-tet and the pair off their links
     and the solid torus, then of seeded_quad_systems: each simplex's
-    kernel rays, normal rows and masks."""
+    normal rows on the lattice columns, all its normal rows and its
+    masks."""
     tri12, pair = fixtures.fig8_closed(), fixtures.disconnected_pair()
     systems = [
         fixtures.fig8_complement().matching_system,
@@ -363,18 +363,20 @@ def simplex_calls():
 
 def test_parallelepipeds_match_the_reference(simplex_calls):
     # peeling (_unimodular) settles a simplex only when its index is 1;
-    # every other one takes the Smith form, and each simplex's points are
-    # those the reference Smith form gives, in exact fractions
+    # every other one takes the Smith form of its rows on the lattice
+    # columns, and each simplex's points are those the reference Smith
+    # form of all its normal rows gives, in exact fractions
     settled = collections.Counter()
     for rays, normals, masks in simplex_calls:
-        index = simplex_index(rays)
+        rows = normals.tolist()
+        index = simplex_index(rows)
         peeled = hilbert._unimodular(masks)
         assert index == 1 or not peeled
         settled[index > 1, peeled] += 1
         points = hilbert._parallelepiped(rays, normals, masks,
                                          _Budget(10 ** 9, None))
         assert len(points) == index - 1
-        assert set(points) == parallelepiped_reference(rays, normals.tolist())
+        assert set(points) == parallelepiped_reference(rows, rows)
     assert settled == {(False, True): 652, (False, False): 9,
                        (True, False): 43}
 
@@ -382,8 +384,8 @@ def test_parallelepipeds_match_the_reference(simplex_calls):
 def test_simplex_smith_forms_match_the_reference(simplex_calls):
     # the simplices that skip _smith keep checking it against the
     # reference, with U appended as _parallelepiped appends it
-    matrices = {tuple(map(tuple, rays)) for rays, *_ in simplex_calls}
-    assert len(matrices) == 400
+    matrices = {tuple(map(tuple, rays.tolist())) for rays, *_ in simplex_calls}
+    assert len(matrices) == 396
     for rays in matrices:
         k, d = len(rays), len(rays[0])
         rows = [_sparse(ray) | {d + i: 1} for i, ray in enumerate(rays)]
@@ -403,11 +405,12 @@ def test_parallelepiped_points_past_int64(simplex_calls, monkeypatch):
     expected = [set(hilbert._parallelepiped(*call, budget))
                 for call in indexed]
     for rays, normals, masks in indexed:
+        rows = normals.tolist()
         for scale in (2 ** 62 // int(normals.max()), 2 ** 64):
             assert set(hilbert._parallelepiped(
                 rays, normals * scale, masks, budget)) == {
                 tuple(scale * x for x in p)
-                for p in parallelepiped_reference(rays, normals.tolist())}
+                for p in parallelepiped_reference(rows, rows)}
     monkeypatch.setattr(hilbert, "_INT64_MAX", 0)
     assert [set(hilbert._parallelepiped(*call, budget))
             for call in indexed] == expected
@@ -452,23 +455,94 @@ def test_restricted_fixture_has_exactly_the_three_reference_solutions(
     assert len(fund_restricted.vectors) == 3
 
 
-def test_integer_kernel_matches_sympy():
+def active_rows(system):
+    """The equations of system over its variables not forced to zero,
+    as sparse rows over their indices, and the number of those."""
+    active = [v for v in range(system.variable_count)
+              if v not in system.forced_zeros]
+    col = {v: k for k, v in enumerate(active)}
+    rows = [{col[v]: c for v, c in _quadruple_to_row(eq).items() if v in col}
+            for eq in system.equations]
+    return [row for row in rows if row], len(active)
+
+
+def assert_starting_cone(A, n, order):
+    """_starting_cone against the sympy kernel: the free columns are the
+    first rows of a kernel basis that are independent in `order`, and
+    initial ray j is a primitive integer solution, positive on free
+    column j and zero on the other free columns. The lattice columns
+    hold the free ones, and the rays' index in the integer points of
+    their span is the same on them as on all columns. Returns the
+    rays."""
+    free, rays, lattice = hilbert._starting_cone(A, order)
+    M = sympy.Matrix([[row.get(j, 0) for j in range(n)] for row in A]) \
+        if A else sympy.zeros(0, n)
+    basis = M.nullspace()
+    kernel = sympy.Matrix.hstack(*basis) if basis else sympy.zeros(n, 0)
+    first = []
+    for i in order:
+        if kernel.extract(first + [i], list(range(kernel.cols))).rank() > \
+                len(first):
+            first.append(i)
+    assert free == first
+    assert rays.shape == (len(free), n)
+    for j, ray in enumerate(rays.tolist()):
+        assert all(type(x) is int for x in ray)
+        assert M * sympy.Matrix(ray) == sympy.zeros(len(A), 1)
+        assert math.gcd(*ray) == 1
+        assert ray[free[j]] > 0
+        assert all(ray[f] == 0 for k, f in enumerate(free) if k != j)
+    assert lattice == [i for i in order if i in lattice]
+    assert set(free) <= set(lattice)
+    if free:
+        assert simplex_index(rays[:, lattice].tolist()) == \
+            simplex_index(rays.tolist())
+    return rays
+
+
+def test_starting_cone_matches_sympy():
+    # random dense rows, then the active equations of seeded_quad_systems,
+    # among them the doubled 2 x_i = x_j + x_k, whose eliminations need a
+    # pivot other than +-1 and leave a ray above 1 on its free column,
+    # and systems whose only solution is zero
     rng = random.Random(11)
+    cases = []
     for _ in range(25):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 7)
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
         A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        kernel = _integer_kernel(
-            [{j: x for j, x in enumerate(row) if x} for row in A], n)
-        assert len(kernel) == len(sympy.Matrix(A).nullspace())
-        if not kernel:
-            continue
-        K = sympy.Matrix([list(col) for col in kernel]).T
-        assert sympy.Matrix(A) * K == sympy.zeros(m, len(kernel))
-        # the columns span every integer kernel vector, not a sublattice
-        snf = smith_normal_form(K)
-        assert [abs(snf[i, i]) for i in range(len(kernel))] == \
-            [1] * len(kernel)
+        cases.append(([{j: x for j, x in enumerate(row) if x} for row in A],
+                      n))
+    cases += [active_rows(system) for system in seeded_quad_systems()]
+    empty = scaled = 0
+    for A, n in cases:
+        rays = assert_starting_cone(A, n, rng.sample(range(n), n))
+        empty += not len(rays)
+        scaled += any(max(ray) > 1 for ray in rays.tolist())
+    assert empty and scaled
+
+
+def blow_up_matrices():
+    """Seeded sparse matrices, entries in -2..2 at density 1/12, on which
+    the Smith column transform V (homology._smith with V's rows
+    appended) grows to hundreds of digits: on the 14th (38 x 40) its
+    columns past the rank, a kernel basis, reach 407 digits and V 565,
+    on the 30th (27 x 39) both 28."""
+    rng = random.Random(5)
+    out = []
+    for _ in range(30):
+        m, n = rng.randint(15, 40), rng.randint(15, 40)
+        out.append(([{j: rng.choice((-2, -1, 1, 2)) for j in range(n)
+                      if rng.random() < 1 / 12} for _ in range(m)], n))
+    return out
+
+
+def test_starting_cone_stays_small_where_smith_blew_up():
+    # the rays' entries are bounded by minors of the matrix: 3 digits at
+    # most on these, on the 14th and the 30th
+    digits = [max((len(str(abs(x))) for x in rays.flat), default=0)
+              for rays in (assert_starting_cone(A, n, range(n))
+                           for A, n in blow_up_matrices())]
+    assert max(digits) <= 3, digits
 
 
 def test_long_substitution_chain_expands():
@@ -916,6 +990,33 @@ def test_deadline_is_checked_between_charges():
     assert time.monotonic() - budget.deadline < 0.5
 
 
+def as_system(ineq):
+    """The cone {z : ineq z >= 0} as the system {x >= 0 : C x = 0}, over
+    one column per row of ineq: C's rows, sparse, span the left null
+    space of ineq, scaled to integers, so x = ineq z maps the one cone
+    onto the other."""
+    rows = []
+    for c in sympy.Matrix(ineq).T.nullspace():
+        c *= math.lcm(*(x.q for x in c))
+        rows.append({j: int(x) for j, x in enumerate(c) if x})
+    return rows
+
+
+def mapped_rays(ineq, rays):
+    """Rays z of {z : ineq z >= 0} as the primitive directions of ineq z."""
+    out = set()
+    for z in rays:
+        x = [sum(a * b for a, b in zip(row, z)) for row in ineq]
+        g = math.gcd(*x)
+        out.add(tuple(v // g for v in x))
+    return out
+
+
+def cone_rays(ineq, budget, groups=()):
+    """_extreme_rays on the system of the cone {z : ineq z >= 0}."""
+    return _extreme_rays(as_system(ineq), len(ineq), budget, groups)[1]
+
+
 def test_adjacent_pairs_keep_their_order_in_small_blocks(monkeypatch):
     # a one-element chunk splits every axis of every pair test
     rng = random.Random(31)
@@ -924,7 +1025,7 @@ def test_adjacent_pairs_keep_their_order_in_small_blocks(monkeypatch):
     for chunk in (hilbert._CHUNK, 1):
         monkeypatch.setattr(hilbert, "_CHUNK", chunk)
         budget = _Budget(10 ** 9, None)
-        runs.append(([_extreme_rays(ineq, budget) for ineq in cones],
+        runs.append(([cone_rays(ineq, budget) for ineq in cones],
                      budget.examined))
     assert runs[0] == runs[1]
 
@@ -942,19 +1043,22 @@ def random_cone(rng):
 
 
 def assert_rays_of_cone(ineq, rays):
+    """rays are distinct primitive nonzero points of the cone of ineq,
+    in the coordinates x = ineq z."""
     assert len(set(rays)) == len(rays)
-    for z in rays:
-        assert any(z) and math.gcd(*z) == 1
-        assert all(sum(a * b for a, b in zip(row, z)) >= 0 for row in ineq)
+    C = as_system(ineq)
+    for x in rays:
+        assert any(x) and math.gcd(*x) == 1 and min(x) >= 0
+        assert all(sum(c * x[j] for j, c in row.items()) == 0 for row in C)
 
 
 def test_extreme_rays_match_the_oracle():
     rng = random.Random(17)
     for _ in range(80):
         ineq, oracle = random_cone(rng)
-        rays = _extreme_rays(ineq, _Budget(10 ** 9, None))
+        rays = cone_rays(ineq, _Budget(10 ** 9, None))
         assert_rays_of_cone(ineq, rays)
-        assert set(rays) == oracle, ineq
+        assert set(rays) == mapped_rays(ineq, oracle), ineq
 
 
 def random_groups(rng, rows):
@@ -971,17 +1075,18 @@ def random_groups(rng, rows):
 
 def assert_grouped_rays(ineq, groups, oracle):
     """_extreme_rays with groups returns rays of the cone that respect
-    the groups, among them every extreme ray that does."""
-    def respects(z):
-        return all(
-            sum(sum(a * b for a, b in zip(ineq[r], z)) > 0
-                for r in group) <= 1
-            for group in groups)
+    the groups, among them every extreme ray that does; returns the
+    lattice columns."""
+    def respects(x):
+        return all(sum(x[c] > 0 for c in group) <= 1 for group in groups)
 
-    rays = _extreme_rays(ineq, _Budget(10 ** 9, None), groups)
+    lattice, rays = _extreme_rays(as_system(ineq), len(ineq),
+                                  _Budget(10 ** 9, None), groups)
     assert_rays_of_cone(ineq, rays)
-    assert all(respects(z) for z in rays), (ineq, groups)
-    assert {z for z in oracle if respects(z)} <= set(rays), (ineq, groups)
+    assert all(respects(x) for x in rays), (ineq, groups)
+    assert {x for x in mapped_rays(ineq, oracle) if respects(x)} <= \
+        set(rays), (ineq, groups)
+    return lattice
 
 
 def test_extreme_rays_with_groups_keep_every_respecting_ray():
@@ -994,10 +1099,12 @@ def test_extreme_rays_with_groups_keep_every_respecting_ray():
 
 def test_extreme_rays_from_a_base_of_grouped_rows():
     # the first d rows by index are ungrouped and independent, and the
-    # grouped rows follow them, so the base, drawn grouped rows first,
-    # holds grouped rows where a base drawn by index would hold none.
-    # Every row is positive on (0, ..., 0, 1), which is thus inside the
-    # cone.
+    # grouped rows follow them, so the free columns, drawn grouped
+    # columns first, hold grouped columns where free columns drawn by
+    # index would hold none. Every row is positive on (0, ..., 0, 1),
+    # which is thus inside the cone, so every column is positive on a
+    # solution and the first in order, the lowest grouped one, is free:
+    # it leads the lattice columns.
     rng = random.Random(31)
     cones = 0
     while cones < 60:
@@ -1006,11 +1113,12 @@ def test_extreme_rays_from_a_base_of_grouped_rows():
         rows = [tuple(rng.randint(-3, 3) for _ in range(d - 1))
                 + (rng.randint(1, 3),)
                 for _ in range(free + rng.randint(2, 6))]
-        if len(hilbert._independent(rows[:d])) < d:
+        if sympy.Matrix(rows[:d]).rank() < d:
             continue
         oracle = cone_extreme_rays(rows)
-        assert_grouped_rays(rows, random_groups(rng, range(free, len(rows))),
-                            oracle)
+        groups = random_groups(rng, range(free, len(rows)))
+        lattice = assert_grouped_rays(rows, groups, oracle)
+        assert lattice[0] == min(c for group in groups for c in group)
         cones += 1
 
 
@@ -1027,54 +1135,63 @@ def test_bitset_kernels_match_python_ints(width):
 
 
 def test_extreme_rays_on_multiword_bitsets_match_the_oracle():
-    # 65 to 150 rows, so tight sets span two or three uint64 words; every
-    # row is positive on (0, 0, 1), which is thus inside the cone
+    # 65 to 150 rows, so 65 to 150 columns, whose tight sets span two or
+    # three uint64 words; every row is positive on (0, 0, 1), which is
+    # thus inside the cone
     rng = random.Random(41)
     for _ in range(4):
         ineq = [(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
                 for _ in range(rng.randint(65, 150))]
-        rays = _extreme_rays(ineq, _Budget(10 ** 9, None))
+        rays = cone_rays(ineq, _Budget(10 ** 9, None))
         assert_rays_of_cone(ineq, rays)
-        assert set(rays) == cone_extreme_rays(ineq), ineq
+        assert set(rays) == mapped_rays(ineq, cone_extreme_rays(ineq)), ineq
 
 
-# sha256 of json.dumps of the ordered ray list that _extreme_rays returns
-# on the 10-tet admissible enumeration, and the candidates it charges
+# sha256 of json.dumps of the ordered list of normal vectors, over the
+# variables not forced to zero, that _extreme_rays returns on the 10-tet
+# admissible enumeration, and the candidates it charges. Recorded from the
+# kernel-coordinate double description, as its rays mapped to normal
+# coordinates.
 TEN_TET_RAYS_SHA256 = \
-    "42689aabca37bdeba2aef52ddf2fc25cac46575981756e00fdf8dbd65352c224"
+    "0d88f2a6ca256c66dde67b5bdc913f7e77210a2105f0c4bd6a28a2f195665b75"
 TEN_TET_RAYS_CHARGED = 15_392
 
 # the same pins for the link-restricted systems, one entry per
 # _extreme_rays call: (rays, candidates charged, sha256 of the ordered
-# ray list). The 12-tet's ray list was recorded with the Python-int ray
-# arithmetic the array version replaced.
+# normal vectors)
 RESTRICTED_RAYS = {
-    # split-pair's two interaction components: d = 25 with 84 inequality
-    # rows, then d = 8 with 46, one figure-eight's restricted 12-tet
+    # split-pair's two interaction components: 84 columns with d = 25,
+    # then 46 with d = 8, one figure-eight's restricted 12-tet
     "pair": [
         (51, 13_366,
-         "701d6e4ff74725f833b04762592632195c292faee41a8df46c90dc5f02c61b4d"),
+         "1402e5f169b200b0a74fb9cdd4c6169f2acd9e32c68b56bd6093675091017f2d"),
         (3, 23,
-         "2577da253c7f4c63b961795871b5f6beb28ea9236571cc4acfb71934016ee997")],
+         "1b64081e117719f16df15a0d337901992f3e5b09c3392dd0f2fc237a178a7b32")],
     "12-tet": [
         (3, 23,
-         "2577da253c7f4c63b961795871b5f6beb28ea9236571cc4acfb71934016ee997")],
+         "1b64081e117719f16df15a0d337901992f3e5b09c3392dd0f2fc237a178a7b32")],
 }
+
+# the same pin for the exterior grow(fig8_complement(), 16, 0): 112
+# columns with d = 34
+GROWN_RAYS = [
+    (1_643, 1_164_645,
+     "07f9c904e54b068e21574fb5b5e85dd1e224c02347b5eee0d8759ff7cf825e57")]
 
 
 def recorded_double_description(system, monkeypatch):
     """(rays, candidates charged) of each _extreme_rays call that the
-    admissible enumeration of system makes, in order."""
+    vertex stage of system makes, in order."""
     calls = []
 
-    def recording(ineq, budget, block_rows=()):
+    def recording(A, n, budget, groups=()):
         before = budget.examined
-        rays = _extreme_rays(ineq, budget, block_rows)
+        lattice, rays = _extreme_rays(A, n, budget, groups)
         calls.append((rays, budget.examined - before))
-        return rays
+        return lattice, rays
 
     monkeypatch.setattr(hilbert, "_extreme_rays", recording)
-    enumerate_fundamental(system, admissible_only=True)
+    vertex_solutions(system)
     return calls
 
 
@@ -1101,13 +1218,20 @@ def test_restricted_double_description_is_pinned(name, restricted12,
         RESTRICTED_RAYS[name]
 
 
-# On the 10-tet the bound 2 * M**2 * N on a step's values is 7,000 for
-# the initial rays and at the first of the 48 insertions, then 20,230,
-# 17,920 and 67,270, and peaks at 141,750: limits of 100 and 5,000 send
-# the whole run to Python ints, and one of 50,000 keeps three insertions
-# in int64 and switches at the fourth. Keyed by limit, the number of
-# insertions that stack int64 rays.
-INT64_STEPS = {100: 0, 5_000: 0, 50_000: 3}
+def test_grown_double_description_is_pinned(tri10, monkeypatch):
+    system = grow(tri10, 16, 0).matching_system
+    assert [(len(rays), charged, rays_sha256(rays)) for rays, charged in
+            recorded_double_description(system, monkeypatch)] == GROWN_RAYS
+
+
+# On the 10-tet the bound 2 * M**2 on a step's values is 200 for the
+# initial rays, then 578, 512, 1,922, 3,042 and 4,050 before the second
+# to sixth of the 48 insertions, and 578 from there on: a limit of 100
+# sends the whole run to Python ints, one of 2,000 keeps four insertions
+# in int64 and switches for good at the fifth, and one of 5,000 never
+# switches. Keyed by limit, the number of insertions that stack int64
+# rays.
+INT64_STEPS = {100: 0, 2_000: 4, 5_000: 48}
 
 
 @pytest.mark.parametrize("limit", sorted(INT64_STEPS))
@@ -1143,18 +1267,18 @@ def test_double_description_past_int64_switches_to_python_ints(
 
 
 def test_rays_past_int64_match_the_oracle():
-    # scaling every column but the first of a seeded cone's inequalities
-    # by 2**70 maps its ray (a, b, ...) to (a * 2**70, b, ...), up to the
-    # gcd, so most primitive rays pass 2**63 in their first coordinate
+    # scaling the first of a seeded cone's inequalities by 2**70 keeps
+    # the cone and maps a ray's normal coordinates (a, b, ...) to
+    # (a * 2**70, b, ...), up to the gcd, so most primitive rays pass
+    # 2**63 in their first coordinate, and so does the system's matrix
     rng = random.Random(43)
     big = 0
     for _ in range(10):
-        ineq, _ = random_cone(rng)
-        ineq = [tuple(x if i == 0 else x << 70 for i, x in enumerate(row))
-                for row in ineq]
-        rays = _extreme_rays(ineq, _Budget(10 ** 9, None))
+        ineq, oracle = random_cone(rng)
+        ineq = [tuple(x << 70 for x in ineq[0])] + ineq[1:]
+        rays = cone_rays(ineq, _Budget(10 ** 9, None))
         assert_rays_of_cone(ineq, rays)
-        assert set(rays) == cone_extreme_rays(ineq), ineq
+        assert set(rays) == mapped_rays(ineq, oracle), ineq
         assert all(type(x) is int for ray in rays for x in ray)
         big += max((abs(x) for ray in rays for x in ray), default=0) > \
             hilbert._INT64_MAX
@@ -1162,15 +1286,20 @@ def test_rays_past_int64_match_the_oracle():
 
 
 def test_rays_that_outgrow_int64_midway_match_the_oracle():
-    # the wedge r/s <= y/x <= p/q starts from the unit rays, which fit in
-    # int64 with room to spare; inserting the third row makes the ray
-    # (q, p), and the fourth row's combinations reach about 2**82
-    # before their gcd is divided out
-    p, q = (1 << 40) + 1, 1 << 40
-    r, s = (1 << 40) - 1, (1 << 40) + 1
+    # the wedge 2**-30 <= y/x <= 2**30, in the columns x, y, 2**30 x - y
+    # and 2**30 y - x: its initial rays, on the free columns x and y, are
+    # (1, 0, 2**30, -1) and (0, 1, -1, 2**30), so the run starts in int64
+    # (2 * 2**60 fits); inserting the third column makes the ray
+    # (1, 2**30, 0, 2**60 - 1), and the fourth column's combination
+    # reaches about 2**90 before its gcd is divided out
+    p = s = 1 << 30
+    q = r = 1
     ineq = [(1, 0), (0, 1), (p, -q), (-r, s)]
-    rays = _extreme_rays(ineq, _Budget(10 ** 9, None))
-    assert set(rays) == {(q, p), (s, r)} == cone_extreme_rays(ineq)
+    lattice, rays = _extreme_rays(as_system(ineq), 4,
+                                  _Budget(10 ** 9, None))
+    assert lattice == [0, 1]
+    assert set(rays) == {(q, p, 0, p * s - q * r), (s, r, p * s - q * r, 0)} \
+        == mapped_rays(ineq, cone_extreme_rays(ineq))
 
 
 def test_candidate_cap_stops_the_face_loop(tri10):
@@ -1335,6 +1464,18 @@ def test_vertex_solutions_are_pinned(name, tri10, restricted12, disc_tri,
     vertices = vertex_solutions(system)
     assert (len(vertices), rays_sha256(vertices)) == \
         VERTEX_SOLUTIONS_SHA256[name]
+
+
+def test_vertex_stage_takes_no_smith_form(monkeypatch):
+    # the starting cone comes from one sparse elimination, so neither a
+    # Smith form nor the face stage's rank runs before the face stage
+    def refused(*args):
+        raise AssertionError("called in the vertex stage")
+
+    monkeypatch.setattr(hilbert, "_smith", refused)
+    monkeypatch.setattr(hilbert, "_rank", refused)
+    for system in fixture_systems().values():
+        assert vertex_solutions(system)
 
 
 @pytest.mark.parametrize("seed", sorted(RELABELLED_WORK))

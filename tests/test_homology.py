@@ -131,16 +131,15 @@ def test_smith_matches_the_reference_on_random_matrices():
 
 
 # whether each caller of _smith appends U's columns and V's rows
-APPENDS = {"_integer_kernel": (False, True), "_parallelepiped": (True, False),
-           "_extreme_rays": (True, True), "h1": (True, False)}
+APPENDS = {"_parallelepiped": (True, False), "h1": (True, False)}
 
 
 @pytest.fixture(scope="module")
 def fixture_smith_calls():
     """Every call the bundled pipelines make to _smith, as (caller,
-    rows as passed, m, n): the integer kernels, extreme-ray bases and
-    ray matrices of the simplices that do not peel of four enumerations,
-    and the boundaries of three H1 computations."""
+    rows as passed, m, n): the ray matrices of the simplices that do not
+    peel of four enumerations, and the boundaries of three H1
+    computations."""
     seen = []
 
     def recording(rows, m, n):
@@ -170,13 +169,13 @@ def fixture_smith_calls():
 
 def test_smith_matches_the_reference_on_fixture_matrices(
         fixture_smith_calls):
-    # 13 kernels, bases and boundaries, and the 24 simplices whose normal
-    # coordinates do not peel (hilbert._unimodular; test_hilbert's
+    # 3 boundaries and the 24 simplices whose normal coordinates do not
+    # peel (hilbert._unimodular; test_hilbert's
     # test_simplex_smith_forms_match_the_reference checks every simplex
-    # matrix); the largest kernel is that of split-pair's larger
-    # interaction component
-    assert len(fixture_smith_calls) == 37
-    assert (72, 84) in {(m, n) for *_, m, n in fixture_smith_calls}
+    # matrix); the double description's starting cone and its integer
+    # kernel take no Smith form
+    assert len(fixture_smith_calls) == 27
+    assert {caller for caller, *_ in fixture_smith_calls} == set(APPENDS)
     for caller, rows, A, m, n in fixture_smith_calls:
         # each caller appends exactly the transforms it reads
         u, v = APPENDS[caller]
@@ -193,7 +192,7 @@ def test_partial_augmentation_changes_nothing(fixture_smith_calls):
     matrices = [(A, len(A), len(A[0]))
                 for A in smith_test_matrices(random.Random(9))]
     matrices += [(A, m, n) for _, _, A, m, n in fixture_smith_calls]
-    assert len(matrices) == 237
+    assert len(matrices) == 227
     for A, m, n in matrices:
         S, U, V = smith_transforms(A, m, n)
         assert smith_transforms(A, m, n, v=False) == (S, U, None)
